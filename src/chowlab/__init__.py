@@ -27,7 +27,7 @@ from .chow import (
     q_derangement_number,
 )
 from .errors import ResourceBoundError, RouteDisagreementError
-from .exactalg import BiPoly, QRat, QSeries, gauss_binomial, q_factorial, q_pochhammer, t_quantum
+from .exactalg import BiPoly, gauss_binomial, q_factorial, q_pochhammer, t_quantum
 from .flats import ExplicitLattice, FamilySpec, build_explicit, level_size, upper_interval
 from .ordercx import FVector, bivariate_check, conjecture_check, h_polynomial, order_complex_fvector
 from .permstat import Perm, PermClass, statistic_sum

@@ -11,32 +11,23 @@ its recurrence
 
     T(2a) = - sum_{b<a} [n-2b over 2a-2b]_q T(2b),    T(0) = 1
 
-is the production path, verified against the Gaussian-binomial determinant
-and, in exact rational arithmetic, against
-(-1)^a ([n]_q!/[n-2a]_q!) * Delta_a with Delta_a the 1/[2k]_q! determinant.
+is the production path, verified against the fraction-free (Bareiss)
+determinant of the Gaussian-binomial matrix.  The q-tangent-secant numbers
+E_n are checked three ways: their own recurrence, the same Bareiss
+determinants (E_{2a} = T(2a, 2a), odd E_n the full-rank telescoping sum),
+and the Taylor coefficients of sech_q + tanh_q evaluated over exact
+fractions at enough integer points to pin every polynomial down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import RouteDisagreementError
-from .exactalg import (
-    BiPoly,
-    ONE,
-    QRat,
-    cosh_q,
-    det_fraction_free,
-    det_rational,
-    diff_terms,
-    gauss_binomial,
-    q_factorial,
-    qp_from_bipoly,
-    qp_pochhammer,
-    sinh_q,
-)
+from .exactalg import BiPoly, ONE, det_fraction_free, diff_terms, gauss_binomial
 from .permstat import PermClass
 from .chow import hilbert_recurrence
 
@@ -114,71 +105,31 @@ def _t_determinant(n, a):
     return det if a % 2 == 0 else -det
 
 
-def _delta_det(a):
-    """The Hankel-style determinant with entries 1/[2k]_q! (exact rational)."""
-    if a == 0:
-        return QRat(1)
-    matrix = []
-    for i in range(a):
-        row = []
-        for j in range(a):
-            if j <= i:
-                row.append(QRat((1,), qp_from_bipoly(q_factorial(2 * (i - j + 1)))))
-            elif j == i + 1:
-                row.append(QRat(1))
-            else:
-                row.append(QRat(0))
-        matrix.append(row)
-    return det_rational(matrix)
+def _require_equal(what, left, right):
+    if left != right:
+        raise RouteDisagreementError(what, left.to_text(), right.to_text(), str(diff_terms(left, right)))
 
 
 def t_term(n, a):
-    """T(n, 2a), verified across recurrence, determinant, and rational form."""
+    """T(n, 2a), verified between the recurrence and the Bareiss determinant."""
     if not 0 <= 2 * a <= n:
         raise ValueError(f"need 0 <= 2a <= n, got a={a}, n={n}")
     by_rec = _t_terms(n, a)[a]
-    by_det = _t_determinant(n, a)
-    if by_rec != by_det:
-        raise RouteDisagreementError(
-            f"T({n}, {2 * a}) recurrence vs determinant",
-            by_rec.to_text(),
-            by_det.to_text(),
-            str(diff_terms(by_rec, by_det)),
-        )
-    scale = QRat(qp_from_bipoly(q_factorial(n)), qp_from_bipoly(q_factorial(n - 2 * a)))
-    rational = scale * _delta_det(a)
-    if a % 2 == 1:
-        rational = -rational
-    if rational != QRat.from_bipoly(by_rec):
-        raise RouteDisagreementError(
-            f"T({n}, {2 * a}) integer vs rational-determinant form",
-            by_rec.to_text(),
-            repr(rational),
-        )
+    _require_equal(f"T({n}, {2 * a}) recurrence vs determinant", by_rec, _t_determinant(n, a))
     return by_rec
 
 
 def cd_determinant(n, r):
-    """Signed and unsigned quantities via the T-term telescoping sum."""
+    """Signed and unsigned quantities as the telescoping sum of T(n, 2a).
+
+    Every term runs the fraction-free determinant against the recurrence.
+    """
     _require_odd(r)
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    terms = _t_terms(n, (r - 1) // 2)
     unsigned = BiPoly()
-    for t in terms:
-        unsigned = unsigned + t
-    # the printed rational form must reproduce the same polynomial
-    rational = QRat(1)
-    fact_n = qp_from_bipoly(q_factorial(n))
-    for a in range(1, (r - 1) // 2 + 1):
-        contrib = QRat(fact_n, qp_from_bipoly(q_factorial(n - 2 * a))) * _delta_det(a)
-        rational = rational + (-contrib if a % 2 == 1 else contrib)
-    if rational != QRat.from_bipoly(unsigned):
-        raise RouteDisagreementError(
-            f"CD({n},{r}) determinant form vs T-term sum",
-            unsigned.to_text(),
-            repr(rational),
-        )
+    for a in range((r - 1) // 2 + 1):
+        unsigned = unsigned + t_term(n, a)
     return _signed(unsigned, r)
 
 
@@ -217,49 +168,69 @@ def _secant_by_recurrence(n_max):
     return entries
 
 
-def _secant_by_series(n_max, order):
-    cosh = cosh_q(order)
-    sech = cosh.inverse()
-    full = sech + sinh_q(order) * sech
-    entries = []
+def _secant_degree_bounds(n_max):
+    """q-degree bounds for E_0 .. E_{n_max}, fixed before any E_n is computed.
+
+    They follow the shape of the recurrence with deg [n over k]_q = k(n - k).
+    """
+    even = [0]
+    for m in range(1, n_max // 2 + 1):
+        even.append(max(2 * k * (2 * m - 2 * k) + even[m - k] for k in range(1, m + 1)))
+    return [
+        even[n // 2] if n % 2 == 0 else max(2 * j * (n - 2 * j) + even[j] for j in range(n // 2 + 1))
+        for n in range(n_max + 1)
+    ]
+
+
+def _secant_series_at(q0, n_max):
+    """E_0(q0) .. E_{n_max}(q0) as (q0;q0)_n [x^n](sech_q + tanh_q).
+
+    cosh_q and sinh_q carry 1/(q;q)_k at even and odd x^k respectively; at an
+    integer q0 >= 2 no (q0;q0)_k vanishes, so Fractions evaluate them exactly.
+    """
+    poch = [1]
+    for k in range(1, n_max + 1):
+        poch.append(poch[-1] * (1 - q0**k))
+    inv = [Fraction(1, p) for p in poch]
+    sech = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        sech.append(-sum(inv[k] * sech[m - k] for k in range(2, m + 1, 2)))
+    values = []
     for n in range(n_max + 1):
-        value = full[n] * QRat(qp_pochhammer(n))
-        entries.append(value.to_bipoly())
-    return entries
+        tanh = sum(inv[k] * sech[n - k] for k in range(1, n + 1, 2))
+        values.append((sech[n] + tanh) * poch[n])
+    return values
 
 
-def _secant_by_determinant(n_max):
-    entries = []
-    for n in range(n_max + 1):
-        if n % 2 == 0:
-            a = n // 2
-            value = QRat(qp_from_bipoly(q_factorial(n))) * _delta_det(a)
-            if a % 2 == 1:
-                value = -value
-            entries.append(value.to_bipoly())
-        else:
-            entries.append(cd_determinant(n, n).unsigned)
-    return entries
+def _verify_secant_by_series(entries):
+    """Check E_0 .. E_n against the series at the points q0 = 2 .. D + 2.
+
+    D bounds every deg E_n in advance, so agreement at D + 1 points proves
+    the polynomials equal.
+    """
+    n_max = len(entries) - 1
+    bounds = _secant_degree_bounds(n_max)
+    for n, (entry, bound) in enumerate(zip(entries, bounds)):
+        if entry.q_degree() > bound:
+            raise RouteDisagreementError(
+                f"deg E_{n} by recurrence vs its a priori bound", str(entry.q_degree()), str(bound)
+            )
+    for q0 in range(2, max(bounds) + 3):
+        for n, value in enumerate(_secant_series_at(q0, n_max)):
+            at_q0 = entries[n].eval(q0, 1)
+            if at_q0 != value:
+                raise RouteDisagreementError(f"E_{n} by recurrence vs series at q = {q0}", str(at_q0), str(value))
 
 
-def tangent_secant(n_max, series_order=None):
-    """Build the table; series, recurrence, and determinant routes must agree."""
-    if series_order is None:
-        series_order = n_max
-    if series_order < n_max:
-        raise ValueError("series order must be at least n_max")
+def tangent_secant(n_max):
+    """Build the table; recurrence, determinant, and series routes must agree."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     by_rec = _secant_by_recurrence(n_max)
-    by_series = _secant_by_series(n_max, series_order)
-    by_det = _secant_by_determinant(n_max)
-    for n in range(n_max + 1):
-        for route, other in (("series", by_series[n]), ("determinant", by_det[n])):
-            if other != by_rec[n]:
-                raise RouteDisagreementError(
-                    f"E_{n} by recurrence vs {route}",
-                    by_rec[n].to_text(),
-                    other.to_text(),
-                    str(diff_terms(by_rec[n], other)),
-                )
+    for n, entry in enumerate(by_rec):
+        by_det = t_term(n, n // 2) if n % 2 == 0 else cd_determinant(n, n).unsigned
+        _require_equal(f"E_{n} by recurrence vs determinant", entry, by_det)
+    _verify_secant_by_series(by_rec)
     classical = tuple(e.eval(1, 1) for e in by_rec)
     return TangentSecantTable(n_max, tuple(by_rec), classical)
 

@@ -1,5 +1,5 @@
-"""Exact arithmetic foundation: sparse (q,t)-polynomials, rational functions
-in q, truncated series, and exact determinants."""
+"""Exact arithmetic foundation: sparse (q,t)-polynomials and the
+fraction-free determinant."""
 
 from .bipoly import (
     BiPoly,
@@ -16,34 +16,21 @@ from .bipoly import (
     q_pochhammer,
     t_quantum,
 )
-from .det import det_fraction_free, det_rational
-from .qrat import QRat, qp_from_bipoly, qp_pochhammer, qp_qfactorial, qp_to_bipoly
-from .series import QSeries, cosh_q, default_order, q_exponential, sinh_q
+from .det import det_fraction_free
 
 __all__ = [
     "BiPoly",
     "MINUS_ONE",
     "ONE",
     "Q",
-    "QRat",
-    "QSeries",
     "T",
     "ZERO",
     "binomial",
-    "cosh_q",
-    "default_order",
     "det_fraction_free",
-    "det_rational",
     "diff_terms",
     "gauss_binomial",
-    "q_exponential",
     "q_factorial",
     "q_int",
     "q_pochhammer",
-    "qp_from_bipoly",
-    "qp_pochhammer",
-    "qp_qfactorial",
-    "qp_to_bipoly",
-    "sinh_q",
     "t_quantum",
 ]

@@ -1,9 +1,8 @@
-"""Exact determinants over the polynomial ring (BiPoly) and the field (QRat)."""
+"""Exact determinants over the polynomial ring (BiPoly)."""
 
 from __future__ import annotations
 
 from .bipoly import BiPoly, ONE
-from .qrat import QRat
 
 
 def det_fraction_free(matrix):
@@ -29,32 +28,6 @@ def det_fraction_free(matrix):
             a[i][k] = BiPoly()
         prev = a[k][k]
     det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def det_rational(matrix):
-    """Gaussian-elimination determinant of a square QRat matrix."""
-    n = _check_square(matrix)
-    a = [[x if isinstance(x, QRat) else QRat(x) for x in row] for row in matrix]
-    sign = 1
-    det = QRat(1)
-    for k in range(n):
-        if not a[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot_row is None:
-                return QRat(0)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        det = det * pivot
-        inv = pivot.inverse()
-        for i in range(k + 1, n):
-            if not a[i][k]:
-                continue
-            factor = a[i][k] * inv
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
-            a[i][k] = QRat(0)
     return det if sign == 1 else -det
 
 

@@ -27,6 +27,8 @@ def q_eulerian_by_definition(n, bound=None):
 @lru_cache(maxsize=None)
 def q_eulerian_by_recurrence(n):
     """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return ONE
     total = BiPoly()
@@ -56,8 +58,8 @@ class EulerianTable:
 @lru_cache(maxsize=None)
 def classical_eulerian(n):
     """A_n(t) = sum_k C(n,k) A_k(t) (t-1)^(n-1-k), the classical recurrence."""
-    if n > 12:
-        raise ValueError("classical route capped at n <= 12")
+    if not 0 <= n <= 12:
+        raise ValueError(f"classical route needs 0 <= n <= 12, got {n}")
     if n == 0:
         return ONE
     total = BiPoly()

@@ -5,8 +5,7 @@ runtime caps.
 """
 
 import time
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from chowlab.charney import (
     cd_chain_alternating,
@@ -33,6 +32,7 @@ from chowlab.permstat import (
     w_maj_exc_offset,
 )
 from chowlab.qeuler import egf_identity_check, q_eulerian_by_definition, q_eulerian_by_recurrence
+from classical_oracle import classical_tangent_secant_series
 
 CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, (3, 0): 2, (2, 0): 1})
 
@@ -105,20 +105,9 @@ def test_criterion_07_egf_identities():
     _report(7, "generating-function identities hold through x^6 (symbolic) and x^8 (q=1)")
 
 
-def _classical_series_oracle(n_max):
-    order = n_max + 1
-    cosh = [Fraction(1 if k % 2 == 0 else 0, factorial(k)) for k in range(order)]
-    sinh = [Fraction(1 if k % 2 == 1 else 0, factorial(k)) for k in range(order)]
-    sech = [Fraction(1)]
-    for m in range(1, order):
-        sech.append(-sum(cosh[k] * sech[m - k] for k in range(1, m + 1)))
-    tanh = [sum(sinh[k] * sech[m - k] for k in range(m + 1)) for m in range(order)]
-    return [int((tanh[m] + sech[m]) * factorial(m)) for m in range(n_max + 1)]
-
-
 def test_criterion_08_tangent_secant_routes():
     table = tangent_secant(10)  # construction cross-checks all three routes
-    oracle = _classical_series_oracle(10)
+    oracle = classical_tangent_secant_series(10)
     assert list(table.classical) == oracle
     assert oracle[:8] == [1, 1, -1, -2, 5, 16, -61, -272]
     assert oracle[8] == 1385 and abs(oracle[9]) == 7936
@@ -126,7 +115,7 @@ def test_criterion_08_tangent_secant_routes():
 
 
 def test_criterion_09_secant_sums():
-    oracle = _classical_series_oracle(10)
+    oracle = classical_tangent_secant_series(10)
     for n in range(1, 8):
         for r in range(1, n + 1, 2):
             total = sum(comb(n, 2 * k) * oracle[2 * k] for k in range((r - 1) // 2 + 1))

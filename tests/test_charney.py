@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+import chowlab.charney as charney_module
 from chowlab.charney import (
     alternating_probe,
     cd,
@@ -16,24 +17,12 @@ from chowlab.charney import (
     tangent_secant,
     uniform_cd,
 )
+from chowlab.errors import RouteDisagreementError
 from chowlab.exactalg import BiPoly, ONE, Q, gauss_binomial
 from chowlab.flats import FamilySpec
+from classical_oracle import classical_tangent_secant_series
 
 CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, (3, 0): 2, (2, 0): 1})
-
-
-def classical_tangent_secant_series(n_max):
-    """Independent oracle: exact Taylor coefficients of tanh + sech."""
-    order = n_max + 1
-    cosh = [Fraction(1 if k % 2 == 0 else 0, factorial(k)) for k in range(order)]
-    sinh = [Fraction(1 if k % 2 == 1 else 0, factorial(k)) for k in range(order)]
-    sech = [Fraction(1)]
-    for m in range(1, order):
-        sech.append(-sum(cosh[k] * sech[m - k] for k in range(1, m + 1)))
-    tanh = [sum(sinh[k] * sech[m - k] for k in range(m + 1)) for m in range(order)]
-    values = [(tanh[m] + sech[m]) * factorial(m) for m in range(n_max + 1)]
-    assert all(v.denominator == 1 for v in values)
-    return [int(v) for v in values]
 
 
 def test_oracle_pins_classical_values():
@@ -90,7 +79,7 @@ def test_t_term():
     assert t_term(6, 2) == t_term(6, 2)  # recurrence/determinant checked internally
     for n in range(2, 9):
         for a in range(n // 2 + 1):
-            t_term(n, a)  # three internal routes must agree
+            t_term(n, a)  # recurrence and determinant must agree
     with pytest.raises(ValueError):
         t_term(5, 3)
 
@@ -214,6 +203,45 @@ def test_alternating_probe():
         assert not data["matches_up_to_sign"]
 
 
-def test_series_order_validation():
-    with pytest.raises(ValueError):
-        tangent_secant(6, series_order=3)
+def _t_degree_bound(n, a):
+    """A priori q-degree bound of T(n, 2a) from its recurrence."""
+    bounds = [0]
+    for j in range(1, a + 1):
+        bounds.append(max((2 * j - 2 * b) * (n - 2 * j) + bounds[b] for b in range(j)))
+    return bounds[a]
+
+
+def test_determinant_route_catches_wrong_top_coefficient(monkeypatch):
+    real = charney_module._t_determinant
+    bump = BiPoly.term(1, _t_degree_bound(8, 3), 0)
+
+    def tampered(n, a):
+        value = real(n, a)
+        return value + bump if (n, a) == (8, 3) else value
+
+    monkeypatch.setattr(charney_module, "_t_determinant", tampered)
+    t_term(8, 2)
+    with pytest.raises(RouteDisagreementError):
+        t_term(8, 3)
+    with pytest.raises(RouteDisagreementError):
+        cd_determinant(8, 7)
+
+
+def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
+    real = charney_module._secant_by_recurrence
+    bound = charney_module._secant_degree_bounds(8)[8]
+
+    def tampered(n_max, degree=bound):
+        entries = real(n_max)
+        entries[8] = entries[8] + BiPoly.term(1, degree, 0)
+        return entries
+
+    monkeypatch.setattr(charney_module, "_secant_by_recurrence", tampered)
+    with pytest.raises(RouteDisagreementError, match="determinant"):
+        tangent_secant(8)
+    # the series route alone also catches it, and refuses a degree past its bound
+    with pytest.raises(RouteDisagreementError, match="series"):
+        charney_module._verify_secant_by_series(tampered(8))
+    with pytest.raises(RouteDisagreementError, match="a priori bound"):
+        charney_module._verify_secant_by_series(tampered(8, bound + 1))
+    charney_module._verify_secant_by_series(real(8))

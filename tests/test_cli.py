@@ -103,6 +103,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_negative_n_exits_2(capsys):
+    for argv in (("secant", "--n", "-1"), ("qeulerian", "--n", "-1"), ("qeulerian", "--n", "-1", "--q1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err, argv
+
+
+def test_check_nmax_below_two_exits_2(capsys):
+    for n_max in ("1", "0", "-2"):
+        code, out, err = run_cli(capsys, "check", "--nmax", n_max)
+        assert code == 2 and out == "" and "--nmax" in err, n_max
+
+
 def test_resource_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "delta", "--n", "12", "--r", "3")
     assert code == 3 and "bound" in err
@@ -159,3 +171,10 @@ def test_check_suites_report_shape():
     report = check_suites(3, "palindromicity")
     assert report["ok"] is True
     assert report["suites"][0]["checks"] >= 1
+
+
+def test_suite_that_runs_nothing_fails():
+    report = check_suites(1, "conjecture")
+    assert report["suites"][0]["checks"] == 0
+    assert report["suites"][0]["passed"] is False
+    assert report["ok"] is False

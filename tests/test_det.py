@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chowlab.exactalg import BiPoly, ONE, QRat, det_fraction_free, det_rational
+from chowlab.exactalg import BiPoly, ONE, det_fraction_free
 
 
 def _cofactor_det(matrix, zero, coerce):
@@ -33,8 +33,6 @@ def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         det_fraction_free([])
     with pytest.raises(ValueError):
-        det_rational([])
-    with pytest.raises(ValueError):
         det_fraction_free([[ONE, ONE]])
 
 
@@ -45,7 +43,6 @@ def test_integer_matrices_against_cofactor_oracle():
             m = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
             expected = _cofactor_det(m, BiPoly(), BiPoly.const)
             assert det_fraction_free(m) == expected
-            assert det_rational(m) == QRat(expected.constant())
 
 
 def test_polynomial_matrices_against_cofactor_oracle():
@@ -65,14 +62,4 @@ def test_polynomial_matrices_against_cofactor_oracle():
 def test_singular_matrix():
     m = [[ONE, ONE], [ONE, ONE]]
     assert det_fraction_free(m) == BiPoly()
-    assert det_rational([[QRat(1), QRat(1)], [QRat(1), QRat(1)]]) == QRat(0)
 
-
-def test_rational_matrix_with_pivot_swap():
-    m = [
-        [QRat(0), QRat(1), QRat(2)],
-        [QRat(1, 2), QRat(0), QRat(1)],
-        [QRat(3), QRat(1), QRat(0)],
-    ]
-    expected = _cofactor_det(m, QRat(0), lambda x: x)
-    assert det_rational(m) == expected
