@@ -12,7 +12,9 @@ its recurrence
     T(2a) = - sum_{b<a} [n-2b over 2a-2b]_q T(2b),    T(0) = 1
 
 is the production path, verified against the fraction-free (Bareiss)
-determinant of the Gaussian-binomial matrix.  The q-tangent-secant numbers
+determinant of the Gaussian-binomial matrix.  Each smaller T(n, 2a) matrix is
+a leading principal submatrix of the largest, so one elimination without row
+swaps yields all of them as its pivots.  The q-tangent-secant numbers
 E_n are checked three ways: their own recurrence, the same Bareiss
 determinants (E_{2a} = T(2a, 2a), odd E_n the full-rank telescoping sum),
 and the Taylor coefficients of sech_q + tanh_q evaluated over exact
@@ -27,7 +29,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import RouteDisagreementError
-from .exactalg import BiPoly, ONE, det_fraction_free, diff_terms, gauss_binomial
+from .exactalg import BiPoly, ONE, diff_terms, gauss_binomial
+from .exactalg.det import leading_principal_minors
 from .permstat import PermClass
 from .chow import hilbert_recurrence
 
@@ -76,20 +79,22 @@ def cd_chain_alternating(n, r):
 
 @lru_cache(maxsize=None)
 def _t_terms(n, a):
-    """List [T(0), T(2), ..., T(2a)] by the linear recurrence."""
+    """(T(0), T(2), ..., T(2a)) by the linear recurrence; a tuple, since it is cached."""
     terms = [ONE]
     for j in range(1, a + 1):
         acc = BiPoly()
         for b in range(j):
             acc = acc + gauss_binomial(n - 2 * b, 2 * j - 2 * b) * terms[b]
         terms.append(-acc)
-    return terms
+    return tuple(terms)
 
 
-def _t_determinant(n, a):
-    """T(2a) as (-1)^a times the integer-entry determinant."""
-    if a == 0:
-        return ONE
+def _t_determinants(n, a):
+    """[T(0), T(2), ..., T(2a)] from one elimination of the a x a matrix.
+
+    T(2j) is (-1)^j times its j-th leading principal minor.  The list is
+    shorter when a zero pivot stops the elimination.
+    """
     matrix = []
     for i in range(a):
         row = []
@@ -101,8 +106,8 @@ def _t_determinant(n, a):
             else:
                 row.append(BiPoly())
         matrix.append(row)
-    det = det_fraction_free(matrix)
-    return det if a % 2 == 0 else -det
+    minors = leading_principal_minors(matrix) if a else []
+    return [ONE] + [-m if j % 2 else m for j, m in enumerate(minors, 1)]
 
 
 def _require_equal(what, left, right):
@@ -110,26 +115,37 @@ def _require_equal(what, left, right):
         raise RouteDisagreementError(what, left.to_text(), right.to_text(), str(diff_terms(left, right)))
 
 
+def _verified_t_terms(n, a):
+    """[T(0), ..., T(2a)] by the recurrence, each checked against the determinant."""
+    by_rec = _t_terms(n, a)
+    by_det = _t_determinants(n, a)
+    for j, value in enumerate(by_rec):
+        what = f"T({n}, {2 * j}) recurrence vs determinant"
+        if j == len(by_det):
+            raise RouteDisagreementError(what, value.to_text(), "none: zero pivot before this minor")
+        _require_equal(what, value, by_det[j])
+    return by_rec
+
+
 def t_term(n, a):
     """T(n, 2a), verified between the recurrence and the Bareiss determinant."""
     if not 0 <= 2 * a <= n:
         raise ValueError(f"need 0 <= 2a <= n, got a={a}, n={n}")
-    by_rec = _t_terms(n, a)[a]
-    _require_equal(f"T({n}, {2 * a}) recurrence vs determinant", by_rec, _t_determinant(n, a))
-    return by_rec
+    return _verified_t_terms(n, a)[a]
 
 
 def cd_determinant(n, r):
     """Signed and unsigned quantities as the telescoping sum of T(n, 2a).
 
-    Every term runs the fraction-free determinant against the recurrence.
+    One elimination of the largest matrix yields every T(n, 2a) as a pivot,
+    and each is checked against the recurrence.
     """
     _require_odd(r)
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     unsigned = BiPoly()
-    for a in range((r - 1) // 2 + 1):
-        unsigned = unsigned + t_term(n, a)
+    for term in _verified_t_terms(n, (r - 1) // 2):
+        unsigned = unsigned + term
     return _signed(unsigned, r)
 
 

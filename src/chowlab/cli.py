@@ -291,13 +291,14 @@ def suite_route_agreement(n_max, bound):
                 )
             )
     cd_mismatches = []
+    table = charney.tangent_secant(n_max)
     for n in range(1, n_max + 1):
         for r in range(1, n + 1, 2):
             direct = charney.cd_direct(FamilySpec.vector(n, r))
             for route, result in (
                 ("chain", charney.cd(FamilySpec.vector(n, r), "chain")),
                 ("det", charney.cd_determinant(n, r)),
-                ("qsecant", charney.cd_qsecant(n, r)),
+                ("qsecant", charney.cd_qsecant(n, r, table)),
             ):
                 if result.unsigned != direct.unsigned or result.signed != direct.signed:
                     cd_mismatches.append(_poly_mismatch(f"cd({n},{r}) direct vs {route}", direct.unsigned, result.unsigned))

@@ -3,7 +3,8 @@
 A BiPoly is a dictionary mapping exponent pairs (q_deg, t_deg) to nonzero
 Python integers, so arithmetic is exact at every size.  The empty dict is
 the zero polynomial and equality is plain dict equality (canonical form:
-zero coefficients are never stored).
+zero coefficients are never stored).  Values are immutable: `terms` is a
+read-only view of the dictionary.
 
     1 + (2 + q + q^2)*t + t^2   ->   {(0,0): 1, (0,1): 2, (1,1): 1,
                                       (2,1): 1, (0,2): 1}
@@ -11,16 +12,33 @@ zero coefficients are never stored).
 Univariate values (pure q-polynomials, pure t-polynomials, integers) are
 just BiPolys whose exponents happen to vanish in one slot, so every
 quantity in the package lives in a single value type.
+
+Large products go through Kronecker substitution (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 2009): both operands become one Python integer each, the
+integers are multiplied once, and the product's coefficients are read back
+from fixed-width byte slots.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter
+from types import MappingProxyType
+
+# A product takes the Kronecker route when it has at least this many term
+# pairs and its shorter operand at least this many terms.  Below either, the
+# dict loop is faster: packing and unpacking cost a pass over the whole (q, t)
+# rectangle of the product, which a factor like t - q^i does not repay.
+_KRONECKER_MIN_PAIRS = 256
+_KRONECKER_MIN_TERMS = 8
 
 
 class BiPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         t = {}
@@ -31,7 +49,12 @@ class BiPoly:
                 if qd < 0 or td < 0:
                     raise ValueError(f"negative exponent ({qd}, {td})")
                 t[(qd, td)] = c
-        self.terms = t
+        self._terms = t
+
+    @property
+    def terms(self):
+        """Read-only view {(q_deg, t_deg): coefficient}."""
+        return MappingProxyType(self._terms)
 
     # -- constructors -------------------------------------------------
 
@@ -47,8 +70,8 @@ class BiPoly:
 
     def __add__(self, other):
         other = _coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self._terms)
+        for k, c in other._terms.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
@@ -59,7 +82,7 @@ class BiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({k: -c for k, c in self.terms.items()})
+        return _raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -68,10 +91,12 @@ class BiPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        a, b = self._terms, _coerce(other)._terms
+        if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS and len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
+            return _raw(_mul_kronecker(a, b))
         out = {}
-        for (qa, ta), ca in self.terms.items():
-            for (qb, tb), cb in other.terms.items():
+        for (qa, ta), ca in a.items():
+            for (qb, tb), cb in b.items():
                 k = (qa + qb, ta + tb)
                 s = out.get(k, 0) + ca * cb
                 if s:
@@ -99,29 +124,29 @@ class BiPoly:
             other = BiPoly.const(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- structure queries --------------------------------------------
 
     def q_degree(self):
-        return max((qd for qd, _ in self.terms), default=0)
+        return max((qd for qd, _ in self._terms), default=0)
 
     def t_degree(self):
-        return max((td for _, td in self.terms), default=0)
+        return max((td for _, td in self._terms), default=0)
 
     def coefficient_in_t(self, t_deg):
         """The coefficient of t^t_deg, as a pure q-polynomial."""
-        return _raw({(qd, 0): c for (qd, td), c in self.terms.items() if td == t_deg})
+        return _raw({(qd, 0): c for (qd, td), c in self._terms.items() if td == t_deg})
 
     def constant(self):
         """The integer coefficient of q^0 t^0."""
-        return self.terms.get((0, 0), 0)
+        return self._terms.get((0, 0), 0)
 
     def is_palindromic_in_t(self, degree):
         """True iff coeff of t^k equals coeff of t^(degree-k) as q-polynomials."""
@@ -136,12 +161,12 @@ class BiPoly:
 
     def eval(self, q, t):
         """Evaluate at integer q and t (an exact ring homomorphism)."""
-        return sum(c * q**qd * t**td for (qd, td), c in self.terms.items())
+        return sum(c * q**qd * t**td for (qd, td), c in self._terms.items())
 
     def subs_t_int(self, value):
         """Substitute an integer for t, keeping q symbolic."""
         out = {}
-        for (qd, td), c in self.terms.items():
+        for (qd, td), c in self._terms.items():
             k = (qd, 0)
             s = out.get(k, 0) + c * value**td
             if s:
@@ -153,7 +178,7 @@ class BiPoly:
     def subs_q_int(self, value):
         """Substitute an integer for q, keeping t symbolic."""
         out = {}
-        for (qd, td), c in self.terms.items():
+        for (qd, td), c in self._terms.items():
             k = (0, td)
             s = out.get(k, 0) + c * value**qd
             if s:
@@ -166,7 +191,7 @@ class BiPoly:
         """Substitute a BiPoly for q (used e.g. to shift a formal variable)."""
         powers = {0: ONE}
         result = ZERO
-        for (qd, td), c in self.terms.items():
+        for (qd, td), c in self._terms.items():
             if qd not in powers:
                 powers[qd] = value**qd
             result = result + powers[qd] * BiPoly.term(c, 0, td)
@@ -177,29 +202,41 @@ class BiPoly:
 
         Division runs on leading terms in (t, q)-lexicographic order, the
         order Bareiss elimination needs for its exact interior quotients.
+        Each step only changes terms below the current leading one, so the
+        leading terms come off a heap in decreasing order; a key popped after
+        it has cancelled is skipped.
         """
         divisor = _coerce(divisor)
         if not divisor:
             raise ValueError("division by zero polynomial")
-        dk = max(divisor.terms, key=lambda k: (k[1], k[0]))
-        dc = divisor.terms[dk]
-        rem = dict(self.terms)
+        dq, dt = max(divisor._terms, key=lambda k: (k[1], k[0]))
+        dc = divisor._terms[(dq, dt)]
+        tail = [(q2, t2, c2) for (q2, t2), c2 in divisor._terms.items() if (q2, t2) != (dq, dt)]
+        rem = dict(self._terms)
+        heap = [(-td, -qd) for qd, td in rem]
+        heapq.heapify(heap)
         quot = {}
-        while rem:
-            rk = max(rem, key=lambda k: (k[1], k[0]))
-            rc = rem[rk]
-            qd, td = rk[0] - dk[0], rk[1] - dk[1]
+        while heap:
+            nt, nq = heapq.heappop(heap)
+            rc = rem.pop((-nq, -nt), 0)
+            if not rc:
+                continue
+            qd, td = -nq - dq, -nt - dt
             if qd < 0 or td < 0 or rc % dc != 0:
                 raise ValueError("inexact polynomial division")
             c = rc // dc
             quot[(qd, td)] = c
-            for (q2, t2), c2 in divisor.terms.items():
+            for q2, t2, c2 in tail:
                 k = (q2 + qd, t2 + td)
-                s = rem.get(k, 0) - c * c2
-                if s:
-                    rem[k] = s
+                if k in rem:
+                    s = rem[k] - c * c2
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
                 else:
-                    del rem[k]
+                    rem[k] = -c * c2
+                    heapq.heappush(heap, (-k[1], -k[0]))
         return _raw(quot)
 
     # -- rendering -----------------------------------------------------
@@ -217,7 +254,7 @@ class BiPoly:
         ...  + BiPoly.term(1, 2, 1) + BiPoly.term(1, 0, 2)).to_text()
         '1 + (2 + q + q^2)*t + t^2'
         """
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
         for td in range(self.t_degree() + 1):
@@ -231,7 +268,7 @@ class BiPoly:
         """Terms as JSON-ready dicts, sorted by (t, q); coefficients as strings."""
         return [
             {"q": qd, "t": td, "c": str(c)}
-            for (qd, td), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            for (qd, td), c in sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         ]
 
     @classmethod
@@ -242,13 +279,13 @@ class BiPoly:
         """Rows (t_deg, q_deg, coefficient-string), sorted by (t, q)."""
         return [
             (td, qd, str(c))
-            for (qd, td), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            for (qd, td), c in sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         ]
 
 
 def _raw(terms):
     p = BiPoly.__new__(BiPoly)
-    p.terms = terms
+    p._terms = terms
     return p
 
 
@@ -258,6 +295,56 @@ def _coerce(x):
     if isinstance(x, int):
         return BiPoly.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to BiPoly")
+
+
+def _mul_kronecker(a, b):
+    """Product of two nonempty term dicts by Kronecker substitution.
+
+    q^i t^j goes to slot j*w + i, with w = deg_q a + deg_q b + 1 so that no
+    product term spills into the next t-row.  A slot is nb bytes wide: enough
+    for |c| <= min(len a, len b) * max|a| * max|b| plus a sign bit.  One
+    integer multiply of the packed operands gives the packed product.
+    """
+    w = max(map(itemgetter(0), a)) + max(map(itemgetter(0), b)) + 1
+    ta, tb = max(map(itemgetter(1), a)), max(map(itemgetter(1), b))
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    nb = bound.bit_length() // 8 + 1
+    x = _pack(a, ta + 1, w, nb)
+    y = x if a is b else _pack(b, tb + 1, w, nb)
+    return _unpack(x * y, ta + tb + 1, w, nb)
+
+
+def _pack(terms, rows, w, nb):
+    """The integer sum of c * 2^(8 nb (t w + q)): the positive coefficients
+    and the negated negative ones are laid out as bytes, then subtracted."""
+    size = rows * w * nb
+    pos, neg = bytearray(size), bytearray(size)
+    for (qd, td), c in terms.items():
+        at = (td * w + qd) * nb
+        if c > 0:
+            pos[at : at + nb] = c.to_bytes(nb, "little")
+        else:
+            neg[at : at + nb] = (-c).to_bytes(nb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value, rows, w, nb):
+    """Terms of value = sum c * 2^(8 nb (t w + q)) with every |c| < 2^(8 nb - 1).
+
+    Adding the bias 2^(8 nb - 1) to every slot makes each slot a digit in
+    [0, 2^(8 nb)), so the slots are plain byte slices of one to_bytes call;
+    a digit equal to the bias is a zero coefficient.
+    """
+    half = 1 << (8 * nb - 1)
+    row_bytes = w * nb
+    bias = int.from_bytes(half.to_bytes(nb, "little") * (rows * w), "little")
+    buf = (value + bias).to_bytes(rows * row_bytes, "little")
+    out = {}
+    for td in range(rows):
+        start = td * row_bytes
+        digits = [int.from_bytes(buf[i : i + nb], "little") for i in range(start, start + row_bytes, nb)]
+        out.update({(qd, td): d - half for qd, d in enumerate(digits) if d != half})
+    return out
 
 
 def _render_q_monomial(c, e):
@@ -272,7 +359,7 @@ def _render_q_monomial(c, e):
 
 
 def _render_q(poly):
-    pieces = [_render_q_monomial(poly.terms[(e, 0)], e) for e in sorted(qd for qd, _ in poly.terms)]
+    pieces = [_render_q_monomial(poly._terms[(e, 0)], e) for e in sorted(qd for qd, _ in poly._terms)]
     return _join_signed(pieces)
 
 
@@ -284,8 +371,8 @@ def _render_t_term(coeff, td):
         return tvar
     if coeff == MINUS_ONE:
         return f"-{tvar}"
-    if len(coeff.terms) == 1:
-        ((qd, _), c) = next(iter(coeff.terms.items()))
+    if len(coeff._terms) == 1:
+        ((qd, _), c) = next(iter(coeff._terms.items()))
         return f"{_render_q_monomial(c, qd)}*{tvar}"
     return f"({_render_q(coeff)})*{tvar}"
 
@@ -299,11 +386,11 @@ def _join_signed(pieces):
 
 def diff_terms(a, b):
     """Coefficients where a and b differ: list of (q_deg, t_deg, in_a, in_b)."""
-    keys = sorted(set(a.terms) | set(b.terms), key=lambda k: (k[1], k[0]))
+    keys = sorted(set(a._terms) | set(b._terms), key=lambda k: (k[1], k[0]))
     return [
-        (qd, td, a.terms.get((qd, td), 0), b.terms.get((qd, td), 0))
+        (qd, td, a._terms.get((qd, td), 0), b._terms.get((qd, td), 0))
         for qd, td in keys
-        if a.terms.get((qd, td), 0) != b.terms.get((qd, td), 0)
+        if a._terms.get((qd, td), 0) != b._terms.get((qd, td), 0)
     ]
 
 
@@ -327,14 +414,37 @@ def q_int(n):
     return _raw({(d, 0): 1 for d in range(n)})
 
 
+# The q-analog tables are built in loops on dense coefficient lists (index =
+# q-degree), from two steps: multiplying by 1 - q^e subtracts a copy shifted
+# by e, and dividing by 1 - q^e is a running sum along each residue class
+# mod e.  Every partial product is a polynomial, so each division is exact.
+
+
+def _times_one_minus_q_power(coeffs, e):
+    pad = [0] * e
+    return [x - y for x, y in zip(coeffs + pad, pad + coeffs)]
+
+
+def _over_one_minus_q_power(coeffs, e):
+    for r in range(e):
+        coeffs[r::e] = accumulate(coeffs[r::e])
+    del coeffs[len(coeffs) - e :]
+    return coeffs
+
+
+def _q_poly(coeffs):
+    return _raw({(d, 0): c for d, c in enumerate(coeffs) if c})
+
+
 @lru_cache(maxsize=None)
 def q_factorial(n):
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1; [k]_q = (1 - q^k) / (1 - q)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ONE
-    return q_factorial(n - 1) * q_int(n)
+    coeffs = [1]
+    for k in range(2, n + 1):
+        coeffs = _over_one_minus_q_power(_times_one_minus_q_power(coeffs, k), 1)
+    return _q_poly(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -342,21 +452,28 @@ def q_pochhammer(n):
     """(q;q)_n = (1 - q)(1 - q^2) ... (1 - q^n), with (q;q)_0 = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ONE
-    return q_pochhammer(n - 1) * (ONE - BiPoly.term(1, n, 0))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs = _times_one_minus_q_power(coeffs, k)
+    return _q_poly(coeffs)
 
 
 @lru_cache(maxsize=None)
 def gauss_binomial(n, k):
-    """Gaussian binomial [n choose k]_q via the q-Pascal rule (division-free)."""
+    """Gaussian binomial [n choose k]_q = prod_{i=1..k} (1 - q^(m+i)) / (1 - q^i), m = n - k.
+
+    The loop walks up the diagonal [m choose 0]_q, [m+1 choose 1]_q, ...,
+    [n choose k]_q, one factor at a time.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    return gauss_binomial(n - 1, k - 1) + BiPoly.term(1, k, 0) * gauss_binomial(n - 1, k)
+    k = min(k, n - k)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        coeffs = _over_one_minus_q_power(_times_one_minus_q_power(coeffs, n - k + i), i)
+    return _q_poly(coeffs)
 
 
 def binomial(n, k):

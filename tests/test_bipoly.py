@@ -1,12 +1,17 @@
 """BiPoly ring arithmetic, q-analog constructors, rendering."""
 
+import inspect
+import math
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowlab.exactalg import bipoly
 from chowlab.exactalg import (
     BiPoly,
     ONE,
@@ -25,6 +30,40 @@ coeffs = st.integers(min_value=-9, max_value=9)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
 bipolys = st.dictionaries(exponents, coeffs, max_size=6).map(BiPoly)
 points = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+# Operands big enough for the Kronecker route on their own (at least 16 terms
+# each, so every product has at least 256 term pairs), with coefficients from
+# small to far above 2^64, of both signs.
+big_coeffs = st.one_of(
+    coeffs,
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+)
+wide_exponents = st.tuples(st.integers(0, 40), st.integers(0, 5))
+large_bipolys = st.dictionaries(wide_exponents, big_coeffs, min_size=16, max_size=60).map(BiPoly)
+q_only = st.dictionaries(st.tuples(st.integers(0, 30), st.just(0)), big_coeffs, max_size=20).map(BiPoly)
+t_only = st.dictionaries(st.tuples(st.just(0), st.integers(0, 30)), big_coeffs, max_size=20).map(BiPoly)
+any_bipolys = st.one_of(bipolys, large_bipolys, q_only, t_only, big_coeffs.map(BiPoly.const), st.just(ZERO))
+
+
+def schoolbook(a, b):
+    """Test-local oracle: the product term by term, summed in a dict."""
+    out = {}
+    for (qa, ta), ca in a.terms.items():
+        for (qb, tb), cb in b.terms.items():
+            out[(qa + qb, ta + tb)] = out.get((qa + qb, ta + tb), 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+@contextmanager
+def forced_route(kronecker):
+    """Send every product with nonempty operands down one multiply route."""
+    saved = bipoly._KRONECKER_MIN_PAIRS, bipoly._KRONECKER_MIN_TERMS
+    bipoly._KRONECKER_MIN_PAIRS = bipoly._KRONECKER_MIN_TERMS = 1 if kronecker else math.inf
+    try:
+        yield
+    finally:
+        bipoly._KRONECKER_MIN_PAIRS, bipoly._KRONECKER_MIN_TERMS = saved
 
 
 @settings(max_examples=150)
@@ -139,6 +178,17 @@ def test_divexact_roundtrip():
         assert (a * b).divexact(b) == a
 
 
+def test_divexact_through_terms_the_dividend_lacks():
+    # the remainder grows terms that the dividend lacks, and they must still
+    # come up as leading terms: 1 - q^2 = (1 + q)(1 - q) has no q term
+    assert (ONE - Q**2).divexact(ONE + Q) == ONE - Q
+    for n in range(1, 12):
+        assert (ONE - Q**n).divexact(ONE - Q) == q_int(n)
+        assert (ONE - (Q * T) ** n).divexact(ONE - Q * T) == sum(((Q * T) ** k for k in range(n)), ZERO)
+    with pytest.raises(ValueError):
+        (ONE - Q**5).divexact(ONE + Q)
+
+
 def test_divexact_rejects_inexact():
     with pytest.raises(ValueError):
         (Q + ONE).divexact(T)
@@ -181,3 +231,90 @@ def test_negative_exponent_rejected():
 
 def test_q_int():
     assert q_int(4) == ONE + Q + Q**2 + Q**3
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_bipolys, large_bipolys)
+def test_large_products_against_schoolbook_oracle(a, b):
+    assert a * b == BiPoly(schoolbook(a, b))
+    assert a * a == BiPoly(schoolbook(a, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_bipolys, any_bipolys, st.booleans())
+def test_both_multiply_routes_against_schoolbook_oracle(a, b, kronecker):
+    with forced_route(kronecker):
+        product = a * b
+        square = a * a
+    assert product.terms == schoolbook(a, b)
+    assert square.terms == schoolbook(a, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_bipolys, large_bipolys)
+def test_large_products_cancel_to_zero(f, g):
+    # the cross terms f*g and g*f cancel slot by slot
+    assert (f + g) * (f - g) == f * f - g * g
+    assert f * (g - g) == ZERO
+    assert (f * g) * ZERO == ZERO
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_bipolys, large_bipolys)
+def test_divexact_inverts_large_products(a, b):
+    assert (a * b).divexact(b) == a
+    with pytest.raises(ValueError):
+        (a * b + BiPoly.term(1, 200, 0)).divexact(b)
+
+
+def test_slots_exactly_at_the_width_bound():
+    # 16 terms of magnitude m on each side: the middle coefficient reaches the
+    # bound 16 m^2 exactly.  With 79 bits it fills a 10-byte slot together
+    # with the sign bit; with 80 bits the sign bit alone needs an 11th byte.
+    for m, bits in ((2**37 + 12345, 79), (2**38 - 1, 80)):
+        bound = 16 * m * m
+        assert bound.bit_length() == bits
+        a = BiPoly({(i, 0): m for i in range(16)})
+        for b in (a, -a, BiPoly({(i, 0): -m for i in range(16)}) + BiPoly.term(m, 0, 3)):
+            assert len(a.terms) * len(b.terms) >= bipoly._KRONECKER_MIN_PAIRS
+            assert (a * b).terms == schoolbook(a, b)
+        assert (a * a).terms[(15, 0)] == bound
+        assert (a * -a).terms[(15, 0)] == -bound
+
+
+def test_cached_values_are_immutable():
+    g = gauss_binomial(6, 3)
+    with pytest.raises(TypeError):
+        g.terms[(0, 0)] = 5
+    with pytest.raises(TypeError):
+        del g.terms[(0, 0)]
+    with pytest.raises(AttributeError):
+        g.terms = {}
+    assert gauss_binomial(6, 3).terms[(0, 0)] == 1
+    assert len(g.terms) == 10 and sum(g.terms.values()) == 20
+    assert dict(g.terms.items()) == {(d, 0): c for d, c in enumerate([1, 1, 2, 3, 3, 3, 3, 2, 1, 1])}
+
+
+def test_q_analog_tables_do_not_recurse():
+    # the old memoised recursions ran past the default recursion limit at n = 1200
+    assert gauss_binomial(1200, 1) == q_int(1200) == gauss_binomial(1200, 1199)
+    g = gauss_binomial(1200, 2)
+    assert g.eval(1, 1) == math.comb(1200, 2)
+    assert g.q_degree() == 2 * 1198
+    assert g == gauss_binomial(1199, 1) + Q**2 * gauss_binomial(1199, 2)
+    # q_factorial(1200) and q_pochhammer(1200) have about 720k terms each, far
+    # too large here; at n = 150 a limit 100 frames above the current depth
+    # is what the old recursions could not live with
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        factorial = q_factorial(150)
+        pochhammer = q_pochhammer(150)
+        binomial = gauss_binomial(150, 75)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert factorial.eval(1, 1) == math.factorial(150)
+    assert factorial.q_degree() == 150 * 149 // 2
+    assert pochhammer.eval(2, 1) == math.prod(1 - 2**k for k in range(1, 151))
+    assert binomial.eval(1, 1) == math.comb(150, 75)
+    assert binomial.eval(2, 1) * q_pochhammer(75).eval(2, 1) ** 2 == pochhammer.eval(2, 1)

@@ -212,14 +212,16 @@ def _t_degree_bound(n, a):
 
 
 def test_determinant_route_catches_wrong_top_coefficient(monkeypatch):
-    real = charney_module._t_determinant
+    real = charney_module._t_determinants
     bump = BiPoly.term(1, _t_degree_bound(8, 3), 0)
 
     def tampered(n, a):
-        value = real(n, a)
-        return value + bump if (n, a) == (8, 3) else value
+        values = real(n, a)
+        if n == 8 and a >= 3:
+            values[3] = values[3] + bump
+        return values
 
-    monkeypatch.setattr(charney_module, "_t_determinant", tampered)
+    monkeypatch.setattr(charney_module, "_t_determinants", tampered)
     t_term(8, 2)
     with pytest.raises(RouteDisagreementError):
         t_term(8, 3)
@@ -245,3 +247,22 @@ def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
     with pytest.raises(RouteDisagreementError, match="a priori bound"):
         charney_module._verify_secant_by_series(tampered(8, bound + 1))
     charney_module._verify_secant_by_series(real(8))
+
+
+def test_cd_determinant_is_one_elimination():
+    # every T(n, 2a) below the top one is a pivot of the same elimination
+    for n in range(1, 12):
+        values = charney_module._t_determinants(n, n // 2)
+        for a in range(n // 2 + 1):
+            assert values[a] == charney_module._t_terms(n, a)[a]
+    assert cd_determinant(11, 11).unsigned == sum((t_term(11, a) for a in range(6)), BiPoly())
+
+
+def test_zero_pivot_is_a_route_disagreement(monkeypatch):
+    real = charney_module._t_determinants
+    monkeypatch.setattr(charney_module, "_t_determinants", lambda n, a: real(n, a)[:2])
+    t_term(6, 1)
+    with pytest.raises(RouteDisagreementError, match="zero pivot"):
+        t_term(6, 2)
+    with pytest.raises(RouteDisagreementError, match="zero pivot"):
+        cd_determinant(7, 7)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chowlab.exactalg import BiPoly, ONE, det_fraction_free
+from chowlab.exactalg.det import leading_principal_minors
 
 
 def _cofactor_det(matrix, zero, coerce):
@@ -63,3 +64,25 @@ def test_singular_matrix():
     m = [[ONE, ONE], [ONE, ONE]]
     assert det_fraction_free(m) == BiPoly()
 
+
+
+def test_leading_principal_minors_against_cofactor_oracle():
+    rng = random.Random(7)
+    for size in (1, 2, 3, 4):
+        for _ in range(6):
+            m = [
+                [BiPoly({(rng.randrange(3), rng.randrange(2)): rng.randint(1, 4)}) for _ in range(size)]
+                for _ in range(size)
+            ]
+            minors = leading_principal_minors(m)
+            expected = [_cofactor_det([row[:k] for row in m[:k]], BiPoly(), lambda x: x) for k in range(1, size + 1)]
+            assert minors == expected[: len(minors)]
+            assert len(minors) == size or not minors[-1]
+
+
+def test_leading_principal_minors_stop_at_zero_pivot():
+    # M_1 = 0, so elimination without a row swap cannot reach M_2
+    assert leading_principal_minors([[0, 1], [1, 0]]) == [BiPoly()]
+    assert leading_principal_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == [ONE, BiPoly()]
+    with pytest.raises(ValueError):
+        leading_principal_minors([])
