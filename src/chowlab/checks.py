@@ -1,0 +1,414 @@
+"""The cross-route identities, each declared once, and the suites that run them.
+
+An identity is a generator function of its parameter range (a `range` of
+n, or an order) that yields report entries ``{"name", "ok", "detail"}``.
+The `check` subcommand and the tests run the same functions; a test pins
+a range and asserts the entry names, so a range cannot shrink silently.
+
+A suite is the ordered list of its identities, with ranges derived from
+``n_max``.  Running a suite contains each identity on its own: a
+`ResourceBoundError` ends it with a SKIPPED entry (``"ok": false,
+"skipped": true``), a `RouteDisagreementError` with a FAIL entry, either
+named after the identity's function; the entries it yielded before stay,
+and the suite's other identities still run.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+from . import charney, chow, ordercx, permstat, qeuler
+from .errors import ResourceBoundError, RouteDisagreementError
+from .exactalg import BiPoly, diff_terms, gauss_binomial
+from .flats import FamilySpec, build_explicit, chains_above, level_size
+from .permstat import PermClass, w_maj_exc_offset
+
+
+def _entry(name, ok, detail=""):
+    return {"name": name, "ok": bool(ok), "detail": detail}
+
+
+def _mismatch(name, left, right):
+    detail = f"left {left.to_text()} != right {right.to_text()}; diff {diff_terms(left, right)}"
+    return _entry(name, False, detail)
+
+
+def _compare(name, left, right):
+    return _entry(name, True) if left == right else _mismatch(name, left, right)
+
+
+def _top(ns):
+    return max(ns, default=0)
+
+
+def classical_tangent_secant(n_max):
+    """[E_0, ..., E_{n_max}] at q = 1: n! [x^n](tanh + sech) over Fractions, no q-route."""
+    order = n_max + 1
+    cosh = [Fraction(1 if k % 2 == 0 else 0, factorial(k)) for k in range(order)]
+    sinh = [Fraction(1 if k % 2 == 1 else 0, factorial(k)) for k in range(order)]
+    sech = [Fraction(1)]
+    for m in range(1, order):
+        sech.append(-sum(cosh[k] * sech[m - k] for k in range(1, m + 1)))
+    tanh = [sum(sinh[k] * sech[m - k] for k in range(m + 1)) for m in range(order)]
+    values = [(tanh[m] + sech[m]) * factorial(m) for m in range(order)]
+    for m, value in enumerate(values):
+        if value.denominator != 1:
+            raise RouteDisagreementError(f"E_{m} by the tanh + sech series", str(value), "an integer")
+    return [int(value) for value in values]
+
+
+def hilbert_routes(kind, ns, bound=None):
+    """Chain sum = recurrence = closed form for every 1 <= r <= n in ns."""
+    mismatches = []
+    for n in ns:
+        for r in range(1, n + 1):
+            spec = FamilySpec(kind, n, r)
+            by_chain = chow.hilbert_chain_sum(spec)
+            for route, poly in (
+                ("recurrence", chow.hilbert_recurrence(spec)),
+                ("closed", chow.hilbert_closed_form(spec, bound)),
+            ):
+                if poly != by_chain:
+                    mismatches.append(_mismatch(f"hilbert {spec} chain vs {route}", by_chain, poly))
+    yield from mismatches
+    yield _entry(f"hilbert routes agree ({kind}, n <= {_top(ns)})", not mismatches)
+
+
+def q_eulerian_definition(ns, bound=None):
+    """A_n(q,t) as the maj-exc sum over all permutations = its recurrence."""
+    for n in ns:
+        yield _compare(
+            f"q-Eulerian definition vs recurrence (n={n})",
+            qeuler.q_eulerian_by_definition(n, bound),
+            qeuler.q_eulerian_by_recurrence(n),
+        )
+
+
+def permutation_sum_ranks(ns, bound=None):
+    """H at full rank is A_n(q,t); at corank one, a sum over derangements."""
+    for n in ns:
+        yield _compare(
+            f"full-rank Hilbert series = q-Eulerian (n={n})",
+            chow.hilbert_chain_sum(FamilySpec.vector(n, n)),
+            qeuler.q_eulerian_by_recurrence(n),
+        )
+        if n >= 2:
+            yield _compare(
+                f"corank-one Hilbert series = derangement sum (n={n})",
+                chow.hilbert_recurrence(FamilySpec.vector(n, n - 1)),
+                permstat.statistic_sum(PermClass.Derangements(n), w_maj_exc_offset(-1), bound),
+            )
+
+
+def monomial_oracle(kind, p, ns):
+    """Explicit lattice (level sizes, basis monomials, maximal chains) vs the series at q = p."""
+    q_value = 1 if p is None else p
+    for n in ns:
+        for r in range(1, n + 1):
+            spec = FamilySpec(kind, n, r)
+            lat = build_explicit(spec, p)
+            counts = lat.level_counts()
+            if not all(counts[i] == level_size(spec, i).eval(q_value, 1) for i in range(r + 1)):
+                yield _entry(f"level sizes {spec} at q={q_value}", False, str(counts))
+            dims = chow.basis_monomial_oracle(lat, r)
+            symbolic = chow.hilbert_recurrence(spec).subs_q_int(q_value)
+            yield _compare(f"monomial oracle {spec} at q={q_value}", dims.to_poly(), symbolic)
+            chains = lat.count_maximal_chains()
+            product_rule = 1
+            for i in range(1, r + 1):
+                product_rule *= chains_above(spec, i - 1, i).eval(q_value, 1)
+            if chains != product_rule:
+                yield _entry(f"maximal chains {spec}", False, f"enumerated {chains} != product {product_rule}")
+
+
+def rank_telescoping(ns, bound=None):
+    """H(vector(n, 1)) plus the difference series up to rank n is A_n(q,t)."""
+    for n in ns:
+        acc = chow.hilbert_recurrence(FamilySpec.vector(n, 1))
+        for j in range(1, n):
+            acc = acc + chow.delta_series(n, j, bound)
+        yield _compare(f"rank telescoping to full rank (n={n})", acc, qeuler.q_eulerian_by_recurrence(n))
+
+
+def delta_assembly(ns, bound=None):
+    """Difference-series coefficients from q-derangement numbers = the direct sums."""
+    for n in ns:
+        for r in range(1, n + 1):
+            for k in range(r + 1):
+                chow.delta_coefficient(n, r, k, bound)  # raises on disagreement
+        yield _entry(f"difference-coefficient assembly (n={n})", True)
+
+
+def hilbert_palindromicity(ns):
+    """H(t) is palindromic with unit ends, and its Charney-Davis quantity vanishes at even r."""
+    failures = []
+    for kind in ("uniform", "vector"):
+        for n in ns:
+            for r in range(1, n + 1):
+                spec = FamilySpec(kind, n, r)
+                poly = chow.hilbert_recurrence(spec)
+                if not poly.is_palindromic_in_t(r - 1):
+                    failures.append(_entry(f"palindromicity {spec}", False, poly.to_text()))
+                for k in (0, r - 1):
+                    if poly.coefficient_in_t(k) != BiPoly.const(1):
+                        failures.append(_entry(f"unit end coefficients {spec}", False, poly.to_text()))
+                if r % 2 == 0:
+                    cd_value = charney.cd_direct(spec)
+                    if cd_value.unsigned != BiPoly():
+                        failures.append(_entry(f"even-rank cd vanishing {spec}", False, cd_value.unsigned.to_text()))
+    yield from failures
+    yield _entry(f"palindromicity + even-rank vanishing (n <= {_top(ns)})", not failures)
+
+
+def q_eulerian_palindromicity(ns):
+    """A_n(q,t) is palindromic in t; only a failure is reported."""
+    for n in ns:
+        poly = qeuler.q_eulerian_by_recurrence(n)
+        if not poly.is_palindromic_in_t(n - 1):
+            yield _entry(f"q-Eulerian palindromicity (n={n})", False, poly.to_text())
+
+
+def wachs_fibers(ns, bound=None):
+    """The derangement-part fiber over gamma in D_k sums to q^maj(gamma) [n over k]_q, k <= 5."""
+    for n in ns:
+        fibers = permstat.group_by_derangement_part(n, bound)
+        ok, detail = True, ""
+        for k in range(min(n, 5) + 1):
+            for gamma in PermClass.Derangements(k).members(bound):
+                expected = BiPoly.term(1, gamma.stats().maj, 0) * gauss_binomial(n, k)
+                got = fibers.get(gamma.values, BiPoly())
+                if got != expected:
+                    ok = False
+                    detail = f"dp fiber of {gamma.values}: {got.to_text()} != {expected.to_text()}"
+        yield _entry(f"derangement-part fiber identity (n={n})", ok, detail)
+
+
+def wachs_refinement(ns, bound=None):
+    """sum q^(maj-exc) over (exc = k, fix = i) is [n over i]_q times that over D_(n-i), exc = k."""
+    for n in ns:
+        by_exc_fix = {}
+        count_by_fix = {}
+        for p in PermClass.All(n).members(bound):
+            s = p.stats()
+            key = (s.exc, s.fix)
+            by_exc_fix[key] = by_exc_fix.get(key, BiPoly()) + BiPoly.term(1, s.maj - s.exc, 0)
+            count_by_fix[s.fix] = count_by_fix.get(s.fix, 0) + 1
+        ok = True
+        for i in range(n + 1):
+            for k in range(n + 1):
+                lhs = BiPoly()
+                for g in PermClass.Derangements(n - i).members(bound):
+                    s = g.stats()
+                    if s.exc == k:
+                        lhs = lhs + BiPoly.term(1, s.maj - s.exc, 0)
+                if lhs * gauss_binomial(n, n - i) != by_exc_fix.get((k, i), BiPoly()):
+                    ok = False
+        yield _entry(f"derangement/fixed-point refinement (n={n})", ok)
+        yield _entry(f"fixed-point partition of n! (n={n})", sum(count_by_fix.values()) == factorial(n))
+
+
+def egf_identity(order, q_one=False):
+    """The q-exponential (or, with q_one, classical) generating function through x^order."""
+    kind = "classical exponential" if q_one else "q-exponential"
+    yield _entry(f"{kind} identity through x^{order}", qeuler.egf_identity_check(order, q_one))
+
+
+def cd_routes(ns):
+    """Charney-Davis quantity: direct = chain sum = determinants = q-secant sum, odd r <= n."""
+    mismatches = []
+    table = charney.tangent_secant(_top(ns))
+    for n in ns:
+        for r in range(1, n + 1, 2):
+            direct = charney.cd_direct(FamilySpec.vector(n, r))
+            for route, result in (
+                ("chain", charney.cd(FamilySpec.vector(n, r), "chain")),
+                ("det", charney.cd_determinant(n, r)),
+                ("qsecant", charney.cd_qsecant(n, r, table)),
+            ):
+                if result.unsigned != direct.unsigned or result.signed != direct.signed:
+                    mismatches.append(_mismatch(f"cd({n},{r}) direct vs {route}", direct.unsigned, result.unsigned))
+    yield from mismatches
+    yield _entry(f"cd routes agree (odd r <= n <= {_top(ns)})", not mismatches)
+
+
+def cd_telescoping(ns):
+    """Consecutive odd-rank determinant quantities differ by one T-term."""
+    for n in ns:
+        for r in range(3, n + 1, 2):
+            lhs = charney.cd_determinant(n, r).unsigned - charney.cd_determinant(n, r - 2).unsigned
+            yield _compare(f"cd telescoping (n={n}, r={r})", lhs, charney.t_term(n, (r - 1) // 2))
+
+
+def tangent_secant_table(top):
+    """E_0 .. E_top by three routes, and its q = 1 row against the tanh + sech oracle."""
+    table = charney.tangent_secant(top)
+    yield _entry(f"tangent-secant three-route agreement (n <= {top})", True)
+    oracle = classical_tangent_secant(top)
+    yield _entry(
+        f"classical values match series oracle (n <= {top})",
+        list(table.classical) == oracle,
+        f"table {list(table.classical)} vs oracle {oracle}",
+    )
+
+
+def odd_secant_entries(ns):
+    """E_{n,q} at odd n is the unsigned full-rank quantity of vector(n, n)."""
+    table = charney.tangent_secant(_top(ns))
+    for n in ns:
+        yield _compare(f"odd entry = unsigned full-rank cd (n={n})", table[n], charney.cd_determinant(n, n).unsigned)
+
+
+def classical_secant_determinant(a_range):
+    """T(2a, 2a) at q = 1 is the classical secant number E_{2a}."""
+    oracle = classical_tangent_secant(2 * _top(a_range))
+    ok = all(charney.t_term(2 * a, a).eval(1, 1) == oracle[2 * a] for a in a_range)
+    yield _entry(f"classical secant determinant (n <= {_top(a_range)})", ok)
+
+
+def _secant_sum(n, r, oracle):
+    return sum(comb(n, 2 * k) * oracle[2 * k] for k in range((r - 1) // 2 + 1))
+
+
+def secant_sums(ns):
+    """The unsigned quantity of uniform(n, r), odd r, is sum_k C(n, 2k) E_{2k}."""
+    oracle = classical_tangent_secant(_top(ns))
+    for n in ns:
+        for r in range(1, n + 1, 2):
+            classical = _secant_sum(n, r, oracle)
+            unsigned = charney.cd_direct(FamilySpec.uniform(n, r)).unsigned
+            yield _entry(
+                f"secant-sum formula vs unsigned cd (uniform {n},{r})",
+                BiPoly.const(classical) == unsigned,
+                f"{classical} vs {unsigned.to_text()}",
+            )
+
+
+def odd_secant_collapse(ns):
+    """At odd n the full secant sum collapses to E_n."""
+    oracle = classical_tangent_secant(_top(ns))
+    for n in ns:
+        yield _entry(f"odd-row secant sum collapses to E_{n}", _secant_sum(n, n, oracle) == oracle[n])
+
+
+def alternating_probes(ns, bound=None):
+    """Report-only: sums of q^exc over alternating permutations against E_{n,q}."""
+    table = charney.tangent_secant(_top(ns))
+    for n in ns:
+        report = charney.alternating_probe(n, table, bound)
+        summary = ", ".join(
+            f"{conv}: sum={data['sum']} exact={data['matches']} up_to_sign={data['matches_up_to_sign']}"
+            for conv, data in report["conventions"].items()
+        )
+        yield _entry(f"alternating probe (n={n})", True, f"target={report['target']}; {summary}")
+
+
+def full_rank_h_anchor(ns):
+    """h of the proper part of the Boolean lattice of [n] is A_n(t)."""
+    for n in ns:
+        ok, h = ordercx.full_rank_h_check(n)
+        yield _entry(f"full-rank h-polynomial anchor (n={n})", ok, "" if ok else h.to_text())
+
+
+def fvector_routes(ns):
+    """Order-complex f-vectors of uniform(n, r): by rank profiles = by lattice chains."""
+    for n in ns:
+        for r in range(1, n + 1):
+            spec = FamilySpec.uniform(n, r)
+            by_profiles = ordercx.order_complex_fvector(spec)
+            by_chains = ordercx.order_complex_fvector(build_explicit(spec))
+            yield _entry(
+                f"f-vector routes (uniform {n},{r})", by_profiles == by_chains, f"{by_profiles} vs {by_chains}"
+            )
+
+
+def conjecture_reports(ns):
+    """Report-only: both readings of the order-complex identity (r < n), and its bivariate form."""
+    for n in ns:
+        for r in range(1, n):
+            report = ordercx.conjecture_check(n, r)
+            detail = f"equal_full={report['equal']} equal_proper={report['equal_proper']}"
+            yield _entry(f"conjecture report (n={n}, r={r})", True, detail)
+        bivariate = ordercx.bivariate_check(n)
+        yield _entry(f"bivariate restatement report (n={n})", True, f"equal={bivariate['equal']}")
+
+
+# -- suites --------------------------------------------------------------------------
+
+
+def _contained(identities):
+    """The entries of `identities` in order, each identity contained under
+    its function's name."""
+    entries = []
+    for identity in identities:
+        try:
+            for e in identity:
+                entries.append(e)
+        except ResourceBoundError as e:
+            entries.append({"name": identity.__name__, "ok": False, "detail": str(e), "skipped": True})
+        except RouteDisagreementError as e:
+            entries.append(_entry(identity.__name__, False, str(e)))
+    return entries
+
+
+# Each suite runs its identities in report order, with ranges derived from n_max.
+SUITES = {
+    "route-agreement": lambda n_max, bound=None: _contained([
+        hilbert_routes("uniform", range(1, n_max + 1), bound),
+        hilbert_routes("vector", range(1, n_max + 1), bound),
+        q_eulerian_definition(range(min(n_max, 8) + 1), bound),
+        permutation_sum_ranks(range(1, n_max + 1), bound),
+        cd_routes(range(1, n_max + 1)),
+    ]),
+    "oracle": lambda n_max, bound=None: _contained([
+        monomial_oracle("uniform", None, range(1, min(n_max, 6) + 1)),
+        monomial_oracle("vector", 2, range(1, min(n_max, 4) + 1)),
+        monomial_oracle("vector", 3, range(1, min(n_max, 3) + 1)),
+    ]),
+    "telescoping": lambda n_max, bound=None: _contained([
+        rank_telescoping(range(1, n_max + 1), bound),
+        delta_assembly(range(1, min(n_max, 6) + 1), bound),
+        cd_telescoping(range(1, n_max + 1)),
+    ]),
+    "palindromicity": lambda n_max, bound=None: _contained([
+        hilbert_palindromicity(range(1, n_max + 1)),
+        q_eulerian_palindromicity(range(1, min(n_max + 2, 8) + 1)),
+    ]),
+    "wachs": lambda n_max, bound=None: _contained([
+        wachs_fibers(range(min(n_max, 7) + 1), bound),
+        wachs_refinement(range(min(n_max, 7) + 1), bound),
+    ]),
+    "egf": lambda n_max, bound=None: _contained([
+        egf_identity(n_max),
+        egf_identity(min(n_max + 2, 8), q_one=True),
+    ]),
+    "tangent-secant": lambda n_max, bound=None: _contained([
+        tangent_secant_table(max(n_max, 10)),
+        odd_secant_entries(range(1, min(n_max, 7) + 1, 2)),
+        classical_secant_determinant(range(5)),
+        secant_sums(range(1, n_max + 1)),
+        odd_secant_collapse(range(1, max(n_max, 9) + 1, 2)),
+        alternating_probes(range(min(n_max, 6) + 1), bound),
+    ]),
+    "conjecture": lambda n_max, bound=None: _contained([
+        full_rank_h_anchor(range(2, n_max + 1)),
+        fvector_routes(range(2, min(n_max, 6) + 1)),
+        conjecture_reports(range(2, n_max + 1)),
+    ]),
+}
+
+
+def check_suites(n_max, suite="all", bound=None):
+    """Run the named suite (or all) and return a JSON-ready report.
+
+    A suite passes when it ran at least one check and every entry is ok.
+    """
+    names = list(SUITES) if suite == "all" else [suite]
+    report = {"n_max": n_max, "suites": [], "ok": True}
+    for name in names:
+        entries = SUITES[name](n_max, bound)
+        passed = bool(entries) and all(e["ok"] for e in entries)
+        report["suites"].append({"name": name, "passed": passed, "checks": len(entries), "entries": entries})
+        if not passed:
+            report["ok"] = False
+    return report

@@ -181,7 +181,7 @@ def basis_monomial_oracle(lat, r, max_elements=ORACLE_MAX_ELEMENTS):
     return GradedDims(tuple(dims))
 
 
-# -- route cross-validation ------------------------------------------------
+# -- route dispatch --------------------------------------------------------
 
 
 def hilbert(spec, method="recurrence", bound=None, p=None):
@@ -193,24 +193,6 @@ def hilbert(spec, method="recurrence", bound=None, p=None):
     if method == "closed":
         return hilbert_closed_form(spec, bound)
     if method == "oracle":
-        from .flats import build_explicit
-
-        lat = build_explicit(spec, p)
-        return basis_monomial_oracle(lat, spec.r).to_poly()
+        return basis_monomial_oracle(build_explicit(spec, p), spec.r).to_poly()
     raise ValueError(f"unknown method {method!r}")
 
-
-def assert_routes_agree(spec, bound=None):
-    """Chain sum, recurrence, and closed form must agree exactly."""
-    by_chain = hilbert_chain_sum(spec)
-    by_rec = hilbert_recurrence(spec)
-    by_closed = hilbert_closed_form(spec, bound)
-    for name, other in (("recurrence", by_rec), ("closed form", by_closed)):
-        if other != by_chain:
-            raise RouteDisagreementError(
-                f"hilbert series of {spec} (chain sum vs {name})",
-                by_chain.to_text(),
-                other.to_text(),
-                str(diff_terms(by_chain, other)),
-            )
-    return by_chain

@@ -1,7 +1,10 @@
 """Exceptions shared across the package.
 
-Exit-code mapping used by the CLI: ValueError -> 2 (usage/domain),
-ResourceBoundError -> 3, RouteDisagreementError -> 1.
+Exit-code mapping used by the CLI: RouteDisagreementError -> 1,
+ValueError -> 2 (usage/domain), ResourceBoundError -> 3, any other
+exception -> 4 (internal error).  Inside `check` both of ours are contained
+per identity: a RouteDisagreementError is a FAIL entry (exit 1), a
+ResourceBoundError a SKIPPED entry (exit 3 when nothing failed).
 """
 
 

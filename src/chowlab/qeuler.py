@@ -73,25 +73,21 @@ def classical_recurrence_check(n, bound=None):
     return classical_eulerian(n) == statistic_sum(PermClass.All(n), w_t_exc, bound)
 
 
-def egf_identity_check(n_max, order=None, q_one=False):
-    """Truncated generating-function identity, checked through x^order.
+def egf_identity_check(n_max, q_one=False):
+    """Truncated generating-function identity, checked through x^n_max.
 
     With q symbolic this is the q-exponential identity for A_n(q,t); with
     q_one it is the classical exponential form against (t-1)/(t-e^(x(t-1))).
     """
-    if order is None:
-        order = n_max
-    if order < n_max:
-        raise ValueError("order must be at least n_max")
     if q_one:
-        for m in range(1, order + 1):
+        for m in range(1, n_max + 1):
             rhs = BiPoly()
             for a in range(m + 1):
                 rhs = rhs + binomial(m, a) * classical_eulerian(a) * (T - ONE) ** (m - a)
             if T * classical_eulerian(m) != rhs:
                 return False
         return True
-    for m in range(order + 1):
+    for m in range(n_max + 1):
         lhs = BiPoly()
         for a in range(m + 1):
             lhs = lhs + gauss_binomial(m, a) * q_eulerian_by_recurrence(a) * (

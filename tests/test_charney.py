@@ -1,14 +1,14 @@
 """Charney-Davis routes, T-terms, and tangent-secant numbers."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
 import chowlab.charney as charney_module
+from chowlab import checks
 from chowlab.charney import (
     alternating_probe,
-    cd,
     cd_chain_alternating,
     cd_determinant,
     cd_direct,
@@ -20,7 +20,6 @@ from chowlab.charney import (
 from chowlab.errors import RouteDisagreementError
 from chowlab.exactalg import BiPoly, ONE, Q, gauss_binomial
 from chowlab.flats import FamilySpec
-from classical_oracle import classical_tangent_secant_series
 
 CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, (3, 0): 2, (2, 0): 1})
 
@@ -28,7 +27,7 @@ CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, 
 def test_oracle_pins_classical_values():
     # frozen from the oracle itself: sech contributes the even entries with
     # alternating sign, tanh the odd ones
-    assert classical_tangent_secant_series(10) == [1, 1, -1, -2, 5, 16, -61, -272, 1385, 7936, -50521]
+    assert checks.classical_tangent_secant(10) == [1, 1, -1, -2, 5, 16, -61, -272, 1385, 7936, -50521]
 
 
 def test_cd_5_5_reference_value_all_routes():
@@ -93,22 +92,13 @@ def test_cd_determinant_small():
         cd_determinant(5, 4)
 
 
-def test_cd_telescoping():
-    for n in range(1, 8):
-        for r in range(3, n + 1, 2):
-            lhs = cd_determinant(n, r).unsigned - cd_determinant(n, r - 2).unsigned
-            assert lhs == t_term(n, (r - 1) // 2)
+def test_cd_telescoping(holds):
+    ns = range(1, 8)
+    holds(checks.cd_telescoping(ns), [f"cd telescoping (n={n}, r={r})" for n in ns for r in range(3, n + 1, 2)])
 
 
-def test_cd_routes_agree():
-    for n in range(1, 8):
-        for r in range(1, n + 1, 2):
-            spec = FamilySpec.vector(n, r)
-            direct = cd_direct(spec)
-            for method in ("chain", "det", "qsecant"):
-                result = cd(spec, method)
-                assert result.unsigned == direct.unsigned, (n, r, method)
-                assert result.signed == direct.signed, (n, r, method)
+def test_cd_routes_agree(holds):
+    holds(checks.cd_routes(range(1, 8)), ["cd routes agree (odd r <= n <= 7)"])
 
 
 def test_tangent_secant_table():
@@ -119,18 +109,17 @@ def test_tangent_secant_table():
     assert table[3] == ONE - gauss_binomial(3, 1)
     assert table[4] == gauss_binomial(4, 2) - ONE
     assert table[4] == BiPoly({(1, 0): 1, (2, 0): 2, (3, 0): 1, (4, 0): 1})
-    assert list(table.classical) == classical_tangent_secant_series(10)
+    assert list(table.classical) == checks.classical_tangent_secant(10)
 
 
-def test_odd_entries_are_full_rank_cd():
-    table = tangent_secant(7)
-    for m in range(4):
-        assert table[2 * m + 1] == cd_determinant(2 * m + 1, 2 * m + 1).unsigned
+def test_odd_entries_are_full_rank_cd(holds):
+    odd = range(1, 8, 2)
+    holds(checks.odd_secant_entries(odd), [f"odd entry = unsigned full-rank cd (n={n})" for n in odd])
 
 
 def test_classical_secant_determinant():
     # exact rational Hankel determinant for the classical secant numbers
-    oracle = classical_tangent_secant_series(8)
+    oracle = checks.classical_tangent_secant(8)
     for a in range(5):
         matrix = [
             [
@@ -158,7 +147,7 @@ def _fraction_det(matrix):
 
 
 def test_qsecant_specializations():
-    oracle = classical_tangent_secant_series(10)
+    oracle = checks.classical_tangent_secant(10)
     # the bare secant sum is the unsigned quantity (it only coincides with
     # the signed one when (r-1)/2 is even, e.g. r = 5)
     assert cd_qsecant(5, 5).unsigned.eval(1, 1) == 16 == oracle[5]
@@ -170,20 +159,16 @@ def test_qsecant_specializations():
         cd_qsecant(6, 4)
 
 
-def test_secant_sum_matches_unsigned_uniform_cd():
-    oracle = classical_tangent_secant_series(10)
-    for n in range(1, 8):
-        for r in range(1, n + 1, 2):
-            total = sum(comb(n, 2 * k) * oracle[2 * k] for k in range((r - 1) // 2 + 1))
-            unsigned = cd_direct(FamilySpec.uniform(n, r)).unsigned
-            assert BiPoly.const(total) == unsigned
+def test_secant_sum_matches_unsigned_uniform_cd(holds):
+    holds(
+        checks.secant_sums(range(1, 8)),
+        [f"secant-sum formula vs unsigned cd (uniform {n},{r})" for n in range(1, 8) for r in range(1, n + 1, 2)],
+    )
 
 
-def test_odd_secant_sum_collapses():
-    oracle = classical_tangent_secant_series(10)
-    for n in range(1, 10, 2):
-        total = sum(comb(n, 2 * k) * oracle[2 * k] for k in range((n - 1) // 2 + 1))
-        assert total == oracle[n]
+def test_odd_secant_sum_collapses(holds):
+    odd = range(1, 10, 2)
+    holds(checks.odd_secant_collapse(odd), [f"odd-row secant sum collapses to E_{n}" for n in odd])
 
 
 def test_alternating_probe():

@@ -3,8 +3,8 @@ series, and q-derangement assembly."""
 
 import pytest
 
+from chowlab import checks
 from chowlab.chow import (
-    assert_routes_agree,
     basis_monomial_oracle,
     delta_coefficient,
     delta_series,
@@ -17,7 +17,7 @@ from chowlab.chow import (
 from chowlab.errors import ResourceBoundError, RouteDisagreementError
 from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.flats import FamilySpec, build_explicit
-from chowlab.permstat import PermClass, statistic_sum, w_maj_exc_offset
+from chowlab.permstat import PermClass
 from chowlab.qeuler import classical_eulerian, q_eulerian_by_recurrence
 
 
@@ -29,13 +29,6 @@ def test_small_values():
     )
     assert hilbert_recurrence(FamilySpec.uniform(5, 1)) == ONE
     assert hilbert_recurrence(FamilySpec.uniform(4, 4)) == classical_eulerian(4)
-
-
-def test_route_agreement_symbolic():
-    for kind in ("uniform", "vector"):
-        for n in range(1, 7):
-            for r in range(1, n + 1):
-                assert_routes_agree(FamilySpec(kind, n, r))
 
 
 def test_full_rank_is_q_eulerian():
@@ -52,13 +45,6 @@ def test_uniform_is_q_one_specialization():
             assert vec.subs_q_int(1) == uni
 
 
-def test_corank_one_is_derangement_sum():
-    for n in range(2, 7):
-        expected = statistic_sum(PermClass.Derangements(n), w_maj_exc_offset(-1))
-        assert hilbert_recurrence(FamilySpec.vector(n, n - 1)) == expected
-        assert hilbert_recurrence(FamilySpec.uniform(n, n - 1)) == expected.subs_q_int(1)
-
-
 def test_graded_dims_examples():
     dims = basis_monomial_oracle(build_explicit(FamilySpec.uniform(3, 3)), 3)
     assert dims.dims == (1, 4, 1)
@@ -70,13 +56,11 @@ def test_graded_dims_examples():
 
 
 def test_oracle_agrees_with_symbolic_series():
+    # agreement with the series is criterion 4 of tests/test_acceptance.py
     for kind, p, top in (("uniform", None, 6), ("vector", 2, 4), ("vector", 3, 3)):
-        q_value = 1 if p is None else p
         for n in range(1, top + 1):
             for r in range(1, n + 1):
-                spec = FamilySpec(kind, n, r)
-                dims = basis_monomial_oracle(build_explicit(spec, p), r)
-                assert dims.to_poly() == hilbert_recurrence(spec).subs_q_int(q_value), spec
+                dims = basis_monomial_oracle(build_explicit(FamilySpec(kind, n, r), p), r)
                 assert dims[0] == 1 and dims[r - 1] == 1
                 assert dims.is_palindromic()
 
@@ -102,12 +86,8 @@ def test_delta_series():
         delta_series(3, 0)
 
 
-def test_delta_telescopes_to_full_rank():
-    for n in range(1, 7):
-        acc = hilbert_recurrence(FamilySpec.vector(n, 1))
-        for j in range(1, n):
-            acc = acc + delta_series(n, j)
-        assert acc == q_eulerian_by_recurrence(n)
+def test_delta_telescopes_to_full_rank(holds):
+    holds(checks.rank_telescoping(range(1, 7)), [f"rank telescoping to full rank (n={n})" for n in range(1, 7)])
 
 
 def test_delta_matches_hilbert_difference():
@@ -127,11 +107,8 @@ def test_q_derangement_numbers():
     assert q_derangement_number(0, 0) == ONE
 
 
-def test_delta_coefficient_assembly():
-    for n in range(1, 7):
-        for r in range(1, n + 1):
-            for k in range(r + 1):
-                delta_coefficient(n, r, k)  # raises RouteDisagreementError on mismatch
+def test_delta_coefficient_assembly(holds):
+    holds(checks.delta_assembly(range(1, 7)), [f"difference-coefficient assembly (n={n})" for n in range(1, 7)])
 
 
 def test_delta_coefficient_detects_tampering(monkeypatch):

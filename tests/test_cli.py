@@ -1,10 +1,19 @@
 """CLI behavior: outputs, formats, exit codes, determinism, fault isolation."""
 
 import json
+from dataclasses import replace
 
+import pytest
+
+import chowlab.charney as charney_module
 import chowlab.chow as chow_module
+import chowlab.ordercx as ordercx_module
+import chowlab.permstat as permstat_module
+import chowlab.qeuler as qeuler_module
 from chowlab.cli import check_suites, main
-from chowlab.exactalg import BiPoly, ONE
+from chowlab.exactalg import BiPoly, ONE, Q
+from chowlab.flats import FamilySpec
+from chowlab.ordercx import FVector
 
 
 def run_cli(capsys, *argv):
@@ -178,3 +187,78 @@ def test_suite_that_runs_nothing_fails():
     assert report["suites"][0]["checks"] == 0
     assert report["suites"][0]["passed"] is False
     assert report["ok"] is False
+
+
+def _tamper(first_args, bump):
+    """Wrap a route so that its value at calls starting with `first_args` is bumped."""
+
+    def tamper(real):
+        def tampered(*args, **kwargs):
+            value = real(*args, **kwargs)
+            return bump(value) if args[: len(first_args)] == first_args else value
+
+        return tampered
+
+    return tamper
+
+
+# One route of each two-route suite off by one coefficient at one instance
+# (route-agreement has its own test above).
+V32, V43, U53, U42 = FamilySpec.vector(3, 2), FamilySpec.vector(4, 3), FamilySpec.uniform(5, 3), FamilySpec.uniform(4, 2)
+TAMPERS = [
+    ("oracle", chow_module, "hilbert_recurrence", _tamper((V32,), lambda h: h + ONE), "vector(3,2)"),
+    ("telescoping", chow_module, "delta_series", _tamper((4, 2), lambda d: d + ONE), "n=4"),
+    ("palindromicity", chow_module, "hilbert_recurrence", _tamper((V43,), lambda h: h + Q), "vector(4,3)"),
+    ("wachs", permstat_module, "group_by_derangement_part", _tamper((4,), lambda f: {**f, (2, 1): f[(2, 1)] + Q}), "n=4"),
+    ("egf", qeuler_module, "q_eulerian_by_recurrence", _tamper((3,), lambda a: a + Q), "x^5"),
+    ("tangent-secant", charney_module, "cd_direct",
+     _tamper((U53,), lambda c: replace(c, unsigned=c.unsigned + ONE)), "uniform 5,3"),
+    ("conjecture", ordercx_module, "order_complex_fvector",
+     _tamper((U42,), lambda f: FVector((f.f[0] + 1,) + f.f[1:])), "uniform 4,2"),
+]
+
+
+@pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=[t[0] for t in TAMPERS])
+def test_tampered_route_fails_its_suite(capsys, monkeypatch, suite, module, name, tamper, instance):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, tamper(real))
+    try:
+        code, out, _ = run_cli(capsys, "check", "--suite", suite, "--nmax", "5")
+    finally:
+        if hasattr(real, "cache_clear"):
+            real.cache_clear()  # drop values the real route computed from the tampered one
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith(f"FAIL  {suite}") and lines[-1] == "FAILED  (nmax=5)"
+    assert any(line.startswith("      FAIL") and instance in line for line in lines), out
+
+
+def test_resource_bound_skips_one_identity(capsys):
+    code, out, err = run_cli(capsys, "check", "--suite", "conjecture", "--nmax", "9")
+    assert code == 3 and err == ""
+    assert out.splitlines() == [
+        "SKIPPED  conjecture  (64 checks)",
+        "      SKIPPED full_rank_h_anchor: f-vector counting capped at n <= 8",
+        "      SKIPPED conjecture_reports: f-vector counting capped at n <= 8",
+        "SKIPPED  (nmax=9)",
+    ]
+    names = [e["name"] for e in check_suites(9, "conjecture")["suites"][0]["entries"]]
+    # each identity runs up to the bound; the f-vector routes (n <= 6) run in full
+    assert {"full-rank h-polynomial anchor (n=8)", "f-vector routes (uniform 6,6)"} <= set(names)
+
+
+def test_route_disagreement_is_contained(monkeypatch):
+    monkeypatch.setattr(chow_module, "delta_series", _tamper((3, 2), lambda d: d + ONE)(chow_module.delta_series))
+    entries = check_suites(4, "telescoping")["suites"][0]["entries"]
+    failed = [e for e in entries if not e["ok"]]
+    assert [e["name"] for e in failed] == ["rank telescoping to full rank (n=3)", "delta_assembly"]
+    assert "delta coefficient (n=3, r=2, k=0)" in failed[-1]["detail"]
+    assert entries[-1]["name"] == "cd telescoping (n=4, r=3)"  # the next identity still ran
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(spec):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(chow_module, "hilbert_recurrence", broken)
+    code, out, err = run_cli(capsys, "hilbert", "--family", "vector", "--n", "3", "--r", "3")
+    assert (code, out, err) == (4, "", "internal error: TypeError: injected\n")

@@ -3,6 +3,7 @@ reports."""
 
 import pytest
 
+from chowlab import checks
 from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import ONE, T
 from chowlab.flats import FamilySpec, build_explicit
@@ -10,7 +11,6 @@ from chowlab.ordercx import (
     FVector,
     bivariate_check,
     conjecture_check,
-    full_rank_h_check,
     h_polynomial,
     order_complex_fvector,
 )
@@ -47,10 +47,8 @@ def test_h_polynomial_conventions():
     assert h_polynomial(order_complex_fvector(FamilySpec.uniform(4, 4))) == classical_eulerian(4)
 
 
-def test_full_rank_anchor():
-    for n in range(2, 7):
-        ok, h = full_rank_h_check(n)
-        assert ok, (n, h.to_text())
+def test_full_rank_anchor(holds):
+    holds(checks.full_rank_h_anchor(range(2, 7)), [f"full-rank h-polynomial anchor (n={n})" for n in range(2, 7)])
 
 
 def test_conjecture_reports():
