@@ -30,7 +30,7 @@ from .errors import ResourceBoundError, RouteDisagreementError
 from .exactalg import BiPoly, gauss_binomial, q_factorial, q_pochhammer, t_quantum
 from .flats import ExplicitLattice, FamilySpec, build_explicit, level_size, upper_interval
 from .ordercx import FVector, bivariate_check, conjecture_check, h_polynomial, order_complex_fvector
-from .permstat import Perm, PermClass, statistic_sum
+from .permstat import PermStats, permutations_of, statistic_sum, stats
 from .qeuler import (
     EulerianTable,
     classical_eulerian,

@@ -23,6 +23,7 @@ fractions at enough integer points to pin every polynomial down.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,7 @@ from itertools import combinations
 from .errors import RouteDisagreementError
 from .exactalg import BiPoly, ONE, diff_terms, gauss_binomial
 from .exactalg.det import leading_principal_minors
-from .permstat import PermClass
+from .permstat import is_alternating, permutations_of, stats
 from .chow import hilbert_recurrence
 
 
@@ -295,9 +296,8 @@ def alternating_probe(n, table=None, bound=None):
     target = table[n]
     report = {"n": n, "target": target.to_text(), "conventions": {}}
     for convention in ("up-down", "down-up"):
-        total = BiPoly()
-        for p in PermClass.Alternating(n, convention).members(bound):
-            total = total + BiPoly.term(1, p.stats().exc, 0)
+        excs = Counter(stats(v).exc for v in permutations_of(n, bound) if is_alternating(v, convention))
+        total = BiPoly({(e, 0): c for e, c in excs.items()})
         report["conventions"][convention] = {
             "sum": total.to_text(),
             "matches": total == target,

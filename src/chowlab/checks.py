@@ -22,7 +22,7 @@ from . import charney, chow, ordercx, permstat, qeuler
 from .errors import ResourceBoundError, RouteDisagreementError
 from .exactalg import BiPoly, diff_terms, gauss_binomial
 from .flats import FamilySpec, build_explicit, chains_above, level_size
-from .permstat import PermClass, w_maj_exc_offset
+from .permstat import permutations_of, stats, statistic_sum
 
 
 def _entry(name, ok, detail=""):
@@ -97,7 +97,7 @@ def permutation_sum_ranks(ns, bound=None):
             yield _compare(
                 f"corank-one Hilbert series = derangement sum (n={n})",
                 chow.hilbert_recurrence(FamilySpec.vector(n, n - 1)),
-                permstat.statistic_sum(PermClass.Derangements(n), w_maj_exc_offset(-1), bound),
+                statistic_sum(n, lambda s: (s.maj - s.exc, s.exc - 1) if s.fix == 0 else None, bound),
             )
 
 
@@ -175,37 +175,30 @@ def wachs_fibers(ns, bound=None):
         fibers = permstat.group_by_derangement_part(n, bound)
         ok, detail = True, ""
         for k in range(min(n, 5) + 1):
-            for gamma in PermClass.Derangements(k).members(bound):
-                expected = BiPoly.term(1, gamma.stats().maj, 0) * gauss_binomial(n, k)
-                got = fibers.get(gamma.values, BiPoly())
+            for gamma in (v for v in permutations_of(k, bound) if stats(v).fix == 0):
+                expected = BiPoly.term(1, stats(gamma).maj, 0) * gauss_binomial(n, k)
+                got = fibers.get(gamma, BiPoly())
                 if got != expected:
                     ok = False
-                    detail = f"dp fiber of {gamma.values}: {got.to_text()} != {expected.to_text()}"
+                    detail = f"dp fiber of {gamma}: {got.to_text()} != {expected.to_text()}"
         yield _entry(f"derangement-part fiber identity (n={n})", ok, detail)
 
 
 def wachs_refinement(ns, bound=None):
     """sum q^(maj-exc) over (exc = k, fix = i) is [n over i]_q times that over D_(n-i), exc = k."""
+
+    def by_exc_fix(m, k, i):
+        return statistic_sum(m, lambda s: (s.maj - s.exc, 0) if (s.exc, s.fix) == (k, i) else None, bound)
+
     for n in ns:
-        by_exc_fix = {}
-        count_by_fix = {}
-        for p in PermClass.All(n).members(bound):
-            s = p.stats()
-            key = (s.exc, s.fix)
-            by_exc_fix[key] = by_exc_fix.get(key, BiPoly()) + BiPoly.term(1, s.maj - s.exc, 0)
-            count_by_fix[s.fix] = count_by_fix.get(s.fix, 0) + 1
-        ok = True
+        ok, total = True, 0
         for i in range(n + 1):
             for k in range(n + 1):
-                lhs = BiPoly()
-                for g in PermClass.Derangements(n - i).members(bound):
-                    s = g.stats()
-                    if s.exc == k:
-                        lhs = lhs + BiPoly.term(1, s.maj - s.exc, 0)
-                if lhs * gauss_binomial(n, n - i) != by_exc_fix.get((k, i), BiPoly()):
-                    ok = False
+                rhs = by_exc_fix(n, k, i)
+                ok = ok and by_exc_fix(n - i, k, 0) * gauss_binomial(n, n - i) == rhs
+                total += rhs.eval(1, 1)
         yield _entry(f"derangement/fixed-point refinement (n={n})", ok)
-        yield _entry(f"fixed-point partition of n! (n={n})", sum(count_by_fix.values()) == factorial(n))
+        yield _entry(f"fixed-point partition of n! (n={n})", total == factorial(n))
 
 
 def egf_identity(order, q_one=False):

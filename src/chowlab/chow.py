@@ -7,7 +7,7 @@ chain sum    : sum over strictly increasing rank tuples, each weighted by
                its chain count and the product of t*[gap-1]_t factors
                (level homogeneity collapses chains to rank profiles);
 recurrence   : peel the lattice at each level and recurse into the upper
-               interval (memoized over (kind, n, r));
+               interval (filled bottom-up along each diagonal n - r);
 closed form  : the full-rank polynomial minus the fixed-point permutation
                sums, with the inner exponent t^(j-exc);
 monomial oracle : count flag-supported basis monomials with rank-gap
@@ -20,13 +20,12 @@ evaluating q at the lattice's field size (q = 1 for uniform).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import ResourceBoundError, RouteDisagreementError
 from .exactalg import BiPoly, ONE, T, diff_terms, gauss_binomial, t_quantum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above, level_size
-from .permstat import PermClass, statistic_sum, w_maj_exc_complement, w_t_exc_complement
+from .permstat import statistic_sum
 from .qeuler import classical_eulerian, q_eulerian_by_recurrence
 
 ORACLE_MAX_ELEMENTS = 200
@@ -50,19 +49,26 @@ def hilbert_chain_sum(spec):
     return total
 
 
+# (kind, n - r) -> {r: H(kind, n, r)} along that diagonal.
+_DIAGONALS = {}
+
+
 def hilbert_recurrence(spec):
-    """Hilbert series via the upper-interval recursion."""
-    return _hilbert_recurrence(spec.kind, spec.n, spec.r)
+    """Hilbert series via the upper-interval recursion.
 
-
-@lru_cache(maxsize=None)
-def _hilbert_recurrence(kind, n, r):
-    spec = FamilySpec(kind, n, r)
-    total = t_quantum(r)
-    for i in range(2, r):
-        sub = _hilbert_recurrence(kind, n - i, r - i)
-        total = total + T * level_size(spec, i) * t_quantum(i - 1) * sub
-    return total
+    H(n, r) needs H(n - i, r - i) for 2 <= i < r: every rank up to r - 2 on
+    the diagonal n - r.  They are computed bottom-up in a loop and kept.
+    """
+    d = spec.n - spec.r
+    memo = _DIAGONALS.setdefault((spec.kind, d), {})
+    for r in (*range(1, spec.r - 1), spec.r):
+        if r not in memo:
+            level = FamilySpec(spec.kind, d + r, r)
+            total = t_quantum(r)
+            for i in range(2, r):
+                total = total + T * level_size(level, i) * t_quantum(i - 1) * memo[r - i]
+            memo[r] = total
+    return memo[spec.r]
 
 
 def hilbert_closed_form(spec, bound=None):
@@ -71,14 +77,13 @@ def hilbert_closed_form(spec, bound=None):
     For the vector family the full-rank polynomial is A_n(q,t); the uniform
     family is the same computation with q fixed to 1 throughout.
     """
+    n = spec.n
     if spec.kind == UNIFORM:
-        total, weight = classical_eulerian(spec.n), w_t_exc_complement
+        total, q_exp = classical_eulerian(n), lambda s: 0
     else:
-        total, weight = q_eulerian_by_recurrence(spec.n), w_maj_exc_complement
-    for j in range(spec.r, spec.n):
-        total = total - statistic_sum(
-            PermClass.MinFixed(spec.n, spec.n - j), weight(j), bound
-        )
+        total, q_exp = q_eulerian_by_recurrence(n), lambda s: s.maj - s.exc
+    for j in range(spec.r, n):
+        total = total - statistic_sum(n, lambda s: (q_exp(s), j - s.exc) if s.fix >= n - j else None, bound)
     return total
 
 
@@ -87,18 +92,12 @@ def delta_series(n, r, bound=None):
     q^(maj-exc) t^(r-exc) over permutations with at least n-r fixed points."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    return statistic_sum(PermClass.MinFixed(n, n - r), w_maj_exc_complement(r), bound)
+    return statistic_sum(n, lambda s: (s.maj - s.exc, r - s.exc) if s.fix >= n - r else None, bound)
 
 
 def q_derangement_number(n, k, bound=None):
     """Sum of q^(maj-exc) over derangements of [n] with exc = n-k."""
-    terms = {}
-    for p in PermClass.Derangements(n).members(bound):
-        s = p.stats()
-        if s.exc == n - k:
-            key = (s.maj - s.exc, 0)
-            terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+    return statistic_sum(n, lambda s: (s.maj - s.exc, 0) if s.fix == 0 and s.exc == n - k else None, bound)
 
 
 def delta_coefficient(n, r, k, bound=None):

@@ -5,13 +5,16 @@ Exit codes: 0 success; 1 a cross-route disagreement (a query aborts with a
 diff of the two polynomials, a check run reports a FAIL entry); 2 usage or
 domain error; 3 resource bound exceeded (a check run with a SKIPPED entry
 and no FAIL); 4 any other exception, an internal error reported in one
-line on stderr.  Identical invocations produce byte-identical output.
+line on stderr; 141 (128 + SIGPIPE) the reader closed stdout before the
+output was written, with nothing on stderr.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -110,7 +113,13 @@ def main(argv=None):
     config = RunConfig(**vars(args))
     try:
         config.validate()
-        return run(config)
+        code = run(config)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # What is left in the buffer goes to devnull, so the final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except RouteDisagreementError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 1

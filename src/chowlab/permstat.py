@@ -1,21 +1,22 @@
-"""Permutations of [n] = {1..n}, their statistics, and weighted sums over
-the permutation classes the Hilbert-series formulas range over.
+"""Permutations of [n] = {1..n} as one-line tuples, their statistics, and
+weighted sums of those statistics over the symmetric group S_n.
 
-One-line notation throughout: Perm((2, 3, 1)) is the map 1->2, 2->3, 3->1.
-A descent is a position i with sigma(i) > sigma(i+1) and maj is the sum of
-descent positions (the standard major index).
+(2, 3, 1) is the map 1->2, 2->3, 3->1.  A descent is a position i with
+sigma(i) > sigma(i+1) and maj is the sum of descent positions (the standard
+major index).  The helpers below take a tuple that is a permutation of
+1..len(v) and do not check it.
 
->>> Perm((3, 2, 1)).stats()
-PermStats(exc=1, maj=3, des=2, inv=3, fix=1)
+>>> stats((3, 2, 1))
+PermStats(exc=1, maj=3, fix=1)
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import ResourceBoundError
 from .exactalg import BiPoly
@@ -31,187 +32,84 @@ def enum_bound(override=None):
     return int(env) if env else DEFAULT_ENUM_BOUND
 
 
+def _check_bound(n, bound):
+    limit = enum_bound(bound)
+    if n > limit:
+        raise ResourceBoundError(
+            f"enumeration of size {n} exceeds bound {limit}; "
+            "raise CHOWLAB_NMAX or pass an explicit bound"
+        )
+
+
 class PermStats(NamedTuple):
     exc: int
     maj: int
-    des: int
-    inv: int
     fix: int
 
 
-class Perm:
-    __slots__ = ("values", "_stats")
+def stats(v):
+    """Excedances, major index and fixed points of the permutation v."""
+    exc = fix = maj = 0
+    for i, a in enumerate(v, 1):
+        if a > i:
+            exc += 1
+        elif a == i:
+            fix += 1
+    for i in range(1, len(v)):
+        if v[i - 1] > v[i]:
+            maj += i
+    return PermStats(exc, maj, fix)
 
-    def __init__(self, values):
-        values = tuple(values)
-        n = len(values)
-        if set(values) != set(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {values}")
-        self.values = values
-        self._stats = None
 
-    @property
-    def size(self):
-        return len(self.values)
+def permutations_of(n, bound=None):
+    """Every permutation of [n] once, in lexicographic one-line order."""
+    _check_bound(n, bound)
+    return permutations(range(1, n + 1))
 
-    def __call__(self, i):
-        return self.values[i - 1]
 
-    def stats(self):
-        if self._stats is None:
-            v = self.values
-            n = len(v)
-            exc = sum(1 for i in range(n) if v[i] > i + 1)
-            fix = sum(1 for i in range(n) if v[i] == i + 1)
-            des = maj = 0
-            for i in range(n - 1):
-                if v[i] > v[i + 1]:
-                    des += 1
-                    maj += i + 1
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
-            self._stats = PermStats(exc, maj, des, inv, fix)
-        return self._stats
+def derangement_part(v):
+    """Reduction of the permutation v along its nonfixed points.
 
-    def derangement_part(self):
-        """Reduction of the permutation along its nonfixed points.
+    >>> derangement_part((5, 2, 3, 4, 1))
+    (2, 1)
+    """
+    moved = [i for i, a in enumerate(v, 1) if a != i]
+    index = {a: j for j, a in enumerate(moved, 1)}
+    return tuple(index[v[a - 1]] for a in moved)
 
-        >>> Perm((5, 2, 3, 4, 1)).derangement_part().values
-        (2, 1)
-        """
-        moved = [i for i in range(1, self.size + 1) if self(i) != i]
-        index = {a: j + 1 for j, a in enumerate(moved)}
-        return Perm(tuple(index[self(a)] for a in moved))
 
-    def is_alternating(self, convention):
-        """Up-down: sigma(1) < sigma(2) > sigma(3) < ...; down-up: reversed signs."""
-        if convention not in ("up-down", "down-up"):
-            raise ValueError(f"unknown convention {convention!r}")
-        v = self.values
-        for i in range(len(v) - 1):
-            ascent = v[i] < v[i + 1]
-            want_ascent = (i % 2 == 0) if convention == "up-down" else (i % 2 == 1)
-            if ascent != want_ascent:
-                return False
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"Perm({self.values})"
-
-    def to_json(self):
-        """One-line notation as a plain list, the JSON wire form."""
-        return list(self.values)
+def is_alternating(v, convention):
+    """Up-down: sigma(1) < sigma(2) > sigma(3) < ...; down-up: reversed signs."""
+    if convention not in ("up-down", "down-up"):
+        raise ValueError(f"unknown convention {convention!r}")
+    for i in range(len(v) - 1):
+        want_ascent = (i % 2 == 0) if convention == "up-down" else (i % 2 == 1)
+        if (v[i] < v[i + 1]) != want_ascent:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def _symmetric_group(n):
-    return tuple(Perm(v) for v in permutations(range(1, n + 1)))
+def _stat_counts(n):
+    """(PermStats, number of permutations of [n] with them), one walk of S_n."""
+    return tuple(Counter(map(stats, permutations(range(1, n + 1)))).items())
 
 
-@dataclass(frozen=True)
-class PermClass:
-    """A tagged family of permutations of [n]."""
-
-    kind: str
-    n: int
-    k: int = 0
-    convention: Optional[str] = None
-
-    @classmethod
-    def All(cls, n):
-        return cls("all", n)
-
-    @classmethod
-    def Derangements(cls, n):
-        return cls("derangements", n)
-
-    @classmethod
-    def MinFixed(cls, n, k):
-        return cls("min-fixed", n, k=k)
-
-    @classmethod
-    def Alternating(cls, n, convention="up-down"):
-        return cls("alternating", n, convention=convention)
-
-    def contains(self, p):
-        if p.size != self.n:
-            return False
-        if self.kind == "all":
-            return True
-        if self.kind == "derangements":
-            return p.stats().fix == 0
-        if self.kind == "min-fixed":
-            return p.stats().fix >= self.k
-        if self.kind == "alternating":
-            return p.is_alternating(self.convention)
-        raise ValueError(f"unknown class kind {self.kind!r}")
-
-    def members(self, bound=None):
-        """All members exactly once, in lexicographic one-line order."""
-        limit = enum_bound(bound)
-        if self.n > limit:
-            raise ResourceBoundError(
-                f"enumeration of size {self.n} exceeds bound {limit}; "
-                "raise CHOWLAB_NMAX or pass an explicit bound"
-            )
-        for p in _symmetric_group(self.n):
-            if self.kind == "all" or self.contains(p):
-                yield p
-
-
-# -- weights for statistic sums -----------------------------------------
-#
-# A weight maps PermStats to the exponent pair (q_exp, t_exp) of one
-# monomial; statistic_sum adds the monomials over a class.
-
-def w_maj_exc(s: PermStats):
-    """q^(maj-exc) t^exc."""
-    return (s.maj - s.exc, s.exc)
-
-
-def w_maj_exc_offset(d) -> Callable[[PermStats], tuple]:
-    """q^(maj-exc) t^(exc+d)."""
-    return lambda s: (s.maj - s.exc, s.exc + d)
-
-
-def w_maj_exc_complement(c) -> Callable[[PermStats], tuple]:
-    """q^(maj-exc) t^(c-exc)."""
-    return lambda s: (s.maj - s.exc, c - s.exc)
-
-
-def w_t_exc_complement(c) -> Callable[[PermStats], tuple]:
-    """t^(c-exc), the q = 1 counterpart of the complement weight."""
-    return lambda s: (0, c - s.exc)
-
-
-def w_t_exc(s: PermStats):
-    """t^exc."""
-    return (0, s.exc)
-
-
-def w_q_exc(s: PermStats):
-    """q^exc."""
-    return (s.exc, 0)
-
-
-def statistic_sum(perm_class, weight, bound=None):
-    """Exact sum of the weight monomial over every member of the class."""
-    terms = {}
-    for p in perm_class.members(bound):
-        key = weight(p.stats())
-        terms[key] = terms.get(key, 0) + 1
-    return BiPoly({(qd, td): c for (qd, td), c in terms.items()})
+def statistic_sum(n, weight, bound=None):
+    """Sum over S_n of q^a t^b with (a, b) = weight(stats(v)); a weight that
+    returns None leaves the permutation out."""
+    _check_bound(n, bound)
+    terms = Counter()
+    for s, count in _stat_counts(n):
+        key = weight(s)
+        if key is not None:
+            terms[key] += count
+    return BiPoly(terms)
 
 
 def group_by_derangement_part(n, bound=None):
     """Map each derangement part to the q^maj generating sum of its fiber."""
     fibers = {}
-    for p in PermClass.All(n).members(bound):
-        dp = p.derangement_part().values
-        fibers[dp] = fibers.get(dp, BiPoly()) + BiPoly.term(1, p.stats().maj, 0)
-    return fibers
+    for v in permutations_of(n, bound):
+        fibers.setdefault(derangement_part(v), Counter())[(stats(v).maj, 0)] += 1
+    return {dp: BiPoly(terms) for dp, terms in fibers.items()}

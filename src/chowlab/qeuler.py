@@ -16,12 +16,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactalg import BiPoly, ONE, Q, T, binomial, gauss_binomial
-from .permstat import PermClass, statistic_sum, w_maj_exc, w_t_exc
+from .permstat import statistic_sum
 
 
 def q_eulerian_by_definition(n, bound=None):
     """Sum of q^(maj-exc) t^exc over all permutations of [n]."""
-    return statistic_sum(PermClass.All(n), w_maj_exc, bound)
+    return statistic_sum(n, lambda s: (s.maj - s.exc, s.exc), bound)
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +70,7 @@ def classical_eulerian(n):
 
 def classical_recurrence_check(n, bound=None):
     """Recurrence value against the brute-force excedance sum."""
-    return classical_eulerian(n) == statistic_sum(PermClass.All(n), w_t_exc, bound)
+    return classical_eulerian(n) == statistic_sum(n, lambda s: (0, s.exc), bound)
 
 
 def egf_identity_check(n_max, q_one=False):

@@ -1,6 +1,10 @@
 """Hilbert series route agreement, the monomial-basis oracle, difference
 series, and q-derangement assembly."""
 
+import inspect
+import math
+import sys
+
 import pytest
 
 from chowlab import checks
@@ -17,7 +21,7 @@ from chowlab.chow import (
 from chowlab.errors import ResourceBoundError, RouteDisagreementError
 from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.flats import FamilySpec, build_explicit
-from chowlab.permstat import PermClass
+from chowlab.permstat import permutations_of
 from chowlab.qeuler import classical_eulerian, q_eulerian_by_recurrence
 
 
@@ -80,7 +84,7 @@ def test_delta_series():
             assert poly.coefficient_in_t(r) == ONE
             # total count at q = t = 1 is the number of permutations with
             # at least n - r fixed points
-            count = sum(1 for _ in PermClass.MinFixed(n, n - r).members())
+            count = sum(1 for v in permutations_of(n) if sum(a == i for i, a in enumerate(v, 1)) >= n - r)
             assert poly.eval(1, 1) == count
     with pytest.raises(ValueError):
         delta_series(3, 0)
@@ -129,6 +133,19 @@ def test_full_rank_dims_are_q_eulerian_numbers():
         poly = hilbert_recurrence(FamilySpec.vector(n, n))
         for k in range(n):
             assert poly.coefficient_in_t(k) == q_eulerian_by_recurrence(n).coefficient_in_t(k)
+
+
+def test_recurrence_does_not_recurse():
+    # a memoised recursion down the diagonal would nest more than 50 frames here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        h = hilbert_recurrence(FamilySpec.uniform(60, 60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert h.eval(1, 1) == math.factorial(60)
+    assert h.is_palindromic_in_t(59)
+    assert h.coefficient_in_t(1) == BiPoly.const(2**60 - 61)  # the Eulerian number <60 over 1>
 
 
 def test_hilbert_dispatch():

@@ -1,7 +1,11 @@
 """CLI behavior: outputs, formats, exit codes, determinism, fault isolation."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,28 @@ def test_route_disagreement_is_contained(monkeypatch):
     assert [e["name"] for e in failed] == ["rank telescoping to full rank (n=3)", "delta_assembly"]
     assert "delta coefficient (n=3, r=2, k=0)" in failed[-1]["detail"]
     assert entries[-1]["name"] == "cd telescoping (n=4, r=3)"  # the next identity still ran
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])  # buffered fails at the flush
+def test_closed_stdout_pipe_exits_141(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader leaves before the CLI writes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowlab", "check", "--suite", "egf", "--nmax", "5", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):

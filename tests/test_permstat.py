@@ -1,109 +1,125 @@
-"""Permutation statistics, class enumeration, statistic sums and
+"""Permutation statistics, enumeration order, statistic sums and
 derangement parts.  The derangement-part (Wachs) identities run from
 `chowlab.checks` in tests/test_acceptance.py, criterion 10."""
+
+from collections import Counter
 
 import pytest
 
 from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.permstat import (
-    Perm,
-    PermClass,
+    derangement_part,
     enum_bound,
+    is_alternating,
+    permutations_of,
     statistic_sum,
-    w_maj_exc,
-    w_maj_exc_complement,
-    w_maj_exc_offset,
-    w_q_exc,
-    w_t_exc,
+    stats,
 )
 
 
 def test_stats_identity():
-    s = Perm((1, 2, 3, 4)).stats()
-    assert (s.exc, s.maj, s.des, s.inv, s.fix) == (0, 0, 0, 0, 4)
+    assert stats((1, 2, 3, 4)) == (0, 0, 4)
+    assert stats(()) == (0, 0, 0)
 
 
 def test_stats_examples():
-    s = Perm((3, 2, 1)).stats()
-    assert (s.exc, s.maj, s.des, s.inv, s.fix) == (1, 3, 2, 3, 1)
-    s = Perm((2, 3, 1)).stats()
-    assert (s.exc, s.maj, s.des, s.inv, s.fix) == (2, 2, 1, 2, 0)
-
-
-def test_invalid_perm_rejected():
-    with pytest.raises(ValueError):
-        Perm((1, 1, 3))
+    s = stats((3, 2, 1))
+    assert (s.exc, s.maj, s.fix) == (1, 3, 1)
+    s = stats((2, 3, 1))
+    assert (s.exc, s.maj, s.fix) == (2, 2, 0)
+    assert stats((4, 1, 3, 2)) == (1, 4, 1)
 
 
 def test_enumeration_counts_and_order():
-    members = [p.values for p in PermClass.All(3).members()]
+    members = list(permutations_of(3))
     assert members == sorted(members)
-    assert len(members) == 6
-    assert [p.values for p in PermClass.Derangements(3).members()] == [(2, 3, 1), (3, 1, 2)]
-    assert [p.values for p in PermClass.MinFixed(3, 1).members()] == [
-        (1, 2, 3),
-        (1, 3, 2),
-        (2, 1, 3),
-        (3, 2, 1),
-    ]
+    assert len(members) == 6 and len(set(members)) == 6
+    assert [v for v in members if stats(v).fix == 0] == [(2, 3, 1), (3, 1, 2)]
+    assert [v for v in members if stats(v).fix >= 1] == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    assert list(permutations_of(0)) == [()]
 
 
 def test_enumeration_bound():
+    with pytest.raises(ResourceBoundError, match="enumeration of size 10 exceeds bound 9"):
+        permutations_of(10)
+    assert len(list(permutations_of(4, bound=4))) == 24
     with pytest.raises(ResourceBoundError):
-        list(PermClass.All(10).members())
-    assert len(list(PermClass.All(4).members(bound=4))) == 24
+        permutations_of(4, bound=3)
     with pytest.raises(ResourceBoundError):
-        list(PermClass.All(4).members(bound=3))
+        statistic_sum(10, lambda s: (0, 0))
+
+
+def test_bound_is_checked_on_every_statistic_sum():
+    weight = lambda s: (s.maj, s.exc)  # noqa: E731
+    assert statistic_sum(4, weight, bound=4).eval(1, 1) == 24  # fills the per-n table
+    with pytest.raises(ResourceBoundError, match="enumeration of size 4 exceeds bound 3"):
+        statistic_sum(4, weight, bound=3)
 
 
 def test_enum_bound_env(monkeypatch):
     monkeypatch.setenv("CHOWLAB_NMAX", "4")
     assert enum_bound() == 4
     assert enum_bound(11) == 11
+    assert statistic_sum(4, lambda s: (0, s.exc)) == ONE + 11 * T + 11 * T**2 + T**3
+    with pytest.raises(ResourceBoundError):
+        statistic_sum(5, lambda s: (0, s.exc))
+    assert len(list(permutations_of(5, bound=5))) == 120
     monkeypatch.delenv("CHOWLAB_NMAX")
     assert enum_bound() == 9
 
 
 def test_derangement_part():
-    assert Perm((1, 2, 3, 4, 5)).derangement_part().values == ()
-    assert Perm((1, 3, 2)).derangement_part().values == (2, 1)
-    assert Perm((5, 2, 3, 4, 1)).derangement_part().values == (2, 1)
-    for p in PermClass.All(5).members():
-        dp = p.derangement_part()
-        assert dp.stats().fix == 0
+    assert derangement_part((1, 2, 3, 4, 5)) == ()
+    assert derangement_part((1, 3, 2)) == (2, 1)
+    assert derangement_part((5, 2, 3, 4, 1)) == (2, 1)
+    assert derangement_part((2, 3, 1)) == (2, 3, 1)
+    for v in permutations_of(5):
+        dp = derangement_part(v)
+        assert stats(dp).fix == 0
+        assert len(dp) == 5 - stats(v).fix
 
 
 def test_statistic_sum_examples():
-    assert statistic_sum(PermClass.All(2), w_maj_exc) == ONE + T
+    maj_exc = lambda s: (s.maj - s.exc, s.exc)  # noqa: E731
+    assert statistic_sum(2, maj_exc) == ONE + T
     expected = BiPoly({(0, 0): 1, (0, 1): 2, (1, 1): 1, (2, 1): 1, (0, 2): 1})
-    assert statistic_sum(PermClass.All(3), w_maj_exc) == expected
-    assert statistic_sum(PermClass.Derangements(3), w_maj_exc_offset(-1)).subs_q_int(1) == ONE + T
-    assert statistic_sum(PermClass.All(3), w_t_exc) == ONE + 4 * T + T**2
-    assert statistic_sum(PermClass.All(2), w_q_exc) == ONE + BiPoly.term(1, 1, 0)
-    assert statistic_sum(PermClass.MinFixed(3, 1), w_maj_exc_complement(2)) == BiPoly(
-        {(0, 2): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1}
-    )
+    assert statistic_sum(3, maj_exc) == expected
+    derangements = lambda s: (s.maj - s.exc, s.exc - 1) if s.fix == 0 else None  # noqa: E731
+    assert statistic_sum(3, derangements).subs_q_int(1) == ONE + T
+    assert statistic_sum(3, lambda s: (0, s.exc)) == ONE + 4 * T + T**2
+    assert statistic_sum(2, lambda s: (s.exc, 0)) == ONE + BiPoly.term(1, 1, 0)
+    min_fixed = lambda s: (s.maj - s.exc, 2 - s.exc) if s.fix >= 1 else None  # noqa: E731
+    assert statistic_sum(3, min_fixed) == BiPoly({(0, 2): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1})
+    assert statistic_sum(3, lambda s: None) == BiPoly()
 
 
 def test_alternating_classes():
-    ups = [p.values for p in PermClass.Alternating(4, "up-down").members()]
+    ups = [v for v in permutations_of(4) if is_alternating(v, "up-down")]
     assert ups == [(1, 3, 2, 4), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3), (3, 4, 1, 2)]
-    downs = list(PermClass.Alternating(4, "down-up").members())
-    assert len(downs) == 5
-    assert [p.values for p in PermClass.Alternating(0, "up-down").members()] == [()]
+    downs = [v for v in permutations_of(4) if is_alternating(v, "down-up")]
+    assert downs == sorted(tuple(5 - a for a in v) for v in ups)
+    assert [v for v in permutations_of(0) if is_alternating(v, "up-down")] == [()]
     with pytest.raises(ValueError):
-        Perm((2, 1)).is_alternating("sideways")
+        is_alternating((2, 1), "sideways")
 
 
 def test_zero_excedance_is_identity():
     for n in range(1, 7):
-        for p in PermClass.All(n).members():
-            assert (p.stats().exc == 0) == (p.values == tuple(range(1, n + 1)))
+        for v in permutations_of(n):
+            assert (stats(v).exc == 0) == (v == tuple(range(1, n + 1)))
 
 
 def test_cached_stats_match_fresh_computation():
-    p = Perm((4, 1, 3, 2))
-    first = p.stats()
-    assert p.stats() is first
-    assert first == Perm((4, 1, 3, 2)).stats()
+    """statistic_sum reads a per-n table of statistics; summing the weight
+    permutation by permutation must give the same polynomial."""
+    weights = (
+        lambda s: (s.maj - s.exc, s.exc),
+        lambda s: (s.maj, s.fix),
+        lambda s: (s.exc, 0) if s.fix == 0 else None,
+    )
+    for n in range(7):
+        for weight in weights:
+            fresh = Counter(weight(stats(v)) for v in permutations_of(n))
+            fresh.pop(None, None)
+            assert statistic_sum(n, weight) == BiPoly(fresh), n
