@@ -6,7 +6,6 @@ oracles."""
 from .charney import (
     CDResult,
     TangentSecantTable,
-    alternating_probe,
     cd,
     cd_chain_alternating,
     cd_determinant,
@@ -16,7 +15,6 @@ from .charney import (
     tangent_secant,
 )
 from .chow import (
-    GradedDims,
     basis_monomial_oracle,
     delta_coefficient,
     delta_series,
@@ -27,16 +25,10 @@ from .chow import (
     q_derangement_number,
 )
 from .errors import ResourceBoundError, RouteDisagreementError
-from .exactalg import BiPoly, gauss_binomial, q_factorial, q_pochhammer, t_quantum
-from .flats import ExplicitLattice, FamilySpec, build_explicit, level_size, upper_interval
+from .exactalg import BiPoly, gauss_binomial, t_quantum
+from .flats import ExplicitLattice, FamilySpec, build_explicit, level_size
 from .ordercx import FVector, bivariate_check, conjecture_check, h_polynomial, order_complex_fvector
 from .permstat import PermStats, permutations_of, statistic_sum, stats
-from .qeuler import (
-    EulerianTable,
-    classical_eulerian,
-    egf_identity_check,
-    q_eulerian_by_definition,
-    q_eulerian_by_recurrence,
-)
+from .qeuler import classical_eulerian, q_eulerian_by_definition, q_eulerian_by_recurrence
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ fractions at enough integer points to pin every polynomial down.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +31,6 @@ from itertools import combinations
 from .errors import RouteDisagreementError
 from .exactalg import BiPoly, ONE, diff_terms, gauss_binomial
 from .exactalg.det import leading_principal_minors
-from .permstat import is_alternating, permutations_of, stats
 from .chow import hilbert_recurrence
 
 
@@ -284,23 +282,3 @@ def uniform_cd(result):
         result.unsigned.subs_q_int(1), result.signed.subs_q_int(1), result.parity
     )
 
-
-def alternating_probe(n, table=None, bound=None):
-    """Compare sums of q^exc over alternating permutations with E_{n,q}.
-
-    Reports which convention (if any) matches, exactly or up to a global
-    sign; the identification is empirical, so nothing is asserted.
-    """
-    if table is None or table.n_max < n:
-        table = tangent_secant(n)
-    target = table[n]
-    report = {"n": n, "target": target.to_text(), "conventions": {}}
-    for convention in ("up-down", "down-up"):
-        excs = Counter(stats(v).exc for v in permutations_of(n, bound) if is_alternating(v, convention))
-        total = BiPoly({(e, 0): c for e, c in excs.items()})
-        report["conventions"][convention] = {
-            "sum": total.to_text(),
-            "matches": total == target,
-            "matches_up_to_sign": total == target or total == -target,
-        }
-    return report

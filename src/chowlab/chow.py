@@ -19,7 +19,6 @@ evaluating q at the lattice's field size (q = 1 for uniform).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResourceBoundError, RouteDisagreementError
@@ -126,35 +125,17 @@ def delta_coefficient(n, r, k, bound=None):
 # -- brute-force oracle on explicit lattices ------------------------------
 
 
-@dataclass(frozen=True)
-class GradedDims:
-    """Graded dimensions of a Chow ring, index = degree 0..r-1."""
-
-    dims: tuple
-
-    def __getitem__(self, k):
-        return self.dims[k]
-
-    def __len__(self):
-        return len(self.dims)
-
-    def to_poly(self):
-        return BiPoly({(0, k): d for k, d in enumerate(self.dims)})
-
-    def is_palindromic(self):
-        return self.dims == tuple(reversed(self.dims))
-
-
-def basis_monomial_oracle(lat, r, max_elements=ORACLE_MAX_ELEMENTS):
-    """Count basis monomials per degree on an explicit lattice.
+def basis_monomial_oracle(lat, r):
+    """The graded dimensions of the Chow ring of an explicit lattice, as the
+    t-polynomial sum_k dim_k t^k, by counting basis monomials per degree.
 
     A monomial is a descending chain of non-bottom flats with exponents
     1 <= a_i <= rank(F_i) - rank(F_next) - 1, the bottom closing the chain;
     the degree-k dimension is the number of monomials of total degree k.
     """
-    if len(lat) > max_elements:
+    if len(lat) > ORACLE_MAX_ELEMENTS:
         raise ResourceBoundError(
-            f"lattice with {len(lat)} elements exceeds oracle cap {max_elements}"
+            f"lattice with {len(lat)} elements exceeds oracle cap {ORACLE_MAX_ELEMENTS}"
         )
     counts = [[0] * r for _ in range(len(lat))]
 
@@ -177,7 +158,7 @@ def basis_monomial_oracle(lat, r, max_elements=ORACLE_MAX_ELEMENTS):
     for i in range(len(lat)):
         for d, c in enumerate(counts[i]):
             dims[d] += c
-    return GradedDims(tuple(dims))
+    return BiPoly({(0, k): d for k, d in enumerate(dims)})
 
 
 # -- route dispatch --------------------------------------------------------
@@ -192,6 +173,6 @@ def hilbert(spec, method="recurrence", bound=None, p=None):
     if method == "closed":
         return hilbert_closed_form(spec, bound)
     if method == "oracle":
-        return basis_monomial_oracle(build_explicit(spec, p), spec.r).to_poly()
+        return basis_monomial_oracle(build_explicit(spec, p), spec.r)
     raise ValueError(f"unknown method {method!r}")
 

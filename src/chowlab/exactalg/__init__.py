@@ -1,5 +1,5 @@
-"""Exact arithmetic foundation: sparse (q,t)-polynomials and the
-fraction-free determinant."""
+"""Exact arithmetic foundation: sparse (q,t)-polynomials (`bipoly`) and
+fraction-free elimination over them (`det`)."""
 
 from .bipoly import (
     BiPoly,
@@ -11,12 +11,8 @@ from .bipoly import (
     binomial,
     diff_terms,
     gauss_binomial,
-    q_factorial,
-    q_int,
-    q_pochhammer,
     t_quantum,
 )
-from .det import det_fraction_free
 
 __all__ = [
     "BiPoly",
@@ -26,11 +22,7 @@ __all__ = [
     "T",
     "ZERO",
     "binomial",
-    "det_fraction_free",
     "diff_terms",
     "gauss_binomial",
-    "q_factorial",
-    "q_int",
-    "q_pochhammer",
     "t_quantum",
 ]

@@ -409,12 +409,7 @@ def t_quantum(n):
     return _raw({(0, d): 1 for d in range(n)})
 
 
-def q_int(n):
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    return _raw({(d, 0): 1 for d in range(n)})
-
-
-# The q-analog tables are built in loops on dense coefficient lists (index =
+# Gaussian binomials are built in a loop on a dense coefficient list (index =
 # q-degree), from two steps: multiplying by 1 - q^e subtracts a copy shifted
 # by e, and dividing by 1 - q^e is a running sum along each residue class
 # mod e.  Every partial product is a polynomial, so each division is exact.
@@ -432,32 +427,6 @@ def _over_one_minus_q_power(coeffs, e):
     return coeffs
 
 
-def _q_poly(coeffs):
-    return _raw({(d, 0): c for d, c in enumerate(coeffs) if c})
-
-
-@lru_cache(maxsize=None)
-def q_factorial(n):
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1; [k]_q = (1 - q^k) / (1 - q)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    coeffs = [1]
-    for k in range(2, n + 1):
-        coeffs = _over_one_minus_q_power(_times_one_minus_q_power(coeffs, k), 1)
-    return _q_poly(coeffs)
-
-
-@lru_cache(maxsize=None)
-def q_pochhammer(n):
-    """(q;q)_n = (1 - q)(1 - q^2) ... (1 - q^n), with (q;q)_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    coeffs = [1]
-    for k in range(1, n + 1):
-        coeffs = _times_one_minus_q_power(coeffs, k)
-    return _q_poly(coeffs)
-
-
 @lru_cache(maxsize=None)
 def gauss_binomial(n, k):
     """Gaussian binomial [n choose k]_q = prod_{i=1..k} (1 - q^(m+i)) / (1 - q^i), m = n - k.
@@ -473,7 +442,7 @@ def gauss_binomial(n, k):
     coeffs = [1]
     for i in range(1, k + 1):
         coeffs = _over_one_minus_q_power(_times_one_minus_q_power(coeffs, n - k + i), i)
-    return _q_poly(coeffs)
+    return _raw({(d, 0): c for d, c in enumerate(coeffs) if c})
 
 
 def binomial(n, k):

@@ -52,11 +52,7 @@ def level_size(spec, i):
     """Number of rank-i flats as a q-polynomial (a constant for uniform)."""
     if not 0 <= i <= spec.r:
         raise ValueError(f"level {i} out of range 0..{spec.r}")
-    if i == spec.r:
-        return BiPoly.const(1)
-    if spec.kind == UNIFORM:
-        return BiPoly.const(binomial(spec.n, i))
-    return gauss_binomial(spec.n, i)
+    return chains_above(spec, 0, i)
 
 
 def chains_above(spec, lower, upper):
@@ -66,13 +62,6 @@ def chains_above(spec, lower, upper):
     if spec.kind == UNIFORM:
         return BiPoly.const(binomial(spec.n - lower, upper - lower))
     return gauss_binomial(spec.n - lower, upper - lower)
-
-
-def upper_interval(spec, i):
-    """The family whose lattice is [Z, top] for Z of rank i (1 <= i <= r-1)."""
-    if not 1 <= i <= spec.r - 1:
-        raise ValueError(f"level {i} out of range 1..{spec.r - 1}")
-    return FamilySpec(spec.kind, spec.n - i, spec.r - i)
 
 
 # -- explicit lattices ---------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import ResourceBoundError
 from .exactalg import BiPoly, ONE, T, binomial
 from .flats import UNIFORM, ExplicitLattice, FamilySpec
 from .chow import hilbert_recurrence
-from .qeuler import classical_eulerian
 
 FVECTOR_MAX_N = 8
 FVECTOR_MAX_ELEMENTS = 200
@@ -114,13 +113,6 @@ def h_polynomial(fvec):
     for i in range(d + 1):
         total = total + fvec[i - 1] * (T - ONE) ** (d - i)
     return total
-
-
-def full_rank_h_check(n):
-    """The anchor: h of the proper part of the full-rank Boolean lattice
-    equals the classical Eulerian polynomial."""
-    h = h_polynomial(order_complex_fvector(FamilySpec.uniform(n, n)))
-    return h == classical_eulerian(n), h
 
 
 def conjecture_check(n, r):

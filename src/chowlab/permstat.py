@@ -29,7 +29,12 @@ def enum_bound(override=None):
     if override is not None:
         return override
     env = os.environ.get("CHOWLAB_NMAX")
-    return int(env) if env else DEFAULT_ENUM_BOUND
+    if not env:
+        return DEFAULT_ENUM_BOUND
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CHOWLAB_NMAX must be an integer, got {env!r}") from None
 
 
 def _check_bound(n, bound):

@@ -1,21 +1,16 @@
-"""Eulerian and q-Eulerian polynomials by definition, by recurrence, and by
-truncated generating-function identities.
+"""Eulerian and q-Eulerian polynomials by definition and by recurrence.
 
 The recurrence route is the production path (polynomial time in n); the
-brute-force definition route exists as its oracle.  Both EGF identities are
-verified with denominators cleared, so every check runs in integer BiPoly
-arithmetic: multiplying the generating function through by its denominator
-series turns the identity at order x^m into
-
-    sum_a [m over a]_q A_a(q,t) (t - t^(m-a)) == t - 1        (q-version)
-    t*A_m(t) == sum_a C(m,a) A_a(t) (t-1)^(m-a), m >= 1       (q = 1)
+brute-force definition route exists as its oracle.  The classical (q = 1)
+polynomials come from their own integer recurrence on Eulerian numbers, not
+from the q-recurrence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import BiPoly, ONE, Q, T, binomial, gauss_binomial
+from .exactalg import BiPoly, ONE, Q, T, gauss_binomial
 from .permstat import statistic_sum
 
 
@@ -40,59 +35,17 @@ def q_eulerian_by_recurrence(n):
     return total
 
 
-class EulerianTable:
-    """Memoized table of A_n(q,t) for 0 <= n <= n_max (recurrence route)."""
-
-    def __init__(self, n_max):
-        self.n_max = n_max
-        self.polys = [q_eulerian_by_recurrence(n) for n in range(n_max + 1)]
-
-    def __getitem__(self, n):
-        return self.polys[n]
-
-    def q_eulerian_number(self, n, j):
-        """<n over j>_q, the coefficient of t^j in A_n(q,t)."""
-        return self.polys[n].coefficient_in_t(j)
-
-
 @lru_cache(maxsize=None)
 def classical_eulerian(n):
-    """A_n(t) = sum_k C(n,k) A_k(t) (t-1)^(n-1-k), the classical recurrence."""
-    if not 0 <= n <= 12:
-        raise ValueError(f"classical route needs 0 <= n <= 12, got {n}")
-    if n == 0:
-        return ONE
-    total = BiPoly()
-    for k in range(n):
-        total = total + binomial(n, k) * classical_eulerian(k) * (T - ONE) ** (n - 1 - k)
-    return total
+    """A_n(t) = sum_k A(n, k) t^k, row by row from the Eulerian numbers'
+    A(m, k) = (k + 1) A(m - 1, k) + (m - k) A(m - 1, k - 1), A(0, 0) = 1.
 
-
-def classical_recurrence_check(n, bound=None):
-    """Recurrence value against the brute-force excedance sum."""
-    return classical_eulerian(n) == statistic_sum(n, lambda s: (0, s.exc), bound)
-
-
-def egf_identity_check(n_max, q_one=False):
-    """Truncated generating-function identity, checked through x^n_max.
-
-    With q symbolic this is the q-exponential identity for A_n(q,t); with
-    q_one it is the classical exponential form against (t-1)/(t-e^(x(t-1))).
+    >>> classical_eulerian(4).to_text()
+    '1 + 11*t + 11*t^2 + t^3'
     """
-    if q_one:
-        for m in range(1, n_max + 1):
-            rhs = BiPoly()
-            for a in range(m + 1):
-                rhs = rhs + binomial(m, a) * classical_eulerian(a) * (T - ONE) ** (m - a)
-            if T * classical_eulerian(m) != rhs:
-                return False
-        return True
-    for m in range(n_max + 1):
-        lhs = BiPoly()
-        for a in range(m + 1):
-            lhs = lhs + gauss_binomial(m, a) * q_eulerian_by_recurrence(a) * (
-                T - BiPoly.term(1, 0, m - a)
-            )
-        if lhs != T - ONE:
-            return False
-    return True
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    row = [1]
+    for m in range(1, n + 1):
+        row = [(k + 1) * a + (m - k) * b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return BiPoly({(0, k): a for k, a in enumerate(row)})

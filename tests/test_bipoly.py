@@ -20,9 +20,6 @@ from chowlab.exactalg import (
     ZERO,
     diff_terms,
     gauss_binomial,
-    q_factorial,
-    q_int,
-    q_pochhammer,
     t_quantum,
 )
 
@@ -107,16 +104,6 @@ def test_t_quantum():
     assert t_quantum(3) == ONE + T + T**2
 
 
-def test_q_factorial_small():
-    assert q_factorial(0) == ONE
-    assert q_factorial(3) == (ONE + Q) * (ONE + Q + Q**2)
-
-
-def test_pochhammer_vs_factorial():
-    for n in range(9):
-        assert q_pochhammer(n) == (ONE - Q) ** n * q_factorial(n)
-
-
 def _fraction_poly_div(num, den):
     """Test-local long division of Fraction coefficient lists (exact)."""
     num = [Fraction(c) for c in num]
@@ -183,7 +170,7 @@ def test_divexact_through_terms_the_dividend_lacks():
     # come up as leading terms: 1 - q^2 = (1 + q)(1 - q) has no q term
     assert (ONE - Q**2).divexact(ONE + Q) == ONE - Q
     for n in range(1, 12):
-        assert (ONE - Q**n).divexact(ONE - Q) == q_int(n)
+        assert (ONE - Q**n).divexact(ONE - Q) == BiPoly({(d, 0): 1 for d in range(n)})
         assert (ONE - (Q * T) ** n).divexact(ONE - Q * T) == sum(((Q * T) ** k for k in range(n)), ZERO)
     with pytest.raises(ValueError):
         (ONE - Q**5).divexact(ONE + Q)
@@ -227,10 +214,6 @@ def test_diff_terms_localizes():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         BiPoly({(-1, 0): 1})
-
-
-def test_q_int():
-    assert q_int(4) == ONE + Q + Q**2 + Q**3
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,24 +280,23 @@ def test_cached_values_are_immutable():
 
 def test_q_analog_tables_do_not_recurse():
     # the old memoised recursions ran past the default recursion limit at n = 1200
-    assert gauss_binomial(1200, 1) == q_int(1200) == gauss_binomial(1200, 1199)
+    assert gauss_binomial(1200, 1) == BiPoly({(d, 0): 1 for d in range(1200)}) == gauss_binomial(1200, 1199)
     g = gauss_binomial(1200, 2)
     assert g.eval(1, 1) == math.comb(1200, 2)
     assert g.q_degree() == 2 * 1198
     assert g == gauss_binomial(1199, 1) + Q**2 * gauss_binomial(1199, 2)
-    # q_factorial(1200) and q_pochhammer(1200) have about 720k terms each, far
-    # too large here; at n = 150 a limit 100 frames above the current depth
-    # is what the old recursions could not live with
+    # at n = 150 a limit 100 frames above the current depth is what the old
+    # recursions could not live with
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        factorial = q_factorial(150)
-        pochhammer = q_pochhammer(150)
         binomial = gauss_binomial(150, 75)
     finally:
         sys.setrecursionlimit(limit)
-    assert factorial.eval(1, 1) == math.factorial(150)
-    assert factorial.q_degree() == 150 * 149 // 2
-    assert pochhammer.eval(2, 1) == math.prod(1 - 2**k for k in range(1, 151))
     assert binomial.eval(1, 1) == math.comb(150, 75)
-    assert binomial.eval(2, 1) * q_pochhammer(75).eval(2, 1) ** 2 == pochhammer.eval(2, 1)
+    assert binomial.q_degree() == 75 * 75
+
+    def pochhammer_at_2(n):  # (2;2)_n = (1 - 2)(1 - 4) ... (1 - 2^n)
+        return math.prod(1 - 2**k for k in range(1, n + 1))
+
+    assert binomial.eval(2, 1) * pochhammer_at_2(75) ** 2 == pochhammer_at_2(150)

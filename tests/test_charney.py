@@ -8,7 +8,6 @@ import pytest
 import chowlab.charney as charney_module
 from chowlab import checks
 from chowlab.charney import (
-    alternating_probe,
     cd_chain_alternating,
     cd_determinant,
     cd_direct,
@@ -171,21 +170,14 @@ def test_odd_secant_sum_collapses(holds):
     holds(checks.odd_secant_collapse(odd), [f"odd-row secant sum collapses to E_{n}" for n in odd])
 
 
-def test_alternating_probe():
-    table = tangent_secant(4)
-    report = alternating_probe(0, table)
-    assert report["conventions"]["up-down"]["matches"]
-    assert report["conventions"]["down-up"]["matches"]
-    report = alternating_probe(2, table)
-    assert report["conventions"]["up-down"]["matches_up_to_sign"]
-    assert not report["conventions"]["up-down"]["matches"]
-    report = alternating_probe(4, table)
+def test_alternating_probe(holds):
+    entries = holds(checks.alternating_probes(range(0, 5, 2)), [f"alternating probe (n={n})" for n in (0, 2, 4)])
+    at_0, at_2, at_4 = (e["detail"] for e in entries)
+    assert at_0 == "target=1; up-down: sum=1 exact=True up_to_sign=True, down-up: sum=1 exact=True up_to_sign=True"
+    assert at_2.startswith("target=-1; up-down: sum=1 exact=False up_to_sign=True, ")
     # at n = 4 the plain excedance sum no longer matches the q-analog at all;
     # the probe records this instead of asserting
-    assert set(report["conventions"]) == {"up-down", "down-up"}
-    for data in report["conventions"].values():
-        assert data["sum"] == "2*q + 3*q^2"
-        assert not data["matches_up_to_sign"]
+    assert at_4.count("sum=2*q + 3*q^2 exact=False up_to_sign=False") == 2
 
 
 def _t_degree_bound(n, a):

@@ -50,13 +50,9 @@ def test_uniform_is_q_one_specialization():
 
 
 def test_graded_dims_examples():
-    dims = basis_monomial_oracle(build_explicit(FamilySpec.uniform(3, 3)), 3)
-    assert dims.dims == (1, 4, 1)
-    assert dims.is_palindromic()
-    dims = basis_monomial_oracle(build_explicit(FamilySpec.uniform(4, 2)), 2)
-    assert dims.dims == (1, 1)
-    dims = basis_monomial_oracle(build_explicit(FamilySpec.vector(3, 3), 2), 3)
-    assert dims.dims == (1, 8, 1)
+    assert basis_monomial_oracle(build_explicit(FamilySpec.uniform(3, 3)), 3) == ONE + 4 * T + T**2
+    assert basis_monomial_oracle(build_explicit(FamilySpec.uniform(4, 2)), 2) == ONE + T
+    assert basis_monomial_oracle(build_explicit(FamilySpec.vector(3, 3), 2), 3) == ONE + 8 * T + T**2
 
 
 def test_oracle_agrees_with_symbolic_series():
@@ -65,14 +61,15 @@ def test_oracle_agrees_with_symbolic_series():
         for n in range(1, top + 1):
             for r in range(1, n + 1):
                 dims = basis_monomial_oracle(build_explicit(FamilySpec(kind, n, r), p), r)
-                assert dims[0] == 1 and dims[r - 1] == 1
-                assert dims.is_palindromic()
+                assert dims.coefficient_in_t(0) == ONE and dims.coefficient_in_t(r - 1) == ONE
+                assert dims.is_palindromic_in_t(r - 1)
 
 
 def test_oracle_size_cap():
-    lat = build_explicit(FamilySpec.uniform(8, 3))
-    with pytest.raises(ResourceBoundError):
-        basis_monomial_oracle(lat, 3, max_elements=30)
+    lat = build_explicit(FamilySpec.uniform(8, 8))
+    assert len(lat) == 256
+    with pytest.raises(ResourceBoundError, match="256 elements exceeds oracle cap 200"):
+        basis_monomial_oracle(lat, 8)
 
 
 def test_delta_series():

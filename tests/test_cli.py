@@ -73,6 +73,8 @@ def test_qeulerian_and_secant(capsys):
     assert out == "1 + (2 + q + q^2)*t + t^2\n"
     _, out, _ = run_cli(capsys, "qeulerian", "--n", "4", "--q1")
     assert out == "1 + 11*t + 11*t^2 + t^3\n"
+    code, out, _ = run_cli(capsys, "qeulerian", "--n", "13", "--q1")
+    assert code == 0 and out.startswith("1 + 8178*t + 1479726*t^2 + ")  # <13 over 1> = 2^13 - 14
     _, out, _ = run_cli(capsys, "secant", "--n", "4")
     assert out == "q + 2*q^2 + q^3 + q^4\n"
     _, out, _ = run_cli(capsys, "secant", "--n", "7", "--q1")
@@ -145,6 +147,12 @@ def test_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("CHOWLAB_NMAX", "10")
     code, _, _ = run_cli(capsys, "delta", "--n", "4", "--r", "2")
     assert code == 0
+
+
+def test_env_bound_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CHOWLAB_NMAX", "abc")
+    code, out, err = run_cli(capsys, "delta", "--n", "3", "--r", "2")
+    assert (code, out, err) == (2, "", "error: CHOWLAB_NMAX must be an integer, got 'abc'\n")
 
 
 def test_check_all_passes(capsys):

@@ -1,83 +1,85 @@
-"""Exact determinants against a naive cofactor-expansion oracle."""
+"""Leading principal minors by Bareiss elimination against a naive
+cofactor-expansion oracle."""
 
 import random
 
 import pytest
 
-from chowlab.exactalg import BiPoly, ONE, det_fraction_free
+from chowlab.exactalg import BiPoly, ONE
 from chowlab.exactalg.det import leading_principal_minors
 
 
-def _cofactor_det(matrix, zero, coerce):
+def _cofactor_det(matrix):
     n = len(matrix)
     if n == 1:
-        return coerce(matrix[0][0])
-    total = zero
+        return BiPoly.const(matrix[0][0]) if isinstance(matrix[0][0], int) else matrix[0][0]
+    total = BiPoly()
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = coerce(matrix[0][j]) * _cofactor_det(minor, zero, coerce)
+        term = matrix[0][j] * _cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
 
 
+def _assert_minors_match_oracle(m):
+    """Every minor the elimination returns is the cofactor expansion of its
+    leading block, and a list shorter than the matrix ends at a zero minor."""
+    minors = leading_principal_minors(m)
+    expected = [_cofactor_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    assert minors == expected[: len(minors)]
+    assert len(minors) == len(m) or not minors[-1]
+
+
 def test_single_entry():
     x = BiPoly({(1, 1): 1})
-    assert det_fraction_free([[x]]) == x
+    assert leading_principal_minors([[x]]) == [x]
 
 
 def test_identity_matrix():
     m = [[ONE if i == j else BiPoly() for j in range(3)] for i in range(3)]
-    assert det_fraction_free(m) == ONE
+    assert leading_principal_minors(m) == [ONE, ONE, ONE]
 
 
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
-        det_fraction_free([])
+        leading_principal_minors([])
     with pytest.raises(ValueError):
-        det_fraction_free([[ONE, ONE]])
+        leading_principal_minors([[ONE, ONE]])
 
 
 def test_integer_matrices_against_cofactor_oracle():
     rng = random.Random(5)
     for size in (2, 3, 4, 5):
         for _ in range(8):
-            m = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
-            expected = _cofactor_det(m, BiPoly(), BiPoly.const)
-            assert det_fraction_free(m) == expected
+            _assert_minors_match_oracle([[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)])
 
 
 def test_polynomial_matrices_against_cofactor_oracle():
     rng = random.Random(6)
     for size in (2, 3, 4):
         for _ in range(6):
-            m = [
+            _assert_minors_match_oracle(
                 [
-                    BiPoly({(rng.randrange(2), rng.randrange(2)): rng.randint(-3, 3)})
+                    [BiPoly({(rng.randrange(2), rng.randrange(2)): rng.randint(-3, 3)}) for _ in range(size)]
                     for _ in range(size)
                 ]
-                for _ in range(size)
-            ]
-            assert det_fraction_free(m) == _cofactor_det(m, BiPoly(), lambda x: x)
+            )
 
 
 def test_singular_matrix():
-    m = [[ONE, ONE], [ONE, ONE]]
-    assert det_fraction_free(m) == BiPoly()
-
+    assert leading_principal_minors([[ONE, ONE], [ONE, ONE]]) == [ONE, BiPoly()]
 
 
 def test_leading_principal_minors_against_cofactor_oracle():
     rng = random.Random(7)
     for size in (1, 2, 3, 4):
         for _ in range(6):
-            m = [
-                [BiPoly({(rng.randrange(3), rng.randrange(2)): rng.randint(1, 4)}) for _ in range(size)]
-                for _ in range(size)
-            ]
-            minors = leading_principal_minors(m)
-            expected = [_cofactor_det([row[:k] for row in m[:k]], BiPoly(), lambda x: x) for k in range(1, size + 1)]
-            assert minors == expected[: len(minors)]
-            assert len(minors) == size or not minors[-1]
+            _assert_minors_match_oracle(
+                [
+                    [BiPoly({(rng.randrange(3), rng.randrange(2)): rng.randint(1, 4)}) for _ in range(size)]
+                    for _ in range(size)
+                ]
+            )
 
 
 def test_leading_principal_minors_stop_at_zero_pivot():

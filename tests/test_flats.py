@@ -4,7 +4,7 @@ import pytest
 
 from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import BiPoly, gauss_binomial
-from chowlab.flats import FamilySpec, build_explicit, chains_above, level_size, upper_interval
+from chowlab.flats import FamilySpec, build_explicit, chains_above, level_size
 
 
 def test_spec_validation():
@@ -24,15 +24,6 @@ def test_level_sizes():
         assert level_size(spec, spec.r) == BiPoly.const(1)
     with pytest.raises(ValueError):
         level_size(FamilySpec.uniform(4, 3), 4)
-
-
-def test_upper_interval():
-    assert upper_interval(FamilySpec.uniform(5, 5), 2) == FamilySpec.uniform(3, 3)
-    assert upper_interval(FamilySpec.vector(5, 4), 1) == FamilySpec.vector(4, 3)
-    for i in range(1, 4):
-        assert upper_interval(FamilySpec.vector(6, 4), i).r == 4 - i
-    with pytest.raises(ValueError):
-        upper_interval(FamilySpec.uniform(5, 5), 5)
 
 
 def test_boolean_lattice():

@@ -1,20 +1,16 @@
 """q-Eulerian polynomials: definition vs recurrence, classical values,
 generating-function identities."""
 
+import inspect
+import sys
 from math import factorial
 
 import pytest
 
 from chowlab import checks
 from chowlab.exactalg import ONE, T
-from chowlab.qeuler import (
-    EulerianTable,
-    classical_eulerian,
-    classical_recurrence_check,
-    egf_identity_check,
-    q_eulerian_by_definition,
-    q_eulerian_by_recurrence,
-)
+from chowlab.permstat import statistic_sum
+from chowlab.qeuler import classical_eulerian, q_eulerian_by_definition, q_eulerian_by_recurrence
 
 
 def test_base_cases():
@@ -35,8 +31,9 @@ def test_classical_values():
 
 
 def test_classical_recurrence_check():
+    # the Eulerian-number rows against the brute-force excedance sum
     for n in range(8):
-        assert classical_recurrence_check(n)
+        assert classical_eulerian(n) == statistic_sum(n, lambda s: (0, s.exc))
 
 
 def test_q_one_specialization_matches_classical():
@@ -53,22 +50,23 @@ def test_row_and_column_structure():
         assert poly.subs_q_int(1).eval(1, 1) == factorial(n)
 
 
-def test_eulerian_table():
-    table = EulerianTable(5)
-    assert table[3] == q_eulerian_by_recurrence(3)
-    # q-Eulerian numbers at q = 1 are the classical Eulerian numbers
-    for n in range(1, 6):
-        for j in range(n):
-            classical = classical_eulerian(n).coefficient_in_t(j).constant()
-            assert table.q_eulerian_number(n, j).eval(1, 1) == classical
+def test_egf_identities(holds):
+    holds(checks.egf_identity(0), ["q-exponential identity through x^0"])
+    holds(checks.egf_identity(4), ["q-exponential identity through x^4"])
+    holds(checks.egf_identity(6, q_one=True), ["classical exponential identity through x^6"])
 
 
-def test_egf_identities():
-    assert egf_identity_check(0)
-    assert egf_identity_check(4)
-    assert egf_identity_check(6, q_one=True)
-
-
-def test_classical_cap():
+def test_classical_eulerian_has_no_cap():
+    assert classical_eulerian(13) == q_eulerian_by_recurrence(13).subs_q_int(1)
+    # a recursion down the rows would nest far more than 50 frames here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        a = classical_eulerian(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert a.eval(1, 1) == factorial(300)
+    assert a.is_palindromic_in_t(299)
+    assert a.coefficient_in_t(1).constant() == 2**300 - 301  # the Eulerian number <300 over 1>
     with pytest.raises(ValueError):
-        classical_eulerian(13)
+        classical_eulerian(-1)
