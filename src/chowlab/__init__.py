@@ -16,19 +16,17 @@ from .charney import (
 )
 from .chow import (
     basis_monomial_oracle,
-    delta_coefficient,
     delta_series,
     hilbert,
     hilbert_chain_sum,
     hilbert_closed_form,
     hilbert_recurrence,
-    q_derangement_number,
 )
 from .errors import ResourceBoundError, RouteDisagreementError
 from .exactalg import BiPoly, gauss_binomial, t_quantum
 from .flats import ExplicitLattice, FamilySpec, build_explicit, level_size
 from .ordercx import FVector, bivariate_check, conjecture_check, h_polynomial, order_complex_fvector
 from .permstat import PermStats, permutations_of, statistic_sum, stats
-from .qeuler import classical_eulerian, q_eulerian_by_definition, q_eulerian_by_recurrence
+from .qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_definition, q_eulerian_by_recurrence
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import RouteDisagreementError
-from .exactalg import BiPoly, ONE, diff_terms, gauss_binomial
+from .errors import RouteDisagreementError, require_equal
+from .exactalg import BiPoly, ONE, gauss_binomial
 from .exactalg.det import leading_principal_minors
 from .chow import hilbert_recurrence
 
@@ -53,16 +53,16 @@ def cd_direct(spec):
     return _signed(hilbert_recurrence(spec).subs_t_int(-1), spec.r)
 
 
-def _require_odd(r):
+def _require_odd_rank(n, r):
     if r % 2 == 0:
         raise ValueError(f"rank {r} is even; this formula needs odd rank")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
 
 
 def cd_chain_alternating(n, r):
     """Unsigned quantity as the even-gap alternating rank-tuple sum."""
-    _require_odd(r)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    _require_odd_rank(n, r)
     total = ONE
     for m in range(1, r // 2 + 1):
         for gaps in combinations(range(1, (r - 1) // 2 + 1), m):
@@ -109,11 +109,6 @@ def _t_determinants(n, a):
     return [ONE] + [-m if j % 2 else m for j, m in enumerate(minors, 1)]
 
 
-def _require_equal(what, left, right):
-    if left != right:
-        raise RouteDisagreementError(what, left.to_text(), right.to_text(), str(diff_terms(left, right)))
-
-
 def _verified_t_terms(n, a):
     """[T(0), ..., T(2a)] by the recurrence, each checked against the determinant."""
     by_rec = _t_terms(n, a)
@@ -122,7 +117,7 @@ def _verified_t_terms(n, a):
         what = f"T({n}, {2 * j}) recurrence vs determinant"
         if j == len(by_det):
             raise RouteDisagreementError(what, value.to_text(), "none: zero pivot before this minor")
-        _require_equal(what, value, by_det[j])
+        require_equal(what, value, by_det[j])
     return by_rec
 
 
@@ -139,9 +134,7 @@ def cd_determinant(n, r):
     One elimination of the largest matrix yields every T(n, 2a) as a pivot,
     and each is checked against the recurrence.
     """
-    _require_odd(r)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    _require_odd_rank(n, r)
     unsigned = BiPoly()
     for term in _verified_t_terms(n, (r - 1) // 2):
         unsigned = unsigned + term
@@ -244,7 +237,7 @@ def tangent_secant(n_max):
     by_rec = _secant_by_recurrence(n_max)
     for n, entry in enumerate(by_rec):
         by_det = t_term(n, n // 2) if n % 2 == 0 else cd_determinant(n, n).unsigned
-        _require_equal(f"E_{n} by recurrence vs determinant", entry, by_det)
+        require_equal(f"E_{n} by recurrence vs determinant", entry, by_det)
     _verify_secant_by_series(by_rec)
     classical = tuple(e.eval(1, 1) for e in by_rec)
     return TangentSecantTable(n_max, tuple(by_rec), classical)
@@ -252,9 +245,7 @@ def tangent_secant(n_max):
 
 def cd_qsecant(n, r, table=None):
     """Signed and unsigned quantities via the q-secant-number sum."""
-    _require_odd(r)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    _require_odd_rank(n, r)
     if table is None or table.n_max < r - 1:
         table = tangent_secant(r - 1)
     unsigned = BiPoly()

@@ -1,5 +1,5 @@
 """Hilbert series of Chow rings by four independent routes, plus the
-difference series between consecutive ranks and its derangement data.
+difference series between consecutive ranks.
 
 Routes
 ------
@@ -8,8 +8,8 @@ chain sum    : sum over strictly increasing rank tuples, each weighted by
                (level homogeneity collapses chains to rank profiles);
 recurrence   : peel the lattice at each level and recurse into the upper
                interval (filled bottom-up along each diagonal n - r);
-closed form  : the full-rank polynomial minus the fixed-point permutation
-               sums, with the inner exponent t^(j-exc);
+closed form  : A_n(q,t) minus the difference series of the ranks above r,
+               each a sum of [n over m]_q times a t-reversed D_m(q,t);
 monomial oracle : count flag-supported basis monomials with rank-gap
                exponent bounds directly on an explicit lattice.
 
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ResourceBoundError, RouteDisagreementError
-from .exactalg import BiPoly, ONE, T, diff_terms, gauss_binomial, t_quantum
+from .errors import ResourceBoundError
+from .exactalg import BiPoly, ONE, T, gauss_binomial, t_quantum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above, level_size
-from .permstat import statistic_sum
-from .qeuler import classical_eulerian, q_eulerian_by_recurrence
+from .qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
 
 ORACLE_MAX_ELEMENTS = 200
 
@@ -70,55 +69,28 @@ def hilbert_recurrence(spec):
     return memo[spec.r]
 
 
-def hilbert_closed_form(spec, bound=None):
-    """Full-rank polynomial minus the minimum-fixed-point sums.
+def hilbert_closed_form(spec):
+    """Full-rank polynomial minus the difference series of the ranks above r.
 
     For the vector family the full-rank polynomial is A_n(q,t); the uniform
-    family is the same computation with q fixed to 1 throughout.
+    family takes the classical A_n(t) and the difference series at q = 1.
     """
-    n = spec.n
+    deltas = sum((delta_series(spec.n, j) for j in range(spec.r, spec.n)), BiPoly())
     if spec.kind == UNIFORM:
-        total, q_exp = classical_eulerian(n), lambda s: 0
-    else:
-        total, q_exp = q_eulerian_by_recurrence(n), lambda s: s.maj - s.exc
-    for j in range(spec.r, n):
-        total = total - statistic_sum(n, lambda s: (q_exp(s), j - s.exc) if s.fix >= n - j else None, bound)
-    return total
+        return classical_eulerian(spec.n) - deltas.subs_q_int(1)
+    return q_eulerian_by_recurrence(spec.n) - deltas
 
 
-def delta_series(n, r, bound=None):
-    """Difference of Hilbert series between ranks r+1 and r, as the sum of
-    q^(maj-exc) t^(r-exc) over permutations with at least n-r fixed points."""
+def delta_series(n, r):
+    """Difference of Hilbert series between ranks r+1 and r: the sum of
+    q^(maj-exc) t^(r-exc) over permutations with at least n-r fixed points,
+    which is sum_{m <= r} [n over m]_q t^r D_m(q, 1/t)."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    return statistic_sum(n, lambda s: (s.maj - s.exc, r - s.exc) if s.fix >= n - r else None, bound)
-
-
-def q_derangement_number(n, k, bound=None):
-    """Sum of q^(maj-exc) over derangements of [n] with exc = n-k."""
-    return statistic_sum(n, lambda s: (s.maj - s.exc, 0) if s.fix == 0 and s.exc == n - k else None, bound)
-
-
-def delta_coefficient(n, r, k, bound=None):
-    """Coefficient of t^k in the rank-(r+1) vs rank-r difference series,
-    assembled from Gaussian binomials and derangement sums.
-
-    Cross-checked against the direct permutation sum; a mismatch is an
-    internal invariant violation.
-    """
     total = BiPoly()
-    for i in range(r + 1):
-        if k - i < 0:
-            continue
-        total = total + gauss_binomial(n, r - i) * q_derangement_number(r - i, k - i, bound)
-    direct = delta_series(n, r, bound).coefficient_in_t(k)
-    if total != direct:
-        raise RouteDisagreementError(
-            f"delta coefficient (n={n}, r={r}, k={k})",
-            total.to_text(),
-            direct.to_text(),
-            str(diff_terms(total, direct)),
-        )
+    for m in range(r + 1):
+        reversed_d = BiPoly({(qd, r - td): c for (qd, td), c in derangement_polynomial(m).terms.items()})
+        total = total + gauss_binomial(n, m) * reversed_d
     return total
 
 
@@ -164,14 +136,14 @@ def basis_monomial_oracle(lat, r):
 # -- route dispatch --------------------------------------------------------
 
 
-def hilbert(spec, method="recurrence", bound=None, p=None):
+def hilbert(spec, method="recurrence", p=None):
     """Hilbert series by the named route: chain | recurrence | closed | oracle."""
     if method == "chain":
         return hilbert_chain_sum(spec)
     if method == "recurrence":
         return hilbert_recurrence(spec)
     if method == "closed":
-        return hilbert_closed_form(spec, bound)
+        return hilbert_closed_form(spec)
     if method == "oracle":
         return basis_monomial_oracle(build_explicit(spec, p), spec.r)
     raise ValueError(f"unknown method {method!r}")

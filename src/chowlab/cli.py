@@ -44,19 +44,15 @@ class RunConfig:
     bound: Optional[int] = None
 
     def validate(self):
-        if self.prime is not None and not (
-            self.command == "hilbert" and self.method == "oracle" and self.family == "vector"
-        ):
+        vector_oracle = self.command == "hilbert" and self.method == "oracle" and self.family == "vector"
+        if self.prime is not None and not vector_oracle:
             raise ValueError("--p is only meaningful with `hilbert --method oracle --family vector`")
-        if (
-            self.command == "hilbert"
-            and self.method == "oracle"
-            and self.family == "vector"
-            and self.prime is None
-        ):
+        if vector_oracle and self.prime is None:
             raise ValueError("oracle method on the vector family requires --p")
         if self.command == "check" and self.n_max < 2:
             raise ValueError(f"--nmax must be at least 2, got {self.n_max}")
+        if self.bound is not None and self.bound < 0:
+            raise ValueError(f"--bound must be nonnegative, got {self.bound}")
 
 
 def build_parser():
@@ -74,7 +70,6 @@ def build_parser():
         if rank:
             p.add_argument("--r", type=int, required=True)
         p.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-        p.add_argument("--bound", type=int, default=None, help="enumeration bound override")
 
     p = sub.add_parser("hilbert", help="Hilbert series of a Chow ring")
     add_common(p)
@@ -104,7 +99,7 @@ def build_parser():
     p.add_argument("--suite", default="all", choices=("all",) + tuple(SUITES))
     p.add_argument("--nmax", dest="n_max", type=int, default=6)
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None, help="enumeration bound override")
     return parser
 
 
@@ -166,7 +161,7 @@ def emit_poly(poly, config, meta):
 
 def _run_hilbert(config):
     spec = FamilySpec(config.family, config.n, config.r)
-    poly = chow.hilbert(spec, config.method, bound=config.bound, p=config.prime)
+    poly = chow.hilbert(spec, config.method, p=config.prime)
     meta = {
         "command": "hilbert",
         "family": config.family,
@@ -213,7 +208,7 @@ def _run_secant(config):
 
 
 def _run_delta(config):
-    poly = chow.delta_series(config.n, config.r, config.bound)
+    poly = chow.delta_series(config.n, config.r)
     return emit_poly(poly, config, {"command": "delta", "n": config.n, "r": config.r})
 
 

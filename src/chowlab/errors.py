@@ -7,6 +7,8 @@ per identity: a RouteDisagreementError is a FAIL entry (exit 1), a
 ResourceBoundError a SKIPPED entry (exit 3 when nothing failed).
 """
 
+from .exactalg import diff_terms
+
 
 class ResourceBoundError(Exception):
     """An enumeration or lattice size bound would be exceeded."""
@@ -20,11 +22,13 @@ class RouteDisagreementError(Exception):
     """
 
     def __init__(self, what, left, right, diff=""):
-        self.what = what
-        self.left = left
-        self.right = right
-        self.diff = diff
         msg = f"{what}: routes disagree\n  left:  {left}\n  right: {right}"
         if diff:
             msg += f"\n  diff: {diff}"
         super().__init__(msg)
+
+
+def require_equal(what, left, right):
+    """Raise RouteDisagreementError, with the diff, unless the polynomials are equal."""
+    if left != right:
+        raise RouteDisagreementError(what, left.to_text(), right.to_text(), str(diff_terms(left, right)))

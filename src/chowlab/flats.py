@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import isqrt
 
 from .errors import ResourceBoundError
 from .exactalg import BiPoly, binomial, gauss_binomial
@@ -138,7 +139,7 @@ def build_explicit(spec, p=None):
         return _build_uniform(spec.n, spec.r)
     if p is None:
         raise ValueError("vector-family lattices need a numeric prime p")
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"p = {p} is not prime")
     max_n = VECTOR_EXPLICIT_MAX_N.get(p)
     if max_n is None:

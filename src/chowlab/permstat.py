@@ -32,9 +32,12 @@ def enum_bound(override=None):
     if not env:
         return DEFAULT_ENUM_BOUND
     try:
-        return int(env)
+        limit = int(env)
     except ValueError:
         raise ValueError(f"CHOWLAB_NMAX must be an integer, got {env!r}") from None
+    if limit < 0:
+        raise ValueError(f"CHOWLAB_NMAX must be nonnegative, got {env!r}")
+    return limit
 
 
 def _check_bound(n, bound):

@@ -1,7 +1,8 @@
-"""Eulerian and q-Eulerian polynomials by definition and by recurrence.
+"""Eulerian, q-Eulerian and derangement polynomials.
 
-The recurrence route is the production path (polynomial time in n); the
-brute-force definition route exists as its oracle.  The classical (q = 1)
+A_n(q,t) and D_n(q,t) come from their q-exponential generating functions
+with the denominators cleared, built bottom-up in n (polynomial time); the
+brute-force definition of A_n exists as its oracle.  The classical (q = 1)
 polynomials come from their own integer recurrence on Eulerian numbers, not
 from the q-recurrence.
 """
@@ -9,8 +10,9 @@ from the q-recurrence.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
-from .exactalg import BiPoly, ONE, Q, T, gauss_binomial
+from .exactalg import BiPoly, ONE, Q, T, gauss_binomial, t_quantum
 from .permstat import statistic_sum
 
 
@@ -19,20 +21,36 @@ def q_eulerian_by_definition(n, bound=None):
     return statistic_sum(n, lambda s: (s.maj - s.exc, s.exc), bound)
 
 
-@lru_cache(maxsize=None)
-def q_eulerian_by_recurrence(n):
-    """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i)."""
+def _q_egf_entry(table, n, factor):
+    """x_n of x_m = sum_{a < m} [m over a]_q x_a factor(m - a), extending
+    `table` (x_0, x_1, ... as far as computed) through n."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return ONE
-    total = BiPoly()
-    for k in range(n):
-        prod = ONE
-        for i in range(1, n - k):
-            prod = prod * (T - Q**i)
-        total = total + gauss_binomial(n, k) * q_eulerian_by_recurrence(k) * prod
-    return total
+    for m in range(len(table), n + 1):
+        table.append(sum((gauss_binomial(m, a) * table[a] * factor(m - a) for a in range(m)), BiPoly()))
+    return table[n]
+
+
+_Q_EULERIAN = [ONE]
+_DERANGEMENTS = [ONE]
+
+
+def q_eulerian_by_recurrence(n):
+    """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i)."""
+    return _q_egf_entry(_Q_EULERIAN, n, lambda k: prod((T - Q**i for i in range(1, k)), start=ONE))
+
+
+def derangement_polynomial(n):
+    """D_n(q,t): the sum of q^(maj-exc) t^exc over the derangements of [n].
+
+    Shareshian-Wachs give sum_n D_n z^n/[n]_q! = (1-t)/(e_q(tz) - t e_q(z));
+    with the denominators cleared, D_m = sum_{a < m} [m over a]_q D_a t [m-a-1]_t
+    (the a = m-1 term is 0, as [0]_t = 0).
+
+    >>> derangement_polynomial(4).to_text()
+    't + (2 + q + 2*q^2 + q^3 + q^4)*t^2 + t^3'
+    """
+    return _q_egf_entry(_DERANGEMENTS, n, lambda k: T * t_quantum(k - 1))
 
 
 @lru_cache(maxsize=None)

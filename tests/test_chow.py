@@ -1,5 +1,5 @@
 """Hilbert series route agreement, the monomial-basis oracle, difference
-series, and q-derangement assembly."""
+series, and derangement polynomials."""
 
 import inspect
 import math
@@ -10,19 +10,17 @@ import pytest
 from chowlab import checks
 from chowlab.chow import (
     basis_monomial_oracle,
-    delta_coefficient,
     delta_series,
     hilbert,
     hilbert_chain_sum,
     hilbert_closed_form,
     hilbert_recurrence,
-    q_derangement_number,
 )
-from chowlab.errors import ResourceBoundError, RouteDisagreementError
+from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.flats import FamilySpec, build_explicit
 from chowlab.permstat import permutations_of
-from chowlab.qeuler import classical_eulerian, q_eulerian_by_recurrence
+from chowlab.qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
 
 
 def test_small_values():
@@ -100,29 +98,21 @@ def test_delta_matches_hilbert_difference():
             assert diff == delta_series(n, r), (n, r)
 
 
-def test_q_derangement_numbers():
-    assert q_derangement_number(3, 1) == ONE
-    assert q_derangement_number(3, 2) == ONE
+def test_derangement_polynomial_coefficients():
+    # the coefficient of t^k in D_n sums q^(maj-exc) over the derangements with exc = k
+    assert derangement_polynomial(3).coefficient_in_t(2) == ONE
+    assert derangement_polynomial(3).coefficient_in_t(1) == ONE
     for n in range(1, 8):
-        assert q_derangement_number(n, 0) == BiPoly()
-    assert q_derangement_number(0, 0) == ONE
+        assert derangement_polynomial(n).coefficient_in_t(n) == BiPoly()  # no derangement has exc = n
+        assert derangement_polynomial(n).coefficient_in_t(0) == BiPoly()  # nor exc = 0
+    assert derangement_polynomial(1) == BiPoly()
+    assert derangement_polynomial(0) == ONE
+    with pytest.raises(ValueError):
+        derangement_polynomial(-1)
 
 
-def test_delta_coefficient_assembly(holds):
+def test_delta_series_assembly(holds):
     holds(checks.delta_assembly(range(1, 7)), [f"difference-coefficient assembly (n={n})" for n in range(1, 7)])
-
-
-def test_delta_coefficient_detects_tampering(monkeypatch):
-    import chowlab.chow as chow_module
-
-    real = chow_module.delta_series
-
-    def tampered(n, r, bound=None):
-        return real(n, r, bound) + ONE
-
-    monkeypatch.setattr(chow_module, "delta_series", tampered)
-    with pytest.raises(RouteDisagreementError):
-        delta_coefficient(3, 2, 0)
 
 
 def test_full_rank_dims_are_q_eulerian_numbers():
@@ -153,6 +143,6 @@ def test_hilbert_dispatch():
         hilbert(spec, "magic")
 
 
-def test_closed_form_needs_enumeration_bound():
-    with pytest.raises(ResourceBoundError):
-        hilbert_closed_form(FamilySpec.vector(12, 3))
+def test_closed_form_needs_no_enumeration_bound():
+    for spec in (FamilySpec.vector(12, 3), FamilySpec.uniform(12, 3)):
+        assert hilbert_closed_form(spec) == hilbert_recurrence(spec)

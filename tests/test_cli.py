@@ -131,28 +131,70 @@ def test_check_nmax_below_two_exits_2(capsys):
 
 
 def test_resource_errors_exit_3(capsys):
-    code, _, err = run_cli(capsys, "delta", "--n", "12", "--r", "3")
+    code, _, err = run_cli(capsys, "hilbert", "--family", "uniform", "--n", "9", "--r", "9", "--method", "oracle")
     assert code == 3 and "bound" in err
 
 
 def test_bound_override(capsys):
-    code, _, _ = run_cli(capsys, "delta", "--n", "10", "--r", "3", "--bound", "10")
+    code, _, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4", "--bound", "3")
+    assert code == 3
+    code, _, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4", "--bound", "4")
     assert code == 0
 
 
 def test_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("CHOWLAB_NMAX", "3")
-    code, _, err = run_cli(capsys, "delta", "--n", "4", "--r", "2")
+    code, _, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4")
     assert code == 3
+    code, _, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4", "--bound", "4")
+    assert code == 0
     monkeypatch.setenv("CHOWLAB_NMAX", "10")
-    code, _, _ = run_cli(capsys, "delta", "--n", "4", "--r", "2")
+    code, _, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4")
     assert code == 0
 
 
 def test_env_bound_not_an_integer_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("CHOWLAB_NMAX", "abc")
-    code, out, err = run_cli(capsys, "delta", "--n", "3", "--r", "2")
+    code, out, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "3")
     assert (code, out, err) == (2, "", "error: CHOWLAB_NMAX must be an integer, got 'abc'\n")
+
+
+def test_negative_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "3", "--bound", "-5")
+    assert code == 2 and out == "" and "--bound" in err
+
+
+def test_negative_env_bound_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CHOWLAB_NMAX", "-1")
+    code, out, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "3")
+    assert code == 2 and out == "" and "CHOWLAB_NMAX" in err
+
+
+def test_bound_is_a_check_option_only(capsys):
+    for argv in (("delta", "--n", "4", "--r", "2"), ("hilbert", "--family", "vector", "--n", "3", "--r", "3")):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--bound", "10"])
+        assert exit_info.value.code == 2, argv
+        assert "--bound" in capsys.readouterr().err
+
+
+QUERIES = [
+    ("delta", "--n", "12", "--r", "5"),
+    ("hilbert", "--family", "vector", "--n", "12", "--r", "6", "--method", "closed"),
+    ("hilbert", "--family", "uniform", "--n", "12", "--r", "6", "--method", "closed"),
+    ("hilbert", "--family", "vector", "--n", "3", "--r", "3", "--method", "oracle", "--p", "2"),
+    ("qeulerian", "--n", "12"),
+    ("secant", "--n", "10"),
+    ("cd", "--family", "vector", "--n", "9", "--r", "7", "--method", "det"),
+    ("conjecture", "--n", "4", "--r", "2"),
+]
+
+
+def test_queries_do_not_enumerate(capsys, monkeypatch):
+    monkeypatch.setenv("CHOWLAB_NMAX", "0")  # any walk of S_n with n >= 1 would exit 3
+    for argv in QUERIES:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_check_all_passes(capsys):
@@ -174,8 +216,8 @@ def test_check_json(capsys):
 def test_injected_fault_fails_with_localized_diff(capsys, monkeypatch):
     real = chow_module.hilbert_closed_form
 
-    def tampered(spec, bound=None):
-        poly = real(spec, bound)
+    def tampered(spec):
+        poly = real(spec)
         if (spec.kind, spec.n, spec.r) == ("vector", 3, 2):
             return poly + ONE  # flip one coefficient
         return poly
@@ -228,9 +270,14 @@ TAMPERS = [
     ("conjecture", ordercx_module, "order_complex_fvector",
      _tamper((U42,), lambda f: FVector((f.f[0] + 1,) + f.f[1:])), "uniform 4,2"),
 ]
+# Each of the three D_n routes of the wachs suite, off by one coefficient at n = 4.
+DN_ROUTES = [(qeuler_module, "derangement_polynomial"), (qeuler_module, "q_eulerian_by_recurrence"),
+             (permstat_module, "statistic_sum")]
+IDS = [t[0] for t in TAMPERS] + [f"wachs-{name}" for _, name in DN_ROUTES]
+TAMPERS += [("wachs", module, name, _tamper((4,), lambda d: d + Q), "n=4") for module, name in DN_ROUTES]
 
 
-@pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=[t[0] for t in TAMPERS])
+@pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=IDS)
 def test_tampered_route_fails_its_suite(capsys, monkeypatch, suite, module, name, tamper, instance):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, tamper(real))
@@ -263,7 +310,7 @@ def test_route_disagreement_is_contained(monkeypatch):
     entries = check_suites(4, "telescoping")["suites"][0]["entries"]
     failed = [e for e in entries if not e["ok"]]
     assert [e["name"] for e in failed] == ["rank telescoping to full rank (n=3)", "delta_assembly"]
-    assert "delta coefficient (n=3, r=2, k=0)" in failed[-1]["detail"]
+    assert "difference series (n=3, r=2)" in failed[-1]["detail"]
     assert entries[-1]["name"] == "cd telescoping (n=4, r=3)"  # the next identity still ran
 
 

@@ -113,3 +113,9 @@ def test_json_export():
     assert len(data["ranks"]) == len(data["elements"])
     for i, j in data["covers"]:
         assert data["ranks"][j] == data["ranks"][i] + 1
+
+
+def test_large_prime_is_rejected_at_once():
+    # trial division stops at the square root: about 46000 steps here, not 2^31
+    with pytest.raises(ResourceBoundError, match="support p in"):
+        build_explicit(FamilySpec.vector(2, 2), p=2**31 - 1)

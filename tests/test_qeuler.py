@@ -1,5 +1,5 @@
 """q-Eulerian polynomials: definition vs recurrence, classical values,
-generating-function identities."""
+generating-function identities, derangement polynomials."""
 
 import inspect
 import sys
@@ -48,6 +48,11 @@ def test_row_and_column_structure():
         assert poly.coefficient_in_t(n - 1) == ONE
         assert poly.is_palindromic_in_t(n - 1)
         assert poly.subs_q_int(1).eval(1, 1) == factorial(n)
+
+
+def test_derangement_routes_through_7(holds):
+    # q-EGF recurrence = fiber inversion of A_n = enumeration over fix = 0
+    holds(checks.derangement_routes(range(8)), [f"derangement polynomial routes (n={n})" for n in range(8)])
 
 
 def test_egf_identities(holds):
