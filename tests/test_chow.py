@@ -16,7 +16,7 @@ from chowlab.chow import (
     hilbert_closed_form,
     hilbert_recurrence,
 )
-from chowlab.errors import ResourceBoundError
+from chowlab.errors import ResourceBoundError, RouteDisagreementError
 from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.flats import FamilySpec, build_explicit
 from chowlab.permstat import permutations_of
@@ -98,7 +98,7 @@ def test_delta_matches_hilbert_difference():
             assert diff == delta_series(n, r), (n, r)
 
 
-def test_derangement_polynomial_coefficients():
+def test_q_derangement_numbers():
     # the coefficient of t^k in D_n sums q^(maj-exc) over the derangements with exc = k
     assert derangement_polynomial(3).coefficient_in_t(2) == ONE
     assert derangement_polynomial(3).coefficient_in_t(1) == ONE
@@ -111,8 +111,21 @@ def test_derangement_polynomial_coefficients():
         derangement_polynomial(-1)
 
 
-def test_delta_series_assembly(holds):
+def test_delta_coefficient_assembly(holds):
     holds(checks.delta_assembly(range(1, 7)), [f"difference-coefficient assembly (n={n})" for n in range(1, 7)])
+
+
+def test_delta_coefficient_detects_tampering(monkeypatch):
+    import chowlab.chow as chow_module
+
+    real = chow_module.delta_series
+
+    def tampered(n, r):
+        return real(n, r) + ONE
+
+    monkeypatch.setattr(chow_module, "delta_series", tampered)
+    with pytest.raises(RouteDisagreementError):
+        list(checks.delta_assembly([3]))
 
 
 def test_full_rank_dims_are_q_eulerian_numbers():
