@@ -17,14 +17,13 @@ a leading principal submatrix of the largest, so one elimination without row
 swaps yields all of them as its pivots.  The q-tangent-secant numbers
 E_n are checked three ways: their own recurrence, the same Bareiss
 determinants (E_{2a} = T(2a, 2a), odd E_n the full-rank telescoping sum),
-and the Taylor coefficients of sech_q + tanh_q evaluated over exact
-fractions at enough integer points to pin every polynomial down.
+and the Taylor coefficients of sech_q + tanh_q evaluated in exact integer
+arithmetic at enough integer points to pin every polynomial down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -194,19 +193,27 @@ def _secant_series_at(q0, n_max):
     """E_0(q0) .. E_{n_max}(q0) as (q0;q0)_n [x^n](sech_q + tanh_q).
 
     cosh_q and sinh_q carry 1/(q;q)_k at even and odd x^k respectively; at an
-    integer q0 >= 2 no (q0;q0)_k vanishes, so Fractions evaluate them exactly.
+    integer q0 >= 2 no (q0;q0)_k vanishes.  Every coefficient of sech_q is
+    kept as its numerator over the common denominator P = (q0;q0)_{n_max},
+    so the arithmetic is in int; each division is checked to be exact.
     """
     poch = [1]
     for k in range(1, n_max + 1):
         poch.append(poch[-1] * (1 - q0**k))
-    inv = [Fraction(1, p) for p in poch]
-    sech = [Fraction(1)]
+
+    def exact(num, den):
+        quot, rem = divmod(num, den)
+        if rem:
+            raise RouteDisagreementError(f"q-secant series at q = {q0}", f"{num} / {den}", "an integer")
+        return quot
+
+    sech = [poch[n_max]]  # sech[m] is P [x^m] sech_q
     for m in range(1, n_max + 1):
-        sech.append(-sum(inv[k] * sech[m - k] for k in range(2, m + 1, 2)))
+        sech.append(-sum(exact(sech[m - k], poch[k]) for k in range(2, m + 1, 2)))
     values = []
     for n in range(n_max + 1):
-        tanh = sum(inv[k] * sech[n - k] for k in range(1, n + 1, 2))
-        values.append((sech[n] + tanh) * poch[n])
+        tanh = sum(exact(sech[n - k], poch[k]) for k in range(1, n + 1, 2))
+        values.append(exact(sech[n] + tanh, exact(poch[n_max], poch[n])))
     return values
 
 

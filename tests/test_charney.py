@@ -7,6 +7,7 @@ import pytest
 
 import chowlab.charney as charney_module
 from chowlab import checks
+from chowlab.exactalg import bipoly
 from chowlab.charney import (
     cd_chain_alternating,
     cd_determinant,
@@ -243,3 +244,47 @@ def test_zero_pivot_is_a_route_disagreement(monkeypatch):
         t_term(6, 2)
     with pytest.raises(RouteDisagreementError, match="zero pivot"):
         cd_determinant(7, 7)
+
+
+def _fraction_series_at(q0, n_max):
+    """Test-local oracle: E_0(q0) .. E_{n_max}(q0) as (q0;q0)_n [x^n](sech_q + tanh_q) over Fractions."""
+    poch = [1]
+    for k in range(1, n_max + 1):
+        poch.append(poch[-1] * (1 - q0**k))
+    inv = [Fraction(1, p) for p in poch]
+    sech = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        sech.append(-sum(inv[k] * sech[m - k] for k in range(2, m + 1, 2)))
+    values = []
+    for n in range(n_max + 1):
+        tanh = sum(inv[k] * sech[n - k] for k in range(1, n + 1, 2))
+        values.append((sech[n] + tanh) * poch[n])
+    return values
+
+
+def test_integer_series_against_fraction_oracle():
+    # over Fractions E_n(q0) does not depend on n_max; the integer route's
+    # common denominator does, so it runs for every n_max
+    for q0 in range(2, 41):
+        expected = _fraction_series_at(q0, 16)
+        for n_max in range(17):
+            assert charney_module._secant_series_at(q0, n_max) == expected[: n_max + 1]
+
+
+def test_bareiss_divides_by_the_packed_route(monkeypatch):
+    # a count, not a timing: a change to the density rule must not send
+    # Bareiss back to the heap loop
+    routes = []
+
+    def spy(name, real):
+        def divide(a, b):
+            routes.append((name, len(b)))
+            return real(a, b)
+
+        return divide
+
+    for name in ("_divexact_packed", "_divexact_heap"):
+        monkeypatch.setattr(bipoly, name, spy(name, getattr(bipoly, name)))
+    tangent_secant(12)
+    assert {name for name, size in routes if size > 1} == {"_divexact_packed"}
+    assert sum(name == "_divexact_packed" for name, _ in routes) > 50
