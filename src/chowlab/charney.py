@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import RouteDisagreementError, require_equal
-from .exactalg import BiPoly, ONE, gauss_binomial
+from .exactalg import MINUS_ONE, BiPoly, ONE, gauss_binomial, sum_of_products
 from .exactalg.det import leading_principal_minors
 from .chow import hilbert_recurrence
 
@@ -62,17 +62,13 @@ def _require_odd_rank(n, r):
 def cd_chain_alternating(n, r):
     """Unsigned quantity as the even-gap alternating rank-tuple sum."""
     _require_odd_rank(n, r)
-    total = ONE
+    products = []
     for m in range(1, r // 2 + 1):
         for gaps in combinations(range(1, (r - 1) // 2 + 1), m):
             ranks = [2 * g for g in gaps]  # tuples of even ranks below r
-            term = BiPoly.const((-1) ** m)
-            lower = 0
-            for upper in ranks:
-                term = term * gauss_binomial(n - lower, upper - lower)
-                lower = upper
-            total = total + term
-    return total
+            factors = [gauss_binomial(n - lower, upper - lower) for lower, upper in zip([0] + ranks, ranks)]
+            products.append(factors + [MINUS_ONE] if m % 2 else factors)
+    return ONE + sum_of_products(products)
 
 
 @lru_cache(maxsize=None)
@@ -80,10 +76,7 @@ def _t_terms(n, a):
     """(T(0), T(2), ..., T(2a)) by the linear recurrence; a tuple, since it is cached."""
     terms = [ONE]
     for j in range(1, a + 1):
-        acc = BiPoly()
-        for b in range(j):
-            acc = acc + gauss_binomial(n - 2 * b, 2 * j - 2 * b) * terms[b]
-        terms.append(-acc)
+        terms.append(-sum_of_products((gauss_binomial(n - 2 * b, 2 * j - 2 * b), terms[b]) for b in range(j)))
     return tuple(terms)
 
 
@@ -158,21 +151,11 @@ class TangentSecantTable:
 def _secant_by_recurrence(n_max):
     even = [ONE]  # E_0
     for m in range(1, n_max // 2 + 1):
-        acc = BiPoly()
-        for k in range(1, m + 1):
-            acc = acc + gauss_binomial(2 * m, 2 * k) * even[m - k]
-        even.append(-acc)
-    entries = []
-    for n in range(n_max + 1):
-        if n % 2 == 0:
-            entries.append(even[n // 2])
-        else:
-            m = (n - 1) // 2
-            acc = BiPoly()
-            for j in range(m + 1):
-                acc = acc + gauss_binomial(n, 2 * j) * even[j]
-            entries.append(acc)
-    return entries
+        even.append(-sum_of_products((gauss_binomial(2 * m, 2 * k), even[m - k]) for k in range(1, m + 1)))
+    return [
+        even[n // 2] if n % 2 == 0 else sum_of_products((gauss_binomial(n, 2 * j), even[j]) for j in range(n // 2 + 1))
+        for n in range(n_max + 1)
+    ]
 
 
 def _secant_degree_bounds(n_max):
@@ -255,9 +238,7 @@ def cd_qsecant(n, r, table=None):
     _require_odd_rank(n, r)
     if table is None or table.n_max < r - 1:
         table = tangent_secant(r - 1)
-    unsigned = BiPoly()
-    for k in range((r - 1) // 2 + 1):
-        unsigned = unsigned + gauss_binomial(n, 2 * k) * table[2 * k]
+    unsigned = sum_of_products((gauss_binomial(n, 2 * k), table[2 * k]) for k in range((r - 1) // 2 + 1))
     return _signed(unsigned, r)
 
 

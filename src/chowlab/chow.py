@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import ResourceBoundError
-from .exactalg import BiPoly, ONE, T, gauss_binomial, t_quantum
+from .exactalg import BiPoly, ONE, T, gauss_binomial, sum_of_products, t_quantum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above, level_size
 from .qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
 
@@ -31,20 +31,17 @@ ORACLE_MAX_ELEMENTS = 200
 
 def hilbert_chain_sum(spec):
     """Hilbert series as the rank-tuple chain sum."""
-    total = ONE
+    gap_factor = {gap: T * t_quantum(gap - 1) for gap in range(2, spec.r + 1)}
+    products = []
     for m in range(1, spec.r + 1):
         for ranks in combinations(range(1, spec.r + 1), m):
-            term = ONE
-            lower = 0
-            for upper in ranks:
-                gap = upper - lower
-                if gap < 2:
-                    term = BiPoly()
-                    break
-                term = term * chains_above(spec, lower, upper) * T * t_quantum(gap - 1)
-                lower = upper
-            total = total + term
-    return total
+            steps = list(zip((0,) + ranks, ranks))
+            if all(upper - lower >= 2 for lower, upper in steps):
+                products.append(
+                    [chains_above(spec, lower, upper) for lower, upper in steps]
+                    + [gap_factor[upper - lower] for lower, upper in steps]
+                )
+    return ONE + sum_of_products(products)
 
 
 # (kind, n - r) -> {r: H(kind, n, r)} along that diagonal.
@@ -62,10 +59,8 @@ def hilbert_recurrence(spec):
     for r in (*range(1, spec.r - 1), spec.r):
         if r not in memo:
             level = FamilySpec(spec.kind, d + r, r)
-            total = t_quantum(r)
-            for i in range(2, r):
-                total = total + T * level_size(level, i) * t_quantum(i - 1) * memo[r - i]
-            memo[r] = total
+            products = ((T * t_quantum(i - 1), level_size(level, i), memo[r - i]) for i in range(2, r))
+            memo[r] = t_quantum(r) + sum_of_products(products)
     return memo[spec.r]
 
 
@@ -87,11 +82,10 @@ def delta_series(n, r):
     which is sum_{m <= r} [n over m]_q t^r D_m(q, 1/t)."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    total = BiPoly()
-    for m in range(r + 1):
-        reversed_d = BiPoly({(qd, r - td): c for (qd, td), c in derangement_polynomial(m).terms.items()})
-        total = total + gauss_binomial(n, m) * reversed_d
-    return total
+    return sum_of_products(
+        (gauss_binomial(n, m), BiPoly({(qd, r - td): c for (qd, td), c in derangement_polynomial(m).terms.items()}))
+        for m in range(r + 1)
+    )
 
 
 # -- brute-force oracle on explicit lattices ------------------------------

@@ -49,6 +49,8 @@ class RunConfig:
             raise ValueError("--p is only meaningful with `hilbert --method oracle --family vector`")
         if vector_oracle and self.prime is None:
             raise ValueError("oracle method on the vector family requires --p")
+        if self.command == "secant" and self.n < 0:
+            raise ValueError(f"n must be nonnegative, got {self.n}")
         if self.command == "check" and self.n_max < 2:
             raise ValueError(f"--nmax must be at least 2, got {self.n_max}")
         if self.bound is not None and self.bound < 0:

@@ -11,6 +11,7 @@ from .bipoly import (
     binomial,
     diff_terms,
     gauss_binomial,
+    sum_of_products,
     t_quantum,
 )
 
@@ -24,5 +25,6 @@ __all__ = [
     "binomial",
     "diff_terms",
     "gauss_binomial",
+    "sum_of_products",
     "t_quantum",
 ]

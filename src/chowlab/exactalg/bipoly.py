@@ -13,28 +13,32 @@ Univariate values (pure q-polynomials, pure t-polynomials, integers) are
 just BiPolys whose exponents happen to vanish in one slot, so every
 quantity in the package lives in a single value type.
 
-Large products go through Kronecker substitution (D. Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", J.
-Symbolic Comput. 2009): both operands become one Python integer each, the
-integers are multiplied once, and the product's coefficients are read back
-from fixed-width byte slots.  Exact division by a dense divisor runs the
-same packing backwards: one integer divmod, then one multiply back to
-prove the quotient.
+Sums of products of large polynomials go through one Kronecker-substitution
+kernel, `sum_of_products` (D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 2009): every factor
+becomes one Python integer, packed once, the integer products are added,
+and the coefficients of the whole sum are read back once from fixed-width
+byte slots.  A single large product is a one-term call of the kernel.
+Exact division by a dense divisor runs the same packing backwards: one
+integer divmod, then one multiply back to prove the quotient.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import itemgetter, mul
+import re
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, compress, cycle, repeat
+from operator import itemgetter, mul, ne
 from types import MappingProxyType
 
 # A product takes the Kronecker route when it has at least this many term
 # pairs and its shorter operand at least this many terms.  Below either, the
 # dict loop is faster: packing and unpacking cost a pass over the whole (q, t)
-# rectangle of the product, which a factor like t - q^i does not repay.  For
+# rectangle of the product, which a factor like t - q^i does not repay.  Inside
+# a sum of products only the pair count applies, since a small factor is
+# packed once for its whole group and the sum is unpacked once.  For
 # the same reason a division is packed only when its divisor has at least
 # _KRONECKER_MIN_TERMS terms and fills at least half of its (t, q) rectangle:
 # on sparse operands with wide coefficients the heap loop is over 30x faster.
@@ -98,31 +102,23 @@ class BiPoly:
     def __mul__(self, other):
         a, b = self._terms, _coerce(other)._terms
         if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS and len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
-            return _raw(_mul_kronecker(a, b))
-        out = {}
-        for (qa, ta), ca in a.items():
-            for (qb, tb), cb in b.items():
-                k = (qa + qb, ta + tb)
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return _raw(out)
+            return sum_of_products([(self, other)])
+        return _raw(_mul_terms(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return ONE if result is None else result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -295,21 +291,18 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to BiPoly")
 
 
-def _mul_kronecker(a, b):
-    """Product of two nonempty term dicts by Kronecker substitution.
-
-    q^i t^j goes to slot j*w + i, with w = deg_q a + deg_q b + 1 so that no
-    product term spills into the next t-row.  A slot is nb bytes wide: enough
-    for |c| <= min(len a, len b) * max|a| * max|b| plus a sign bit.  One
-    integer multiply of the packed operands gives the packed product.
-    """
-    w = max(map(itemgetter(0), a)) + max(map(itemgetter(0), b)) + 1
-    ta, tb = max(map(itemgetter(1), a)), max(map(itemgetter(1), b))
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    nb = bound.bit_length() // 8 + 1
-    x = _pack(a, ta + 1, w, nb)
-    y = x if a is b else _pack(b, tb + 1, w, nb)
-    return _unpack(x * y, ta + tb + 1, w, nb)
+def _mul_terms(a, b):
+    """The product of two term dicts by the term loop."""
+    out = {}
+    for (qa, ta), ca in a.items():
+        for (qb, tb), cb in b.items():
+            k = (qa + qb, ta + tb)
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
 
 
 def _divexact_heap(a, b):
@@ -354,7 +347,7 @@ def _divexact_heap(a, b):
 def _divexact_packed(a, b):
     """The quotient a / b of term dicts, b nonempty, by one integer divmod.
 
-    Both operands are packed as in `_mul_kronecker`, with w = deg_q a + 1
+    Both operands are packed as in `sum_of_products`, with w = deg_q a + 1
     and slots of nb bytes, which start wide enough for every coefficient of
     a and b plus a sign bit.  The candidate is read back from the packed
     quotient with the balanced bias and multiplied back (see
@@ -388,37 +381,114 @@ def _divexact_packed(a, b):
         nb = min(2 * nb, nb_cap)
 
 
+def sum_of_products(products):
+    """The sum over `products` of the product of each one's factors.
+
+    Each product is a sequence of BiPoly (or int) factors; an empty one is
+    the empty product 1.  The result is one BiPoly:
+
+    >>> sum_of_products([(Q + T, Q - T), (T, T), (3,)]).to_text()
+    '3 + q^2'
+
+    - Small products.  A product with fewer than _KRONECKER_MIN_PAIRS term
+      tuples (the product of its factors' term counts) is multiplied by the
+      term loop, as `*` does, and its terms are added as a dict.
+    - Bound.  A product's coefficients are at most ||f_1||_1 ... ||f_(k-1)||_1
+      max|f_k| in absolute value, for any factor taken last; the kernel
+      takes the smallest of these k bounds, which for two factors is never
+      looser than min(len f_1, len f_2) max|f_1| max|f_2|.
+    - Grouping.  Products go into groups by the bit length of the bit
+      length of their bound, so that a product of 1-bit coefficients is not
+      packed at the width a product of 2^200-sized ones needs.  A group's
+      layout is w = max deg_q + 1 and rows = max deg_t + 1 over its
+      products, and its slots are nb = bits // 8 + 1 bytes wide, with bits
+      the bit length of the sum of its products' bounds.
+    - Packing.  Each distinct factor (by identity) is packed once per group
+      at that layout, the integer products are added, and each group's sum
+      is unpacked once.  The groups' terms are then added as dicts.
+    - Soundness.  Packing at slot width nb is evaluation at q = 2^(8 nb),
+      t = 2^(8 nb w), a ring homomorphism Z[q, t] -> Z, so a group's integer
+      sum is the packing of its polynomial sum.  Only that final sum must fit
+      the layout, and it does: its degrees are below w and rows, and each
+      coefficient is at most the sum of the bounds, below 2^(8 nb - 1).
+      Intermediate integers need fit nothing, since integer arithmetic is
+      exact.
+    """
+    seen = {}  # id(terms) -> (terms, deg_q, deg_t, l1 norm, max |c|) of each distinct factor
+    small = []  # products with few term tuples, multiplied by the term loop
+    groups = {}  # bound class -> [factor id lists, deg_q, deg_t, sum of bounds]
+    for product in products:
+        factors = [_coerce(f)._terms for f in tuple(product) or (ONE,)]
+        if not all(factors):
+            continue  # a zero factor
+        if math.prod(map(len, factors)) < _KRONECKER_MIN_PAIRS:
+            small.append(reduce(_mul_terms, factors))
+            continue
+        for terms in factors:
+            if id(terms) not in seen:
+                sizes = list(map(abs, terms.values()))
+                qd, td = max(map(itemgetter(0), terms)), max(map(itemgetter(1), terms))
+                seen[id(terms)] = (terms, qd, td, sum(sizes), max(sizes))
+        stats = [seen[id(terms)] for terms in factors]
+        norm = math.prod(s[3] for s in stats)
+        bound = min(norm // s[3] * s[4] for s in stats)
+        group = groups.setdefault(bound.bit_length().bit_length(), [[], 0, 0, 0])
+        group[0].append([id(terms) for terms in factors])
+        group[1] = max(group[1], sum(s[1] for s in stats))
+        group[2] = max(group[2], sum(s[2] for s in stats))
+        group[3] += bound
+    parts = []
+    for members, dq, dt, bound in groups.values():
+        w, nb = dq + 1, bound.bit_length() // 8 + 1
+        packed = {}
+        for key in dict.fromkeys(key for ids in members for key in ids):
+            terms, _, td, _, _ = seen[key]
+            packed[key] = _pack(terms, td + 1, w, nb)
+        total = sum(math.prod(map(packed.__getitem__, ids)) for ids in members)
+        parts.append(_unpack(total, dt + 1, w, nb))
+    out = parts[0] if parts else {}
+    for part in parts[1:] + small:
+        for k, c in part.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return _raw(out)
+
+
+def _bias(slots, nb):
+    """The integer whose every one of `slots` nb-byte slots holds 2^(8 nb - 1)."""
+    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * slots, "little")
+
+
 def _pack(terms, rows, w, nb):
-    """The integer sum of c * 2^(8 nb (t w + q)): the positive coefficients
-    and the negated negative ones are laid out as bytes, then subtracted."""
-    size = rows * w * nb
-    pos, neg = bytearray(size), bytearray(size)
+    """The integer sum of c * 2^(8 nb (t w + q)) over the terms, every
+    |c| < 2^(8 nb - 1).  Each of the rows * w slots is written as the digit
+    c + 2^(8 nb - 1) in one bytes join, and the bias is subtracted once."""
+    half = 1 << (8 * nb - 1)
+    digits = [half] * (rows * w)
     for (qd, td), c in terms.items():
-        at = (td * w + qd) * nb
-        if c > 0:
-            pos[at : at + nb] = c.to_bytes(nb, "little")
-        else:
-            neg[at : at + nb] = (-c).to_bytes(nb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        digits[td * w + qd] = c + half
+    buf = b"".join(map(int.to_bytes, digits, repeat(nb), repeat("little")))
+    return int.from_bytes(buf, "little") - _bias(rows * w, nb)
 
 
 def _unpack(value, rows, w, nb):
     """Terms of value = sum c * 2^(8 nb (t w + q)) with every |c| < 2^(8 nb - 1).
 
     Adding the bias 2^(8 nb - 1) to every slot makes each slot a digit in
-    [0, 2^(8 nb)), so the slots are plain byte slices of one to_bytes call;
-    a digit equal to the bias is a zero coefficient.
+    [0, 2^(8 nb)), so the slots are the nb-byte pieces of one to_bytes call,
+    split by a regular expression.  A slot equal to the bias is a zero
+    coefficient; those are dropped before any slot is read as an integer.
     """
     half = 1 << (8 * nb - 1)
-    row_bytes = w * nb
-    bias = int.from_bytes(half.to_bytes(nb, "little") * (rows * w), "little")
-    buf = (value + bias).to_bytes(rows * row_bytes, "little")
-    out = {}
-    for td in range(rows):
-        start = td * row_bytes
-        digits = [int.from_bytes(buf[i : i + nb], "little") for i in range(start, start + row_bytes, nb)]
-        out.update({(qd, td): d - half for qd, d in enumerate(digits) if d != half})
-    return out
+    buf = (value + _bias(rows * w, nb)).to_bytes(rows * w * nb, "little")
+    slots = re.findall(b"(?s).{%d}" % nb, buf)
+    nonzero = list(map(ne, slots, repeat(half.to_bytes(nb, "little"))))
+    keys = zip(cycle(range(w)), chain.from_iterable(map(repeat, range(rows), repeat(w))))
+    digits = map(int.from_bytes, compress(slots, nonzero), repeat("little"))
+    return dict(zip(compress(keys, nonzero), map(int.__sub__, digits, repeat(half))))
 
 
 def _render_q_monomial(c, e):

@@ -3,7 +3,7 @@ fraction-free elimination."""
 
 from __future__ import annotations
 
-from .bipoly import BiPoly, ONE
+from .bipoly import BiPoly, ONE, sum_of_products
 
 
 def leading_principal_minors(matrix):
@@ -28,8 +28,9 @@ def leading_principal_minors(matrix):
         if not a[k][k]:
             break
         for i in range(k + 1, n):
+            minus = -a[i][k]
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
+                a[i][j] = sum_of_products([(a[k][k], a[i][j]), (minus, a[k][j])]).divexact(prev)
             a[i][k] = BiPoly()
         prev = a[k][k]
     return minors

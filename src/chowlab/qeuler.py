@@ -10,9 +10,10 @@ from the q-recurrence.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from itertools import accumulate
+from operator import mul
 
-from .exactalg import BiPoly, ONE, Q, T, gauss_binomial, t_quantum
+from .exactalg import BiPoly, ONE, Q, T, gauss_binomial, sum_of_products, t_quantum
 from .permstat import statistic_sum
 
 
@@ -21,13 +22,16 @@ def q_eulerian_by_definition(n, bound=None):
     return statistic_sum(n, lambda s: (s.maj - s.exc, s.exc), bound)
 
 
-def _q_egf_entry(table, n, factor):
-    """x_n of x_m = sum_{a < m} [m over a]_q x_a factor(m - a), extending
-    `table` (x_0, x_1, ... as far as computed) through n."""
+def _q_egf_entry(table, n, factors):
+    """x_n of x_m = sum_{a < m} [m over a]_q x_a f_(m - a), extending
+    `table` (x_0, x_1, ... as far as computed) through n; `factors(n)` is
+    the list f_0, ..., f_n, built only when the table grows."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    for m in range(len(table), n + 1):
-        table.append(sum((gauss_binomial(m, a) * table[a] * factor(m - a) for a in range(m)), BiPoly()))
+    if len(table) <= n:
+        f = factors(n)
+        for m in range(len(table), n + 1):
+            table.append(sum_of_products((gauss_binomial(m, a), table[a], f[m - a]) for a in range(m)))
     return table[n]
 
 
@@ -37,7 +41,12 @@ _DERANGEMENTS = [ONE]
 
 def q_eulerian_by_recurrence(n):
     """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i)."""
-    return _q_egf_entry(_Q_EULERIAN, n, lambda k: prod((T - Q**i for i in range(1, k)), start=ONE))
+    return _q_egf_entry(_Q_EULERIAN, n, _t_minus_q_powers)
+
+
+def _t_minus_q_powers(n):
+    """[f_0, ..., f_n] with f_k = prod_{i=1}^{k-1} (t - q^i), each one multiply from the last."""
+    return [ONE, *accumulate((T - Q**i for i in range(1, n)), mul, initial=ONE)]
 
 
 def derangement_polynomial(n):
@@ -50,7 +59,7 @@ def derangement_polynomial(n):
     >>> derangement_polynomial(4).to_text()
     't + (2 + q + 2*q^2 + q^3 + q^4)*t^2 + t^3'
     """
-    return _q_egf_entry(_DERANGEMENTS, n, lambda k: T * t_quantum(k - 1))
+    return _q_egf_entry(_DERANGEMENTS, n, lambda top: [T * t_quantum(k - 1) for k in range(top + 1)])
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from chowlab.exactalg import bipoly
 from chowlab.exactalg import (
     BiPoly,
+    MINUS_ONE,
     ONE,
     Q,
     T,
     ZERO,
     diff_terms,
     gauss_binomial,
+    sum_of_products,
     t_quantum,
 )
 
@@ -366,6 +368,125 @@ def test_slots_exactly_at_the_width_bound():
             assert (a * b).terms == schoolbook(a, b)
         assert (a * a).terms[(15, 0)] == bound
         assert (a * -a).terms[(15, 0)] == -bound
+
+
+def test_pow_squares_no_further_than_the_top_bit(monkeypatch):
+    # x^40 = x^8 * x^32: five squarings and one multiply, no x^64, no ONE * x^8
+    x = ONE + Q + T
+    expected = {n: _repeated_product(x, n) for n in (0, 1, 2, 7, 40)}
+    calls = []
+    real_mul = BiPoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counting_mul)
+    for n, multiplies in ((0, 0), (1, 0), (2, 1), (7, 4), (40, 6)):
+        calls.clear()
+        assert x**n == expected[n]
+        assert len(calls) == multiplies, n
+
+
+def _repeated_product(x, n):
+    out = ONE
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def schoolbook_sum(products):
+    """Test-local oracle for sum_of_products: each product factor by factor, summed in a dict."""
+    total = {}
+    for product in products:
+        acc = ONE
+        for factor in product:
+            acc = BiPoly(schoolbook(acc, factor))
+        for k, c in acc.terms.items():
+            total[k] = total.get(k, 0) + c
+    return {k: c for k, c in total.items() if c}
+
+
+kernel_factors = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 3)), big_coeffs, max_size=12).map(BiPoly),
+    big_coeffs.map(BiPoly.const),
+    st.just(ZERO),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(kernel_factors, min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_sum_of_products_against_schoolbook_oracle(pool, shapes, cancel, packed):
+    # factors are drawn from a small pool, so one factor object recurs across
+    # products; with `cancel` every product also appears negated; `packed`
+    # sends every product through the packed groups, else through the term loop
+    products = [[pool[i % len(pool)] for i in shape] for shape in shapes]
+    if cancel:
+        products += [product + [MINUS_ONE] for product in products]
+    with forced_route(packed):
+        result = sum_of_products(products)
+    assert result.terms == schoolbook_sum(products)
+    if cancel:
+        assert result == ZERO
+    assert sum_of_products(iter(products)) == result
+
+
+def test_small_products_take_the_term_loop(monkeypatch):
+    # fewer than _KRONECKER_MIN_PAIRS term tuples: no packing, as in `*`
+    widths = unpacked_widths(monkeypatch)
+    assert sum_of_products([(ONE + Q, ONE - Q, ONE + T), (Q**2,)]) == ONE + T - Q**2 * T
+    assert widths == []
+
+
+def test_sum_of_products_of_nothing():
+    assert sum_of_products([]) == ZERO
+    assert sum_of_products([()]) == ONE
+    assert sum_of_products([(Q, ZERO), (ZERO,)]) == ZERO
+    assert sum_of_products([(2, Q), (T,), ()]) == 2 * Q + T + ONE
+
+
+def unpacked_widths(monkeypatch):
+    """The list that collects the slot width of every `_unpack` call."""
+    widths = []
+    real_unpack = bipoly._unpack
+
+    def unpack(value, rows, w, nb):
+        widths.append(nb)
+        return real_unpack(value, rows, w, nb)
+
+    monkeypatch.setattr(bipoly, "_unpack", unpack)
+    return widths
+
+
+def test_kernel_slots_where_the_bound_is_attained(monkeypatch):
+    # the middle coefficient of [n]_q^2 is n = ||[n]_q||_1 max|[n]_q|, the
+    # bound itself: 127 and -127 fit one byte with the sign bit, 128 needs two
+    widths = unpacked_widths(monkeypatch)
+    for n, nb in ((127, 1), (128, 2)):
+        p = BiPoly({(d, 0): 1 for d in range(n)})
+        for sign in (1, -1):
+            widths.clear()
+            square = sum_of_products([(p, sign * p)])
+            assert square.terms == schoolbook(p, sign * p)
+            assert square.terms[(n - 1, 0)] == sign * n
+            assert widths == [nb]
+
+
+def test_kernel_groups_wide_and_narrow_products(monkeypatch):
+    # a product of 1-bit coefficients is not packed at the width of a 2^200
+    # one: two groups, each unpacked once at its own width, and the sum is
+    # still exact
+    big = BiPoly({(d, t): (-1) ** d * (2**200 - d) for d in range(20) for t in range(3)})
+    small = BiPoly({(d, t): 1 for d in range(20) for t in range(3)})
+    products = [(big, big), (small, small), (small, T * small)]
+    widths = unpacked_widths(monkeypatch)
+    assert sum_of_products(products).terms == schoolbook_sum(products)
+    assert sorted(widths) == [1, 51]  # 60 (2^200)^2 < 2^406 needs 51 bytes with the sign bit
 
 
 def test_cached_values_are_immutable():

@@ -288,3 +288,18 @@ def test_bareiss_divides_by_the_packed_route(monkeypatch):
     tangent_secant(12)
     assert {name for name, size in routes if size > 1} == {"_divexact_packed"}
     assert sum(name == "_divexact_packed" for name, _ in routes) > 50
+
+
+def test_chain_sum_unpacks_once_per_width_group(monkeypatch):
+    # a count, not a timing: the 511 chains of cd(19, 19) are summed packed,
+    # and each width group is unpacked once
+    widths = []
+    real_unpack = bipoly._unpack
+
+    def unpack(value, rows, w, nb):
+        widths.append(nb)
+        return real_unpack(value, rows, w, nb)
+
+    monkeypatch.setattr(bipoly, "_unpack", unpack)
+    cd_chain_alternating(19, 19)
+    assert len(widths) == len(set(widths)) < 10

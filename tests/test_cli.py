@@ -1,5 +1,6 @@
 """CLI behavior: outputs, formats, exit codes, determinism, fault isolation."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -119,9 +120,10 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_negative_n_exits_2(capsys):
+    # the message names the CLI's own --n, not a library parameter
     for argv in (("secant", "--n", "-1"), ("qeulerian", "--n", "-1"), ("qeulerian", "--n", "-1", "--q1")):
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and "error" in err, argv
+        assert (code, out, err) == (2, "", "error: n must be nonnegative, got -1\n"), argv
 
 
 def test_check_nmax_below_two_exits_2(capsys):
@@ -343,3 +345,29 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(chow_module, "hilbert_recurrence", broken)
     code, out, err = run_cli(capsys, "hilbert", "--family", "vector", "--n", "3", "--r", "3")
     assert (code, out, err) == (4, "", "internal error: TypeError: injected\n")
+
+
+# One small query per production route, pinned to the stdout digests the
+# benchmark verifies; the file is only read.
+BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "hilbert --family vector --n 18 --r 13 --format text",
+        "hilbert --family vector --n 8 --r 6 --method closed --format csv",
+        "cd --family vector --n 17 --r 17 --method direct --format text",
+        "cd --family vector --n 19 --r 19 --method chain --format csv",
+        "cd --family vector --n 11 --r 11 --method det --format json",
+        "cd --family vector --n 13 --r 11 --method qsecant --format text",
+        "qeulerian --n 16 --format json",
+        "secant --n 12 --format text",
+        "delta --n 8 --r 4 --format text",
+    ],
+)
+def test_stdout_matches_the_benchmark_reference(capsys, query):
+    digests = json.loads(BENCHMARK_REFERENCE.read_text())["digests"]
+    code, out, _ = run_cli(capsys, *query.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[query]
