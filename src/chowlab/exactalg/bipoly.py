@@ -33,15 +33,13 @@ from itertools import accumulate, chain, compress, cycle, repeat
 from operator import itemgetter, mul, ne
 from types import MappingProxyType
 
-# A product takes the Kronecker route when it has at least this many term
-# pairs and its shorter operand at least this many terms.  Below either, the
-# dict loop is faster: packing and unpacking cost a pass over the whole (q, t)
-# rectangle of the product, which a factor like t - q^i does not repay.  Inside
-# a sum of products only the pair count applies, since a small factor is
-# packed once for its whole group and the sum is unpacked once.  For
-# the same reason a division is packed only when its divisor has at least
-# _KRONECKER_MIN_TERMS terms and fills at least half of its (t, q) rectangle:
-# on sparse operands with wide coefficients the heap loop is over 30x faster.
+# A product, by `*` or inside `sum_of_products`, takes the Kronecker route
+# when it has at least this many term tuples (the product of its factors' term
+# counts; see `_packs`).  Below that the term loop is faster: packing and
+# unpacking cost a pass over the whole (q, t) rectangle of the product.  A
+# division is packed only when its divisor has at least _KRONECKER_MIN_TERMS
+# terms and fills at least half of its (t, q) rectangle: on sparse operands
+# with wide coefficients the heap loop is over 30x faster.
 _KRONECKER_MIN_PAIRS = 256
 _KRONECKER_MIN_TERMS = 8
 
@@ -101,7 +99,7 @@ class BiPoly:
 
     def __mul__(self, other):
         a, b = self._terms, _coerce(other)._terms
-        if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS and len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
+        if _packs((len(a), len(b))):
             return sum_of_products([(self, other)])
         return _raw(_mul_terms(a, b))
 
@@ -291,6 +289,12 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to BiPoly")
 
 
+def _packs(lengths):
+    """Whether a product of factors with these term counts is packed; the
+    one rule for `*` and for each product of `sum_of_products`."""
+    return math.prod(lengths) >= _KRONECKER_MIN_PAIRS
+
+
 def _mul_terms(a, b):
     """The product of two term dicts by the term loop."""
     out = {}
@@ -392,7 +396,8 @@ def sum_of_products(products):
 
     - Small products.  A product with fewer than _KRONECKER_MIN_PAIRS term
       tuples (the product of its factors' term counts) is multiplied by the
-      term loop, as `*` does, and its terms are added as a dict.
+      term loop and its terms are added as a dict.  `*` routes by the same
+      rule, `_packs`, so a one-product call packs exactly when `*` would.
     - Bound.  A product's coefficients are at most ||f_1||_1 ... ||f_(k-1)||_1
       max|f_k| in absolute value, for any factor taken last; the kernel
       takes the smallest of these k bounds, which for two factors is never
@@ -421,7 +426,7 @@ def sum_of_products(products):
         factors = [_coerce(f)._terms for f in tuple(product) or (ONE,)]
         if not all(factors):
             continue  # a zero factor
-        if math.prod(map(len, factors)) < _KRONECKER_MIN_PAIRS:
+        if not _packs(map(len, factors)):
             small.append(reduce(_mul_terms, factors))
             continue
         for terms in factors:

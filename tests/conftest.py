@@ -1,5 +1,7 @@
 import pytest
 
+from chowlab.exactalg import bipoly
+
 
 @pytest.fixture
 def holds():
@@ -12,3 +14,18 @@ def holds():
         return entries
 
     return check
+
+
+@pytest.fixture
+def unpacked_widths(monkeypatch):
+    """The list that collects the slot width of every `_unpack` call the
+    test makes, so a test can count how often a sum is read back."""
+    widths = []
+    real_unpack = bipoly._unpack
+
+    def unpack(value, rows, w, nb):
+        widths.append(nb)
+        return real_unpack(value, rows, w, nb)
+
+    monkeypatch.setattr(bipoly, "_unpack", unpack)
+    return widths

@@ -436,11 +436,23 @@ def test_sum_of_products_against_schoolbook_oracle(pool, shapes, cancel, packed)
     assert sum_of_products(iter(products)) == result
 
 
-def test_small_products_take_the_term_loop(monkeypatch):
-    # fewer than _KRONECKER_MIN_PAIRS term tuples: no packing, as in `*`
-    widths = unpacked_widths(monkeypatch)
+def test_small_products_take_the_term_loop(unpacked_widths):
+    # fewer than _KRONECKER_MIN_PAIRS term tuples: no packing
     assert sum_of_products([(ONE + Q, ONE - Q, ONE + T), (Q**2,)]) == ONE + T - Q**2 * T
-    assert widths == []
+    assert unpacked_widths == []
+
+
+def test_one_product_routes_like_mul(unpacked_widths):
+    # `*` and a one-product kernel call pack by the same rule, whatever the
+    # shape: a monomial or a t - q^i factor, a short pair, a long pair
+    row = BiPoly({(d, 0): d + 1 for d in range(300)})
+    for a, b in ((row, T), (row, T - Q**3), (t_quantum(15), t_quantum(15)), (t_quantum(16), t_quantum(16)), (Q, T)):
+        unpacked_widths.clear()
+        product = a * b
+        by_mul = len(unpacked_widths)
+        unpacked_widths.clear()
+        assert sum_of_products([(a, b)]) == product
+        assert len(unpacked_widths) == by_mul == (len(a.terms) * len(b.terms) >= bipoly._KRONECKER_MIN_PAIRS)
 
 
 def test_sum_of_products_of_nothing():
@@ -450,43 +462,28 @@ def test_sum_of_products_of_nothing():
     assert sum_of_products([(2, Q), (T,), ()]) == 2 * Q + T + ONE
 
 
-def unpacked_widths(monkeypatch):
-    """The list that collects the slot width of every `_unpack` call."""
-    widths = []
-    real_unpack = bipoly._unpack
-
-    def unpack(value, rows, w, nb):
-        widths.append(nb)
-        return real_unpack(value, rows, w, nb)
-
-    monkeypatch.setattr(bipoly, "_unpack", unpack)
-    return widths
-
-
-def test_kernel_slots_where_the_bound_is_attained(monkeypatch):
+def test_kernel_slots_where_the_bound_is_attained(unpacked_widths):
     # the middle coefficient of [n]_q^2 is n = ||[n]_q||_1 max|[n]_q|, the
     # bound itself: 127 and -127 fit one byte with the sign bit, 128 needs two
-    widths = unpacked_widths(monkeypatch)
     for n, nb in ((127, 1), (128, 2)):
         p = BiPoly({(d, 0): 1 for d in range(n)})
         for sign in (1, -1):
-            widths.clear()
+            unpacked_widths.clear()
             square = sum_of_products([(p, sign * p)])
             assert square.terms == schoolbook(p, sign * p)
             assert square.terms[(n - 1, 0)] == sign * n
-            assert widths == [nb]
+            assert unpacked_widths == [nb]
 
 
-def test_kernel_groups_wide_and_narrow_products(monkeypatch):
+def test_kernel_groups_wide_and_narrow_products(unpacked_widths):
     # a product of 1-bit coefficients is not packed at the width of a 2^200
     # one: two groups, each unpacked once at its own width, and the sum is
     # still exact
     big = BiPoly({(d, t): (-1) ** d * (2**200 - d) for d in range(20) for t in range(3)})
     small = BiPoly({(d, t): 1 for d in range(20) for t in range(3)})
     products = [(big, big), (small, small), (small, T * small)]
-    widths = unpacked_widths(monkeypatch)
     assert sum_of_products(products).terms == schoolbook_sum(products)
-    assert sorted(widths) == [1, 51]  # 60 (2^200)^2 < 2^406 needs 51 bytes with the sign bit
+    assert sorted(unpacked_widths) == [1, 51]  # 60 (2^200)^2 < 2^406 needs 51 bytes with the sign bit
 
 
 def test_cached_values_are_immutable():

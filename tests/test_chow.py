@@ -18,7 +18,7 @@ from chowlab.chow import (
     hilbert_recurrence,
 )
 from chowlab.errors import ResourceBoundError, RouteDisagreementError
-from chowlab.exactalg import BiPoly, ONE, T, bipoly
+from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.flats import FamilySpec, build_explicit
 from chowlab.permstat import permutations_of
 from chowlab.qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
@@ -162,18 +162,10 @@ def test_closed_form_needs_no_enumeration_bound():
         assert hilbert_closed_form(spec) == hilbert_recurrence(spec)
 
 
-def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch):
+def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch, unpacked_widths):
     # a count, not a timing: each rank's products are summed packed, a few
     # width groups a rank, so the unpacks grow with r, not with the 78 (r, i)
     # pairs of vector(14, 14)
     monkeypatch.setattr(chow_module, "_DIAGONALS", {})
-    unpacks = []
-    real_unpack = bipoly._unpack
-
-    def unpack(*args):
-        unpacks.append(args)
-        return real_unpack(*args)
-
-    monkeypatch.setattr(bipoly, "_unpack", unpack)
     hilbert_recurrence(FamilySpec.vector(14, 14))
-    assert len(unpacks) <= 2 * 14 < sum(r - 2 for r in range(3, 15))
+    assert len(unpacked_widths) <= 2 * 14 < sum(r - 2 for r in range(3, 15))
