@@ -28,8 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import RouteDisagreementError, require_equal
-from .exactalg import MINUS_ONE, BiPoly, ONE, gauss_binomial, sum_of_products
-from .exactalg.det import leading_principal_minors
+from .exactalg import MINUS_ONE, BiPoly, ONE, gauss_binomial, leading_principal_minors, sum_of_products
 from .chow import hilbert_recurrence
 
 

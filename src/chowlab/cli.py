@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import charney, chow, ordercx, qeuler
-from .checks import SUITES, check_suites  # the registry's dict itself: wrap a suite there to wrap `check`
+from .checks import SUITES, check_suites, suite_status  # the registry's dict itself: wrap a suite there to wrap `check`
 from .errors import ResourceBoundError, RouteDisagreementError
 from .exactalg import BiPoly
 from .flats import FamilySpec
@@ -243,15 +243,9 @@ def _run_conjecture(config):
 # -- check report ------------------------------------------------------------
 
 
-def _status(entries):
-    if not entries or any(not e["ok"] and not e.get("skipped") for e in entries):
-        return "FAIL"
-    return "SKIPPED" if any(e.get("skipped") for e in entries) else "PASS"
-
-
 def _run_check(config):
     report = check_suites(config.n_max, config.suite, config.bound)
-    statuses = [_status(suite["entries"]) for suite in report["suites"]]
+    statuses = [suite_status(suite["entries"]) for suite in report["suites"]]
     code = 1 if "FAIL" in statuses else 3 if "SKIPPED" in statuses else 0
     overall = {0: "OK", 1: "FAILED", 3: "SKIPPED"}[code]
     if config.fmt == "json":

@@ -1,5 +1,6 @@
-"""Exact arithmetic foundation: sparse (q,t)-polynomials (`bipoly`) and
-fraction-free elimination over them (`det`)."""
+"""Exact arithmetic foundation: sparse (q,t)-polynomials (`bipoly`), with
+their sums of products and the leading principal minors of a matrix of them
+computed on packed integers."""
 
 from .bipoly import (
     BiPoly,
@@ -11,6 +12,7 @@ from .bipoly import (
     binomial,
     diff_terms,
     gauss_binomial,
+    leading_principal_minors,
     sum_of_products,
     t_quantum,
 )
@@ -25,6 +27,7 @@ __all__ = [
     "binomial",
     "diff_terms",
     "gauss_binomial",
+    "leading_principal_minors",
     "sum_of_products",
     "t_quantum",
 ]

@@ -19,13 +19,13 @@ multipoint Kronecker substitution", J. Symbolic Comput. 2009): every factor
 becomes one Python integer, packed once, the integer products are added,
 and the coefficients of the whole sum are read back once from fixed-width
 byte slots.  A single large product is a one-term call of the kernel.
-Exact division by a dense divisor runs the same packing backwards: one
-integer divmod, then one multiply back to prove the quotient.
+Leading principal minors, by one Bareiss elimination, use the same packing:
+the matrix is packed once and eliminated in `int`, and only the minors are
+read back.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from functools import lru_cache, reduce
@@ -36,12 +36,8 @@ from types import MappingProxyType
 # A product, by `*` or inside `sum_of_products`, takes the Kronecker route
 # when it has at least this many term tuples (the product of its factors' term
 # counts; see `_packs`).  Below that the term loop is faster: packing and
-# unpacking cost a pass over the whole (q, t) rectangle of the product.  A
-# division is packed only when its divisor has at least _KRONECKER_MIN_TERMS
-# terms and fills at least half of its (t, q) rectangle: on sparse operands
-# with wide coefficients the heap loop is over 30x faster.
+# unpacking cost a pass over the whole (q, t) rectangle of the product.
 _KRONECKER_MIN_PAIRS = 256
-_KRONECKER_MIN_TERMS = 8
 
 
 class BiPoly:
@@ -201,36 +197,6 @@ class BiPoly:
             result = result + powers[qd] * BiPoly.term(c, 0, td)
         return result
 
-    def divexact(self, divisor):
-        """Exact division; raises ValueError when divisor does not divide self.
-
-        A dense divisor (at least _KRONECKER_MIN_TERMS terms, filling at
-        least half of its (t, q) rectangle, as every Bareiss divisor does)
-        takes the packed route; any other takes the term-by-term heap loop of
-        `_divexact_heap`.  The packed route (`_divexact_packed`) is sound:
-
-        - Packing at slot width nb is evaluation at q = 2^(8 nb) and
-          t = 2^(8 nb w), a ring homomorphism, and since every coefficient
-          fits its slot the packed divisor is nonzero.  If the divisor
-          divides self, the packed divisor divides the packed self; so a
-          nonzero remainder of one integer divmod proves the division
-          inexact, with no retry.
-        - A zero remainder gives a candidate quotient.  Z[q, t] is an
-          integral domain, so a quotient is unique, and one multiply back
-          that gives self again proves the candidate is it.
-        - Otherwise the slots were too narrow or there is no quotient, and
-          nb doubles.  Mignotte's factor bound caps every coefficient of any
-          quotient, so once the slots hold that cap a failed check proves
-          the division inexact.
-        """
-        b = _coerce(divisor)._terms
-        if not b:
-            raise ValueError("division by zero polynomial")
-        rect = (max(map(itemgetter(0), b)) + 1) * (max(map(itemgetter(1), b)) + 1)
-        if len(b) >= _KRONECKER_MIN_TERMS and 2 * len(b) >= rect:
-            return _raw(_divexact_packed(self._terms, b))
-        return _raw(_divexact_heap(self._terms, b))
-
     # -- rendering -----------------------------------------------------
 
     def __repr__(self):
@@ -307,82 +273,6 @@ def _mul_terms(a, b):
             else:
                 del out[k]
     return out
-
-
-def _divexact_heap(a, b):
-    """The quotient a / b of term dicts, b nonempty, term by term.
-
-    Division runs on leading terms in (t, q)-lexicographic order.  Each step
-    only changes terms below the current leading one, so the leading terms
-    come off a heap in decreasing order; a key popped after it has cancelled
-    is skipped.  Cheap for sparse operands, whatever their coefficients.
-    """
-    dq, dt = max(b, key=lambda k: (k[1], k[0]))
-    dc = b[(dq, dt)]
-    tail = [(q2, t2, c2) for (q2, t2), c2 in b.items() if (q2, t2) != (dq, dt)]
-    rem = dict(a)
-    heap = [(-td, -qd) for qd, td in rem]
-    heapq.heapify(heap)
-    quot = {}
-    while heap:
-        nt, nq = heapq.heappop(heap)
-        rc = rem.pop((-nq, -nt), 0)
-        if not rc:
-            continue
-        qd, td = -nq - dq, -nt - dt
-        if qd < 0 or td < 0 or rc % dc != 0:
-            raise ValueError("inexact polynomial division")
-        c = rc // dc
-        quot[(qd, td)] = c
-        for q2, t2, c2 in tail:
-            k = (q2 + qd, t2 + td)
-            if k in rem:
-                s = rem[k] - c * c2
-                if s:
-                    rem[k] = s
-                else:
-                    del rem[k]
-            else:
-                rem[k] = -c * c2
-                heapq.heappush(heap, (-k[1], -k[0]))
-    return quot
-
-
-def _divexact_packed(a, b):
-    """The quotient a / b of term dicts, b nonempty, by one integer divmod.
-
-    Both operands are packed as in `sum_of_products`, with w = deg_q a + 1
-    and slots of nb bytes, which start wide enough for every coefficient of
-    a and b plus a sign bit.  The candidate is read back from the packed
-    quotient with the balanced bias and multiplied back (see
-    `BiPoly.divexact` for why this is sound).  The cap on nb: with t = q^w,
-    any quotient is a factor of a of degree m in q, so by Mignotte's factor
-    bound (Mignotte 1974; von zur Gathen and Gerhard, Modern Computer
-    Algebra, section 6.6) its coefficients are at most 2^m ||a||_2.
-    """
-    if not a:
-        return {}
-    w = max(map(itemgetter(0), a)) + 1
-    ta, tb = max(map(itemgetter(1), a)), max(map(itemgetter(1), b))
-    m = max(td * w + qd for qd, td in a) - max(td * w + qd for qd, td in b)
-    if max(map(itemgetter(0), b)) >= w or m < 0:
-        raise ValueError("inexact polynomial division")
-    cap = (math.isqrt(sum(c * c for c in a.values())) + 1) << m
-    nb_cap = cap.bit_length() // 8 + 1
-    nb = max(max(map(abs, a.values())), max(map(abs, b.values()))).bit_length() // 8 + 1
-    while True:
-        quot, rem = divmod(_pack(a, ta + 1, w, nb), _pack(b, tb + 1, w, nb))
-        if rem:
-            raise ValueError("inexact polynomial division")
-        try:
-            candidate = _raw(_unpack(quot, ta - tb + 1, w, nb))
-        except OverflowError:  # the packed quotient does not fit the slots
-            candidate = None
-        if candidate is not None and (candidate * _raw(b))._terms == a:
-            return candidate._terms
-        if nb >= nb_cap:
-            raise ValueError("inexact polynomial division")
-        nb = min(2 * nb, nb_cap)
 
 
 def sum_of_products(products):
@@ -494,6 +384,65 @@ def _unpack(value, rows, w, nb):
     keys = zip(cycle(range(w)), chain.from_iterable(map(repeat, range(rows), repeat(w))))
     digits = map(int.from_bytes, compress(slots, nonzero), repeat("little"))
     return dict(zip(compress(keys, nonzero), map(int.__sub__, digits, repeat(half))))
+
+
+def leading_principal_minors(matrix):
+    """The leading principal minors M_1, ..., M_n of a square matrix of
+    BiPoly (or int) entries, by one Bareiss elimination without row swaps:
+
+    >>> [m.to_text() for m in leading_principal_minors([[Q, T], [ONE, Q]])]
+    ['q', 'q^2 - t']
+
+    Below a zero pivot the elimination would need a swap, so the list stops
+    at the first zero minor and is then shorter than n.
+
+    - Layout.  Every entry is packed once, as in `sum_of_products`, at one
+      layout that holds every leading minor: w - 1 and rows - 1 are the sums
+      over the rows of the largest q-degree and t-degree in each row, and
+      the slots are nb = bits(min(R, C)) // 8 + 1 bytes wide.  R is the
+      product over the rows of isqrt(sum_j ||m_ij||_1^2) + 1 and C the same
+      product over the columns.  Both are Hadamard bounds on every
+      coefficient of every leading minor, since a coefficient is at most the
+      minor's largest absolute value on the torus |q| = |t| = 1, and each
+      factor is at least 1, so dropping rows and columns never raises them.
+    - Elimination.  Step k sets a_ij = (a_kk a_ij - a_ik a_kj) // prev in
+      plain `int`, where prev is the previous pivot, and the pivot a_kk is
+      then the packing of M_(k+1).  Only the pivots are unpacked.
+    - Soundness.  Packing is the ring homomorphism q -> 2^(8 nb),
+      t -> 2^(8 nb w) from Z[q, t] to Z.  By Sylvester's identity every
+      Bareiss quotient is exact in Z[q, t], so every `//` is exact in Z, and
+      the intermediate integers need fit nothing.  Each minor fits the
+      layout, so it reads back exactly, and a zero minor is exactly the
+      integer 0.
+    """
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix has no determinant")
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    entries = [[_coerce(x)._terms for x in row] for row in matrix]
+    w = 1 + sum(max((qd for terms in row for qd, _ in terms), default=0) for row in entries)
+    rows = 1 + sum(max((td for terms in row for _, td in terms), default=0) for row in entries)
+
+    def hadamard(lines):
+        return math.prod(math.isqrt(sum(sum(map(abs, t.values())) ** 2 for t in line)) + 1 for line in lines)
+
+    nb = min(hadamard(entries), hadamard(zip(*entries))).bit_length() // 8 + 1
+    a = [[_pack(t, max(map(itemgetter(1), t)) + 1, w, nb) if t else 0 for t in row] for row in entries]
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        minors.append(_raw(_unpack(pivot, rows, w, nb)))
+        if not pivot:
+            break
+        row_k = a[k]
+        for row_i in a[k + 1 :]:
+            a_ik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - a_ik * row_k[j]) // prev
+        prev = pivot
+    return minors
 
 
 def _render_q_monomial(c, e):

@@ -2,7 +2,6 @@
 
 import inspect
 import math
-import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -57,31 +56,12 @@ def schoolbook(a, b):
 @contextmanager
 def forced_route(kronecker):
     """Send every product with nonempty operands down one multiply route."""
-    saved = bipoly._KRONECKER_MIN_PAIRS, bipoly._KRONECKER_MIN_TERMS
-    bipoly._KRONECKER_MIN_PAIRS = bipoly._KRONECKER_MIN_TERMS = 1 if kronecker else math.inf
+    saved = bipoly._KRONECKER_MIN_PAIRS
+    bipoly._KRONECKER_MIN_PAIRS = 1 if kronecker else math.inf
     try:
         yield
     finally:
-        bipoly._KRONECKER_MIN_PAIRS, bipoly._KRONECKER_MIN_TERMS = saved
-
-
-@contextmanager
-def forced_division_route(packed):
-    """Send every division by a nonzero divisor down one division route."""
-    saved = bipoly._divexact_packed, bipoly._divexact_heap
-    bipoly._divexact_packed = bipoly._divexact_heap = saved[0] if packed else saved[1]
-    try:
-        yield
-    finally:
-        bipoly._divexact_packed, bipoly._divexact_heap = saved
-
-
-def divide_or_raise(a, b):
-    """a.divexact(b), or the ValueError it raised, so two routes can be compared."""
-    try:
-        return a.divexact(b)
-    except ValueError:
-        return ValueError
+        bipoly._KRONECKER_MIN_PAIRS = saved
 
 
 @settings(max_examples=150)
@@ -176,34 +156,6 @@ def test_gauss_binomial_symmetry_and_pascal():
                 assert gauss_binomial(n, k) == gauss_binomial(n - 1, k - 1) + Q**k * gauss_binomial(n - 1, k)
 
 
-def test_divexact_roundtrip():
-    rng = random.Random(7)
-    for _ in range(30):
-        a = BiPoly({(rng.randrange(4), rng.randrange(4)): rng.randint(-5, 5) for _ in range(4)})
-        b = BiPoly({(rng.randrange(3), rng.randrange(3)): rng.randint(-5, 5) for _ in range(3)})
-        if not a or not b:
-            continue
-        assert (a * b).divexact(b) == a
-
-
-def test_divexact_through_terms_the_dividend_lacks():
-    # the remainder grows terms that the dividend lacks, and they must still
-    # come up as leading terms: 1 - q^2 = (1 + q)(1 - q) has no q term
-    assert (ONE - Q**2).divexact(ONE + Q) == ONE - Q
-    for n in range(1, 12):
-        assert (ONE - Q**n).divexact(ONE - Q) == BiPoly({(d, 0): 1 for d in range(n)})
-        assert (ONE - (Q * T) ** n).divexact(ONE - Q * T) == sum(((Q * T) ** k for k in range(n)), ZERO)
-    with pytest.raises(ValueError):
-        (ONE - Q**5).divexact(ONE + Q)
-
-
-def test_divexact_rejects_inexact():
-    with pytest.raises(ValueError):
-        (Q + ONE).divexact(T)
-    with pytest.raises(ValueError):
-        ONE.divexact(ZERO)
-
-
 def test_text_rendering():
     p = BiPoly({(0, 0): 1, (0, 1): 2, (1, 1): 1, (2, 1): 1, (0, 2): 1})
     assert p.to_text() == "1 + (2 + q + q^2)*t + t^2"
@@ -261,98 +213,6 @@ def test_large_products_cancel_to_zero(f, g):
     assert (f + g) * (f - g) == f * f - g * g
     assert f * (g - g) == ZERO
     assert (f * g) * ZERO == ZERO
-
-
-@settings(max_examples=40, deadline=None)
-@given(large_bipolys, large_bipolys)
-def test_divexact_inverts_large_products(a, b):
-    assert (a * b).divexact(b) == a
-    with pytest.raises(ValueError):
-        (a * b + BiPoly.term(1, 200, 0)).divexact(b)
-
-
-# Dense q-polynomials, the divisors Bareiss elimination divides by.
-gauss_binomials = st.integers(0, 14).flatmap(lambda n: st.integers(0, n).map(lambda k: gauss_binomial(n, k)))
-division_operands = st.one_of(large_bipolys, q_only, gauss_binomials)
-
-
-@settings(max_examples=20, deadline=None)
-@given(division_operands, division_operands, st.one_of(st.just(ZERO), bipolys))
-def test_both_division_routes_agree(a, b, noise):
-    if not b:
-        return
-    dividend = a * b + noise
-    with forced_division_route(packed=True):
-        packed = divide_or_raise(dividend, b)
-    with forced_division_route(packed=False):
-        heap = divide_or_raise(dividend, b)
-    assert packed == heap
-    if not noise:
-        assert packed == a
-
-
-def dividend_widths(monkeypatch, dividend):
-    """The list that collects the slot widths at which `_pack` packs `dividend`."""
-    widths = []
-    real_pack = bipoly._pack
-
-    def pack(terms, rows, w, nb):
-        if terms == dividend.terms:
-            widths.append(nb)
-        return real_pack(terms, rows, w, nb)
-
-    monkeypatch.setattr(bipoly, "_pack", pack)
-    return widths
-
-
-def test_packed_division_rejects_a_nonzero_remainder_at_once(monkeypatch):
-    # one divmod, and no retry at a wider slot: a nonzero remainder is proof
-    rng = random.Random(3)
-
-    def sparse():
-        return BiPoly({(rng.randrange(41), rng.randrange(6)): rng.randint(-(2**64), 2**64) for _ in range(30)})
-
-    a, b = sparse(), sparse()
-    dividend = a * b + BiPoly.term(1, 200, 0)
-    widths = dividend_widths(monkeypatch, dividend)
-    with forced_division_route(packed=True), pytest.raises(ValueError):
-        dividend.divexact(b)
-    assert len(widths) == 1
-
-
-def test_packed_division_widens_its_slots(monkeypatch):
-    # the quotient's coefficients need 60 bits, the operands' only 38, so the
-    # first candidate, read from 5-byte slots, fails its multiply-back check
-    dividend, divisor, quotient = (ONE - Q**3) ** 40, (ONE - Q) ** 40, (ONE + Q + Q**2) ** 40
-    assert max(map(abs, dividend.terms.values())).bit_length() == 38
-    assert max(map(abs, quotient.terms.values())).bit_length() == 60
-    widths = dividend_widths(monkeypatch, dividend)
-    assert dividend.divexact(divisor) == quotient
-    assert widths == [5, 10]
-
-
-def test_packed_division_stops_at_the_factor_bound(monkeypatch):
-    # with no candidate ever read back, the slots double up to Mignotte's
-    # bound 2^80 ||dividend||_2 < 2^119 (15 bytes with the sign bit), then give up
-    dividend, divisor = (ONE - Q**3) ** 40, (ONE - Q) ** 40
-    widths = dividend_widths(monkeypatch, dividend)
-
-    def unpack(*args):
-        raise OverflowError
-
-    monkeypatch.setattr(bipoly, "_unpack", unpack)
-    with pytest.raises(ValueError):
-        dividend.divexact(divisor)
-    assert widths == [5, 10, 15]
-
-
-@pytest.mark.parametrize("packed", [True, False])
-def test_division_by_wider_coefficients_is_inexact(packed):
-    with forced_division_route(packed), pytest.raises(ValueError):
-        (ONE + Q**5).divexact(BiPoly.const(2**200) + Q)
-    with forced_division_route(packed):
-        assert (BiPoly.const(2**200) + Q).divexact(BiPoly.const(2**200) + Q) == ONE
-        assert ZERO.divexact(BiPoly.const(2**200) + Q) == ZERO
 
 
 def test_slots_exactly_at_the_width_bound():

@@ -7,7 +7,6 @@ import pytest
 
 import chowlab.charney as charney_module
 from chowlab import checks
-from chowlab.exactalg import bipoly
 from chowlab.charney import (
     cd_chain_alternating,
     cd_determinant,
@@ -269,25 +268,6 @@ def test_integer_series_against_fraction_oracle():
         expected = _fraction_series_at(q0, 16)
         for n_max in range(17):
             assert charney_module._secant_series_at(q0, n_max) == expected[: n_max + 1]
-
-
-def test_bareiss_divides_by_the_packed_route(monkeypatch):
-    # a count, not a timing: a change to the density rule must not send
-    # Bareiss back to the heap loop
-    routes = []
-
-    def spy(name, real):
-        def divide(a, b):
-            routes.append((name, len(b)))
-            return real(a, b)
-
-        return divide
-
-    for name in ("_divexact_packed", "_divexact_heap"):
-        monkeypatch.setattr(bipoly, name, spy(name, getattr(bipoly, name)))
-    tangent_secant(12)
-    assert {name for name, size in routes if size > 1} == {"_divexact_packed"}
-    assert sum(name == "_divexact_packed" for name, _ in routes) > 50
 
 
 def test_chain_sum_unpacks_once_per_width_group(unpacked_widths):

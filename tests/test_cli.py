@@ -347,8 +347,9 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert (code, out, err) == (4, "", "internal error: TypeError: injected\n")
 
 
-# One small query per production route, pinned to the stdout digests the
-# benchmark verifies; the file is only read.
+# One small query per production route, and the benchmark's largest Bareiss
+# jobs, pinned to the stdout digests the benchmark verifies; the file is only
+# read.
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
@@ -360,9 +361,11 @@ BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "refer
         "cd --family vector --n 17 --r 17 --method direct --format text",
         "cd --family vector --n 19 --r 19 --method chain --format csv",
         "cd --family vector --n 11 --r 11 --method det --format json",
+        "cd --family vector --n 15 --r 15 --method det --format json",
         "cd --family vector --n 13 --r 11 --method qsecant --format text",
         "qeulerian --n 16 --format json",
         "secant --n 12 --format text",
+        "secant --n 16 --format text",
         "delta --n 8 --r 4 --format text",
     ],
 )

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from chowlab.exactalg import BiPoly, ONE
-from chowlab.exactalg.det import leading_principal_minors
+from chowlab import charney
+from chowlab.exactalg import bipoly
+from chowlab.exactalg import BiPoly, ONE, Q, T, leading_principal_minors
 
 
 def _cofactor_det(matrix):
@@ -88,3 +89,48 @@ def test_leading_principal_minors_stop_at_zero_pivot():
     assert leading_principal_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == [ONE, BiPoly()]
     with pytest.raises(ValueError):
         leading_principal_minors([])
+
+
+def test_wide_mixed_sign_qt_matrices_against_cofactor_oracle():
+    rng = random.Random(8)
+
+    def entry():
+        return BiPoly({(rng.randrange(3), rng.randrange(3)): rng.randint(-(2**64), 2**64) for _ in range(3)})
+
+    for size in (1, 2, 3, 4):
+        for _ in range(4):
+            _assert_minors_match_oracle([[entry() for _ in range(size)] for _ in range(size)])
+
+
+def test_minors_read_back_at_the_slot_edge(unpacked_widths):
+    # the Hadamard bound min(R, C) sets the slot width: 8^2 = 64 has 7 bits
+    # and fits 1-byte slots; 12^2 = 144 has 8 bits, and 128 needs a 2nd byte
+    assert leading_principal_minors([[-5, 5 * Q], [5 * T, 5 * Q * T]]) == [BiPoly.const(-5), -50 * Q * T]
+    assert unpacked_widths == [1, 1]
+    unpacked_widths.clear()
+    assert leading_principal_minors([[8, -8 * Q], [8 * T, 8 * Q * T]]) == [BiPoly.const(8), 128 * Q * T]
+    assert unpacked_widths == [2, 2]
+
+
+def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
+    # a count, not a timing: the T(16, 2a) matrix is packed once, eliminated
+    # in int, and only its 8 pivots are read back
+    calls = {"_pack": 0, "_unpack": 0, "sum_of_products": 0}
+    for name in calls:
+        real = getattr(bipoly, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bipoly, name, spy)
+    matrices = []
+
+    def recording(matrix):
+        matrices.append(matrix)
+        return leading_principal_minors(matrix)
+
+    monkeypatch.setattr(charney, "leading_principal_minors", recording)
+    assert len(charney._t_determinants(16, 8)) == 9
+    (matrix,) = matrices
+    assert calls == {"_pack": sum(map(bool, sum(matrix, []))), "_unpack": 8, "sum_of_products": 0}
