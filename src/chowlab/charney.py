@@ -15,10 +15,13 @@ is the production path, verified against the fraction-free (Bareiss)
 determinant of the Gaussian-binomial matrix.  Each smaller T(n, 2a) matrix is
 a leading principal submatrix of the largest, so one elimination without row
 swaps yields all of them as its pivots.  The q-tangent-secant numbers
-E_n are checked three ways: their own recurrence, the same Bareiss
-determinants (E_{2a} = T(2a, 2a), odd E_n the full-rank telescoping sum),
-and the Taylor coefficients of sech_q + tanh_q evaluated in exact integer
-arithmetic at enough integer points to pin every polynomial down.
+E_n are checked three ways: their own recurrence, the leading minors of two
+Bareiss eliminations (one matrix for the even E_n, the T(2a, 2a) matrix
+reflected through its anti-diagonal, and one for the odd E_n, the Hessenberg
+determinant of tanh_q), and the Taylor coefficients of sech_q + tanh_q
+evaluated in exact integer arithmetic at the one point q0 = 2^(8 nb), where
+a norm bound fixed in advance makes every coefficient fit an nb-byte slot,
+so the value read back slot by slot is the polynomial itself.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import RouteDisagreementError, require_equal
-from .exactalg import MINUS_ONE, BiPoly, ONE, gauss_binomial, leading_principal_minors, sum_of_products
+from .exactalg import MINUS_ONE, BiPoly, ONE, ZERO, gauss_binomial, leading_principal_minors, sum_of_products
+from .exactalg.bipoly import _unpack
 from .chow import hilbert_recurrence
 
 
@@ -157,16 +162,48 @@ def _secant_by_recurrence(n_max):
     ]
 
 
-def _secant_degree_bounds(n_max):
-    """q-degree bounds for E_0 .. E_{n_max}, fixed before any E_n is computed.
+def _secant_determinants(n_max):
+    """{n: E_n} for n <= n_max from two eliminations, one per parity.
 
-    They follow the shape of the recurrence with deg [n over k]_q = k(n - k).
+    The k x k matrix of parity p (0 even, 1 odd) has ones in its first
+    column, [2i - p over 2j - 2 - p]_q at 2 <= j <= i + 1 (1-indexed) and
+    zeros above the superdiagonal; then E_(2k - p) = (-1)^(k - p) M_k for
+    its leading minors M_k.  The even matrix is the T(2a, 2a) matrix of
+    `_t_determinants` reflected through its anti-diagonal, and the odd one
+    the Hessenberg determinant of tanh_q with its rows scaled by
+    (q;q)_(2i-1).  A zero pivot leaves the entries past it out.
     """
-    even = [0]
+    by_det = {0: ONE}
+    for odd in (0, 1):
+        size = (n_max + odd) // 2
+        if not size:
+            continue
+        matrix = [
+            [ONE] + [gauss_binomial(2 * i - odd, 2 * j - 2 - odd) if j <= i + 1 else ZERO for j in range(2, size + 1)]
+            for i in range(1, size + 1)
+        ]
+        for k, minor in enumerate(leading_principal_minors(matrix), 1):
+            by_det[2 * k - odd] = -minor if (k - odd) % 2 else minor
+    return by_det
+
+
+def _secant_norm_bounds(n_max):
+    """Bounds B_n >= ||E_n||_1 for 0 <= n <= n_max, fixed before any E_n is computed.
+
+    cosh_q sech_q = 1 and tanh_q = sinh_q sech_q give E_(2m) as minus the
+    sum of [2m over 2k]_q E_(2m - 2k) over 1 <= k <= m, and odd E_n as the
+    sum of [n over 2j]_q E_(2j); since ||[n over k]_q||_1 = C(n, k) and
+    ||fg||_1 <= ||f||_1 ||g||_1, the same sums of binomials without signs
+    bound the norms:
+
+    >>> _secant_norm_bounds(6)
+    [1, 1, 1, 4, 7, 46, 121]
+    """
+    even = [1]
     for m in range(1, n_max // 2 + 1):
-        even.append(max(2 * k * (2 * m - 2 * k) + even[m - k] for k in range(1, m + 1)))
+        even.append(sum(comb(2 * m, 2 * k) * even[m - k] for k in range(1, m + 1)))
     return [
-        even[n // 2] if n % 2 == 0 else max(2 * j * (n - 2 * j) + even[j] for j in range(n // 2 + 1))
+        even[n // 2] if n % 2 == 0 else sum(comb(n, 2 * j) * even[j] for j in range(n // 2 + 1))
         for n in range(n_max + 1)
     ]
 
@@ -200,23 +237,19 @@ def _secant_series_at(q0, n_max):
 
 
 def _verify_secant_by_series(entries):
-    """Check E_0 .. E_n against the series at the points q0 = 2 .. D + 2.
+    """Check E_0 .. E_n against the series at the one point q0 = 2^(8 nb).
 
-    D bounds every deg E_n in advance, so agreement at D + 1 points proves
-    the polynomials equal.
+    Every coefficient of the true E_n is below 2^(8 nb - 1) in absolute
+    value by `_secant_norm_bounds`, so E_n(q0) has one reading in nb-byte
+    slots, and `_unpack` recovers E_n from it; the integer's bit length
+    gives enough slots for any integer of its size.
     """
     n_max = len(entries) - 1
-    bounds = _secant_degree_bounds(n_max)
-    for n, (entry, bound) in enumerate(zip(entries, bounds)):
-        if entry.q_degree() > bound:
-            raise RouteDisagreementError(
-                f"deg E_{n} by recurrence vs its a priori bound", str(entry.q_degree()), str(bound)
-            )
-    for q0 in range(2, max(bounds) + 3):
-        for n, value in enumerate(_secant_series_at(q0, n_max)):
-            at_q0 = entries[n].eval(q0, 1)
-            if at_q0 != value:
-                raise RouteDisagreementError(f"E_{n} by recurrence vs series at q = {q0}", str(at_q0), str(value))
+    nb = max(_secant_norm_bounds(n_max)).bit_length() // 8 + 1
+    q0 = 1 << (8 * nb)
+    for n, (entry, value) in enumerate(zip(entries, _secant_series_at(q0, n_max))):
+        by_series = BiPoly(_unpack(value, 1, value.bit_length() // (8 * nb) + 2, nb))
+        require_equal(f"E_{n} by recurrence vs series at q = 2^{8 * nb}", entry, by_series)
 
 
 def tangent_secant(n_max):
@@ -224,9 +257,12 @@ def tangent_secant(n_max):
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     by_rec = _secant_by_recurrence(n_max)
+    by_det = _secant_determinants(n_max)
     for n, entry in enumerate(by_rec):
-        by_det = t_term(n, n // 2) if n % 2 == 0 else cd_determinant(n, n).unsigned
-        require_equal(f"E_{n} by recurrence vs determinant", entry, by_det)
+        what = f"E_{n} by recurrence vs determinant"
+        if n not in by_det:
+            raise RouteDisagreementError(what, entry.to_text(), "none: zero pivot before this minor")
+        require_equal(what, entry, by_det[n])
     _verify_secant_by_series(by_rec)
     classical = tuple(e.eval(1, 1) for e in by_rec)
     return TangentSecantTable(n_max, tuple(by_rec), classical)

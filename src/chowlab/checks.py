@@ -424,7 +424,7 @@ SUITES = {
     ]),
     "tangent-secant": lambda n_max, bound=None: _contained([
         tangent_secant_table(max(n_max, 10)),
-        odd_secant_entries(range(1, min(n_max, 7) + 1, 2)),
+        odd_secant_entries(range(1, n_max + 1, 2)),
         classical_secant_determinant(range(5)),
         secant_sums(range(1, n_max + 1)),
         odd_secant_collapse(range(1, max(n_max, 9) + 1, 2)),

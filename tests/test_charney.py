@@ -206,24 +206,63 @@ def test_determinant_route_catches_wrong_top_coefficient(monkeypatch):
         cd_determinant(8, 7)
 
 
+def _secant_degree_bound(m):
+    """A priori q-degree bound of E_2m from the shape of its recurrence, deg [n over k]_q = k(n - k)."""
+    bounds = [0]
+    for j in range(1, m + 1):
+        bounds.append(max(2 * k * (2 * j - 2 * k) + bounds[j - k] for k in range(1, j + 1)))
+    return bounds[m]
+
+
 def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
     real = charney_module._secant_by_recurrence
-    bound = charney_module._secant_degree_bounds(8)[8]
+    degree = _secant_degree_bound(4)
+    nb = max(charney_module._secant_norm_bounds(8)).bit_length() // 8 + 1
+    half = 1 << (8 * nb - 1)
 
-    def tampered(n_max, degree=bound):
-        entries = real(n_max)
-        entries[8] = entries[8] + BiPoly.term(1, degree, 0)
+    def bumped(bump):
+        entries = real(8)
+        entries[8] = entries[8] + bump
         return entries
 
-    monkeypatch.setattr(charney_module, "_secant_by_recurrence", tampered)
+    top = BiPoly.term(1, degree, 0)
+    monkeypatch.setattr(charney_module, "_secant_by_recurrence", lambda n_max: bumped(top))
     with pytest.raises(RouteDisagreementError, match="determinant"):
         tangent_secant(8)
-    # the series route alone also catches it, and refuses a degree past its bound
-    with pytest.raises(RouteDisagreementError, match="series"):
-        charney_module._verify_secant_by_series(tampered(8))
-    with pytest.raises(RouteDisagreementError, match="a priori bound"):
-        charney_module._verify_secant_by_series(tampered(8, bound + 1))
+    # the one-point series check alone also catches it, and a bump past the
+    # degree bound, and bumps that do not fit an nb-byte slot, including one
+    # that vanishes at q0 = 2^(8 nb) and so only the read-back can see
+    bumps = [top, BiPoly.term(1, degree + 1, 0), BiPoly.const(half), BiPoly.const(-half), BiPoly.const(2 * half) - Q]
+    for bump in bumps:
+        with pytest.raises(RouteDisagreementError, match="series"):
+            charney_module._verify_secant_by_series(bumped(bump))
     charney_module._verify_secant_by_series(real(8))
+
+
+def test_secant_zero_pivot_is_a_route_disagreement(monkeypatch):
+    real = charney_module.leading_principal_minors
+    monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix: real(matrix)[:2])
+    tangent_secant(4)  # both matrices are 2 x 2
+    with pytest.raises(RouteDisagreementError, match="zero pivot"):
+        tangent_secant(5)
+
+
+def test_tangent_secant_is_two_eliminations_and_one_series_point(monkeypatch):
+    # counts, not timings: one elimination per parity, one series evaluation
+    calls = []
+    for name in ("leading_principal_minors", "_secant_series_at"):
+        real = getattr(charney_module, name)
+        monkeypatch.setattr(charney_module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    tangent_secant(16)
+    assert sorted(calls) == ["_secant_series_at", "leading_principal_minors", "leading_principal_minors"]
+
+
+def test_secant_norm_bound_covers_every_entry():
+    entries = charney_module._secant_by_recurrence(30)
+    bounds = charney_module._secant_norm_bounds(30)
+    assert len(bounds) == len(entries) == 31
+    for entry, bound in zip(entries, bounds):
+        assert sum(map(abs, entry.terms.values())) <= bound
 
 
 def test_cd_determinant_is_one_elimination():

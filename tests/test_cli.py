@@ -293,6 +293,14 @@ def test_tampered_route_fails_its_suite(capsys, monkeypatch, suite, module, name
     assert any(line.startswith("      FAIL") and instance in line for line in lines), out
 
 
+def test_tangent_secant_suite_covers_odd_entries_to_nmax():
+    # E_n = unsigned cd(vector(n, n)) at odd n is checked as far as --nmax reaches
+    report = check_suites(9, "tangent-secant")
+    names = [e["name"] for e in report["suites"][0]["entries"] if e["name"].startswith("odd entry")]
+    assert report["ok"] is True
+    assert names == [f"odd entry = unsigned full-rank cd (n={n})" for n in (1, 3, 5, 7, 9)]
+
+
 def test_resource_bound_skips_one_identity(capsys):
     code, out, err = run_cli(capsys, "check", "--suite", "conjecture", "--nmax", "9")
     assert code == 3 and err == ""
