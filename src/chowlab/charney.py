@@ -26,7 +26,7 @@ so the value read back slot by slot is the polynomial itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -37,11 +37,11 @@ from .exactalg.bipoly import _unpack
 from .chow import hilbert_recurrence
 
 
-@dataclass(frozen=True)
-class CDResult:
-    unsigned: BiPoly  # H(A, -1) as a q-polynomial
-    signed: BiPoly  # (-1)^((r-1)/2) * unsigned for odd r; 0 for even r
-    parity: int  # r mod 2
+class CDResult(namedtuple("CDResult", "unsigned signed parity")):
+    """`unsigned` is H(A, -1) as a q-polynomial, `signed` is (-1)^((r-1)/2)
+    times it for odd r and 0 for even r, and `parity` is r mod 2."""
+
+    __slots__ = ()
 
 
 def _signed(unsigned, r):
@@ -140,13 +140,14 @@ def cd_determinant(n, r):
 # -- tangent-secant numbers ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangentSecantTable:
-    """E_{n,q} for 0 <= n <= n_max, all three routes verified at build time."""
+class TangentSecantTable(namedtuple("TangentSecantTable", "n_max entries classical")):
+    """E_{n,q} for 0 <= n <= n_max, all three routes verified at build time.
 
-    n_max: int
-    entries: tuple  # BiPoly q-polynomials
-    classical: tuple  # integer values at q = 1
+    `entries` holds the BiPoly q-polynomials and `classical` their integer
+    values at q = 1; `table[n]` is `entries[n]`.
+    """
+
+    __slots__ = ()
 
     def __getitem__(self, n):
         return self.entries[n]

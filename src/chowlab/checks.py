@@ -16,7 +16,6 @@ and the suite's other identities still run.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, factorial
 
 from . import charney, chow, ordercx, permstat, qeuler
@@ -45,6 +44,8 @@ def _top(ns):
 
 def classical_tangent_secant(n_max):
     """[E_0, ..., E_{n_max}] at q = 1: n! [x^n](tanh + sech) over Fractions, no q-route."""
+    from fractions import Fraction  # imported here, its only use, to keep it out of start-up
+
     order = n_max + 1
     cosh = [Fraction(1 if k % 2 == 0 else 0, factorial(k)) for k in range(order)]
     sinh = [Fraction(1 if k % 2 == 1 else 0, factorial(k)) for k in range(order)]

@@ -13,11 +13,8 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import charney, chow, ordercx, qeuler
 from .checks import SUITES, check_suites, suite_status  # the registry's dict itself: wrap a suite there to wrap `check`
@@ -28,20 +25,15 @@ from .flats import FamilySpec
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: Optional[str] = None
-    n: Optional[int] = None
-    r: Optional[int] = None
-    method: Optional[str] = None
-    prime: Optional[int] = None
-    q1: bool = False
-    unsigned: bool = False
-    fmt: str = "text"
-    suite: str = "all"
-    n_max: int = 6
-    bound: Optional[int] = None
+class RunConfig(argparse.Namespace):
+    """The parsed options.  A subcommand sets only the options it takes;
+    the class attributes stand in for the others."""
+
+    family = n = r = method = prime = bound = None
+    q1 = unsigned = False
+    fmt = "text"
+    suite = "all"
+    n_max = 6
 
     def validate(self):
         vector_oracle = self.command == "hilbert" and self.method == "oracle" and self.family == "vector"
@@ -106,8 +98,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = RunConfig(**vars(args))
+    config = build_parser().parse_args(argv, RunConfig())
     try:
         config.validate()
         code = run(config)
@@ -147,13 +138,19 @@ def run(config):
 # -- polynomial output -----------------------------------------------------
 
 
+def _print_json(payload):
+    import json  # imported here so that text and CSV output never load it
+
+    print(json.dumps(payload, indent=2))
+
+
 def emit_poly(poly, config, meta):
     if config.fmt == "text":
         print(poly.to_text())
     elif config.fmt == "json":
         payload = dict(meta)
         payload["result"] = {"terms": poly.to_json_terms()}
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print("t,q,c")
         for td, qd, c in poly.to_csv_rows():
@@ -192,7 +189,7 @@ def _run_cd(config):
             "unsigned": {"terms": result.unsigned.to_json_terms()},
             "signed": {"terms": result.signed.to_json_terms()},
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     poly = result.unsigned if config.unsigned else result.signed
     return emit_poly(poly, config, {})
@@ -229,7 +226,7 @@ def _run_conjecture(config):
             "equal_proper": report["equal_proper"],
             "bivariate_equal": bivariate["equal"],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"conjecture n={config.n} r={config.r}")
     print(f"  lhs (full lattice):  {report['lhs'].to_text()}")
@@ -249,7 +246,7 @@ def _run_check(config):
     code = 1 if "FAIL" in statuses else 3 if "SKIPPED" in statuses else 0
     overall = {0: "OK", 1: "FAILED", 3: "SKIPPED"}[code]
     if config.fmt == "json":
-        print(json.dumps(report, indent=2))
+        _print_json(report)
     else:
         for status, suite in zip(statuses, report["suites"]):
             print(f"{status}  {suite['name']}  ({suite['checks']} checks)")

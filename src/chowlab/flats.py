@@ -14,7 +14,7 @@ oracles, enumerating subspaces by reduced row echelon form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
@@ -25,17 +25,24 @@ UNIFORM = "uniform"
 VECTOR = "vector"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    kind: str
-    n: int
-    r: int
+def _read_only(self, name, *value):
+    """`__setattr__` and `__delattr__` of a value whose fields never change."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
-    def __post_init__(self):
-        if self.kind not in (UNIFORM, VECTOR):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
+
+class FamilySpec(namedtuple("FamilySpec", "kind n r")):
+    __slots__ = ()
+
+    def __new__(cls, kind, n, r):
+        if kind not in (UNIFORM, VECTOR):
+            raise ValueError(f"unknown family kind {kind!r}")
+        if not 1 <= r <= n:
+            raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+        return super().__new__(cls, kind, n, r)
+
+    @classmethod
+    def _make(cls, fields):  # so `_replace` validates too
+        return cls(*fields)
 
     @classmethod
     def uniform(cls, n, r):
@@ -75,27 +82,26 @@ class ExplicitLattice:
     """A concrete ranked lattice with full order relation and cover lists.
 
     Element 0 is the bottom; the top is the unique rank-`rank` element.
-    `below[i]` is the set of indices strictly below element i.
+    `below[i]` is the frozenset of indices strictly below element i and
+    `upper_covers[i]` the sorted tuple of the elements covering it.
     """
 
+    __slots__ = ("labels", "ranks", "rank", "bottom", "top", "below", "upper_covers")
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, labels, ranks, rank):
-        self.labels = labels
-        self.ranks = ranks
-        self.rank = rank
-        self.bottom = ranks.index(0)
-        self.top = ranks.index(rank)
-        self.below = [
-            {j for j in range(len(labels)) if j != i and labels[j] <= labels[i]}
+        labels, ranks = tuple(labels), tuple(ranks)
+        below = tuple(
+            frozenset(j for j in range(len(labels)) if j != i and labels[j] <= labels[i])
             for i, _ in enumerate(labels)
-        ]
-        self.upper_covers = [
-            sorted(
-                j
-                for j in range(len(labels))
-                if ranks[j] == ranks[i] + 1 and i in self.below[j]
-            )
+        )
+        upper_covers = tuple(
+            tuple(j for j in range(len(labels)) if ranks[j] == ranks[i] + 1 and i in below[j])
             for i in range(len(labels))
-        ]
+        )
+        fields = (labels, ranks, rank, ranks.index(0), ranks.index(rank), below, upper_covers)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.labels)

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .errors import ResourceBoundError
 from .exactalg import BiPoly, ONE, T, binomial
-from .flats import UNIFORM, ExplicitLattice, FamilySpec
+from .flats import UNIFORM, ExplicitLattice, FamilySpec, _read_only
 from .chow import hilbert_recurrence
 
 FVECTOR_MAX_N = 8
@@ -32,8 +32,11 @@ FVECTOR_MAX_ELEMENTS = 200
 class FVector:
     """Face counts of a chain complex: f[j] = number of j-dimensional faces."""
 
+    __slots__ = ("f",)
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, f):
-        self.f = tuple(f)
+        object.__setattr__(self, "f", tuple(f))
 
     @property
     def dim(self):

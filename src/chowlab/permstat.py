@@ -13,10 +13,9 @@ PermStats(exc=1, maj=3, fix=1)
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import permutations
-from typing import NamedTuple
 
 from .errors import ResourceBoundError
 from .exactalg import BiPoly
@@ -49,10 +48,7 @@ def _check_bound(n, bound):
         )
 
 
-class PermStats(NamedTuple):
-    exc: int
-    maj: int
-    fix: int
+PermStats = namedtuple("PermStats", "exc maj fix")
 
 
 def stats(v):

@@ -1,11 +1,11 @@
 """CLI behavior: outputs, formats, exit codes, determinism, fault isolation."""
 
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -268,7 +268,7 @@ TAMPERS = [
     ("wachs", permstat_module, "group_by_derangement_part", _tamper((4,), lambda f: {**f, (2, 1): f[(2, 1)] + Q}), "n=4"),
     ("egf", qeuler_module, "q_eulerian_by_recurrence", _tamper((3,), lambda a: a + Q), "x^5"),
     ("tangent-secant", charney_module, "cd_direct",
-     _tamper((U53,), lambda c: replace(c, unsigned=c.unsigned + ONE)), "uniform 5,3"),
+     _tamper((U53,), lambda c: c._replace(unsigned=c.unsigned + ONE)), "uniform 5,3"),
     ("conjecture", ordercx_module, "order_complex_fvector",
      _tamper((U42,), lambda f: FVector((f.f[0] + 1,) + f.f[1:])), "uniform 4,2"),
 ]
@@ -344,6 +344,35 @@ def test_closed_stdout_pipe_exits_141(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+# Modules a text query must not load: `dataclasses` drags in `inspect`, and
+# `json` and `fractions` (with `decimal`) serve only one output path or one
+# check.  `typing` is loaded by some interpreters' `site`, hence the
+# comparison with what was there before the import.
+COLD_START_UNUSED = ("dataclasses", "inspect", "json", "fractions", "decimal", "typing")
+COLD_START_PROBE = """
+import sys
+before = set(sys.modules)
+from chowlab.cli import main
+codes = [main(["hilbert", "--family", "vector", "--n", "4", "--r", "3"])]
+text = sorted(set(sys.modules) - before)
+codes.append(main(["hilbert", "--family", "vector", "--n", "4", "--r", "3", "--format", "json"]))
+print(repr((codes, text, "json" in sys.modules)))
+"""
+
+
+def test_cold_start_loads_only_what_the_command_uses():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    codes, text_added, json_loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "chowlab.cli" in text_added
+    assert [m for m in COLD_START_UNUSED if m in text_added] == []
+    assert json_loaded
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):

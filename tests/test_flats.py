@@ -2,9 +2,12 @@
 
 import pytest
 
+from chowlab.charney import cd_direct, tangent_secant
 from chowlab.errors import ResourceBoundError
-from chowlab.exactalg import BiPoly, gauss_binomial
+from chowlab.exactalg import ONE, BiPoly, gauss_binomial
 from chowlab.flats import FamilySpec, build_explicit, chains_above, level_size
+from chowlab.ordercx import FVector
+from chowlab.permstat import stats
 
 
 def test_spec_validation():
@@ -14,6 +17,34 @@ def test_spec_validation():
         FamilySpec.uniform(3, 4)
     with pytest.raises(ValueError):
         FamilySpec("projective", 3, 2)
+    with pytest.raises(ValueError, match="need 1 <= r <= n, got r=4, n=3"):
+        FamilySpec.uniform(3, 2)._replace(r=4)
+
+
+def test_values_are_immutable():
+    lat = build_explicit(FamilySpec.uniform(4, 3))
+    values = [
+        (FamilySpec.vector(3, 2), "r"),
+        (cd_direct(FamilySpec.vector(5, 5)), "signed"),
+        (tangent_secant(4), "entries"),
+        (FVector((6, 6)), "f"),
+        (stats((3, 2, 1)), "maj"),
+        (lat, "upper_covers"),
+    ]
+    for value, field in values:
+        before = repr(getattr(value, field))
+        with pytest.raises(AttributeError):
+            setattr(value, field, ONE)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.note = "a new attribute"
+        assert repr(getattr(value, field)) == before
+    # the lattice's own containers cannot change either
+    assert all(type(v) is tuple for v in (lat.labels, lat.ranks, lat.below, lat.upper_covers))
+    assert all(type(b) is frozenset for b in lat.below) and all(type(u) is tuple for u in lat.upper_covers)
+    assert lat.upper_covers[lat.bottom] == (1, 2, 3, 4)
+    assert FVector((6, 6)) == FVector([6, 6]) and repr(FVector((6, 6))) == "FVector([6, 6])"
 
 
 def test_level_sizes():
