@@ -35,6 +35,7 @@ from .errors import RouteDisagreementError, require_equal
 from .exactalg import MINUS_ONE, BiPoly, ONE, ZERO, gauss_binomial, leading_principal_minors, sum_of_products
 from .exactalg.bipoly import _unpack
 from .chow import hilbert_recurrence
+from .flats import UNIFORM
 
 
 class CDResult(namedtuple("CDResult", "unsigned signed parity")):
@@ -279,21 +280,21 @@ def cd_qsecant(n, r, table=None):
 
 
 def cd(spec, method="direct"):
-    """Charney-Davis result by the named route: direct | chain | det | qsecant."""
+    """Charney-Davis result by the named route: direct | chain | det | qsecant.
+
+    A uniform spec gets the value of vector(n, r) at q = 1, as the paper
+    states its formulas once, in q.
+    """
     if method == "direct":
-        return cd_direct(spec)
-    if method == "chain":
-        return _signed(cd_chain_alternating(spec.n, spec.r), spec.r)
-    if method == "det":
-        return cd_determinant(spec.n, spec.r)
-    if method == "qsecant":
-        return cd_qsecant(spec.n, spec.r)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def uniform_cd(result):
-    """The q = 1 specialization of a CDResult."""
-    return CDResult(
-        result.unsigned.subs_q_int(1), result.signed.subs_q_int(1), result.parity
-    )
-
+        result = cd_direct(spec)
+    elif method == "chain":
+        result = _signed(cd_chain_alternating(spec.n, spec.r), spec.r)
+    elif method == "det":
+        result = cd_determinant(spec.n, spec.r)
+    elif method == "qsecant":
+        result = cd_qsecant(spec.n, spec.r)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if spec.kind == UNIFORM:
+        result = CDResult(result.unsigned.subs_q_int(1), result.signed.subs_q_int(1), result.parity)
+    return result

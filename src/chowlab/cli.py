@@ -176,8 +176,6 @@ def _run_hilbert(config):
 def _run_cd(config):
     spec = FamilySpec(config.family, config.n, config.r)
     result = charney.cd(spec, config.method)
-    if spec.kind == "uniform":
-        result = charney.uniform_cd(result)
     if config.fmt == "json":
         payload = {
             "command": "cd",

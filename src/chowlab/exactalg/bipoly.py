@@ -187,16 +187,6 @@ class BiPoly:
                 out.pop(k, None)
         return _raw(out)
 
-    def subs_q_poly(self, value):
-        """Substitute a BiPoly for q (used e.g. to shift a formal variable)."""
-        powers = {0: ONE}
-        result = ZERO
-        for (qd, td), c in self._terms.items():
-            if qd not in powers:
-                powers[qd] = value**qd
-            result = result + powers[qd] * BiPoly.term(c, 0, td)
-        return result
-
     # -- rendering -----------------------------------------------------
 
     def __repr__(self):

@@ -145,7 +145,9 @@ def build_explicit(spec, p=None):
         return _build_uniform(spec.n, spec.r)
     if p is None:
         raise ValueError("vector-family lattices need a numeric prime p")
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    # Trial division stops at 10^6: that decides every p <= 10^12, and a p
+    # with no factor below 10^6 is past the supported primes anyway.
+    if p < 2 or any(p % d == 0 for d in range(2, min(isqrt(p), 10**6) + 1)):
         raise ValueError(f"p = {p} is not prime")
     max_n = VECTOR_EXPLICIT_MAX_N.get(p)
     if max_n is None:

@@ -154,12 +154,9 @@ def bivariate_check(n):
         raise ValueError("need n >= 2")
     u = BiPoly.term(1, 1, 0)
     lhs = BiPoly()
-    rhs_raw = BiPoly()
+    rhs = BiPoly()
     for r in range(n - 1):
         h = h_polynomial(order_complex_fvector(FamilySpec.uniform(n, r + 1)))
         lhs = lhs + h * u ** (n - 2 - r)
-        rhs_raw = rhs_raw + hilbert_recurrence(FamilySpec.uniform(n, r + 1)) * u ** (
-            n - 2 - r
-        )
-    rhs = rhs_raw.subs_q_poly(u + ONE)
+        rhs = rhs + hilbert_recurrence(FamilySpec.uniform(n, r + 1)) * (u + ONE) ** (n - 2 - r)
     return {"n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

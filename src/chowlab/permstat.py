@@ -12,7 +12,6 @@ PermStats(exc=1, maj=3, fix=1)
 
 from __future__ import annotations
 
-import os
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import permutations
@@ -23,28 +22,11 @@ from .exactalg import BiPoly
 DEFAULT_ENUM_BOUND = 9
 
 
-def enum_bound(override=None):
-    """Active enumeration bound: explicit override, else $CHOWLAB_NMAX, else 9."""
-    if override is not None:
-        return override
-    env = os.environ.get("CHOWLAB_NMAX")
-    if not env:
-        return DEFAULT_ENUM_BOUND
-    try:
-        limit = int(env)
-    except ValueError:
-        raise ValueError(f"CHOWLAB_NMAX must be an integer, got {env!r}") from None
-    if limit < 0:
-        raise ValueError(f"CHOWLAB_NMAX must be nonnegative, got {env!r}")
-    return limit
-
-
 def _check_bound(n, bound):
-    limit = enum_bound(bound)
+    limit = DEFAULT_ENUM_BOUND if bound is None else bound
     if n > limit:
         raise ResourceBoundError(
-            f"enumeration of size {n} exceeds bound {limit}; "
-            "raise CHOWLAB_NMAX or pass an explicit bound"
+            f"enumeration of size {n} exceeds bound {limit}; pass a larger bound (check --bound)"
         )
 
 

@@ -8,13 +8,13 @@ import pytest
 import chowlab.charney as charney_module
 from chowlab import checks
 from chowlab.charney import (
+    cd,
     cd_chain_alternating,
     cd_determinant,
     cd_direct,
     cd_qsecant,
     t_term,
     tangent_secant,
-    uniform_cd,
 )
 from chowlab.errors import RouteDisagreementError
 from chowlab.exactalg import BiPoly, ONE, Q, gauss_binomial
@@ -40,7 +40,7 @@ def test_cd_5_5_reference_value_all_routes():
 
 
 def test_uniform_3_3():
-    result = uniform_cd(cd_direct(FamilySpec.uniform(3, 3)))
+    result = cd(FamilySpec.uniform(3, 3))
     assert result.unsigned == BiPoly.const(-2)
     assert result.signed == BiPoly.const(2)
 
@@ -54,12 +54,15 @@ def test_chain_alternating_small():
 
 
 def test_uniform_result_is_q_one_specialization():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for r in range(1, n + 1):
-            from_vector = uniform_cd(cd_direct(FamilySpec.vector(n, r)))
-            from_uniform = cd_direct(FamilySpec.uniform(n, r))
-            assert from_vector.signed == from_uniform.signed
-            assert from_vector.unsigned == from_uniform.unsigned
+            methods = ("direct", "chain", "det", "qsecant") if r % 2 else ("direct",)
+            for method in methods:
+                from_vector = cd(FamilySpec.vector(n, r), method)
+                from_uniform = cd(FamilySpec.uniform(n, r), method)
+                assert from_uniform.signed == from_vector.signed.subs_q_int(1), (n, r, method)
+                assert from_uniform.unsigned == from_vector.unsigned.subs_q_int(1), (n, r, method)
+                assert from_uniform.parity == from_vector.parity
 
 
 def test_even_rank_vanishes():
@@ -80,6 +83,15 @@ def test_t_term():
             t_term(n, a)  # recurrence and determinant must agree
     with pytest.raises(ValueError):
         t_term(5, 3)
+
+
+def test_t_term_is_gauss_binomial_times_even_secant():
+    # T(n, 2a) = [n over 2a]_q E_2a: both matrices rescale one Toeplitz matrix
+    # in 1/(q;q)_2(i-j+1), so `cd --method det` and `qsecant` sum the same terms
+    table = tangent_secant(16)
+    for n in range(17):
+        for a in range(n // 2 + 1):
+            assert t_term(n, a) == gauss_binomial(n, 2 * a) * table[2 * a], (n, a)
 
 
 def test_cd_determinant_small():

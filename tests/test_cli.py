@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import chowlab.ordercx as ordercx_module
 import chowlab.permstat as permstat_module
 import chowlab.qeuler as qeuler_module
 from chowlab.cli import check_suites, main
-from chowlab.exactalg import BiPoly, ONE, Q
+from chowlab.exactalg import BiPoly, ONE, Q, T
 from chowlab.flats import FamilySpec
 from chowlab.ordercx import FVector
 
@@ -144,32 +145,36 @@ def test_bound_override(capsys):
     assert code == 0
 
 
-def test_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("CHOWLAB_NMAX", "3")
-    code, _, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4")
-    assert code == 3
-    code, _, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4", "--bound", "4")
-    assert code == 0
-    monkeypatch.setenv("CHOWLAB_NMAX", "10")
-    code, _, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4")
-    assert code == 0
-
-
-def test_env_bound_not_an_integer_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("CHOWLAB_NMAX", "abc")
-    code, out, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "3")
-    assert (code, out, err) == (2, "", "error: CHOWLAB_NMAX must be an integer, got 'abc'\n")
-
-
 def test_negative_bound_exits_2(capsys):
     code, out, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "3", "--bound", "-5")
     assert code == 2 and out == "" and "--bound" in err
 
 
-def test_negative_env_bound_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("CHOWLAB_NMAX", "-1")
-    code, out, err = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "3")
-    assert code == 2 and out == "" and "CHOWLAB_NMAX" in err
+def test_environment_does_not_move_the_bound(capsys, monkeypatch):
+    monkeypatch.setenv("CHOWLAB_NMAX", "3")
+    code, _, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "4")
+    assert code == 0
+    assert permstat_module.statistic_sum(4, lambda s: (0, s.exc)) == ONE + 11 * T + 11 * T**2 + T**3
+
+
+def test_library_reads_no_environment():
+    src = Path(__file__).resolve().parents[1] / "src" / "chowlab"
+    reads = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("environ", "getenv"):  # os.environ, os.getenv, or either imported by name
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+
+
+def test_huge_p_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "hilbert", "--family", "vector", "--n", "1", "--r", "1", "--method", "oracle", "--p", "1000000000000000003"
+    )
+    assert (code, out) == (3, "") and "support p in {2, 3}" in err
+    assert time.perf_counter() - start < 5  # trial division stops at 10^6, not at sqrt(p) = 10^9
 
 
 def test_bound_is_a_check_option_only(capsys):
@@ -193,7 +198,7 @@ QUERIES = [
 
 
 def test_queries_do_not_enumerate(capsys, monkeypatch):
-    monkeypatch.setenv("CHOWLAB_NMAX", "0")  # any walk of S_n with n >= 1 would exit 3
+    monkeypatch.setattr(permstat_module, "DEFAULT_ENUM_BOUND", 0)  # any walk of S_n with n >= 1 would exit 3
     for argv in QUERIES:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv

@@ -10,7 +10,6 @@ from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.permstat import (
     derangement_part,
-    enum_bound,
     is_alternating,
     permutations_of,
     statistic_sum,
@@ -55,18 +54,6 @@ def test_bound_is_checked_on_every_statistic_sum():
     assert statistic_sum(4, weight, bound=4).eval(1, 1) == 24  # fills the per-n table
     with pytest.raises(ResourceBoundError, match="enumeration of size 4 exceeds bound 3"):
         statistic_sum(4, weight, bound=3)
-
-
-def test_enum_bound_env(monkeypatch):
-    monkeypatch.setenv("CHOWLAB_NMAX", "4")
-    assert enum_bound() == 4
-    assert enum_bound(11) == 11
-    assert statistic_sum(4, lambda s: (0, s.exc)) == ONE + 11 * T + 11 * T**2 + T**3
-    with pytest.raises(ResourceBoundError):
-        statistic_sum(5, lambda s: (0, s.exc))
-    assert len(list(permutations_of(5, bound=5))) == 120
-    monkeypatch.delenv("CHOWLAB_NMAX")
-    assert enum_bound() == 9
 
 
 def test_derangement_part():
