@@ -8,7 +8,6 @@ from .charney import (
     TangentSecantTable,
     cd,
     cd_chain_alternating,
-    cd_determinant,
     cd_direct,
     cd_qsecant,
     t_term,

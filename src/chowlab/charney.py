@@ -6,16 +6,12 @@ carries the prefactor (-1)^((r-1)/2); both are always reported because the
 uniform-specialization statement matches the unsigned value while the
 q-statement matches the signed one.  Even rank always gives zero.
 
-The building block T(n, 2a) is kept in integer q-polynomial arithmetic:
-its recurrence
-
-    T(2a) = - sum_{b<a} [n-2b over 2a-2b]_q T(2b),    T(0) = 1
-
-is the production path, verified against the fraction-free (Bareiss)
-determinant of the Gaussian-binomial matrix.  Each smaller T(n, 2a) matrix is
-a leading principal submatrix of the largest, so one elimination without row
-swaps yields all of them as its pivots.  The q-tangent-secant numbers
-E_n are checked three ways: their own recurrence, the leading minors of two
+The paper writes the odd-rank quantity as a sum of determinants T(n, 2a)
+of Gaussian-binomial matrices, or as a sum of q-secant numbers.  The two
+are one sum: both matrices rescale one Toeplitz matrix in 1/(q;q)_2k, so
+T(n, 2a) = [n over 2a]_q E_2a, and the `det` and `qsecant` methods both
+sum [n over 2a]_q E_2a over 2a < r.  The q-tangent-secant numbers E_n
+are checked three ways: their own recurrence, the leading minors of two
 Bareiss eliminations (one matrix for the even E_n, the T(2a, 2a) matrix
 reflected through its anti-diagonal, and one for the odd E_n, the Hessenberg
 determinant of tanh_q), and the Taylor coefficients of sech_q + tanh_q
@@ -27,7 +23,6 @@ so the value read back slot by slot is the polynomial itself.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -76,68 +71,6 @@ def cd_chain_alternating(n, r):
     return ONE + sum_of_products(products)
 
 
-@lru_cache(maxsize=None)
-def _t_terms(n, a):
-    """(T(0), T(2), ..., T(2a)) by the linear recurrence; a tuple, since it is cached."""
-    terms = [ONE]
-    for j in range(1, a + 1):
-        terms.append(-sum_of_products((gauss_binomial(n - 2 * b, 2 * j - 2 * b), terms[b]) for b in range(j)))
-    return tuple(terms)
-
-
-def _t_determinants(n, a):
-    """[T(0), T(2), ..., T(2a)] from one elimination of the a x a matrix.
-
-    T(2j) is (-1)^j times its j-th leading principal minor.  The list is
-    shorter when a zero pivot stops the elimination.
-    """
-    matrix = []
-    for i in range(a):
-        row = []
-        for j in range(a):
-            if j <= i:
-                row.append(gauss_binomial(n - 2 * j, 2 * (i - j + 1)))
-            elif j == i + 1:
-                row.append(ONE)
-            else:
-                row.append(BiPoly())
-        matrix.append(row)
-    minors = leading_principal_minors(matrix) if a else []
-    return [ONE] + [-m if j % 2 else m for j, m in enumerate(minors, 1)]
-
-
-def _verified_t_terms(n, a):
-    """[T(0), ..., T(2a)] by the recurrence, each checked against the determinant."""
-    by_rec = _t_terms(n, a)
-    by_det = _t_determinants(n, a)
-    for j, value in enumerate(by_rec):
-        what = f"T({n}, {2 * j}) recurrence vs determinant"
-        if j == len(by_det):
-            raise RouteDisagreementError(what, value.to_text(), "none: zero pivot before this minor")
-        require_equal(what, value, by_det[j])
-    return by_rec
-
-
-def t_term(n, a):
-    """T(n, 2a), verified between the recurrence and the Bareiss determinant."""
-    if not 0 <= 2 * a <= n:
-        raise ValueError(f"need 0 <= 2a <= n, got a={a}, n={n}")
-    return _verified_t_terms(n, a)[a]
-
-
-def cd_determinant(n, r):
-    """Signed and unsigned quantities as the telescoping sum of T(n, 2a).
-
-    One elimination of the largest matrix yields every T(n, 2a) as a pivot,
-    and each is checked against the recurrence.
-    """
-    _require_odd_rank(n, r)
-    unsigned = BiPoly()
-    for term in _verified_t_terms(n, (r - 1) // 2):
-        unsigned = unsigned + term
-    return _signed(unsigned, r)
-
-
 # -- tangent-secant numbers ------------------------------------------------
 
 
@@ -170,8 +103,8 @@ def _secant_determinants(n_max):
     The k x k matrix of parity p (0 even, 1 odd) has ones in its first
     column, [2i - p over 2j - 2 - p]_q at 2 <= j <= i + 1 (1-indexed) and
     zeros above the superdiagonal; then E_(2k - p) = (-1)^(k - p) M_k for
-    its leading minors M_k.  The even matrix is the T(2a, 2a) matrix of
-    `_t_determinants` reflected through its anti-diagonal, and the odd one
+    its leading minors M_k.  The even matrix is the paper's T(2a, 2a)
+    matrix reflected through its anti-diagonal, and the odd one
     the Hessenberg determinant of tanh_q with its rows scaled by
     (q;q)_(2i-1).  A zero pivot leaves the entries past it out.
     """
@@ -270,8 +203,16 @@ def tangent_secant(n_max):
     return TangentSecantTable(n_max, tuple(by_rec), classical)
 
 
+def t_term(n, a):
+    """T(n, 2a) = [n over 2a]_q E_2a, with E_2a from the verified tangent-secant table."""
+    if not 0 <= 2 * a <= n:
+        raise ValueError(f"need 0 <= 2a <= n, got a={a}, n={n}")
+    return gauss_binomial(n, 2 * a) * tangent_secant(2 * a)[2 * a]
+
+
 def cd_qsecant(n, r, table=None):
-    """Signed and unsigned quantities via the q-secant-number sum."""
+    """Signed and unsigned quantities as sum_(2a < r) T(n, 2a), the
+    paper's determinant sum and q-secant sum at once."""
     _require_odd_rank(n, r)
     if table is None or table.n_max < r - 1:
         table = tangent_secant(r - 1)
@@ -280,7 +221,8 @@ def cd_qsecant(n, r, table=None):
 
 
 def cd(spec, method="direct"):
-    """Charney-Davis result by the named route: direct | chain | det | qsecant.
+    """Charney-Davis result by the named route: direct | chain | det | qsecant,
+    where det and qsecant name the one secant sum of `cd_qsecant`.
 
     A uniform spec gets the value of vector(n, r) at q = 1, as the paper
     states its formulas once, in q.
@@ -289,9 +231,7 @@ def cd(spec, method="direct"):
         result = cd_direct(spec)
     elif method == "chain":
         result = _signed(cd_chain_alternating(spec.n, spec.r), spec.r)
-    elif method == "det":
-        result = cd_determinant(spec.n, spec.r)
-    elif method == "qsecant":
+    elif method in ("det", "qsecant"):
         result = cd_qsecant(spec.n, spec.r)
     else:
         raise ValueError(f"unknown method {method!r}")

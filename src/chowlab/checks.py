@@ -248,7 +248,7 @@ def egf_identity(order, q_one=False):
 
 
 def cd_routes(ns):
-    """Charney-Davis quantity: direct = chain sum = determinants = q-secant sum, odd r <= n."""
+    """Charney-Davis quantity: direct = chain sum = q-secant sum, odd r <= n."""
     mismatches = []
     table = charney.tangent_secant(_top(ns))
     for n in ns:
@@ -256,7 +256,6 @@ def cd_routes(ns):
             direct = charney.cd_direct(FamilySpec.vector(n, r))
             for route, result in (
                 ("chain", charney.cd(FamilySpec.vector(n, r), "chain")),
-                ("det", charney.cd_determinant(n, r)),
                 ("qsecant", charney.cd_qsecant(n, r, table)),
             ):
                 if result.unsigned != direct.unsigned or result.signed != direct.signed:
@@ -266,11 +265,12 @@ def cd_routes(ns):
 
 
 def cd_telescoping(ns):
-    """Consecutive odd-rank determinant quantities differ by one T-term."""
+    """Consecutive odd-rank quantities of the Hilbert series differ by one
+    T-term of the tangent-secant table."""
     for n in ns:
         for r in range(3, n + 1, 2):
-            lhs = charney.cd_determinant(n, r).unsigned - charney.cd_determinant(n, r - 2).unsigned
-            yield _compare(f"cd telescoping (n={n}, r={r})", lhs, charney.t_term(n, (r - 1) // 2))
+            upper, lower = (charney.cd_direct(FamilySpec.vector(n, k)).unsigned for k in (r, r - 2))
+            yield _compare(f"cd telescoping (n={n}, r={r})", upper - lower, charney.t_term(n, (r - 1) // 2))
 
 
 def tangent_secant_table(top):
@@ -289,7 +289,8 @@ def odd_secant_entries(ns):
     """E_{n,q} at odd n is the unsigned full-rank quantity of vector(n, n)."""
     table = charney.tangent_secant(_top(ns))
     for n in ns:
-        yield _compare(f"odd entry = unsigned full-rank cd (n={n})", table[n], charney.cd_determinant(n, n).unsigned)
+        full_rank = charney.cd_direct(FamilySpec.vector(n, n)).unsigned
+        yield _compare(f"odd entry = unsigned full-rank cd (n={n})", table[n], full_rank)
 
 
 def classical_secant_determinant(a_range):

@@ -57,13 +57,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family=True, rank=True):
+    def add_common(p, family=True, rank=True, formats=FORMATS):
         if family:
             p.add_argument("--family", choices=("uniform", "vector"), required=True)
         p.add_argument("--n", type=int, required=True)
         if rank:
             p.add_argument("--r", type=int, required=True)
-        p.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
 
     p = sub.add_parser("hilbert", help="Hilbert series of a Chow ring")
     add_common(p)
@@ -87,7 +87,7 @@ def build_parser():
     add_common(p, family=False)
 
     p = sub.add_parser("conjecture", help="order-complex identity report")
-    add_common(p, family=False)
+    add_common(p, family=False, formats=("text", "json"))  # a report, not one polynomial: no CSV
 
     p = sub.add_parser("check", help="run the cross-validation suites")
     p.add_argument("--suite", default="all", choices=("all",) + tuple(SUITES))

@@ -8,7 +8,7 @@ runtime caps.  Identities shared with `chowlab check` run from the
 import time
 
 from chowlab import checks
-from chowlab.charney import cd_chain_alternating, cd_determinant, cd_direct, cd_qsecant
+from chowlab.charney import cd, cd_chain_alternating, cd_direct, cd_qsecant
 from chowlab.cli import main
 from chowlab.exactalg import BiPoly
 from chowlab.flats import FamilySpec
@@ -31,7 +31,7 @@ def test_criterion_01_reference_cd_value():
     start = time.perf_counter()
     spec = FamilySpec.vector(5, 5)
     assert cd_direct(spec).signed == CD55_REFERENCE
-    assert cd_determinant(5, 5).signed == CD55_REFERENCE
+    assert cd(spec, "det").signed == CD55_REFERENCE
     assert cd_qsecant(5, 5).signed == CD55_REFERENCE
     assert cd_chain_alternating(5, 5) == CD55_REFERENCE  # unsigned == signed at r = 5
     elapsed = time.perf_counter() - start

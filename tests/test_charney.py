@@ -10,14 +10,13 @@ from chowlab import checks
 from chowlab.charney import (
     cd,
     cd_chain_alternating,
-    cd_determinant,
     cd_direct,
     cd_qsecant,
     t_term,
     tangent_secant,
 )
 from chowlab.errors import RouteDisagreementError
-from chowlab.exactalg import BiPoly, ONE, Q, gauss_binomial
+from chowlab.exactalg import BiPoly, ONE, Q, ZERO, gauss_binomial, leading_principal_minors
 from chowlab.flats import FamilySpec
 
 CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, (3, 0): 2, (2, 0): 1})
@@ -32,7 +31,7 @@ def test_oracle_pins_classical_values():
 def test_cd_5_5_reference_value_all_routes():
     spec = FamilySpec.vector(5, 5)
     assert cd_direct(spec).signed == CD55_REFERENCE
-    assert cd_determinant(5, 5).signed == CD55_REFERENCE
+    assert cd(spec, "det").signed == CD55_REFERENCE
     assert cd_qsecant(5, 5).signed == CD55_REFERENCE
     assert cd_chain_alternating(5, 5) == cd_direct(spec).unsigned
     # r = 5 has positive prefactor, so signed == unsigned here
@@ -77,30 +76,37 @@ def test_even_rank_vanishes():
 def test_t_term():
     assert t_term(5, 0) == ONE
     assert t_term(5, 1) == -gauss_binomial(5, 2)
-    assert t_term(6, 2) == t_term(6, 2)  # recurrence/determinant checked internally
     for n in range(2, 9):
         for a in range(n // 2 + 1):
-            t_term(n, a)  # recurrence and determinant must agree
+            t_term(n, a)  # every 0 <= 2a <= n is in the domain
     with pytest.raises(ValueError):
         t_term(5, 3)
 
 
-def test_t_term_is_gauss_binomial_times_even_secant():
-    # T(n, 2a) = [n over 2a]_q E_2a: both matrices rescale one Toeplitz matrix
-    # in 1/(q;q)_2(i-j+1), so `cd --method det` and `qsecant` sum the same terms
-    table = tangent_secant(16)
-    for n in range(17):
-        for a in range(n // 2 + 1):
-            assert t_term(n, a) == gauss_binomial(n, 2 * a) * table[2 * a], (n, a)
+def test_t_term_is_the_papers_determinant():
+    # test-local reference for the paper's determinant formula: the a x a
+    # matrix with [n - 2j over 2(i - j + 1)]_q on and below the diagonal and
+    # ones on the superdiagonal has j-th leading minor (-1)^j T(n, 2j), and
+    # t_term reads T(n, 2j) = [n over 2j]_q E_2j off the tangent-secant table
+    for n in range(1, 13):
+        a = n // 2
+        matrix = [
+            [gauss_binomial(n - 2 * j, 2 * (i - j + 1)) if j <= i else ONE if j == i + 1 else ZERO for j in range(a)]
+            for i in range(a)
+        ]
+        minors = leading_principal_minors(matrix) if a else []
+        assert len(minors) == a, n
+        for j, minor in enumerate(minors, 1):
+            assert (-1) ** j * minor == t_term(n, j), (n, j)
 
 
 def test_cd_determinant_small():
-    assert cd_determinant(4, 1).signed == ONE
-    r53 = cd_determinant(5, 3)
+    assert cd(FamilySpec.vector(4, 1), "det").signed == ONE
+    r53 = cd(FamilySpec.vector(5, 3), "det")
     assert r53.unsigned == ONE - gauss_binomial(5, 2)
     assert r53.signed == -r53.unsigned
     with pytest.raises(ValueError):
-        cd_determinant(5, 4)
+        cd(FamilySpec.vector(5, 4), "det")
 
 
 def test_cd_telescoping(holds):
@@ -192,32 +198,6 @@ def test_alternating_probe(holds):
     assert at_4.count("sum=2*q + 3*q^2 exact=False up_to_sign=False") == 2
 
 
-def _t_degree_bound(n, a):
-    """A priori q-degree bound of T(n, 2a) from its recurrence."""
-    bounds = [0]
-    for j in range(1, a + 1):
-        bounds.append(max((2 * j - 2 * b) * (n - 2 * j) + bounds[b] for b in range(j)))
-    return bounds[a]
-
-
-def test_determinant_route_catches_wrong_top_coefficient(monkeypatch):
-    real = charney_module._t_determinants
-    bump = BiPoly.term(1, _t_degree_bound(8, 3), 0)
-
-    def tampered(n, a):
-        values = real(n, a)
-        if n == 8 and a >= 3:
-            values[3] = values[3] + bump
-        return values
-
-    monkeypatch.setattr(charney_module, "_t_determinants", tampered)
-    t_term(8, 2)
-    with pytest.raises(RouteDisagreementError):
-        t_term(8, 3)
-    with pytest.raises(RouteDisagreementError):
-        cd_determinant(8, 7)
-
-
 def _secant_degree_bound(m):
     """A priori q-degree bound of E_2m from the shape of its recurrence, deg [n over k]_q = k(n - k)."""
     bounds = [0]
@@ -275,25 +255,6 @@ def test_secant_norm_bound_covers_every_entry():
     assert len(bounds) == len(entries) == 31
     for entry, bound in zip(entries, bounds):
         assert sum(map(abs, entry.terms.values())) <= bound
-
-
-def test_cd_determinant_is_one_elimination():
-    # every T(n, 2a) below the top one is a pivot of the same elimination
-    for n in range(1, 12):
-        values = charney_module._t_determinants(n, n // 2)
-        for a in range(n // 2 + 1):
-            assert values[a] == charney_module._t_terms(n, a)[a]
-    assert cd_determinant(11, 11).unsigned == sum((t_term(11, a) for a in range(6)), BiPoly())
-
-
-def test_zero_pivot_is_a_route_disagreement(monkeypatch):
-    real = charney_module._t_determinants
-    monkeypatch.setattr(charney_module, "_t_determinants", lambda n, a: real(n, a)[:2])
-    t_term(6, 1)
-    with pytest.raises(RouteDisagreementError, match="zero pivot"):
-        t_term(6, 2)
-    with pytest.raises(RouteDisagreementError, match="zero pivot"):
-        cd_determinant(7, 7)
 
 
 def _fraction_series_at(q0, n_max):

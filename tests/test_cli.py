@@ -127,6 +127,16 @@ def test_negative_n_exits_2(capsys):
         assert (code, out, err) == (2, "", "error: n must be nonnegative, got -1\n"), argv
 
 
+def test_report_commands_have_no_csv(capsys):
+    # CSV is one polynomial's t,q,c rows; the conjecture and check reports are not one
+    for argv in (("conjecture", "--n", "4", "--r", "2"), ("check", "--nmax", "2")):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--format", "csv"])
+        assert exit_info.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'csv'" in captured.err, argv
+
+
 def test_check_nmax_below_two_exits_2(capsys):
     for n_max in ("1", "0", "-2"):
         code, out, err = run_cli(capsys, "check", "--nmax", n_max)
@@ -282,6 +292,18 @@ DN_ROUTES = [(qeuler_module, "derangement_polynomial"), (qeuler_module, "q_euler
              (permstat_module, "statistic_sum")]
 IDS = [t[0] for t in TAMPERS] + [f"wachs-{name}" for _, name in DN_ROUTES]
 TAMPERS += [("wachs", module, name, _tamper((4,), lambda d: d + Q), "n=4") for module, name in DN_ROUTES]
+# Each side of the two identities that compare the tangent-secant table with
+# the Hilbert series: cd telescoping with the table's E_4 off by q, and the
+# odd entries with the unsigned quantity of vector(5, 5) off by one.
+V55 = FamilySpec.vector(5, 5)
+SECANT_TAMPERS = [
+    ("telescoping", charney_module, "tangent_secant",
+     _tamper((4,), lambda e: e._replace(entries=e.entries[:4] + (e.entries[4] + Q,))), "n=5, r=5"),
+    ("tangent-secant", charney_module, "cd_direct",
+     _tamper((V55,), lambda c: c._replace(unsigned=c.unsigned + ONE)), "n=5"),
+]
+IDS += [f"{suite}-{name}" for suite, _, name, *_ in SECANT_TAMPERS]
+TAMPERS += SECANT_TAMPERS
 
 
 @pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=IDS)

@@ -113,8 +113,8 @@ def test_minors_read_back_at_the_slot_edge(unpacked_widths):
 
 
 def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
-    # a count, not a timing: the T(16, 2a) matrix is packed once, eliminated
-    # in int, and only its 8 pivots are read back
+    # a count, not a timing: the two secant matrices up to E_16 are each
+    # packed once, eliminated in int, and only their 8 + 8 pivots are read back
     calls = {"_pack": 0, "_unpack": 0, "sum_of_products": 0}
     for name in calls:
         real = getattr(bipoly, name)
@@ -131,6 +131,7 @@ def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
         return leading_principal_minors(matrix)
 
     monkeypatch.setattr(charney, "leading_principal_minors", recording)
-    assert len(charney._t_determinants(16, 8)) == 9
-    (matrix,) = matrices
-    assert calls == {"_pack": sum(map(bool, sum(matrix, []))), "_unpack": 8, "sum_of_products": 0}
+    assert len(charney._secant_determinants(16)) == 17
+    assert len(matrices) == 2
+    entries = [entry for matrix in matrices for row in matrix for entry in row]
+    assert calls == {"_pack": sum(map(bool, entries)), "_unpack": 16, "sum_of_products": 0}
