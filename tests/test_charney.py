@@ -83,21 +83,43 @@ def test_t_term():
         t_term(5, 3)
 
 
+def _papers_matrix(n):
+    """Test-local reference for the paper's determinant formula: the a x a matrix
+    with [n - 2j over 2(i - j + 1)]_q on and below the diagonal and ones on the
+    superdiagonal, whose j-th leading minor is (-1)^j T(n, 2j)."""
+    a = n // 2
+    return [
+        [gauss_binomial(n - 2 * j, 2 * (i - j + 1)) if j <= i else ONE if j == i + 1 else ZERO for j in range(a)]
+        for i in range(a)
+    ]
+
+
 def test_t_term_is_the_papers_determinant():
-    # test-local reference for the paper's determinant formula: the a x a
-    # matrix with [n - 2j over 2(i - j + 1)]_q on and below the diagonal and
-    # ones on the superdiagonal has j-th leading minor (-1)^j T(n, 2j), and
     # t_term reads T(n, 2j) = [n over 2j]_q E_2j off the tangent-secant table
     for n in range(1, 13):
-        a = n // 2
-        matrix = [
-            [gauss_binomial(n - 2 * j, 2 * (i - j + 1)) if j <= i else ONE if j == i + 1 else ZERO for j in range(a)]
-            for i in range(a)
-        ]
-        minors = leading_principal_minors(matrix) if a else []
-        assert len(minors) == a, n
+        matrix = _papers_matrix(n)
+        minors = leading_principal_minors(matrix) if matrix else []
+        assert len(minors) == n // 2, n
         for j, minor in enumerate(minors, 1):
             assert (-1) ** j * minor == t_term(n, j), (n, j)
+
+
+def test_t_term_is_gauss_binomial_times_even_secant():
+    # T(n, 2a) = [n over 2a]_q E_2a: both matrices rescale one Toeplitz matrix
+    # in 1/(q;q)_2(i-j+1), so `cd --method det` and `qsecant` sum the same terms
+    table = tangent_secant(16)
+    for n in range(17):
+        for a in range(n // 2 + 1):
+            assert t_term(n, a) == gauss_binomial(n, 2 * a) * table[2 * a], (n, a)
+
+
+def test_cd_determinant_is_one_elimination():
+    # every T(11, 2a) is a leading minor of one elimination of the paper's
+    # matrix, and their sum is the unsigned full-rank cd of `cd --method det`
+    minors = leading_principal_minors(_papers_matrix(11))
+    t_terms = [ONE] + [(-1) ** j * minor for j, minor in enumerate(minors, 1)]
+    assert cd(FamilySpec.vector(11, 11), "det").unsigned == sum(t_terms, BiPoly())
+    assert cd_direct(FamilySpec.vector(11, 11)).unsigned == sum(t_terms, BiPoly())
 
 
 def test_cd_determinant_small():
