@@ -16,6 +16,7 @@ and the suite's other identities still run.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from math import comb, factorial
 
 from . import charney, chow, ordercx, permstat, qeuler
@@ -293,11 +294,22 @@ def odd_secant_entries(ns):
         yield _compare(f"odd entry = unsigned full-rank cd (n={n})", table[n], full_rank)
 
 
-def classical_secant_determinant(a_range):
-    """T(2a, 2a) at q = 1 is the classical secant number E_{2a}."""
-    oracle = classical_tangent_secant(2 * _top(a_range))
-    ok = all(charney.t_term(2 * a, a).eval(1, 1) == oracle[2 * a] for a in a_range)
-    yield _entry(f"classical secant determinant (n <= {_top(a_range)})", ok)
+def zigzag_numbers(top):
+    """[z_0, ..., z_top], the row ends of the Seidel-Entringer (boustrophedon)
+    triangle, whose row n is 0 and the partial sums of row n - 1 reversed."""
+    row, zigzags = [1], [1]
+    for _ in range(top):
+        row = list(accumulate(reversed(row), initial=0))
+        zigzags.append(row[-1])
+    return zigzags
+
+
+def classical_zigzag_triangle(top):
+    """The table's q = 1 row is (-1)^(n // 2) z_n, with z_n from the Seidel-Entringer triangle."""
+    classical = list(charney.tangent_secant(top).classical)
+    signed = [(-1) ** (n // 2) * z for n, z in enumerate(zigzag_numbers(top))]
+    yield _entry(f"classical values match Seidel-Entringer triangle (n <= {top})", classical == signed,
+                 f"table {classical} vs triangle {signed}")
 
 
 def _secant_sum(n, r, oracle):
@@ -427,7 +439,7 @@ SUITES = {
     "tangent-secant": lambda n_max, bound=None: _contained([
         tangent_secant_table(max(n_max, 10)),
         odd_secant_entries(range(1, n_max + 1, 2)),
-        classical_secant_determinant(range(5)),
+        classical_zigzag_triangle(max(n_max, 10)),
         secant_sums(range(1, n_max + 1)),
         odd_secant_collapse(range(1, max(n_max, 9) + 1, 2)),
         alternating_probes(range(min(n_max, 6) + 1), bound),

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ResourceBoundError
 from .exactalg import BiPoly, ONE, T, gauss_binomial, sum_of_products, t_quantum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above, level_size
 from .qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
-
-ORACLE_MAX_ELEMENTS = 200
 
 
 def hilbert_chain_sum(spec):
@@ -99,10 +96,6 @@ def basis_monomial_oracle(lat, r):
     1 <= a_i <= rank(F_i) - rank(F_next) - 1, the bottom closing the chain;
     the degree-k dimension is the number of monomials of total degree k.
     """
-    if len(lat) > ORACLE_MAX_ELEMENTS:
-        raise ResourceBoundError(
-            f"lattice with {len(lat)} elements exceeds oracle cap {ORACLE_MAX_ELEMENTS}"
-        )
     counts = [[0] * r for _ in range(len(lat))]
 
     # counts[i][d]: monomial tails of degree d whose topmost flat is element i.

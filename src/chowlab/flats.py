@@ -74,8 +74,7 @@ def chains_above(spec, lower, upper):
 
 # -- explicit lattices ---------------------------------------------------
 
-UNIFORM_EXPLICIT_MAX_N = 8
-VECTOR_EXPLICIT_MAX_N = {2: 4, 3: 3}
+EXPLICIT_MAX_SIZE = 200  # points of the ground set, and flats, of one explicit lattice
 
 
 class ExplicitLattice:
@@ -136,50 +135,46 @@ class ExplicitLattice:
 
 
 def build_explicit(spec, p=None):
-    """Materialize the lattice of flats; vector families need a prime p."""
+    """Materialize the lattice of flats, rank by rank; vector families need a prime p."""
+    n, r = spec.n, spec.r
+    if spec.kind == VECTOR:
+        if p is None:
+            raise ValueError("vector-family lattices need a numeric prime p")
+        # Trial division stops at 10^6: that decides every p <= 10^12, and a
+        # larger p has p^n > EXPLICIT_MAX_SIZE points anyway.
+        if p < 2 or any(p % d == 0 for d in range(2, min(isqrt(p), 10**6) + 1)):
+            raise ValueError(f"p = {p} is not prime")
+    explicit_size(spec, p)
     if spec.kind == UNIFORM:
-        if spec.n > UNIFORM_EXPLICIT_MAX_N:
-            raise ResourceBoundError(
-                f"explicit uniform lattice capped at n <= {UNIFORM_EXPLICIT_MAX_N}"
-            )
-        return _build_uniform(spec.n, spec.r)
-    if p is None:
-        raise ValueError("vector-family lattices need a numeric prime p")
-    # Trial division stops at 10^6: that decides every p <= 10^12, and a p
-    # with no factor below 10^6 is past the supported primes anyway.
-    if p < 2 or any(p % d == 0 for d in range(2, min(isqrt(p), 10**6) + 1)):
-        raise ValueError(f"p = {p} is not prime")
-    max_n = VECTOR_EXPLICIT_MAX_N.get(p)
-    if max_n is None:
-        raise ResourceBoundError(f"explicit subspace lattices support p in {{2, 3}}, got {p}")
-    if spec.n > max_n:
-        raise ResourceBoundError(f"explicit subspace lattice at p={p} capped at n <= {max_n}")
-    return _build_vector(spec.n, spec.r, p)
-
-
-def _build_uniform(n, r):
-    ground = frozenset(range(1, n + 1))
-    labels = [frozenset()]
-    ranks = [0]
-    for size in range(1, r):
-        for subset in combinations(range(1, n + 1), size):
-            labels.append(frozenset(subset))
-            ranks.append(size)
-    labels.append(ground)
-    ranks.append(r)
+        levels = [[frozenset(subset) for subset in combinations(range(1, n + 1), k)] for k in range(r)]
+        top = frozenset(range(1, n + 1))
+    else:
+        levels = [[_span(basis, n, p) for basis in _rref_bases(n, k, p)] for k in range(r)]
+        top = frozenset(product(range(p), repeat=n))
+    labels = [label for level in levels for label in level] + [top]
+    ranks = [k for k, level in enumerate(levels) for _ in level] + [r]
     return ExplicitLattice(labels, ranks, r)
 
 
-def _build_vector(n, r, p):
-    labels = []
-    ranks = []
-    for dim in range(r):
-        for basis in _rref_bases(n, dim, p):
-            labels.append(_span(basis, n, p))
-            ranks.append(dim)
-    labels.append(frozenset(product(range(p), repeat=n)))
-    ranks.append(r)
-    return ExplicitLattice(labels, ranks, r)
+def explicit_size(spec, p=None):
+    """(points, flats) of the explicit lattice in `int`: n points (p^n for
+    vector), and the top plus the level sizes below it at q = p (q = 1 for
+    uniform).  ResourceBoundError past EXPLICIT_MAX_SIZE; the points come
+    first, so a huge n or p costs a few steps and no Gaussian binomial.
+
+    >>> explicit_size(FamilySpec.vector(3, 2), 5)
+    (125, 33)
+    """
+    if spec.kind == UNIFORM:
+        where, points, q = str(spec), spec.n, 1
+    else:  # p >= 2, so p^n is past the bound once n reaches its bit length
+        where, points, q = f"{spec} at p={p}", p ** min(spec.n, EXPLICIT_MAX_SIZE.bit_length()), p
+    if points > EXPLICIT_MAX_SIZE:
+        raise ResourceBoundError(f"{where} has over {EXPLICIT_MAX_SIZE} points")
+    flats = 1 + sum(level_size(spec, i).eval(q, 1) for i in range(spec.r))
+    if flats > EXPLICIT_MAX_SIZE:
+        raise ResourceBoundError(f"{where} has over {EXPLICIT_MAX_SIZE} flats")
+    return points, flats
 
 
 def _rref_bases(n, k, p):

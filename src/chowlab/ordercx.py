@@ -26,7 +26,6 @@ from .flats import UNIFORM, ExplicitLattice, FamilySpec, _read_only
 from .chow import hilbert_recurrence
 
 FVECTOR_MAX_N = 8
-FVECTOR_MAX_ELEMENTS = 200
 
 
 class FVector:
@@ -66,10 +65,6 @@ def order_complex_fvector(source, proper=True):
             raise ResourceBoundError(f"f-vector counting capped at n <= {FVECTOR_MAX_N}")
         return _fvector_by_profiles(source.n, source.r, proper)
     if isinstance(source, ExplicitLattice):
-        if len(source) > FVECTOR_MAX_ELEMENTS:
-            raise ResourceBoundError(
-                f"chain enumeration capped at {FVECTOR_MAX_ELEMENTS} elements"
-            )
         return _fvector_by_chains(source, proper)
     raise TypeError(f"cannot take an order complex of {type(source).__name__}")
 

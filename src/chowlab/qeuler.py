@@ -24,19 +24,20 @@ def q_eulerian_by_definition(n, bound=None):
 
 def _q_egf_entry(table, n, factors):
     """x_n of x_m = sum_{a < m} [m over a]_q x_a f_(m - a), extending
-    `table` (x_0, x_1, ... as far as computed) through n; `factors(n)` is
-    the list f_0, ..., f_n, built only when the table grows."""
+    `table` (m -> x_m as far as computed) through n by key, so threads that
+    extend it at once write equal values; `factors(n)` is the list f_0, ...,
+    f_n, built only when the table grows."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if len(table) <= n:
+    if n not in table:
         f = factors(n)
         for m in range(len(table), n + 1):
-            table.append(sum_of_products((gauss_binomial(m, a), table[a], f[m - a]) for a in range(m)))
+            table[m] = sum_of_products((gauss_binomial(m, a), table[a], f[m - a]) for a in range(m))
     return table[n]
 
 
-_Q_EULERIAN = [ONE]
-_DERANGEMENTS = [ONE]
+_Q_EULERIAN = {0: ONE}
+_DERANGEMENTS = {0: ONE}
 
 
 def q_eulerian_by_recurrence(n):

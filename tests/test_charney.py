@@ -156,6 +156,12 @@ def test_odd_entries_are_full_rank_cd(holds):
     holds(checks.odd_secant_entries(odd), [f"odd entry = unsigned full-rank cd (n={n})" for n in odd])
 
 
+def test_classical_row_matches_zigzag_triangle(holds):
+    # the boustrophedon triangle: an O(n^2) route in `int` that shares nothing with the table
+    assert checks.zigzag_numbers(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
+    holds(checks.classical_zigzag_triangle(12), ["classical values match Seidel-Entringer triangle (n <= 12)"])
+
+
 def test_classical_secant_determinant():
     # exact rational Hankel determinant for the classical secant numbers
     oracle = checks.classical_tangent_secant(8)

@@ -65,10 +65,19 @@ def test_oracle_agrees_with_symbolic_series():
 
 
 def test_oracle_size_cap():
-    lat = build_explicit(FamilySpec.uniform(8, 8))
-    assert len(lat) == 256
-    with pytest.raises(ResourceBoundError, match="256 elements exceeds oracle cap 200"):
-        basis_monomial_oracle(lat, 8)
+    # 256 flats: refused before any label is built, so the oracle never sees it
+    with pytest.raises(ResourceBoundError, match="uniform\\(8,8\\) has over 200 flats"):
+        build_explicit(FamilySpec.uniform(8, 8))
+    with pytest.raises(ResourceBoundError, match="has over 200 flats"):
+        hilbert(FamilySpec.uniform(8, 8), "oracle")
+
+
+def test_oracle_at_p_5_and_7(holds):
+    # every vector lattice with at most 200 points at p = 5 (n <= 3) and p = 7 (n <= 2)
+    for p, top in ((5, 3), (7, 2)):
+        names = [f"monomial oracle vector({n},{r}) at q={p}" for n in range(1, top + 1) for r in range(1, n + 1)]
+        holds(checks.monomial_oracle("vector", p, range(1, top + 1)), names)
+    assert hilbert(FamilySpec.vector(3, 3), "oracle", p=5) == hilbert_recurrence(FamilySpec.vector(3, 3)).subs_q_int(5)
 
 
 def test_delta_series():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import chowlab.charney as charney_module
+import chowlab.checks as checks_module
 import chowlab.chow as chow_module
 import chowlab.ordercx as ordercx_module
 import chowlab.permstat as permstat_module
@@ -102,6 +103,14 @@ def test_oracle_method(capsys):
     assert code == 0 and out == "1 + 8*t + t^2\n"
 
 
+def test_oracle_past_the_old_caps(capsys):
+    # p = 5, and uniform n = 9: both small lattices, both refused before the size bound
+    code, out, _ = run_cli(capsys, "hilbert", "--family", "vector", "--n", "3", "--r", "3", "--method", "oracle", "--p", "5")
+    assert (code, out) == (0, "1 + 32*t + t^2\n")
+    argv = ("hilbert", "--family", "uniform", "--n", "9", "--r", "3", "--method")
+    assert run_cli(capsys, *argv, "oracle") == run_cli(capsys, *argv, "recurrence") == (0, "1 + 37*t + t^2\n", "")
+
+
 def test_deterministic_output(capsys):
     argv = ("hilbert", "--family", "vector", "--n", "5", "--r", "4", "--format", "json")
     _, first, _ = run_cli(capsys, *argv)
@@ -183,8 +192,21 @@ def test_huge_p_exits_3_at_once(capsys):
     code, out, err = run_cli(
         capsys, "hilbert", "--family", "vector", "--n", "1", "--r", "1", "--method", "oracle", "--p", "1000000000000000003"
     )
-    assert (code, out) == (3, "") and "support p in {2, 3}" in err
+    assert (code, out) == (3, "") and "has over 200 points" in err
     assert time.perf_counter() - start < 5  # trial division stops at 10^6, not at sqrt(p) = 10^9
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "uniform", "--n", "1000000000", "--r", "1"),
+    ("--family", "vector", "--n", "1000000000", "--r", "1", "--p", "2"),
+    ("--family", "vector", "--n", "1", "--r", "1", "--p", "1000000000000000003"),
+])
+def test_huge_oracle_inputs_exit_3_at_once(capsys, argv):
+    # the points are bounded before p^n or any Gaussian binomial is computed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hilbert", *argv, "--method", "oracle")
+    assert (code, out) == (3, "") and err.endswith("has over 200 points\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_bound_is_a_check_option_only(capsys):
@@ -302,6 +324,9 @@ SECANT_TAMPERS = [
     ("tangent-secant", charney_module, "cd_direct",
      _tamper((V55,), lambda c: c._replace(unsigned=c.unsigned + ONE)), "n=5"),
 ]
+# The table's q = 1 row against the Seidel-Entringer triangle, with z_7 off by one.
+SECANT_TAMPERS.append(("tangent-secant", checks_module, "zigzag_numbers",
+                       _tamper((), lambda z: z[:7] + [z[7] + 1] + z[8:]), "Seidel-Entringer"))
 IDS += [f"{suite}-{name}" for suite, _, name, *_ in SECANT_TAMPERS]
 TAMPERS += SECANT_TAMPERS
 

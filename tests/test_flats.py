@@ -5,7 +5,7 @@ import pytest
 from chowlab.charney import cd_direct, tangent_secant
 from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import ONE, BiPoly, gauss_binomial
-from chowlab.flats import FamilySpec, build_explicit, chains_above, level_size
+from chowlab.flats import FamilySpec, build_explicit, chains_above, explicit_size, level_size
 from chowlab.ordercx import FVector
 from chowlab.permstat import stats
 
@@ -124,16 +124,42 @@ def test_atom_join_meet_spot_check():
 
 
 def test_resource_and_domain_errors():
-    with pytest.raises(ResourceBoundError):
-        build_explicit(FamilySpec.uniform(9, 3))
+    # small lattices at any n and p build: 47, 33 and 42 flats
+    assert len(build_explicit(FamilySpec.uniform(9, 3))) == 47
+    assert len(build_explicit(FamilySpec.vector(3, 2), p=5)) == 33
+    assert len(build_explicit(FamilySpec.vector(4, 2), p=3)) == 42
     with pytest.raises(ValueError):
         build_explicit(FamilySpec.vector(3, 2))
     with pytest.raises(ValueError):
         build_explicit(FamilySpec.vector(3, 2), p=4)
-    with pytest.raises(ResourceBoundError):
-        build_explicit(FamilySpec.vector(3, 2), p=5)
-    with pytest.raises(ResourceBoundError):
-        build_explicit(FamilySpec.vector(4, 2), p=3)
+    with pytest.raises(ResourceBoundError, match="uniform\\(9,9\\) has over 200 flats"):
+        build_explicit(FamilySpec.uniform(9, 9))
+    with pytest.raises(ResourceBoundError, match="vector\\(4,4\\) at p=3 has over 200 flats"):
+        build_explicit(FamilySpec.vector(4, 4), p=3)
+    with pytest.raises(ResourceBoundError, match="vector\\(4,2\\) at p=5 has over 200 points"):
+        build_explicit(FamilySpec.vector(4, 2), p=5)
+
+
+def test_size_bound_boundary():
+    # 200 points, then 201; 200 flats (198 atoms, bottom and top), then 201
+    assert explicit_size(FamilySpec.uniform(200, 1)) == (200, 2)
+    assert len(build_explicit(FamilySpec.uniform(200, 1))) == 2
+    with pytest.raises(ResourceBoundError, match="uniform\\(201,1\\) has over 200 points"):
+        build_explicit(FamilySpec.uniform(201, 1))
+    assert explicit_size(FamilySpec.uniform(198, 2)) == (198, 200)
+    assert len(build_explicit(FamilySpec.uniform(198, 2))) == 200
+    with pytest.raises(ResourceBoundError, match="uniform\\(199,2\\) has over 200 flats"):
+        build_explicit(FamilySpec.uniform(199, 2))
+    # the vector family: 128 points at p = 2, n = 7, and 256 at n = 8
+    assert explicit_size(FamilySpec.vector(7, 2), 2) == (128, 129)
+    with pytest.raises(ResourceBoundError, match="vector\\(8,1\\) at p=2 has over 200 points"):
+        build_explicit(FamilySpec.vector(8, 1), p=2)
+
+
+def test_size_is_the_built_lattice_size():
+    for spec, p in ((FamilySpec.uniform(9, 3), None), (FamilySpec.vector(3, 3), 5), (FamilySpec.vector(2, 2), 7)):
+        lat = build_explicit(spec, p)
+        assert explicit_size(spec, p) == (len(lat.labels[lat.top]), len(lat))
 
 
 def test_json_export():
@@ -148,5 +174,5 @@ def test_json_export():
 
 def test_large_prime_is_rejected_at_once():
     # trial division stops at the square root: about 46000 steps here, not 2^31
-    with pytest.raises(ResourceBoundError, match="support p in"):
+    with pytest.raises(ResourceBoundError, match="has over 200 points"):
         build_explicit(FamilySpec.vector(2, 2), p=2**31 - 1)

@@ -3,11 +3,12 @@ generating-function identities, derangement polynomials."""
 
 import inspect
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import factorial
 
 import pytest
 
-from chowlab import checks
+from chowlab import checks, qeuler
 from chowlab.exactalg import ONE, T
 from chowlab.permstat import statistic_sum
 from chowlab.qeuler import classical_eulerian, q_eulerian_by_definition, q_eulerian_by_recurrence
@@ -75,3 +76,21 @@ def test_classical_eulerian_has_no_cap():
     assert a.coefficient_in_t(1).constant() == 2**300 - 301  # the Eulerian number <300 over 1>
     with pytest.raises(ValueError):
         classical_eulerian(-1)
+
+
+@pytest.mark.parametrize("table, route, n", [("_Q_EULERIAN", "q_eulerian_by_recurrence", 13),
+                                             ("_DERANGEMENTS", "derangement_polynomial", 11)])
+def test_threads_extending_one_table_agree(monkeypatch, table, route, n):
+    # four threads extend one fresh table at once, with a thread switch every microsecond
+    expected = [getattr(qeuler, route)(m) for m in range(n + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(qeuler, table, {0: ONE})
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(getattr(qeuler, route), [n] * 4))
+            assert results == [expected[n]] * 4
+            assert [getattr(qeuler, table)[m] for m in range(len(getattr(qeuler, table)))] == expected
+    finally:
+        sys.setswitchinterval(interval)
