@@ -106,9 +106,12 @@ def _secant_determinants(n_max):
     its leading minors M_k.  The even matrix is the paper's T(2a, 2a)
     matrix reflected through its anti-diagonal, and the odd one
     the Hessenberg determinant of tanh_q with its rows scaled by
-    (q;q)_(2i-1).  A zero pivot leaves the entries past it out.
+    (q;q)_(2i-1).  A zero pivot leaves the entries past it out.  Every
+    minor is some +-E_n, so the slots need hold only the largest norm bound
+    of `_secant_norm_bounds`, not the Hadamard bound of the matrix.
     """
     by_det = {0: ONE}
+    bound = max(_secant_norm_bounds(n_max))
     for odd in (0, 1):
         size = (n_max + odd) // 2
         if not size:
@@ -117,7 +120,7 @@ def _secant_determinants(n_max):
             [ONE] + [gauss_binomial(2 * i - odd, 2 * j - 2 - odd) if j <= i + 1 else ZERO for j in range(2, size + 1)]
             for i in range(1, size + 1)
         ]
-        for k, minor in enumerate(leading_principal_minors(matrix), 1):
+        for k, minor in enumerate(leading_principal_minors(matrix, bound), 1):
             by_det[2 * k - odd] = -minor if (k - odd) % 2 else minor
     return by_det
 

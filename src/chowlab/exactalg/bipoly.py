@@ -376,7 +376,7 @@ def _unpack(value, rows, w, nb):
     return dict(zip(compress(keys, nonzero), map(int.__sub__, digits, repeat(half))))
 
 
-def leading_principal_minors(matrix):
+def leading_principal_minors(matrix, bound=None):
     """The leading principal minors M_1, ..., M_n of a square matrix of
     BiPoly (or int) entries, by one Bareiss elimination without row swaps:
 
@@ -389,9 +389,14 @@ def leading_principal_minors(matrix):
     - Layout.  Every entry is packed once, as in `sum_of_products`, at one
       layout that holds every leading minor: w - 1 and rows - 1 are the sums
       over the rows of the largest q-degree and t-degree in each row, and
-      the slots are nb = bits(min(R, C)) // 8 + 1 bytes wide.  R is the
-      product over the rows of isqrt(sum_j ||m_ij||_1^2) + 1 and C the same
-      product over the columns.  Both are Hadamard bounds on every
+      the slots are nb = bits(B) // 8 + 1 bytes wide, with B the larger of
+      `bound` and every |coefficient| of every entry.  A caller that knows
+      its minors passes `bound`, at least every |coefficient| of every
+      leading minor; a bound that is too small aliases a minor, which then
+      reads back wrong (or not at all), so the caller must check the minors
+      by another route.  By default the bound is min(R, C), with R
+      the product over the rows of isqrt(sum_j ||m_ij||_1^2) + 1 and C the
+      same product over the columns.  Both are Hadamard bounds on every
       coefficient of every leading minor, since a coefficient is at most the
       minor's largest absolute value on the torus |q| = |t| = 1, and each
       factor is at least 1, so dropping rows and columns never raises them.
@@ -417,7 +422,10 @@ def leading_principal_minors(matrix):
     def hadamard(lines):
         return math.prod(math.isqrt(sum(sum(map(abs, t.values())) ** 2 for t in line)) + 1 for line in lines)
 
-    nb = min(hadamard(entries), hadamard(zip(*entries))).bit_length() // 8 + 1
+    if bound is None:
+        bound = min(hadamard(entries), hadamard(zip(*entries)))
+    largest_entry = max((abs(c) for row in entries for terms in row for c in terms.values()), default=0)
+    nb = max(bound, largest_entry).bit_length() // 8 + 1
     a = [[_pack(t, max(map(itemgetter(1), t)) + 1, w, nb) if t else 0 for t in row] for row in entries]
     minors = []
     prev = 1

@@ -1,19 +1,24 @@
 """Eulerian, q-Eulerian and derangement polynomials.
 
 A_n(q,t) and D_n(q,t) come from their q-exponential generating functions
-with the denominators cleared, built bottom-up in n (polynomial time); the
-brute-force definition of A_n exists as its oracle.  The classical (q = 1)
-polynomials come from their own integer recurrence on Eulerian numbers, not
-from the q-recurrence.
+with the denominators cleared, built bottom-up in n (polynomial time) on
+packed integers (Kronecker substitution, as in `exactalg.sum_of_products`):
+one layout, fixed from the top n by norm and degree bounds taken from the
+recurrence itself, holds every entry; each [m over a]_q x_a is one integer
+product, and the sum over a runs in Horner form, where a multiply by
+t - q^i or by t is a shift.  The brute-force definition of A_n exists as
+its oracle.  The classical (q = 1) polynomials come from their own integer
+recurrence on Eulerian numbers, not from the q-recurrence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, islice
+from math import comb
 
-from .exactalg import BiPoly, ONE, Q, T, gauss_binomial, sum_of_products, t_quantum
+from .exactalg import BiPoly, ONE, gauss_binomial
+from .exactalg.bipoly import _pack, _unpack
 from .permstat import statistic_sum
 
 
@@ -22,18 +27,100 @@ def q_eulerian_by_definition(n, bound=None):
     return statistic_sum(n, lambda s: (s.maj - s.exc, s.exc), bound)
 
 
-def _q_egf_entry(table, n, factors):
-    """x_n of x_m = sum_{a < m} [m over a]_q x_a f_(m - a), extending
-    `table` (m -> x_m as far as computed) through n by key, so threads that
-    extend it at once write equal values; `factors(n)` is the list f_0, ...,
-    f_n, built only when the table grows."""
+def _q_egf_bounds(n_max, g):
+    """Bounds (B_m, d_m) with B_m >= ||x_m||_1 and d_m >= deg_q x_m for
+    0 <= m <= n_max, fixed before any x_m is computed, for the recurrence
+    x_m = sum_{a < m} [m over a]_q x_a g_(m - a) from x_0 = 1, where
+    g(k) gives (||g_k||_1, deg_q g_k).  Since ||[m over a]_q||_1 = C(m, a)
+    and ||fg||_1 <= ||f||_1 ||g||_1, the same sum of binomials without signs
+    bounds the norms, and q-degrees add through each product:
+
+    >>> _q_egf_bounds(4, _f_size)
+    ([1, 1, 4, 22, 160], [0, 0, 1, 3, 6])
+    >>> _q_egf_bounds(4, _t_quantum_size)
+    ([1, 0, 1, 2, 9], [0, 0, 0, 0, 4])
+    """
+    norms, degrees = [1], [0]
+    for m in range(1, n_max + 1):
+        norm = degree = 0
+        for a in range(m):
+            g_norm, g_degree = g(m - a)
+            if norms[a] and g_norm:  # a zero term adds no degree
+                norm += comb(m, a) * norms[a] * g_norm
+                degree = max(degree, a * (m - a) + degrees[a] + g_degree)
+        norms.append(norm)
+        degrees.append(degree)
+    return norms, degrees
+
+
+def _f_size(k):
+    """(||f_k||_1, deg_q f_k) <= (2^(k-1), k(k-1)/2) for f_k = prod_{0<i<k} (t - q^i)."""
+    return 1 << (k - 1), k * (k - 1) // 2
+
+
+def _t_quantum_size(k):
+    """(||t [k-1]_t||_1, deg_q) = (k - 1, 0)."""
+    return k - 1, 0
+
+
+def _eulerian_horner(m, c, qs, ts):
+    """A_m = c_(m-1) + (t - q)(c_(m-2) + (t - q^2)(... + (t - q^(m-1)) c_0)),
+    the sum of c_a f_(m-a) in Horner form: each multiply by t - q^i is two
+    shifts and a subtraction."""
+    x = 0
+    for a, c_a in enumerate(c):
+        x = c_a + (x << ts) - (x << qs * (m - a))
+    return x
+
+
+def _derangement_horner(m, c, qs, ts):
+    """D_m = sum_{a <= m-2} c_a t [m-a-1]_t = t sum_k P_k t^(m-2-k), in Horner
+    form in t alone, with P_k = c_0 + ... + c_k the prefix sums."""
+    x = 0
+    for p in accumulate(islice(c, m - 1)):
+        x = (x << ts) + p
+    return x << ts
+
+
+def _extend_q_egf(table, n, horner, g):
+    """x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a), extending `table`
+    (m -> x_m as far as computed) through n by key, so threads that extend
+    it at once write equal values.
+
+    - Layout.  One Kronecker layout, fixed from n before any product: slots
+      nb = bits(max B_m) // 8 + 1 bytes wide, w = max d_m + 1 slots per
+      t-row, with (B_m, d_m) from `_q_egf_bounds(n, g)`.  q is a shift by
+      qs = 8 nb bits and t a shift by ts = 8 nb w bits.
+    - Recurrence.  Each x_a is packed once (the new ones are already
+      packed: they are the Horner sums themselves), each c_a = [m over a]_q
+      x_a is one integer product, and `horner` sums the c_a times g_(m - a)
+      with shifts and adds; only x_m is read back.
+    - Soundness.  Packing is the ring homomorphism q -> 2^qs, t -> 2^ts from
+      Z[q, t] to Z, so each integer is the packing of its polynomial, and
+      the Horner partials may overflow w freely.  Only each x_m read back
+      must fit the layout, and it does: deg_q x_m <= d_m < w, its t-degree
+      is below m + 1 rows, and each coefficient is at most B_m, below
+      2^(8 nb - 1).
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n not in table:
-        f = factors(n)
-        for m in range(len(table), n + 1):
-            table[m] = sum_of_products((gauss_binomial(m, a), table[a], f[m - a]) for a in range(m))
+        norms, degrees = _q_egf_bounds(n, g)
+        w, nb = max(degrees) + 1, max(norms).bit_length() // 8 + 1
+        qs, ts = 8 * nb, 8 * nb * w
+        start = len(table)
+        packed = [_pack(table[a].terms, table[a].t_degree() + 1, w, nb) for a in range(start)]
+        for m in range(start, n + 1):
+            c = (_pack_q(gauss_binomial(m, a), nb) * packed[a] for a in range(m))
+            packed.append(horner(m, c, qs, ts))
+            table[m] = BiPoly(_unpack(packed[m], m + 1, w, nb))
     return table[n]
+
+
+def _pack_q(poly, nb):
+    """A q-polynomial at q = 2^(8 nb): one row, as wide as its own degree,
+    so the integer does not depend on the layout's w."""
+    return _pack(poly.terms, 1, poly.q_degree() + 1, nb)
 
 
 _Q_EULERIAN = {0: ONE}
@@ -42,12 +129,7 @@ _DERANGEMENTS = {0: ONE}
 
 def q_eulerian_by_recurrence(n):
     """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i)."""
-    return _q_egf_entry(_Q_EULERIAN, n, _t_minus_q_powers)
-
-
-def _t_minus_q_powers(n):
-    """[f_0, ..., f_n] with f_k = prod_{i=1}^{k-1} (t - q^i), each one multiply from the last."""
-    return [ONE, *accumulate((T - Q**i for i in range(1, n)), mul, initial=ONE)]
+    return _extend_q_egf(_Q_EULERIAN, n, _eulerian_horner, _f_size)
 
 
 def derangement_polynomial(n):
@@ -60,7 +142,7 @@ def derangement_polynomial(n):
     >>> derangement_polynomial(4).to_text()
     't + (2 + q + 2*q^2 + q^3 + q^4)*t^2 + t^3'
     """
-    return _q_egf_entry(_DERANGEMENTS, n, lambda top: [T * t_quantum(k - 1) for k in range(top + 1)])
+    return _extend_q_egf(_DERANGEMENTS, n, _derangement_horner, _t_quantum_size)
 
 
 @lru_cache(maxsize=None)

@@ -261,7 +261,7 @@ def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
 
 def test_secant_zero_pivot_is_a_route_disagreement(monkeypatch):
     real = charney_module.leading_principal_minors
-    monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix: real(matrix)[:2])
+    monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix, *bound: real(matrix, *bound)[:2])
     tangent_secant(4)  # both matrices are 2 x 2
     with pytest.raises(RouteDisagreementError, match="zero pivot"):
         tangent_secant(5)
@@ -283,6 +283,17 @@ def test_secant_norm_bound_covers_every_entry():
     assert len(bounds) == len(entries) == 31
     for entry, bound in zip(entries, bounds):
         assert sum(map(abs, entry.terms.values())) <= bound
+
+
+def test_secant_slots_hold_the_norm_bound_and_no_less(monkeypatch, unpacked_widths):
+    # the eliminations read E_n back from slots sized by the norm bound
+    # alone; a bound too small aliases a minor, and the recurrence catches it
+    charney_module._secant_determinants(16)
+    assert unpacked_widths == [max(charney_module._secant_norm_bounds(16)).bit_length() // 8 + 1] * 16
+    real = charney_module.leading_principal_minors
+    monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix, bound: real(matrix, bound >> 24))
+    with pytest.raises(RouteDisagreementError, match="by recurrence vs determinant"):
+        tangent_secant(16)
 
 
 def _fraction_series_at(q0, n_max):

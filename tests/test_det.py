@@ -126,9 +126,9 @@ def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
         monkeypatch.setattr(bipoly, name, spy)
     matrices = []
 
-    def recording(matrix):
+    def recording(matrix, *bound):
         matrices.append(matrix)
-        return leading_principal_minors(matrix)
+        return leading_principal_minors(matrix, *bound)
 
     monkeypatch.setattr(charney, "leading_principal_minors", recording)
     assert len(charney._secant_determinants(16)) == 17

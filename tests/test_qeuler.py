@@ -9,9 +9,14 @@ from math import factorial
 import pytest
 
 from chowlab import checks, qeuler
-from chowlab.exactalg import ONE, T
+from chowlab.exactalg import BiPoly, ONE, T, bipoly, gauss_binomial, sum_of_products
 from chowlab.permstat import statistic_sum
-from chowlab.qeuler import classical_eulerian, q_eulerian_by_definition, q_eulerian_by_recurrence
+from chowlab.qeuler import (
+    classical_eulerian,
+    derangement_polynomial,
+    q_eulerian_by_definition,
+    q_eulerian_by_recurrence,
+)
 
 
 def test_base_cases():
@@ -94,3 +99,42 @@ def test_threads_extending_one_table_agree(monkeypatch, table, route, n):
             assert [getattr(qeuler, table)[m] for m in range(len(getattr(qeuler, table)))] == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("route, size", [(q_eulerian_by_recurrence, qeuler._f_size),
+                                         (derangement_polynomial, qeuler._t_quantum_size)])
+def test_q_egf_bounds_cover_every_entry(route, size):
+    norms, degrees = qeuler._q_egf_bounds(30, size)
+    assert len(norms) == len(degrees) == 31
+    for n, (norm, degree) in enumerate(zip(norms, degrees)):
+        entry = route(n)
+        assert sum(map(abs, entry.terms.values())) <= norm, n
+        assert entry.q_degree() <= degree and entry.t_degree() <= n, n
+
+
+def test_tables_through_30_against_independent_routes():
+    # the entries the bound test reads are right: A_n at q = 1 is the
+    # Eulerian-number recurrence, and the fiber identity
+    # A_30 = sum_k [30 over k]_q D_k ties the two packed tables together
+    for n in range(31):
+        assert q_eulerian_by_recurrence(n).subs_q_int(1) == classical_eulerian(n), n
+    fibers = sum_of_products((gauss_binomial(30, k), derangement_polynomial(k)) for k in range(31))
+    assert q_eulerian_by_recurrence(30) == fibers
+
+
+def test_tables_are_built_without_polynomial_products(monkeypatch):
+    # a count, not a timing: every product is one int product at the packed
+    # layout, and every multiply by (t - q^i) or t a shift
+    calls = []
+    real_sum, real_mul = bipoly.sum_of_products, BiPoly.__mul__
+    monkeypatch.setattr(bipoly, "sum_of_products", lambda *args: calls.append("sum_of_products") or real_sum(*args))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
+    for table in ("_Q_EULERIAN", "_DERANGEMENTS"):
+        monkeypatch.setattr(qeuler, table, {0: ONE})
+    assert q_eulerian_by_recurrence(14).eval(1, 1) == factorial(14)
+    assert derangement_polynomial(14).eval(1, 1) == 32071101049  # the derangements of [14]
+    assert calls == []
+    for route in (q_eulerian_by_recurrence, derangement_polynomial):
+        with pytest.raises(ValueError):
+            route(-1)
