@@ -7,7 +7,8 @@ chain sum    : sum over strictly increasing rank tuples, each weighted by
                its chain count and the product of t*[gap-1]_t factors
                (level homogeneity collapses chains to rank profiles);
 recurrence   : peel the lattice at each level and recurse into the upper
-               interval (filled bottom-up along each diagonal n - r);
+               interval, on the same diagonal n - r: one packed Horner sum
+               per rank, bottom-up, and only rank r read back;
 closed form  : A_n(q,t) minus the difference series of the ranks above r,
                each a sum of [n over m]_q times a t-reversed D_m(q,t);
 monomial oracle : count flag-supported basis monomials with rank-gap
@@ -19,11 +20,14 @@ evaluating q at the lattice's field size (q = 1 for uniform).
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
+from math import comb
 
 from .exactalg import BiPoly, ONE, T, gauss_binomial, sum_of_products, t_quantum
-from .flats import UNIFORM, FamilySpec, build_explicit, chains_above, level_size
-from .qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
+from .exactalg.bipoly import _unpack
+from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
+from .qeuler import _derangement_horner, _pack_q, classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
 
 
 def hilbert_chain_sum(spec):
@@ -41,24 +45,73 @@ def hilbert_chain_sum(spec):
     return ONE + sum_of_products(products)
 
 
-# (kind, n - r) -> {r: H(kind, n, r)} along that diagonal.
-_DIAGONALS = {}
-
-
+@lru_cache(maxsize=None)
 def hilbert_recurrence(spec):
-    """Hilbert series via the upper-interval recursion.
+    """Hilbert series via the upper-interval recursion, as one packed Horner
+    sum per rank along the diagonal d = n - r.
 
-    H(n, r) needs H(n - i, r - i) for 2 <= i < r: every rank up to r - 2 on
-    the diagonal n - r.  They are computed bottom-up in a loop and kept.
+    Peeling the rank-i flats of (n, r) leaves the interval (n - i, r - i),
+    on the same diagonal.  With H_m = H(d + m, m), H_0 = 1 and a = r - i:
+
+        H_m = [m]_t + sum_{1 <= a <= m-2} [d+m over d+a]_q H_a t [m-a-1]_t,
+
+    where [m]_t = 1 + t [m-1]_t H_0 comes from the top level, one flat
+    (i = m).
+
+    - Layout.  As in `qeuler._extend_q_egf`: one Kronecker layout for
+      H_1, ..., H_r, fixed from `_diagonal_bounds` before any product, with
+      slots nb = bits(max B_m) // 8 + 1 bytes wide and w = max d_m + 1.
+      For the uniform family every d_m is 0, so w = 1 and each binomial is
+      the integer C(d+m, d+a).
+    - Recurrence.  Each [d+m over d+a]_q H_a is one integer product, and
+      the sum over a is the prefix-sum Horner in t of
+      `qeuler._derangement_horner`, with the a = 0 summand 1; adding 1 then
+      gives the [m]_t term.  H_(r-1) is not needed, and only H_r is read
+      back.
+    - Soundness.  Packing is a ring homomorphism Z[q, t] -> Z, so each
+      integer is the packing of its polynomial, and only H_r must fit the
+      layout: deg_q H_r <= d_r < w, deg_t H_r < r, and each coefficient is
+      at most B_r, below 2^(8 nb - 1).  The loop does not recurse.
+    """
+    d, r = spec.n - spec.r, spec.r
+    norms, degrees = _diagonal_bounds(spec)
+    w, nb = max(degrees) + 1, max(norms).bit_length() // 8 + 1
+    qs, ts = 8 * nb, 8 * nb * w
+    binomial = comb if spec.kind == UNIFORM else lambda top, k: _pack_q(gauss_binomial(top, k), nb)
+    packed = {}
+    for m in (*range(1, r - 1), r):
+        c = chain([1], (binomial(d + m, d + a) * packed[a] for a in range(1, m - 1)))
+        packed[m] = 1 + _derangement_horner(m, c, qs, ts)
+    return BiPoly(_unpack(packed[r], r, w, nb))
+
+
+def _diagonal_bounds(spec):
+    """Bounds (B_m, d_m) for H_m = H(d + m, m), 0 <= m <= r, on the diagonal
+    d = n - r of `spec`, fixed before any H_m is computed.  The recurrence of
+    `hilbert_recurrence` at q = t = 1 gives
+
+        B_m = m + sum_{1 <= a <= m-2} C(d+m, d+a) B_a (m-a-1),
+
+    and every coefficient of H_m is nonnegative, so B_m = H_m(1, 1) exactly.
+    q-degrees add through each product: d_m = max_a (m-a)(d+a) + d_a, and
+    every d_m is 0 for the uniform family:
+
+    >>> _diagonal_bounds(FamilySpec.vector(7, 5))
+    ([1, 1, 2, 13, 74, 523], [0, 0, 0, 6, 9, 16])
+    >>> _diagonal_bounds(FamilySpec.uniform(7, 5))
+    ([1, 1, 2, 13, 74, 523], [0, 0, 0, 0, 0, 0])
     """
     d = spec.n - spec.r
-    memo = _DIAGONALS.setdefault((spec.kind, d), {})
-    for r in (*range(1, spec.r - 1), spec.r):
-        if r not in memo:
-            level = FamilySpec(spec.kind, d + r, r)
-            products = ((T * t_quantum(i - 1), level_size(level, i), memo[r - i]) for i in range(2, r))
-            memo[r] = t_quantum(r) + sum_of_products(products)
-    return memo[spec.r]
+    vector = spec.kind != UNIFORM
+    norms, degrees = [1], [0]
+    for m in range(1, spec.r + 1):
+        norm, degree = m, 0
+        for a in range(1, m - 1):
+            norm += comb(d + m, d + a) * norms[a] * (m - a - 1)
+            degree = max(degree, vector * (m - a) * (d + a) + degrees[a])
+        norms.append(norm)
+        degrees.append(degree)
+    return norms, degrees
 
 
 def hilbert_closed_form(spec):

@@ -171,10 +171,42 @@ def test_closed_form_needs_no_enumeration_bound():
         assert hilbert_closed_form(spec) == hilbert_recurrence(spec)
 
 
-def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch, unpacked_widths):
-    # a count, not a timing: each rank's products are summed packed, a few
-    # width groups a rank, so the unpacks grow with r, not with the 78 (r, i)
-    # pairs of vector(14, 14)
-    monkeypatch.setattr(chow_module, "_DIAGONALS", {})
-    hilbert_recurrence(FamilySpec.vector(14, 14))
-    assert len(unpacked_widths) <= 2 * 14 < sum(r - 2 for r in range(3, 15))
+def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch):
+    # a count, not a timing: the whole diagonal of vector(14, 14) is one
+    # layout group, summed packed with no polynomial product, and only the
+    # rank asked for is read back
+    expected = q_eulerian_by_recurrence(14)
+    calls = []
+    real_unpack, real_mul = chow_module._unpack, BiPoly.__mul__
+    monkeypatch.setattr(chow_module, "_unpack", lambda *args: calls.append("_unpack") or real_unpack(*args))
+    monkeypatch.setattr(chow_module, "sum_of_products", lambda *args: calls.append("sum_of_products"))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
+    hilbert_recurrence.cache_clear()
+    assert hilbert_recurrence(FamilySpec.vector(14, 14)) == expected
+    assert calls == ["_unpack"]
+
+
+@pytest.mark.parametrize("kind, ranks", [("uniform", range(1, 31)), ("vector", (*range(1, 21), 30))])
+def test_diagonal_bounds_are_norms_and_cover_degrees(kind, ranks):
+    # every coefficient of H is nonnegative, so the bound from the recurrence
+    # at q = t = 1 is the norm itself.  Too small a degree bound would wrap
+    # q^w onto t, which keeps H(1, 1) and the read-back q-degree within the
+    # bound, but moves terms between powers of t, so at q = 1 each vector H
+    # is held to the uniform one, which has no q-degree to bound.
+    for d in range(4):
+        norms, degrees = chow_module._diagonal_bounds(FamilySpec(kind, d + 30, 30))
+        assert len(norms) == len(degrees) == 31 and (norms[0], degrees[0]) == (1, 0)
+        for m in ranks:
+            h = hilbert_recurrence(FamilySpec(kind, d + m, m))
+            assert h.eval(1, 1) == norms[m] and h.q_degree() <= degrees[m], (d, m)
+            assert h.subs_q_int(1) == hilbert_recurrence(FamilySpec.uniform(d + m, m)), (d, m)
+
+
+def test_recurrence_against_independent_routes_past_the_check_suites():
+    # the paper's full-rank theorem, both sides computed independently
+    assert hilbert_recurrence(FamilySpec.vector(30, 30)) == q_eulerian_by_recurrence(30)
+    assert hilbert_recurrence(FamilySpec.uniform(200, 200)) == classical_eulerian(200)
+    for n, r in ((20, 5), (30, 15)):
+        spec = FamilySpec.vector(n, r)
+        assert hilbert_recurrence(spec) == hilbert_closed_form(spec), (n, r)
