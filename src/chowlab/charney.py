@@ -23,6 +23,7 @@ so the value read back slot by slot is the polynomial itself.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -190,8 +191,10 @@ def _verify_secant_by_series(entries):
         require_equal(f"E_{n} by recurrence vs series at q = 2^{8 * nb}", entry, by_series)
 
 
+@lru_cache(maxsize=None)
 def tangent_secant(n_max):
-    """Build the table; recurrence, determinant, and series routes must agree."""
+    """Build the table, once per n_max; recurrence, determinant, and series
+    routes must agree."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     by_rec = _secant_by_recurrence(n_max)
@@ -213,12 +216,11 @@ def t_term(n, a):
     return gauss_binomial(n, 2 * a) * tangent_secant(2 * a)[2 * a]
 
 
-def cd_qsecant(n, r, table=None):
+def cd_qsecant(n, r):
     """Signed and unsigned quantities as sum_(2a < r) T(n, 2a), the
     paper's determinant sum and q-secant sum at once."""
     _require_odd_rank(n, r)
-    if table is None or table.n_max < r - 1:
-        table = tangent_secant(r - 1)
+    table = tangent_secant(r - 1)
     unsigned = sum_of_products((gauss_binomial(n, 2 * k), table[2 * k]) for k in range((r - 1) // 2 + 1))
     return _signed(unsigned, r)
 

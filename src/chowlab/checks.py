@@ -6,11 +6,13 @@ The `check` subcommand and the tests run the same functions; a test pins
 a range and asserts the entry names, so a range cannot shrink silently.
 
 A suite is the ordered list of its identities, with ranges derived from
-``n_max``.  Running a suite contains each identity on its own: a
-`ResourceBoundError` ends it with a SKIPPED entry (``"ok": false,
-"skipped": true``), a `RouteDisagreementError` with a FAIL entry, either
-named after the identity's function; the entries it yielded before stay,
-and the suite's other identities still run.
+``n_max``; an explicit-lattice range stops before `build_explicit`'s size
+bound (which only CLI oracle queries meet), so SKIPPED comes only from a
+permutation walk past ``bound``.  Running a suite contains each identity
+on its own: a `ResourceBoundError` ends it with a SKIPPED entry (``"ok":
+false, "skipped": true``), a `RouteDisagreementError` with a FAIL entry,
+either named after the identity's function; the entries it yielded
+before stay, and the suite's other identities still run.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import comb, factorial
 from . import charney, chow, ordercx, permstat, qeuler
 from .errors import ResourceBoundError, RouteDisagreementError, require_equal
 from .exactalg import ONE, T, ZERO, BiPoly, diff_terms, gauss_binomial
-from .flats import FamilySpec, build_explicit, chains_above, level_size
+from .flats import FamilySpec, build_explicit, chains_above, explicit_size, level_size
 from .permstat import is_alternating, permutations_of, stats, statistic_sum
 
 
@@ -251,13 +253,12 @@ def egf_identity(order, q_one=False):
 def cd_routes(ns):
     """Charney-Davis quantity: direct = chain sum = q-secant sum, odd r <= n."""
     mismatches = []
-    table = charney.tangent_secant(_top(ns))
     for n in ns:
         for r in range(1, n + 1, 2):
             direct = charney.cd_direct(FamilySpec.vector(n, r))
             for route, result in (
                 ("chain", charney.cd(FamilySpec.vector(n, r), "chain")),
-                ("qsecant", charney.cd_qsecant(n, r, table)),
+                ("qsecant", charney.cd_qsecant(n, r)),
             ):
                 if result.unsigned != direct.unsigned or result.signed != direct.signed:
                     mismatches.append(_mismatch(f"cd({n},{r}) direct vs {route}", direct.unsigned, result.unsigned))
@@ -391,7 +392,7 @@ def conjecture_reports(ns):
 
 def _contained(identities):
     """The entries of `identities` in order, each identity contained under
-    its function's name."""
+    its function's name; SKIPPED means a permutation walk past ``bound``."""
     entries = []
     for identity in identities:
         try:
@@ -404,6 +405,17 @@ def _contained(identities):
     return entries
 
 
+def _explicit_top(kind, p, n_max):
+    """The largest n <= n_max whose full-rank lattice, and so every lattice
+    up to it, passes `explicit_size`: 7 for uniform, 4 for p = 2, 3 for p = 3."""
+    for n in range(1, n_max + 1):
+        try:
+            explicit_size(FamilySpec(kind, n, n), p)
+        except ResourceBoundError:
+            return n - 1
+    return n_max
+
+
 # Each suite runs its identities in report order, with ranges derived from n_max.
 SUITES = {
     "route-agreement": lambda n_max, bound=None: _contained([
@@ -414,9 +426,9 @@ SUITES = {
         cd_routes(range(1, n_max + 1)),
     ]),
     "oracle": lambda n_max, bound=None: _contained([
-        monomial_oracle("uniform", None, range(1, min(n_max, 6) + 1)),
-        monomial_oracle("vector", 2, range(1, min(n_max, 4) + 1)),
-        monomial_oracle("vector", 3, range(1, min(n_max, 3) + 1)),
+        monomial_oracle("uniform", None, range(1, _explicit_top("uniform", None, n_max) + 1)),
+        monomial_oracle("vector", 2, range(1, _explicit_top("vector", 2, n_max) + 1)),
+        monomial_oracle("vector", 3, range(1, _explicit_top("vector", 3, n_max) + 1)),
     ]),
     "telescoping": lambda n_max, bound=None: _contained([
         rank_telescoping(range(1, n_max + 1)),
@@ -446,7 +458,7 @@ SUITES = {
     ]),
     "conjecture": lambda n_max, bound=None: _contained([
         full_rank_h_anchor(range(2, n_max + 1)),
-        fvector_routes(range(2, min(n_max, 6) + 1)),
+        fvector_routes(range(2, _explicit_top("uniform", None, n_max) + 1)),
         conjecture_reports(range(2, n_max + 1)),
     ]),
 }

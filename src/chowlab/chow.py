@@ -10,7 +10,8 @@ recurrence   : peel the lattice at each level and recurse into the upper
                interval, on the same diagonal n - r: one packed Horner sum
                per rank, bottom-up, and only rank r read back;
 closed form  : A_n(q,t) minus the difference series of the ranks above r,
-               each a sum of [n over m]_q times a t-reversed D_m(q,t);
+               added up as one sum of [n over m]_q times a t-reversed
+               D_m(q,t) times a [n - k]_t;
 monomial oracle : count flag-supported basis monomials with rank-gap
                exponent bounds directly on an explicit lattice.
 
@@ -117,13 +118,18 @@ def _diagonal_bounds(spec):
 def hilbert_closed_form(spec):
     """Full-rank polynomial minus the difference series of the ranks above r.
 
-    For the vector family the full-rank polynomial is A_n(q,t); the uniform
-    family takes the classical A_n(t) and the difference series at q = 1.
+    Over j = r .. n-1 the m-th terms of `delta_series(n, j)` add up to
+    [n over m]_q t^k D_m(q, 1/t) [n - k]_t, k = max(m, r): one sum of n
+    products.  For the vector family the full-rank polynomial is A_n(q,t);
+    the uniform family takes the classical A_n(t) and the sum at q = 1.
     """
-    deltas = sum((delta_series(spec.n, j) for j in range(spec.r, spec.n)), BiPoly())
+    n, r = spec.n, spec.r
+    deltas = sum_of_products(
+        (gauss_binomial(n, m), _reversed_derangement(m, max(m, r)), t_quantum(n - max(m, r))) for m in range(n)
+    )
     if spec.kind == UNIFORM:
-        return classical_eulerian(spec.n) - deltas.subs_q_int(1)
-    return q_eulerian_by_recurrence(spec.n) - deltas
+        return classical_eulerian(n) - deltas.subs_q_int(1)
+    return q_eulerian_by_recurrence(n) - deltas
 
 
 def delta_series(n, r):
@@ -132,10 +138,12 @@ def delta_series(n, r):
     which is sum_{m <= r} [n over m]_q t^r D_m(q, 1/t)."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    return sum_of_products(
-        (gauss_binomial(n, m), BiPoly({(qd, r - td): c for (qd, td), c in derangement_polynomial(m).terms.items()}))
-        for m in range(r + 1)
-    )
+    return sum_of_products((gauss_binomial(n, m), _reversed_derangement(m, r)) for m in range(r + 1))
+
+
+def _reversed_derangement(m, k):
+    """t^k D_m(q, 1/t), for k at least the t-degree of D_m."""
+    return BiPoly({(qd, k - td): c for (qd, td), c in derangement_polynomial(m).terms.items()})
 
 
 # -- brute-force oracle on explicit lattices ------------------------------

@@ -112,13 +112,13 @@ class ExplicitLattice:
         return counts
 
     def count_maximal_chains(self):
-        """Bottom-to-top saturated chains, by depth-first enumeration."""
-        def walk(i):
-            if i == self.top:
-                return 1
-            return sum(walk(j) for j in self.upper_covers[i])
-
-        return walk(self.bottom)
+        """Bottom-to-top saturated chains: the chains up from each element
+        are the sum of those up from its covers, added from the top down."""
+        above = [0] * len(self)
+        above[self.top] = 1
+        for i in sorted(range(len(self)), key=self.ranks.__getitem__, reverse=True):
+            above[i] += sum(above[j] for j in self.upper_covers[i])
+        return above[self.bottom]
 
     def proper_elements(self):
         return [i for i in range(len(self)) if i not in (self.bottom, self.top)]

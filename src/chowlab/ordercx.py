@@ -18,14 +18,9 @@ the order complex (proper part, and full lattice = double cone).
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .errors import ResourceBoundError
-from .exactalg import BiPoly, ONE, T, binomial
+from .exactalg import BiPoly, ONE, T, ZERO, binomial
 from .flats import UNIFORM, ExplicitLattice, FamilySpec, _read_only
 from .chow import hilbert_recurrence
-
-FVECTOR_MAX_N = 8
 
 
 class FVector:
@@ -54,15 +49,14 @@ class FVector:
 def order_complex_fvector(source, proper=True):
     """f-vector of the order complex of a lattice of flats.
 
-    Uniform family descriptors are counted by rank profiles; explicit
-    lattices by direct chain enumeration.  With proper=False the bottom
-    and top are kept as vertices.
+    Uniform family descriptors are counted from level binomials, explicit
+    lattices from their order relation, in polynomial time and under no
+    bound; the one bound on this path is `build_explicit`'s size bound.
+    With proper=False the bottom and top are kept as vertices.
     """
     if isinstance(source, FamilySpec):
         if source.kind != UNIFORM:
             raise ValueError("rank-profile f-vectors are for the uniform family")
-        if source.n > FVECTOR_MAX_N:
-            raise ResourceBoundError(f"f-vector counting capped at n <= {FVECTOR_MAX_N}")
         return _fvector_by_profiles(source.n, source.r, proper)
     if isinstance(source, ExplicitLattice):
         return _fvector_by_chains(source, proper)
@@ -70,47 +64,34 @@ def order_complex_fvector(source, proper=True):
 
 
 def _fvector_by_profiles(n, r, proper):
-    levels = list(range(1, r)) if proper else list(range(r + 1))
-    f = []
-    for size in range(1, len(levels) + 1):
-        total = 0
-        for profile in combinations(levels, size):
-            count = 1
-            lower = 0
-            for upper in profile:
-                count *= 1 if upper == r else binomial(n - lower, upper - lower)
-                lower = upper
-            total += count
-        if total == 0:
-            break
-        f.append(total)
-    return FVector(f)
+    """Chains by the rank of their top: ends[top][k] chains of k + 1 flats end
+    at rank `top`, and a rank-i flat lies below C(n - i, top - i) of rank `top`
+    (below one, the top flat, at top = r)."""
+    levels = range(1, r) if proper else range(r + 1)
+    ends = {}
+    for top in levels:
+        above = [1 if top == r else binomial(n - i, top - i) for i in range(top + 1)]
+        lower = [(above[i], ends[i]) for i in range(levels.start, top)]
+        ends[top] = [above[0]] + [sum(c * row[k] for c, row in lower) for k in range(len(levels) - 1)]
+    return FVector(map(sum, zip(*ends.values())))
 
 
 def _fvector_by_chains(lat, proper):
+    """Chains by their top element: ends[j][k] chains of k + 1 vertices end at
+    j.  An f-vector has zeros only at its end, and they are dropped."""
     vertices = lat.proper_elements() if proper else list(range(len(lat)))
     vertices.sort(key=lambda i: lat.ranks[i])
-    counts = {}
-
-    def extend(chain_top, size):
-        counts[size] = counts.get(size, 0) + 1
-        for j in vertices:
-            if lat.ranks[j] > lat.ranks[chain_top] and chain_top in lat.below[j]:
-                extend(j, size + 1)
-
-    for i in vertices:
-        extend(i, 1)
-    f = [counts.get(size, 0) for size in range(1, max(counts, default=0) + 1)]
-    return FVector(f)
+    ends = {}
+    for j in vertices:
+        lower = [ends[i] for i in lat.below[j] if i in ends]
+        ends[j] = [1] + [sum(row[k] for row in lower) for k in range(lat.rank)]
+    return FVector(f for f in map(sum, zip(*ends.values())) if f)
 
 
 def h_polynomial(fvec):
     """Standard simplicial h-polynomial of an f-vector (t-polynomial)."""
     d = fvec.dim + 1
-    total = BiPoly()
-    for i in range(d + 1):
-        total = total + fvec[i - 1] * (T - ONE) ** (d - i)
-    return total
+    return sum((fvec[i - 1] * (T - ONE) ** (d - i) for i in range(d + 1)), ZERO)
 
 
 def conjecture_check(n, r):
@@ -125,12 +106,9 @@ def conjecture_check(n, r):
     spec = FamilySpec.uniform(n, r)
     lhs_proper = h_polynomial(order_complex_fvector(spec, proper=True))
     lhs_full = h_polynomial(order_complex_fvector(spec, proper=False))
-    rhs = BiPoly()
-    for i in range(1, r + 1):
-        rhs = rhs + binomial(n - i - 1, r - i) * hilbert_recurrence(
-            FamilySpec.uniform(n, i)
-        )
-    rhs = BiPoly.term(1, 0, 2) * rhs
+    rhs = T**2 * sum(
+        (binomial(n - i - 1, r - i) * hilbert_recurrence(FamilySpec.uniform(n, i)) for i in range(1, r + 1)), ZERO
+    )
     return {
         "n": n,
         "r": r,
@@ -147,11 +125,7 @@ def bivariate_check(n):
     sum_r h_r(t) u^(n-2-r) against sum_r H_r(t) (u+1)^(n-2-r)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    u = BiPoly.term(1, 1, 0)
-    lhs = BiPoly()
-    rhs = BiPoly()
-    for r in range(n - 1):
-        h = h_polynomial(order_complex_fvector(FamilySpec.uniform(n, r + 1)))
-        lhs = lhs + h * u ** (n - 2 - r)
-        rhs = rhs + hilbert_recurrence(FamilySpec.uniform(n, r + 1)) * (u + ONE) ** (n - 2 - r)
+    u, specs = BiPoly.term(1, 1, 0), [FamilySpec.uniform(n, r) for r in range(1, n)]
+    lhs = sum((h_polynomial(order_complex_fvector(spec)) * u ** (n - 1 - spec.r) for spec in specs), ZERO)
+    rhs = sum((hilbert_recurrence(spec) * (u + ONE) ** (n - 1 - spec.r) for spec in specs), ZERO)
     return {"n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

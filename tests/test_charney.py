@@ -247,6 +247,7 @@ def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
 
     top = BiPoly.term(1, degree, 0)
     monkeypatch.setattr(charney_module, "_secant_by_recurrence", lambda n_max: bumped(top))
+    tangent_secant.cache_clear()
     with pytest.raises(RouteDisagreementError, match="determinant"):
         tangent_secant(8)
     # the one-point series check alone also catches it, and a bump past the
@@ -262,6 +263,7 @@ def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
 def test_secant_zero_pivot_is_a_route_disagreement(monkeypatch):
     real = charney_module.leading_principal_minors
     monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix, *bound: real(matrix, *bound)[:2])
+    tangent_secant.cache_clear()
     tangent_secant(4)  # both matrices are 2 x 2
     with pytest.raises(RouteDisagreementError, match="zero pivot"):
         tangent_secant(5)
@@ -273,6 +275,7 @@ def test_tangent_secant_is_two_eliminations_and_one_series_point(monkeypatch):
     for name in ("leading_principal_minors", "_secant_series_at"):
         real = getattr(charney_module, name)
         monkeypatch.setattr(charney_module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    tangent_secant.cache_clear()
     tangent_secant(16)
     assert sorted(calls) == ["_secant_series_at", "leading_principal_minors", "leading_principal_minors"]
 
@@ -292,6 +295,7 @@ def test_secant_slots_hold_the_norm_bound_and_no_less(monkeypatch, unpacked_widt
     assert unpacked_widths == [max(charney_module._secant_norm_bounds(16)).bit_length() // 8 + 1] * 16
     real = charney_module.leading_principal_minors
     monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix, bound: real(matrix, bound >> 24))
+    tangent_secant.cache_clear()
     with pytest.raises(RouteDisagreementError, match="by recurrence vs determinant"):
         tangent_secant(16)
 

@@ -354,17 +354,43 @@ def test_tangent_secant_suite_covers_odd_entries_to_nmax():
 
 
 def test_resource_bound_skips_one_identity(capsys):
-    code, out, err = run_cli(capsys, "check", "--suite", "conjecture", "--nmax", "9")
+    code, out, err = run_cli(capsys, "check", "--suite", "route-agreement", "--nmax", "4", "--bound", "3")
     assert code == 3 and err == ""
+    skipped = "enumeration of size 4 exceeds bound 3; pass a larger bound (check --bound)"
     assert out.splitlines() == [
-        "SKIPPED  conjecture  (64 checks)",
-        "      SKIPPED full_rank_h_anchor: f-vector counting capped at n <= 8",
-        "      SKIPPED conjecture_reports: f-vector counting capped at n <= 8",
-        "SKIPPED  (nmax=9)",
+        "SKIPPED  route-agreement  (15 checks)",
+        f"      SKIPPED q_eulerian_definition: {skipped}",
+        f"      SKIPPED permutation_sum_ranks: {skipped}",
+        "SKIPPED  (nmax=4)",
     ]
-    names = [e["name"] for e in check_suites(9, "conjecture")["suites"][0]["entries"]]
-    # each identity runs up to the bound; the f-vector routes (n <= 6) run in full
-    assert {"full-rank h-polynomial anchor (n=8)", "f-vector routes (uniform 6,6)"} <= set(names)
+    names = [e["name"] for e in check_suites(4, "route-agreement", 3)["suites"][0]["entries"]]
+    # each walk runs up to the bound; the identities without one run in full
+    assert {"q-Eulerian definition vs recurrence (n=3)", "corank-one Hilbert series = derangement sum (n=3)"} <= set(names)
+    assert names[:2] == [f"hilbert routes agree ({kind}, n <= 4)" for kind in ("uniform", "vector")]
+    assert names[-1] == "cd routes agree (odd r <= n <= 4)"
+
+
+def test_explicit_lattice_ranges_need_no_cap(capsys):
+    # the f-vectors are counted, not enumerated: nothing in these runs is bounded
+    for argv in (("check", "--suite", "all", "--nmax", "9"), ("conjecture", "--n", "9", "--r", "5")):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    # each explicit-lattice range runs while the full-rank lattice passes the size bound
+    oracle = check_suites(8, "oracle")["suites"][0]
+    assert oracle["passed"] and [e["name"] for e in oracle["entries"]] == [
+        f"monomial oracle {kind}({n},{r}) at q={q}"
+        for kind, q, top in (("uniform", 1, 7), ("vector", 2, 4), ("vector", 3, 3))
+        for n in range(1, top + 1)
+        for r in range(1, n + 1)
+    ]
+    assert oracle["checks"] == 44
+    conjecture = check_suites(8, "conjecture")["suites"][0]
+    names = [e["name"] for e in conjecture["entries"]]
+    assert conjecture["passed"] and conjecture["checks"] == 69
+    assert [name for name in names if name.startswith("f-vector")] == [
+        f"f-vector routes (uniform {n},{r})" for n in range(2, 8) for r in range(1, n + 1)
+    ]
+    assert names[:7] == [f"full-rank h-polynomial anchor (n={n})" for n in range(2, 9)]
 
 
 def test_route_disagreement_is_contained(monkeypatch):

@@ -1,10 +1,12 @@
 """Order complexes: f-vectors by two routes, h-polynomials, conjecture
 reports."""
 
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from chowlab import checks
-from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import ONE, T
 from chowlab.flats import FamilySpec, build_explicit
 from chowlab.ordercx import (
@@ -79,9 +81,69 @@ def test_bivariate_reports():
 
 
 def test_resource_bounds():
-    with pytest.raises(ResourceBoundError):
-        order_complex_fvector(FamilySpec.uniform(9, 4))
+    # counting raises no bound: uniform(9, 4) is counted by both routes
+    spec = FamilySpec.uniform(9, 4)
+    for proper in (True, False):
+        assert order_complex_fvector(spec, proper) == order_complex_fvector(build_explicit(spec), proper)
     with pytest.raises(ValueError):
         order_complex_fvector(FamilySpec.vector(4, 2))
     with pytest.raises(TypeError):
         order_complex_fvector("not a lattice")
+
+
+# Test-local references: the enumerations the counts replaced, one chain at a time.
+
+
+def _fvector_by_profile_walk(n, r, proper):
+    levels = list(range(1, r)) if proper else list(range(r + 1))
+    f = []
+    for size in range(1, len(levels) + 1):
+        total = 0
+        for profile in combinations(levels, size):
+            count, lower = 1, 0
+            for upper in profile:
+                count *= 1 if upper == r else comb(n - lower, upper - lower)
+                lower = upper
+            total += count
+        if total == 0:
+            break
+        f.append(total)
+    return FVector(f)
+
+
+def _fvector_by_chain_walk(lat, proper):
+    vertices = lat.proper_elements() if proper else list(range(len(lat)))
+    vertices.sort(key=lambda i: lat.ranks[i])
+    counts = {}
+
+    def extend(chain_top, size):
+        counts[size] = counts.get(size, 0) + 1
+        for j in vertices:
+            if lat.ranks[j] > lat.ranks[chain_top] and chain_top in lat.below[j]:
+                extend(j, size + 1)
+
+    for i in vertices:
+        extend(i, 1)
+    return FVector(counts.get(size, 0) for size in range(1, max(counts, default=0) + 1))
+
+
+def _maximal_chain_walk(lat):
+    def walk(i):
+        return 1 if i == lat.top else sum(walk(j) for j in lat.upper_covers[i])
+
+    return walk(lat.bottom)
+
+
+def test_counts_match_the_enumerations():
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            for proper in (True, False):
+                expected = _fvector_by_profile_walk(n, r, proper)
+                assert order_complex_fvector(FamilySpec.uniform(n, r), proper) == expected, (n, r, proper)
+    for kind, p, top in (("uniform", None, 7), ("vector", 2, 4), ("vector", 3, 3), ("vector", 5, 2)):
+        for n in range(1, top + 1):
+            for r in range(1, n + 1):
+                lat = build_explicit(FamilySpec(kind, n, r), p)
+                assert lat.count_maximal_chains() == _maximal_chain_walk(lat), (kind, p, n, r)
+                for proper in (True, False):
+                    assert order_complex_fvector(lat, proper) == _fvector_by_chain_walk(lat, proper), (kind, p, n, r)
