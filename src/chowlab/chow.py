@@ -22,13 +22,20 @@ evaluating q at the lattice's field size (q = 1 for uniform).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
+from operator import mul
 
 from .exactalg import BiPoly, ONE, T, gauss_binomial, sum_of_products, t_quantum
-from .exactalg.bipoly import _unpack
+from .exactalg.bipoly import _raw, _unpack
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
-from .qeuler import _derangement_horner, _pack_q, classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
+from .qeuler import (
+    _derangement_horner,
+    classical_eulerian,
+    derangement_polynomial,
+    q_eulerian_by_recurrence,
+    q_pascal_rows,
+)
 
 
 def hilbert_chain_sum(spec):
@@ -62,10 +69,14 @@ def hilbert_recurrence(spec):
     - Layout.  As in `qeuler._extend_q_egf`: one Kronecker layout for
       H_1, ..., H_r, fixed from `_diagonal_bounds` before any product, with
       slots nb = bits(max B_m) // 8 + 1 bytes wide and w = max d_m + 1.
-      For the uniform family every d_m is 0, so w = 1 and each binomial is
-      the integer C(d+m, d+a).
-    - Recurrence.  Each [d+m over d+a]_q H_a is one integer product, and
-      the sum over a is the prefix-sum Horner in t of
+      For the uniform family every d_m is 0, so w = 1, and q = 1: a shift
+      by qs = 0 bits.
+    - Recurrence.  Each binomial is read as [d+m over d+a]_q =
+      [d+m over m-a]_q, with 2 <= m - a < r, from the rows d + 1, ..., d + r
+      of `qeuler.q_pascal_rows(qs)` cut to their first r entries (Pascal's
+      triangle for the uniform family), so a long diagonal costs r entries
+      a row.  Each [d+m over d+a]_q H_a is one integer product, and the
+      sum over a is the prefix-sum Horner in t of
       `qeuler._derangement_horner`, with the a = 0 summand 1; adding 1 then
       gives the [m]_t term.  H_(r-1) is not needed, and only H_r is read
       back.
@@ -77,13 +88,15 @@ def hilbert_recurrence(spec):
     d, r = spec.n - spec.r, spec.r
     norms, degrees = _diagonal_bounds(spec)
     w, nb = max(degrees) + 1, max(norms).bit_length() // 8 + 1
-    qs, ts = 8 * nb, 8 * nb * w
-    binomial = comb if spec.kind == UNIFORM else lambda top, k: _pack_q(gauss_binomial(top, k), nb)
-    packed = {}
-    for m in (*range(1, r - 1), r):
-        c = chain([1], (binomial(d + m, d + a) * packed[a] for a in range(1, m - 1)))
-        packed[m] = 1 + _derangement_horner(m, c, qs, ts)
-    return BiPoly(_unpack(packed[r], r, w, nb))
+    qs, ts = (0 if spec.kind == UNIFORM else 8 * nb), 8 * nb * w
+    packed = [1]  # H_0; H_(r-1) is never read, so it is left at 0
+    for m, row in enumerate(islice(q_pascal_rows(qs, width=r), d + 1, d + r + 1), 1):
+        if m == r - 1:
+            packed.append(0)
+            continue
+        c = chain([1], map(mul, row[m - 1 : 1 : -1], packed[1 : m - 1]))
+        packed.append(1 + _derangement_horner(m, c, qs, ts))
+    return _raw(_unpack(packed[r], r, w, nb))
 
 
 def _diagonal_bounds(spec):

@@ -138,19 +138,39 @@ def run(config):
 # -- polynomial output -----------------------------------------------------
 
 
+# One term of a polynomial's JSON term list, as `json.dumps(..., indent=2)`
+# writes it two levels below the top.
+_JSON_TERM = '      {\n        "q": %d,\n        "t": %d,\n        "c": "%s"\n      }'
+
+
 def _print_json(payload):
+    """Print the dict `payload`, with each BiPoly value as {"terms": its
+    `to_json_terms()` list}, byte for byte as `json.dumps(..., indent=2)`.
+
+    A term list is one join of `_JSON_TERM` over the polynomial's
+    `to_csv_rows()`, the same terms in the same order: degrees and the
+    decimal string of an integer, so nothing needs escaping.  Every other
+    value goes through `json.dumps` and is indented one level deeper.
+    """
     import json  # imported here so that text and CSV output never load it
 
-    print(json.dumps(payload, indent=2))
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, BiPoly):
+            rows = value.to_csv_rows()
+            body = ",\n".join(_JSON_TERM % (qd, td, c) for td, qd, c in rows)
+            value = '{\n    "terms": [\n%s\n    ]\n  }' % body if rows else '{\n    "terms": []\n  }'
+        else:
+            value = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {value}")
+    print("{\n%s\n}" % ",\n".join(items))
 
 
 def emit_poly(poly, config, meta):
     if config.fmt == "text":
         print(poly.to_text())
     elif config.fmt == "json":
-        payload = dict(meta)
-        payload["result"] = {"terms": poly.to_json_terms()}
-        _print_json(payload)
+        _print_json({**meta, "result": poly})
     else:
         print("t,q,c")
         for td, qd, c in poly.to_csv_rows():
@@ -184,8 +204,8 @@ def _run_cd(config):
             "r": config.r,
             "method": config.method,
             "parity": result.parity,
-            "unsigned": {"terms": result.unsigned.to_json_terms()},
-            "signed": {"terms": result.signed.to_json_terms()},
+            "unsigned": result.unsigned,
+            "signed": result.signed,
         }
         _print_json(payload)
         return 0
@@ -217,9 +237,9 @@ def _run_conjecture(config):
             "command": "conjecture",
             "n": config.n,
             "r": config.r,
-            "lhs": {"terms": report["lhs"].to_json_terms()},
-            "lhs_proper": {"terms": report["lhs_proper"].to_json_terms()},
-            "rhs": {"terms": report["rhs"].to_json_terms()},
+            "lhs": report["lhs"],
+            "lhs_proper": report["lhs_proper"],
+            "rhs": report["rhs"],
             "equal": report["equal"],
             "equal_proper": report["equal_proper"],
             "bivariate_equal": bivariate["equal"],

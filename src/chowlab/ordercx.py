@@ -89,9 +89,18 @@ def _fvector_by_chains(lat, proper):
 
 
 def h_polynomial(fvec):
-    """Standard simplicial h-polynomial of an f-vector (t-polynomial)."""
-    d = fvec.dim + 1
-    return sum((fvec[i - 1] * (T - ONE) ** (d - i) for i in range(d + 1)), ZERO)
+    """Standard simplicial h-polynomial of an f-vector (t-polynomial), by
+    Horner's rule in t - 1 on an integer coefficient list: each step
+    multiplies by t - 1 and adds the next f_(i-1) to the constant term.
+
+    >>> h_polynomial(FVector([3, 3])).to_text()  # a triangle's boundary
+    '1 + t + t^2'
+    """
+    h = []
+    for i in range(fvec.dim + 2):
+        h = [below - at for at, below in zip(h + [0], [0] + h)]
+        h[0] += fvec[i - 1]
+    return BiPoly({(0, k): c for k, c in enumerate(h)})
 
 
 def conjecture_check(n, r):

@@ -4,10 +4,12 @@ A_n(q,t) and D_n(q,t) come from their q-exponential generating functions
 with the denominators cleared, built bottom-up in n (polynomial time) on
 packed integers (Kronecker substitution, as in `exactalg.sum_of_products`):
 one layout, fixed from the top n by norm and degree bounds taken from the
-recurrence itself, holds every entry; each [m over a]_q x_a is one integer
-product, and the sum over a runs in Horner form, where a multiply by
-t - q^i or by t is a shift.  The brute-force definition of A_n exists as
-its oracle.  The classical (q = 1) polynomials come from their own integer
+recurrence itself, holds every entry; the Gaussian binomials are the rows
+of the q-Pascal rule at the layout's q, each [m over a]_q x_a is one
+integer product, and the sum over a runs in Horner form, where a multiply
+by t - q^i or by t is a shift.  Only A_n is read back; the D_m are kept,
+each read back once.  The brute-force definition of A_n exists as its
+oracle.  The classical (q = 1) polynomials come from their own integer
 recurrence on Eulerian numbers, not from the q-recurrence.
 """
 
@@ -16,9 +18,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import comb
+from operator import mul
 
-from .exactalg import BiPoly, ONE, gauss_binomial
-from .exactalg.bipoly import _pack, _unpack
+from .exactalg import BiPoly, ONE
+from .exactalg.bipoly import _pack, _raw, _unpack
 from .permstat import statistic_sum
 
 
@@ -82,54 +85,71 @@ def _derangement_horner(m, c, qs, ts):
     return x << ts
 
 
-def _extend_q_egf(table, n, horner, g):
-    """x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a), extending `table`
-    (m -> x_m as far as computed) through n by key, so threads that extend
-    it at once write equal values.
+def q_pascal_rows(qs, width=None):
+    """Rows of Gaussian binomials at q = 2^qs: row m holds [m over 0]_q, ...,
+    [m over m]_q, for m = 0, 1, 2, ..., each row from the one before by the
+    q-Pascal rule [m over a]_q = [m-1 over a-1]_q + q^a [m-1 over a]_q, one
+    shift and one add per entry.  With a `width`, each row is cut to its
+    first `width` entries, which the rule computes from the rows above cut
+    the same way.  At qs = 0, that is q = 1, the rows are Pascal's triangle:
 
-    - Layout.  One Kronecker layout, fixed from n before any product: slots
-      nb = bits(max B_m) // 8 + 1 bytes wide, w = max d_m + 1 slots per
-      t-row, with (B_m, d_m) from `_q_egf_bounds(n, g)`.  q is a shift by
-      qs = 8 nb bits and t a shift by ts = 8 nb w bits.
-    - Recurrence.  Each x_a is packed once (the new ones are already
-      packed: they are the Horner sums themselves), each c_a = [m over a]_q
-      x_a is one integer product, and `horner` sums the c_a times g_(m - a)
-      with shifts and adds; only x_m is read back.
+    >>> rows = q_pascal_rows(0)
+    >>> [next(rows) for _ in range(5)][-1]
+    [1, 4, 6, 4, 1]
+    >>> next(islice(q_pascal_rows(4), 4, None))  # [4 over 2]_q = 1 + q + 2q^2 + q^3 + q^4 at q = 16
+    [1, 4369, 70161, 4369, 1]
+    >>> next(islice(q_pascal_rows(4, width=3), 4, None))
+    [1, 4369, 70161]
+    """
+    row = [1]
+    while True:
+        yield row
+        row = [1, *(lo + (hi << qs * a) for a, (lo, hi) in enumerate(zip(row, row[1:]), 1)), 1][:width]
+
+
+def _q_egf_layout(n, g):
+    """The one Kronecker layout (w, nb) that holds x_0, ..., x_n of
+    `_extend_q_egf`: slots nb = bits(max B_m) // 8 + 1 bytes wide and
+    w = max d_m + 1 slots per t-row, with (B_m, d_m) from
+    `_q_egf_bounds(n, g)`."""
+    norms, degrees = _q_egf_bounds(n, g)
+    return max(degrees) + 1, max(norms).bit_length() // 8 + 1
+
+
+def _extend_q_egf(packed, n, horner, w, nb):
+    """Extend `packed`, the packings x_0, ..., x_(k-1) at layout (w, nb), by
+    x_k, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a), and return it.
+
+    - Layout.  q is a shift by qs = 8 nb bits and t a shift by ts = 8 nb w
+      bits; (w, nb) comes from `_q_egf_layout` at n or above.
+    - Recurrence.  Row m of `q_pascal_rows(qs)` holds every [m over a]_q
+      packed, each c_a = [m over a]_q x_a is one integer product, and
+      `horner` sums the c_a times g_(m - a) with shifts and adds.  Nothing
+      is read back here.
     - Soundness.  Packing is the ring homomorphism q -> 2^qs, t -> 2^ts from
       Z[q, t] to Z, so each integer is the packing of its polynomial, and
-      the Horner partials may overflow w freely.  Only each x_m read back
-      must fit the layout, and it does: deg_q x_m <= d_m < w, its t-degree
-      is below m + 1 rows, and each coefficient is at most B_m, below
-      2^(8 nb - 1).
+      the Horner partials may overflow w freely.  Only an x_m read back must
+      fit the layout, and every m <= n does: deg_q x_m <= d_m < w, its
+      t-degree is below m + 1 rows, and each coefficient is at most B_m,
+      below 2^(8 nb - 1).
     """
+    qs, ts = 8 * nb, 8 * nb * w
+    for m, row in enumerate(islice(q_pascal_rows(qs), len(packed), n + 1), len(packed)):
+        packed.append(horner(m, map(mul, row, packed), qs, ts))
+    return packed
+
+
+@lru_cache(maxsize=None)
+def q_eulerian_by_recurrence(n):
+    """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i):
+    A_0, ..., A_n packed at the layout of n, and only A_n read back."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n not in table:
-        norms, degrees = _q_egf_bounds(n, g)
-        w, nb = max(degrees) + 1, max(norms).bit_length() // 8 + 1
-        qs, ts = 8 * nb, 8 * nb * w
-        start = len(table)
-        packed = [_pack(table[a].terms, table[a].t_degree() + 1, w, nb) for a in range(start)]
-        for m in range(start, n + 1):
-            c = (_pack_q(gauss_binomial(m, a), nb) * packed[a] for a in range(m))
-            packed.append(horner(m, c, qs, ts))
-            table[m] = BiPoly(_unpack(packed[m], m + 1, w, nb))
-    return table[n]
+    w, nb = _q_egf_layout(n, _f_size)
+    return _raw(_unpack(_extend_q_egf([1], n, _eulerian_horner, w, nb)[n], n + 1, w, nb))
 
 
-def _pack_q(poly, nb):
-    """A q-polynomial at q = 2^(8 nb): one row, as wide as its own degree,
-    so the integer does not depend on the layout's w."""
-    return _pack(poly.terms, 1, poly.q_degree() + 1, nb)
-
-
-_Q_EULERIAN = {0: ONE}
 _DERANGEMENTS = {0: ONE}
-
-
-def q_eulerian_by_recurrence(n):
-    """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i)."""
-    return _extend_q_egf(_Q_EULERIAN, n, _eulerian_horner, _f_size)
 
 
 def derangement_polynomial(n):
@@ -137,12 +157,23 @@ def derangement_polynomial(n):
 
     Shareshian-Wachs give sum_n D_n z^n/[n]_q! = (1-t)/(e_q(tz) - t e_q(z));
     with the denominators cleared, D_m = sum_{a < m} [m over a]_q D_a t [m-a-1]_t
-    (the a = m-1 term is 0, as [0]_t = 0).
+    (the a = m-1 term is 0, as [0]_t = 0).  Every D_m is kept: the table
+    is extended through n by key, so threads that extend it at once write
+    equal values, and each new entry is read back.
 
     >>> derangement_polynomial(4).to_text()
     't + (2 + q + 2*q^2 + q^3 + q^4)*t^2 + t^3'
     """
-    return _extend_q_egf(_DERANGEMENTS, n, _derangement_horner, _t_quantum_size)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    table = _DERANGEMENTS
+    if n not in table:
+        w, nb = _q_egf_layout(n, _t_quantum_size)
+        start = len(table)
+        packed = [_pack(table[a]._terms, table[a].t_degree() + 1, w, nb) for a in range(start)]
+        for m, x in enumerate(_extend_q_egf(packed, n, _derangement_horner, w, nb)[start:], start):
+            table[m] = _raw(_unpack(x, m + 1, w, nb))
+    return table[n]
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import chowlab.chow as chow_module
-from chowlab import checks
+from chowlab import checks, qeuler
 from chowlab.chow import (
     basis_monomial_oracle,
     delta_series,
@@ -18,7 +18,7 @@ from chowlab.chow import (
     hilbert_recurrence,
 )
 from chowlab.errors import ResourceBoundError, RouteDisagreementError
-from chowlab.exactalg import BiPoly, ONE, T
+from chowlab.exactalg import BiPoly, ONE, T, bipoly, gauss_binomial
 from chowlab.flats import FamilySpec, build_explicit
 from chowlab.permstat import permutations_of
 from chowlab.qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
@@ -185,6 +185,28 @@ def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch):
     hilbert_recurrence.cache_clear()
     assert hilbert_recurrence(FamilySpec.vector(14, 14)) == expected
     assert calls == ["_unpack"]
+
+
+@pytest.mark.parametrize("spec", [FamilySpec.uniform(300, 5), FamilySpec.vector(300, 5), FamilySpec.vector(16, 12)])
+def test_recurrence_takes_binomials_from_q_pascal_rows(monkeypatch, spec):
+    # counts, not timings: no Gaussian binomial is built and nothing is
+    # packed on the diagonal, and each streamed row is cut to r entries, so
+    # a long diagonal does not build rows hundreds of entries wide
+    expected = hilbert_chain_sum(spec)
+    packs, widths = [], []
+    for module in (bipoly, qeuler):
+        real = module._pack
+        monkeypatch.setattr(module, "_pack", lambda *args, real=real: packs.append(args) or real(*args))
+    real_rows = chow_module.q_pascal_rows
+    monkeypatch.setattr(
+        chow_module, "q_pascal_rows", lambda *args, **kw: (widths.append(len(row)) or row for row in real_rows(*args, **kw))
+    )
+    hilbert_recurrence.cache_clear()
+    binomials = gauss_binomial.cache_info()
+    assert hilbert_recurrence(spec) == expected
+    after = gauss_binomial.cache_info()
+    assert packs == [] and after.hits + after.misses == binomials.hits + binomials.misses
+    assert len(widths) == spec.n + 1 and max(widths) == spec.r
 
 
 @pytest.mark.parametrize("kind, ranks", [("uniform", range(1, 31)), ("vector", (*range(1, 21), 30))])

@@ -252,6 +252,51 @@ def test_check_json(capsys):
     assert payload["suites"][0]["name"] == "egf"
 
 
+def _terms(poly):
+    return {"terms": poly.to_json_terms()}
+
+
+def _cd_payload(family, n, r):
+    result = charney_module.cd(FamilySpec(family, n, r))
+    return {"command": "cd", "family": family, "n": n, "r": r, "method": "direct", "parity": result.parity,
+            "unsigned": _terms(result.unsigned), "signed": _terms(result.signed)}
+
+
+def _conjecture_payload(n, r):
+    report, bivariate = ordercx_module.conjecture_check(n, r), ordercx_module.bivariate_check(n)
+    return {"command": "conjecture", "n": n, "r": r, "lhs": _terms(report["lhs"]),
+            "lhs_proper": _terms(report["lhs_proper"]), "rhs": _terms(report["rhs"]), "equal": report["equal"],
+            "equal_proper": report["equal_proper"], "bivariate_equal": bivariate["equal"]}
+
+
+# Each JSON query with the payload the stdlib encoder was once given for it:
+# the same values, with every polynomial as {"terms": to_json_terms()}.
+JSON_PAYLOADS = {
+    "hilbert --family vector --n 7 --r 5": lambda: {
+        "command": "hilbert", "family": "vector", "n": 7, "r": 5, "method": "recurrence",
+        "result": _terms(chow_module.hilbert_recurrence(FamilySpec.vector(7, 5)))},
+    "hilbert --family vector --n 3 --r 3 --method oracle --p 2": lambda: {
+        "command": "hilbert", "family": "vector", "n": 3, "r": 3, "method": "oracle", "p": 2,
+        "result": _terms(chow_module.hilbert(FamilySpec.vector(3, 3), "oracle", p=2))},
+    "cd --family vector --n 7 --r 7": lambda: _cd_payload("vector", 7, 7),
+    "cd --family uniform --n 5 --r 3": lambda: _cd_payload("uniform", 5, 3),
+    "cd --family vector --n 6 --r 6": lambda: _cd_payload("vector", 6, 6),
+    "conjecture --n 6 --r 3": lambda: _conjecture_payload(6, 3),
+    "qeulerian --n 6": lambda: {
+        "command": "qeulerian", "n": 6, "q1": False, "result": _terms(qeuler_module.q_eulerian_by_recurrence(6))},
+    "check --nmax 6": lambda: check_suites(6),
+}
+
+
+@pytest.mark.parametrize("query", JSON_PAYLOADS)
+def test_json_output_is_the_stdlib_encoding(capsys, query):
+    # the writer's own term-list template against json.dumps, byte for byte;
+    # the cd cases have negative coefficients and, at even rank, empty lists
+    code, out, _ = run_cli(capsys, *query.split(), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(JSON_PAYLOADS[query](), indent=2) + "\n"
+
+
 def test_injected_fault_fails_with_localized_diff(capsys, monkeypatch):
     real = chow_module.hilbert_closed_form
 

@@ -4,7 +4,8 @@ generating-function identities, derangement polynomials."""
 import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
@@ -83,8 +84,7 @@ def test_classical_eulerian_has_no_cap():
         classical_eulerian(-1)
 
 
-@pytest.mark.parametrize("table, route, n", [("_Q_EULERIAN", "q_eulerian_by_recurrence", 13),
-                                             ("_DERANGEMENTS", "derangement_polynomial", 11)])
+@pytest.mark.parametrize("table, route, n", [("_DERANGEMENTS", "derangement_polynomial", 11)])
 def test_threads_extending_one_table_agree(monkeypatch, table, route, n):
     # four threads extend one fresh table at once, with a thread switch every microsecond
     expected = [getattr(qeuler, route)(m) for m in range(n + 1)]
@@ -101,40 +101,89 @@ def test_threads_extending_one_table_agree(monkeypatch, table, route, n):
         sys.setswitchinterval(interval)
 
 
+def test_threads_building_one_entry_agree():
+    # four threads build A_13 at once from an empty memo, with a thread
+    # switch every microsecond
+    expected = q_eulerian_by_recurrence(13)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            q_eulerian_by_recurrence.cache_clear()
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(q_eulerian_by_recurrence, [13] * 4))
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@lru_cache(maxsize=None)
+def _through_30(route):
+    """route(0), ..., route(30).  A_0, ..., A_30 are read back from the one
+    packed build of A_30, at its layout: A_n is memoised per n, and 31
+    builds would take several times as long."""
+    if route is not q_eulerian_by_recurrence:
+        return [route(n) for n in range(31)]
+    w, nb = qeuler._q_egf_layout(30, qeuler._f_size)
+    packed = qeuler._extend_q_egf([1], 30, qeuler._eulerian_horner, w, nb)
+    return [BiPoly(bipoly._unpack(x, n + 1, w, nb)) for n, x in enumerate(packed)]
+
+
 @pytest.mark.parametrize("route, size", [(q_eulerian_by_recurrence, qeuler._f_size),
                                          (derangement_polynomial, qeuler._t_quantum_size)])
 def test_q_egf_bounds_cover_every_entry(route, size):
     norms, degrees = qeuler._q_egf_bounds(30, size)
     assert len(norms) == len(degrees) == 31
-    for n, (norm, degree) in enumerate(zip(norms, degrees)):
-        entry = route(n)
+    for n, (norm, degree, entry) in enumerate(zip(norms, degrees, _through_30(route), strict=True)):
         assert sum(map(abs, entry.terms.values())) <= norm, n
         assert entry.q_degree() <= degree and entry.t_degree() <= n, n
 
 
 def test_tables_through_30_against_independent_routes():
     # the entries the bound test reads are right: A_n at q = 1 is the
-    # Eulerian-number recurrence, and the fiber identity
-    # A_30 = sum_k [30 over k]_q D_k ties the two packed tables together
+    # Eulerian-number recurrence, A_30 is the route's own value, and the
+    # fiber identity A_30 = sum_k [30 over k]_q D_k ties the two packed
+    # recurrences together
+    eulerian = _through_30(q_eulerian_by_recurrence)
     for n in range(31):
-        assert q_eulerian_by_recurrence(n).subs_q_int(1) == classical_eulerian(n), n
+        assert eulerian[n].subs_q_int(1) == classical_eulerian(n), n
     fibers = sum_of_products((gauss_binomial(30, k), derangement_polynomial(k)) for k in range(31))
-    assert q_eulerian_by_recurrence(30) == fibers
+    assert eulerian[30] == q_eulerian_by_recurrence(30) == fibers
+
+
+@pytest.mark.parametrize("qs", [0, 8, 104])
+def test_q_pascal_rows_are_gaussian_binomials(qs):
+    cut = qeuler.q_pascal_rows(qs, width=7)
+    for m, row, row_cut in zip(range(31), qeuler.q_pascal_rows(qs), cut):
+        assert row == [gauss_binomial(m, a).eval(2**qs, 1) for a in range(m + 1)], m
+        assert row_cut == row[:7], m
+        if qs == 0:
+            assert row == [comb(m, a) for a in range(m + 1)], m
 
 
 def test_tables_are_built_without_polynomial_products(monkeypatch):
     # a count, not a timing: every product is one int product at the packed
-    # layout, and every multiply by (t - q^i) or t a shift
+    # layout, every multiply by (t - q^i) or t a shift, and no Gaussian
+    # binomial is built and nothing packed in either loop; A_n is read back
+    # once, and each new D_m once, after the one packing of the D_0 already
+    # in the table
     calls = []
     real_sum, real_mul = bipoly.sum_of_products, BiPoly.__mul__
     monkeypatch.setattr(bipoly, "sum_of_products", lambda *args: calls.append("sum_of_products") or real_sum(*args))
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
-    for table in ("_Q_EULERIAN", "_DERANGEMENTS"):
-        monkeypatch.setattr(qeuler, table, {0: ONE})
+    for module, name in ((qeuler, "_pack"), (qeuler, "_unpack"), (bipoly, "_pack")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    monkeypatch.setattr(qeuler, "_DERANGEMENTS", {0: ONE})
+    q_eulerian_by_recurrence.cache_clear()
+    binomials = gauss_binomial.cache_info()
     assert q_eulerian_by_recurrence(14).eval(1, 1) == factorial(14)
+    assert calls == ["_unpack"]
     assert derangement_polynomial(14).eval(1, 1) == 32071101049  # the derangements of [14]
-    assert calls == []
+    assert calls == ["_unpack", "_pack"] + ["_unpack"] * 14
+    after = gauss_binomial.cache_info()
+    assert after.hits + after.misses == binomials.hits + binomials.misses
     for route in (q_eulerian_by_recurrence, derangement_polynomial):
         with pytest.raises(ValueError):
             route(-1)
