@@ -437,7 +437,7 @@ SUITES = {
     ]),
     "palindromicity": lambda n_max, bound=None: _contained([
         hilbert_palindromicity(range(1, n_max + 1)),
-        q_eulerian_palindromicity(range(1, min(n_max + 2, 8) + 1)),
+        q_eulerian_palindromicity(range(1, n_max + 3)),
     ]),
     "wachs": lambda n_max, bound=None: _contained([
         wachs_fibers(range(min(n_max, 7) + 1), bound),
@@ -446,7 +446,7 @@ SUITES = {
     ]),
     "egf": lambda n_max, bound=None: _contained([
         egf_identity(n_max),
-        egf_identity(min(n_max + 2, 8), q_one=True),
+        egf_identity(n_max + 2, q_one=True),
     ]),
     "tangent-secant": lambda n_max, bound=None: _contained([
         tangent_secant_table(max(n_max, 10)),

@@ -32,24 +32,27 @@ from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
 from .qeuler import (
     _derangement_horner,
     classical_eulerian,
-    derangement_polynomial,
+    derangement_polynomials,
     q_eulerian_by_recurrence,
     q_pascal_rows,
 )
 
 
 def hilbert_chain_sum(spec):
-    """Hilbert series as the rank-tuple chain sum."""
-    gap_factor = {gap: T * t_quantum(gap - 1) for gap in range(2, spec.r + 1)}
+    """Hilbert series as the rank-tuple chain sum.  The kept tuples, those
+    whose gaps from 0 up are all at least 2, are rank_i = pick_i + i for the
+    increasing m-tuples of picks in 1 .. r - m, so m <= r // 2."""
+    r = spec.r
+    gap_factor = {gap: T * t_quantum(gap - 1) for gap in range(2, r + 1)}
     products = []
-    for m in range(1, spec.r + 1):
-        for ranks in combinations(range(1, spec.r + 1), m):
-            steps = list(zip((0,) + ranks, ranks))
-            if all(upper - lower >= 2 for lower, upper in steps):
-                products.append(
-                    [chains_above(spec, lower, upper) for lower, upper in steps]
-                    + [gap_factor[upper - lower] for lower, upper in steps]
-                )
+    for m in range(1, r // 2 + 1):
+        for picks in combinations(range(1, r - m + 1), m):
+            ranks = [pick + i for i, pick in enumerate(picks, 1)]
+            steps = list(zip([0] + ranks, ranks))
+            products.append(
+                [chains_above(spec, lower, upper) for lower, upper in steps]
+                + [gap_factor[upper - lower] for lower, upper in steps]
+            )
     return ONE + sum_of_products(products)
 
 
@@ -66,7 +69,7 @@ def hilbert_recurrence(spec):
     where [m]_t = 1 + t [m-1]_t H_0 comes from the top level, one flat
     (i = m).
 
-    - Layout.  As in `qeuler._extend_q_egf`: one Kronecker layout for
+    - Layout.  As in `qeuler._q_egf`: one Kronecker layout for
       H_1, ..., H_r, fixed from `_diagonal_bounds` before any product, with
       slots nb = bits(max B_m) // 8 + 1 bytes wide and w = max d_m + 1.
       For the uniform family every d_m is 0, so w = 1, and q = 1: a shift
@@ -138,7 +141,8 @@ def hilbert_closed_form(spec):
     """
     n, r = spec.n, spec.r
     deltas = sum_of_products(
-        (gauss_binomial(n, m), _reversed_derangement(m, max(m, r)), t_quantum(n - max(m, r))) for m in range(n)
+        (gauss_binomial(n, m), _reversed(d, max(m, r)), t_quantum(n - max(m, r)))
+        for m, d in enumerate(derangement_polynomials(n - 1))
     )
     if spec.kind == UNIFORM:
         return classical_eulerian(n) - deltas.subs_q_int(1)
@@ -151,12 +155,12 @@ def delta_series(n, r):
     which is sum_{m <= r} [n over m]_q t^r D_m(q, 1/t)."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    return sum_of_products((gauss_binomial(n, m), _reversed_derangement(m, r)) for m in range(r + 1))
+    return sum_of_products((gauss_binomial(n, m), _reversed(d, r)) for m, d in enumerate(derangement_polynomials(r)))
 
 
-def _reversed_derangement(m, k):
-    """t^k D_m(q, 1/t), for k at least the t-degree of D_m."""
-    return BiPoly({(qd, k - td): c for (qd, td), c in derangement_polynomial(m).terms.items()})
+def _reversed(poly, k):
+    """t^k poly(q, 1/t), for k at least the t-degree of poly."""
+    return BiPoly({(qd, k - td): c for (qd, td), c in poly.terms.items()})
 
 
 # -- brute-force oracle on explicit lattices ------------------------------

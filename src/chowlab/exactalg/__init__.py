@@ -9,7 +9,6 @@ from .bipoly import (
     Q,
     T,
     ZERO,
-    binomial,
     diff_terms,
     gauss_binomial,
     leading_principal_minors,
@@ -24,7 +23,6 @@ __all__ = [
     "Q",
     "T",
     "ZERO",
-    "binomial",
     "diff_terms",
     "gauss_binomial",
     "leading_principal_minors",

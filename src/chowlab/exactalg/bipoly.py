@@ -539,9 +539,3 @@ def gauss_binomial(n, k):
     for i in range(1, k + 1):
         coeffs = _over_one_minus_q_power(_times_one_minus_q_power(coeffs, n - k + i), i)
     return _raw({(d, 0): c for d, c in enumerate(coeffs) if c})
-
-
-def binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, product
-from math import isqrt
+from math import comb, isqrt
 
 from .errors import ResourceBoundError
-from .exactalg import BiPoly, binomial, gauss_binomial
+from .exactalg import BiPoly, gauss_binomial
 
 UNIFORM = "uniform"
 VECTOR = "vector"
@@ -68,7 +68,7 @@ def chains_above(spec, lower, upper):
     if upper == spec.r:
         return BiPoly.const(1)
     if spec.kind == UNIFORM:
-        return BiPoly.const(binomial(spec.n - lower, upper - lower))
+        return BiPoly.const(comb(spec.n - lower, upper - lower))
     return gauss_binomial(spec.n - lower, upper - lower)
 
 

@@ -18,7 +18,9 @@ the order complex (proper part, and full lattice = double cone).
 
 from __future__ import annotations
 
-from .exactalg import BiPoly, ONE, T, ZERO, binomial
+from math import comb
+
+from .exactalg import BiPoly, ONE, T, ZERO
 from .flats import UNIFORM, ExplicitLattice, FamilySpec, _read_only
 from .chow import hilbert_recurrence
 
@@ -70,7 +72,7 @@ def _fvector_by_profiles(n, r, proper):
     levels = range(1, r) if proper else range(r + 1)
     ends = {}
     for top in levels:
-        above = [1 if top == r else binomial(n - i, top - i) for i in range(top + 1)]
+        above = [1 if top == r else comb(n - i, top - i) for i in range(top + 1)]
         lower = [(above[i], ends[i]) for i in range(levels.start, top)]
         ends[top] = [above[0]] + [sum(c * row[k] for c, row in lower) for k in range(len(levels) - 1)]
     return FVector(map(sum, zip(*ends.values())))
@@ -116,7 +118,7 @@ def conjecture_check(n, r):
     lhs_proper = h_polynomial(order_complex_fvector(spec, proper=True))
     lhs_full = h_polynomial(order_complex_fvector(spec, proper=False))
     rhs = T**2 * sum(
-        (binomial(n - i - 1, r - i) * hilbert_recurrence(FamilySpec.uniform(n, i)) for i in range(1, r + 1)), ZERO
+        (comb(n - i - 1, r - i) * hilbert_recurrence(FamilySpec.uniform(n, i)) for i in range(1, r + 1)), ZERO
     )
     return {
         "n": n,

@@ -7,10 +7,11 @@ one layout, fixed from the top n by norm and degree bounds taken from the
 recurrence itself, holds every entry; the Gaussian binomials are the rows
 of the q-Pascal rule at the layout's q, each [m over a]_q x_a is one
 integer product, and the sum over a runs in Horner form, where a multiply
-by t - q^i or by t is a shift.  Only A_n is read back; the D_m are kept,
-each read back once.  The brute-force definition of A_n exists as its
-oracle.  The classical (q = 1) polynomials come from their own integer
-recurrence on Eulerian numbers, not from the q-recurrence.
+by t - q^i or by t is a shift.  Only A_n is read back; the table
+D_0, ..., D_n is read back whole, each entry once.  The brute-force
+definition of A_n exists as its oracle.  The classical (q = 1) polynomials
+come from their own integer recurrence on Eulerian numbers, not from the
+q-recurrence.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from itertools import accumulate, islice
 from math import comb
 from operator import mul
 
-from .exactalg import BiPoly, ONE
-from .exactalg.bipoly import _pack, _raw, _unpack
+from .exactalg import BiPoly
+from .exactalg.bipoly import _raw, _unpack
 from .permstat import statistic_sum
 
 
@@ -107,21 +108,13 @@ def q_pascal_rows(qs, width=None):
         row = [1, *(lo + (hi << qs * a) for a, (lo, hi) in enumerate(zip(row, row[1:]), 1)), 1][:width]
 
 
-def _q_egf_layout(n, g):
-    """The one Kronecker layout (w, nb) that holds x_0, ..., x_n of
-    `_extend_q_egf`: slots nb = bits(max B_m) // 8 + 1 bytes wide and
-    w = max d_m + 1 slots per t-row, with (B_m, d_m) from
-    `_q_egf_bounds(n, g)`."""
-    norms, degrees = _q_egf_bounds(n, g)
-    return max(degrees) + 1, max(norms).bit_length() // 8 + 1
+def _q_egf(n, horner, g):
+    """The packings x_0, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a)
+    from x_0 = 1, and their one layout (w, nb).
 
-
-def _extend_q_egf(packed, n, horner, w, nb):
-    """Extend `packed`, the packings x_0, ..., x_(k-1) at layout (w, nb), by
-    x_k, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a), and return it.
-
-    - Layout.  q is a shift by qs = 8 nb bits and t a shift by ts = 8 nb w
-      bits; (w, nb) comes from `_q_egf_layout` at n or above.
+    - Layout.  Slots are nb = bits(max B_m) // 8 + 1 bytes wide and a t-row
+      holds w = max d_m + 1 slots, with (B_m, d_m) from `_q_egf_bounds(n, g)`;
+      q is a shift by qs = 8 nb bits and t a shift by ts = 8 nb w bits.
     - Recurrence.  Row m of `q_pascal_rows(qs)` holds every [m over a]_q
       packed, each c_a = [m over a]_q x_a is one integer product, and
       `horner` sums the c_a times g_(m - a) with shifts and adds.  Nothing
@@ -133,10 +126,13 @@ def _extend_q_egf(packed, n, horner, w, nb):
       t-degree is below m + 1 rows, and each coefficient is at most B_m,
       below 2^(8 nb - 1).
     """
+    norms, degrees = _q_egf_bounds(n, g)
+    w, nb = max(degrees) + 1, max(norms).bit_length() // 8 + 1
     qs, ts = 8 * nb, 8 * nb * w
-    for m, row in enumerate(islice(q_pascal_rows(qs), len(packed), n + 1), len(packed)):
+    packed = [1]
+    for m, row in enumerate(islice(q_pascal_rows(qs), 1, n + 1), 1):
         packed.append(horner(m, map(mul, row, packed), qs, ts))
-    return packed
+    return packed, w, nb
 
 
 @lru_cache(maxsize=None)
@@ -145,35 +141,32 @@ def q_eulerian_by_recurrence(n):
     A_0, ..., A_n packed at the layout of n, and only A_n read back."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    w, nb = _q_egf_layout(n, _f_size)
-    return _raw(_unpack(_extend_q_egf([1], n, _eulerian_horner, w, nb)[n], n + 1, w, nb))
+    packed, w, nb = _q_egf(n, _eulerian_horner, _f_size)
+    return _raw(_unpack(packed[n], n + 1, w, nb))
 
 
-_DERANGEMENTS = {0: ONE}
-
-
-def derangement_polynomial(n):
-    """D_n(q,t): the sum of q^(maj-exc) t^exc over the derangements of [n].
+@lru_cache(maxsize=None)
+def derangement_polynomials(n):
+    """(D_0, ..., D_n), packed at the layout of n and each read back once.
 
     Shareshian-Wachs give sum_n D_n z^n/[n]_q! = (1-t)/(e_q(tz) - t e_q(z));
     with the denominators cleared, D_m = sum_{a < m} [m over a]_q D_a t [m-a-1]_t
-    (the a = m-1 term is 0, as [0]_t = 0).  Every D_m is kept: the table
-    is extended through n by key, so threads that extend it at once write
-    equal values, and each new entry is read back.
+    (the a = m-1 term is 0, as [0]_t = 0).
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    packed, w, nb = _q_egf(n, _derangement_horner, _t_quantum_size)
+    return tuple(_raw(_unpack(x, m + 1, w, nb)) for m, x in enumerate(packed))
+
+
+def derangement_polynomial(n):
+    """D_n(q,t): the sum of q^(maj-exc) t^exc over the derangements of [n],
+    the last entry of `derangement_polynomials(n)`.
 
     >>> derangement_polynomial(4).to_text()
     't + (2 + q + 2*q^2 + q^3 + q^4)*t^2 + t^3'
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    table = _DERANGEMENTS
-    if n not in table:
-        w, nb = _q_egf_layout(n, _t_quantum_size)
-        start = len(table)
-        packed = [_pack(table[a]._terms, table[a].t_degree() + 1, w, nb) for a in range(start)]
-        for m, x in enumerate(_extend_q_egf(packed, n, _derangement_horner, w, nb)[start:], start):
-            table[m] = _raw(_unpack(x, m + 1, w, nb))
-    return table[n]
+    return derangement_polynomials(n)[-1]
 
 
 @lru_cache(maxsize=None)

@@ -54,6 +54,15 @@ def test_cd_unsigned_and_json(capsys):
     assert BiPoly.from_json_terms(payload["unsigned"]["terms"]) == BiPoly.const(-2)
 
 
+@pytest.mark.parametrize("method", ["chain", "det", "qsecant"])
+def test_cd_at_even_rank(capsys, method):
+    # the direct route prints H(-1) signed as 0; the formula routes need odd rank
+    assert run_cli(capsys, "cd", "--family", "vector", "--n", "4", "--r", "4") == (0, "0\n", "")
+    code, out, err = run_cli(capsys, "cd", "--family", "vector", "--n", "4", "--r", "4", "--method", method)
+    assert (code, out) == (2, "")
+    assert "rank 4 is even; this formula needs odd rank" in err
+
+
 def test_hilbert_json_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "hilbert", "--family", "vector", "--n", "4", "--r", "3", "--format", "json"

@@ -10,11 +10,14 @@ from math import comb, factorial
 import pytest
 
 from chowlab import checks, qeuler
+from chowlab.chow import delta_series, hilbert_closed_form
 from chowlab.exactalg import BiPoly, ONE, T, bipoly, gauss_binomial, sum_of_products
+from chowlab.flats import FamilySpec
 from chowlab.permstat import statistic_sum
 from chowlab.qeuler import (
     classical_eulerian,
     derangement_polynomial,
+    derangement_polynomials,
     q_eulerian_by_definition,
     q_eulerian_by_recurrence,
 )
@@ -84,34 +87,18 @@ def test_classical_eulerian_has_no_cap():
         classical_eulerian(-1)
 
 
-@pytest.mark.parametrize("table, route, n", [("_DERANGEMENTS", "derangement_polynomial", 11)])
-def test_threads_extending_one_table_agree(monkeypatch, table, route, n):
-    # four threads extend one fresh table at once, with a thread switch every microsecond
-    expected = [getattr(qeuler, route)(m) for m in range(n + 1)]
+@pytest.mark.parametrize("route", [q_eulerian_by_recurrence, derangement_polynomials])
+def test_threads_building_one_entry_agree(route):
+    # four threads build the entry at 13 at once from an empty memo, with a
+    # thread switch every microsecond
+    expected = route(13)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(qeuler, table, {0: ONE})
+            route.cache_clear()
             with ThreadPoolExecutor(4) as pool:
-                results = list(pool.map(getattr(qeuler, route), [n] * 4))
-            assert results == [expected[n]] * 4
-            assert [getattr(qeuler, table)[m] for m in range(len(getattr(qeuler, table)))] == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_threads_building_one_entry_agree():
-    # four threads build A_13 at once from an empty memo, with a thread
-    # switch every microsecond
-    expected = q_eulerian_by_recurrence(13)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            q_eulerian_by_recurrence.cache_clear()
-            with ThreadPoolExecutor(4) as pool:
-                results = list(pool.map(q_eulerian_by_recurrence, [13] * 4))
+                results = list(pool.map(route, [13] * 4))
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(interval)
@@ -119,13 +106,13 @@ def test_threads_building_one_entry_agree():
 
 @lru_cache(maxsize=None)
 def _through_30(route):
-    """route(0), ..., route(30).  A_0, ..., A_30 are read back from the one
-    packed build of A_30, at its layout: A_n is memoised per n, and 31
-    builds would take several times as long."""
-    if route is not q_eulerian_by_recurrence:
-        return [route(n) for n in range(31)]
-    w, nb = qeuler._q_egf_layout(30, qeuler._f_size)
-    packed = qeuler._extend_q_egf([1], 30, qeuler._eulerian_horner, w, nb)
+    """route(0), ..., route(30), each table from one packed build at n = 30:
+    D_0, ..., D_30 are one entry of `derangement_polynomials`, and A_0, ...,
+    A_30 are read back from `_q_egf` at its layout, as A_n is memoised per n
+    and 31 builds would take several times as long."""
+    if route is derangement_polynomial:
+        return list(derangement_polynomials(30))
+    packed, w, nb = qeuler._q_egf(30, qeuler._eulerian_horner, qeuler._f_size)
     return [BiPoly(bipoly._unpack(x, n + 1, w, nb)) for n, x in enumerate(packed)]
 
 
@@ -147,7 +134,7 @@ def test_tables_through_30_against_independent_routes():
     eulerian = _through_30(q_eulerian_by_recurrence)
     for n in range(31):
         assert eulerian[n].subs_q_int(1) == classical_eulerian(n), n
-    fibers = sum_of_products((gauss_binomial(30, k), derangement_polynomial(k)) for k in range(31))
+    fibers = sum_of_products((gauss_binomial(30, k), d) for k, d in enumerate(_through_30(derangement_polynomial)))
     assert eulerian[30] == q_eulerian_by_recurrence(30) == fibers
 
 
@@ -165,25 +152,35 @@ def test_tables_are_built_without_polynomial_products(monkeypatch):
     # a count, not a timing: every product is one int product at the packed
     # layout, every multiply by (t - q^i) or t a shift, and no Gaussian
     # binomial is built and nothing packed in either loop; A_n is read back
-    # once, and each new D_m once, after the one packing of the D_0 already
-    # in the table
+    # once, and each of D_0, ..., D_n once
     calls = []
     real_sum, real_mul = bipoly.sum_of_products, BiPoly.__mul__
     monkeypatch.setattr(bipoly, "sum_of_products", lambda *args: calls.append("sum_of_products") or real_sum(*args))
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
-    for module, name in ((qeuler, "_pack"), (qeuler, "_unpack"), (bipoly, "_pack")):
+    for module, name in ((qeuler, "_unpack"), (bipoly, "_pack")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    monkeypatch.setattr(qeuler, "_DERANGEMENTS", {0: ONE})
     q_eulerian_by_recurrence.cache_clear()
+    derangement_polynomials.cache_clear()
     binomials = gauss_binomial.cache_info()
     assert q_eulerian_by_recurrence(14).eval(1, 1) == factorial(14)
     assert calls == ["_unpack"]
     assert derangement_polynomial(14).eval(1, 1) == 32071101049  # the derangements of [14]
-    assert calls == ["_unpack", "_pack"] + ["_unpack"] * 14
+    assert calls == ["_unpack"] * 16
     after = gauss_binomial.cache_info()
     assert after.hits + after.misses == binomials.hits + binomials.misses
-    for route in (q_eulerian_by_recurrence, derangement_polynomial):
+    for route in (q_eulerian_by_recurrence, derangement_polynomials, derangement_polynomial):
         with pytest.raises(ValueError):
             route(-1)
+
+
+@pytest.mark.parametrize("route, spec", [(delta_series, (12, 7)), (hilbert_closed_form, (FamilySpec.vector(12, 7),))])
+def test_sums_over_the_derangement_table_build_it_once(monkeypatch, route, spec):
+    # a count: the sum reads one whole table, not one build per D_m
+    builds = []
+    real = qeuler._q_egf
+    monkeypatch.setattr(qeuler, "_q_egf", lambda n, horner, g: builds.append(horner) or real(n, horner, g))
+    derangement_polynomials.cache_clear()
+    route(*spec)
+    assert builds.count(qeuler._derangement_horner) == 1
