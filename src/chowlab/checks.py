@@ -18,12 +18,12 @@ before stay, and the suite's other identities still run.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb, factorial
 
 from . import charney, chow, ordercx, permstat, qeuler
 from .errors import ResourceBoundError, RouteDisagreementError, require_equal
-from .exactalg import ONE, T, ZERO, BiPoly, diff_terms, gauss_binomial
+from .exactalg import ONE, T, ZERO, BiPoly, diff_terms, gauss_binomial, leading_principal_minors
 from .flats import FamilySpec, build_explicit, chains_above, explicit_size, level_size
 from .permstat import is_alternating, permutations_of, stats, statistic_sum
 
@@ -276,15 +276,49 @@ def cd_telescoping(ns):
 
 
 def tangent_secant_table(top):
-    """E_0 .. E_top by three routes, and its q = 1 row against the tanh + sech oracle."""
+    """E_0 .. E_top by the build's two routes, and its q = 1 row against the tanh + sech oracle."""
     table = charney.tangent_secant(top)
-    yield _entry(f"tangent-secant three-route agreement (n <= {top})", True)
+    yield _entry(f"tangent-secant recurrence = q-Seidel-Entringer triangle (n <= {top})", True)
     oracle = classical_tangent_secant(top)
     yield _entry(
         f"classical values match series oracle (n <= {top})",
         list(table.classical) == oracle,
         f"table {list(table.classical)} vs oracle {oracle}",
     )
+
+
+def secant_determinants(top):
+    """The paper's determinants: E_1 .. E_top as the leading minors of two
+    Bareiss eliminations, one per parity, = the table.
+
+    The k x k matrix of parity p (0 even, 1 odd) has ones in its first
+    column, [2i - p over 2j - 2 - p]_q at 2 <= j <= i + 1 (1-indexed) and
+    zeros above the superdiagonal; then E_(2k - p) = (-1)^(k - p) M_k for
+    its leading minors M_k.  The even matrix is the paper's T(2a, 2a)
+    matrix reflected through its anti-diagonal, and the odd one the
+    Hessenberg determinant of tanh_q with its rows scaled by (q;q)_(2i-1).
+    Every minor is some +-E_n, so the slots need hold only the largest norm
+    bound of `charney._secant_norm_bounds` (`bound=`), not the Hadamard
+    bound.  A minor aliased by a bound too small, or missing past a zero
+    pivot, is a FAIL entry.
+    """
+    table = charney.tangent_secant(top)
+    bound = max(charney._secant_norm_bounds(top))
+    by_det = {}
+    for odd in (0, 1):
+        size = (top + odd) // 2
+        matrix = [
+            [ONE] + [gauss_binomial(2 * i - odd, 2 * j - 2 - odd) if j <= i + 1 else ZERO for j in range(2, size + 1)]
+            for i in range(1, size + 1)
+        ]
+        for k, minor in enumerate(leading_principal_minors(matrix, bound) if size else [], 1):
+            by_det[2 * k - odd] = -minor if (k - odd) % 2 else minor
+    for n in range(1, top + 1):
+        name = f"E_{n} by determinant"
+        if n in by_det:
+            yield _compare(name, by_det[n], table[n])
+        else:
+            yield _entry(name, False, "no minor: zero pivot before it")
 
 
 def odd_secant_entries(ns):
@@ -306,7 +340,11 @@ def zigzag_numbers(top):
 
 
 def classical_zigzag_triangle(top):
-    """The table's q = 1 row is (-1)^(n // 2) z_n, with z_n from the Seidel-Entringer triangle."""
+    """The table's q = 1 row is (-1)^(n // 2) z_n, with z_n from the Seidel-Entringer triangle.
+
+    The table's own triangle route is this triangle with q-weights, so at
+    q = 1 this is a check of the same substance; `classical_tangent_secant`
+    stays the independent q = 1 oracle."""
     classical = list(charney.tangent_secant(top).classical)
     signed = [(-1) ** (n // 2) * z for n, z in enumerate(zigzag_numbers(top))]
     yield _entry(f"classical values match Seidel-Entringer triangle (n <= {top})", classical == signed,
@@ -339,21 +377,14 @@ def odd_secant_collapse(ns):
 
 
 def alternating_probes(ns, bound=None):
-    """Report-only: sums of q^exc over alternating permutations against E_{n,q}.
-
-    The detail says which convention (if any) matches, exactly or up to a
-    global sign; the identification is empirical, so nothing is asserted.
-    """
+    """Stanley's q-analogue of sec + tan: the sum of q^inv over the up-down
+    permutations of [n], walked, is (-1)^(n // 2) E_{n,q}, the table's
+    entry, which the build computes by the q-Seidel-Entringer triangle."""
     table = charney.tangent_secant(_top(ns))
     for n in ns:
-        target = table[n]
-        summary = []
-        for convention in ("up-down", "down-up"):
-            excs = Counter(stats(v).exc for v in permutations_of(n, bound) if is_alternating(v, convention))
-            total = BiPoly({(e, 0): c for e, c in excs.items()})
-            matches = f"exact={total == target} up_to_sign={total in (target, -target)}"
-            summary.append(f"{convention}: sum={total} {matches}")
-        yield _entry(f"alternating probe (n={n})", True, f"target={target}; {', '.join(summary)}")
+        up_down = (v for v in permutations_of(n, bound) if is_alternating(v, "up-down"))
+        walked = BiPoly(Counter((sum(a > b for a, b in combinations(v, 2)), 0) for v in up_down))
+        yield _compare(f"alternating probe (n={n})", walked, (-1) ** (n // 2) * table[n])
 
 
 def full_rank_h_anchor(ns):
@@ -450,6 +481,7 @@ SUITES = {
     ]),
     "tangent-secant": lambda n_max, bound=None: _contained([
         tangent_secant_table(max(n_max, 10)),
+        secant_determinants(max(n_max, 12)),
         odd_secant_entries(range(1, n_max + 1, 2)),
         classical_zigzag_triangle(max(n_max, 10)),
         secant_sums(range(1, n_max + 1)),

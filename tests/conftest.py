@@ -1,5 +1,6 @@
 import pytest
 
+from chowlab import charney, chow, qeuler
 from chowlab.exactalg import bipoly
 
 
@@ -19,7 +20,8 @@ def holds():
 @pytest.fixture
 def unpacked_widths(monkeypatch):
     """The list that collects the slot width of every `_unpack` call the
-    test makes, so a test can count how often a sum is read back."""
+    test makes, in `bipoly` and in each module that imports it, so a test
+    can count how often a sum is read back."""
     widths = []
     real_unpack = bipoly._unpack
 
@@ -27,5 +29,6 @@ def unpacked_widths(monkeypatch):
         widths.append(nb)
         return real_unpack(value, rows, w, nb)
 
-    monkeypatch.setattr(bipoly, "_unpack", unpack)
+    for module in (bipoly, qeuler, chow, charney):
+        monkeypatch.setattr(module, "_unpack", unpack)
     return widths

@@ -88,8 +88,12 @@ def test_criterion_07_egf_identities(holds):
 def test_criterion_08_tangent_secant_routes(holds):
     holds(
         checks.tangent_secant_table(10),
-        ["tangent-secant three-route agreement (n <= 10)", "classical values match series oracle (n <= 10)"],
+        [
+            "tangent-secant recurrence = q-Seidel-Entringer triangle (n <= 10)",
+            "classical values match series oracle (n <= 10)",
+        ],
     )
+    holds(checks.secant_determinants(10), [f"E_{n} by determinant" for n in range(1, 11)])
     oracle = checks.classical_tangent_secant(10)
     assert oracle[:8] == [1, 1, -1, -2, 5, 16, -61, -272]
     assert oracle[8] == 1385 and abs(oracle[9]) == 7936

@@ -1,6 +1,8 @@
 """Charney-Davis routes, T-terms, and tangent-secant numbers."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -16,7 +18,7 @@ from chowlab.charney import (
     tangent_secant,
 )
 from chowlab.errors import RouteDisagreementError
-from chowlab.exactalg import BiPoly, ONE, Q, ZERO, gauss_binomial, leading_principal_minors
+from chowlab.exactalg import BiPoly, ONE, Q, ZERO, bipoly, gauss_binomial, leading_principal_minors
 from chowlab.flats import FamilySpec
 
 CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, (3, 0): 2, (2, 0): 1})
@@ -50,6 +52,19 @@ def test_chain_alternating_small():
     assert cd_chain_alternating(3, 3) == ONE - gauss_binomial(3, 2)
     with pytest.raises(ValueError):
         cd_chain_alternating(4, 2)
+
+
+def test_uniform_secant_sum_is_over_z(monkeypatch):
+    # cd --family uniform --method det|qsecant sums C(n, 2k) E_2k(1) with
+    # math.comb: no Gaussian binomial and no polynomial product
+    calls = []
+    for name in ("gauss_binomial", "sum_of_products"):
+        real = getattr(charney_module, name)
+        monkeypatch.setattr(charney_module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for method in ("det", "qsecant"):
+        result = cd(FamilySpec.uniform(23, 23), method)
+        assert calls == []
+        assert result == cd_direct(FamilySpec.uniform(23, 23))
 
 
 def test_uniform_result_is_q_one_specialization():
@@ -216,14 +231,42 @@ def test_odd_secant_sum_collapses(holds):
     holds(checks.odd_secant_collapse(odd), [f"odd-row secant sum collapses to E_{n}" for n in odd])
 
 
-def test_alternating_probe(holds):
-    entries = holds(checks.alternating_probes(range(0, 5, 2)), [f"alternating probe (n={n})" for n in (0, 2, 4)])
-    at_0, at_2, at_4 = (e["detail"] for e in entries)
-    assert at_0 == "target=1; up-down: sum=1 exact=True up_to_sign=True, down-up: sum=1 exact=True up_to_sign=True"
-    assert at_2.startswith("target=-1; up-down: sum=1 exact=False up_to_sign=True, ")
-    # at n = 4 the plain excedance sum no longer matches the q-analog at all;
-    # the probe records this instead of asserting
-    assert at_4.count("sum=2*q + 3*q^2 exact=False up_to_sign=False") == 2
+def test_alternating_probe(holds, monkeypatch):
+    # asserted, not report-only: the walked sum of q^inv over the up-down
+    # permutations of [n] is (-1)^(n // 2) E_{n,q}, and a wrong entry fails
+    ns = range(7)
+    holds(checks.alternating_probes(ns), [f"alternating probe (n={n})" for n in ns])
+    table = tangent_secant(6)
+    wrong = table._replace(entries=table.entries[:4] + (table[4] + Q,) + table.entries[5:])
+    monkeypatch.setattr(charney_module, "tangent_secant", lambda n_max: wrong)
+    failed = [e for e in checks.alternating_probes(ns) if not e["ok"]]
+    assert [e["name"] for e in failed] == ["alternating probe (n=4)"]
+    assert failed[0]["detail"].startswith("left q + 2*q^2 + q^3 + q^4 != right 2*q + 2*q^2 + q^3 + q^4")
+
+
+def _up_down_permutations(n):
+    """Test-local enumeration: the permutations w_1 < w_2 > w_3 < ... of [n],
+    extended one position at a time so that no other permutation is built."""
+
+    def extend(prefix, rest):
+        if not rest:
+            yield prefix
+        for a in rest:
+            if not prefix or (a > prefix[-1]) == (len(prefix) % 2 == 1):
+                yield from extend(prefix + (a,), rest - {a})
+
+    return extend((), frozenset(range(1, n + 1)))
+
+
+def test_triangle_is_the_inversion_sum_over_up_down_permutations():
+    # the build's second route, read back on its own, against brute force
+    nb = max(charney_module._secant_norm_bounds(9)).bit_length() // 8 + 1
+    by_triangle = charney_module._secant_by_triangle(9, 8 * nb)
+    for n in range(10):
+        inversions = Counter(sum(a > b for a, b in combinations(w, 2)) for w in _up_down_permutations(n))
+        walked = BiPoly({(i, 0): c for i, c in inversions.items()})
+        assert (-1) ** (n // 2) * walked == charney_module._read(by_triangle[n], nb), n
+    assert sum(1 for _ in _up_down_permutations(9)) == 7936
 
 
 def _secant_degree_bound(m):
@@ -235,94 +278,91 @@ def _secant_degree_bound(m):
 
 
 def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
-    real = charney_module._secant_by_recurrence
+    # on either build-time route, a bump of E_8's packing by its top
+    # coefficient, past its degree bound, or by a coefficient that does not
+    # fit an nb-byte slot is a route disagreement
     degree = _secant_degree_bound(4)
+    assert tangent_secant(8)[8].q_degree() == degree
     nb = max(charney_module._secant_norm_bounds(8)).bit_length() // 8 + 1
-    half = 1 << (8 * nb - 1)
+    qs, half = 8 * nb, 1 << (8 * nb - 1)
+    for name in ("_secant_by_recurrence", "_secant_by_triangle"):
+        real = getattr(charney_module, name)
+        for bump in (1 << qs * degree, 1 << qs * (degree + 1), half, -half):
 
-    def bumped(bump):
-        entries = real(8)
-        entries[8] = entries[8] + bump
-        return entries
+            def bumped(n_max, qs, real=real, bump=bump):
+                packed = real(n_max, qs)
+                packed[8] += bump
+                return packed
 
-    top = BiPoly.term(1, degree, 0)
-    monkeypatch.setattr(charney_module, "_secant_by_recurrence", lambda n_max: bumped(top))
+            monkeypatch.setattr(charney_module, name, bumped)
+            tangent_secant.cache_clear()
+            with pytest.raises(RouteDisagreementError, match="E_8 by recurrence vs q-Seidel-Entringer triangle"):
+                tangent_secant(8)
+        monkeypatch.setattr(charney_module, name, real)
     tangent_secant.cache_clear()
-    with pytest.raises(RouteDisagreementError, match="determinant"):
-        tangent_secant(8)
-    # the one-point series check alone also catches it, and a bump past the
-    # degree bound, and bumps that do not fit an nb-byte slot, including one
-    # that vanishes at q0 = 2^(8 nb) and so only the read-back can see
-    bumps = [top, BiPoly.term(1, degree + 1, 0), BiPoly.const(half), BiPoly.const(-half), BiPoly.const(2 * half) - Q]
-    for bump in bumps:
-        with pytest.raises(RouteDisagreementError, match="series"):
-            charney_module._verify_secant_by_series(bumped(bump))
-    charney_module._verify_secant_by_series(real(8))
+    assert tangent_secant(8)[8].q_degree() == degree
 
 
 def test_secant_zero_pivot_is_a_route_disagreement(monkeypatch):
-    real = charney_module.leading_principal_minors
-    monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix, *bound: real(matrix, *bound)[:2])
-    tangent_secant.cache_clear()
-    tangent_secant(4)  # both matrices are 2 x 2
-    with pytest.raises(RouteDisagreementError, match="zero pivot"):
-        tangent_secant(5)
+    # an entry past a zero pivot has no minor, and is a FAIL entry of the suite
+    real = checks.leading_principal_minors
+    monkeypatch.setattr(checks, "leading_principal_minors", lambda matrix, *bound: real(matrix, *bound)[:2])
+    assert all(e["ok"] for e in checks.secant_determinants(4))  # both matrices are 2 x 2
+    failed = [e for e in checks.secant_determinants(6) if not e["ok"]]
+    assert failed == [
+        {"name": f"E_{n} by determinant", "ok": False, "detail": "no minor: zero pivot before it"} for n in (5, 6)
+    ]
+    report = checks.check_suites(5, "tangent-secant")
+    assert report["ok"] is False
+    failed = [e["name"] for e in report["suites"][0]["entries"] if not e["ok"]]
+    assert failed == [f"E_{n} by determinant" for n in range(5, 13)]
 
 
-def test_tangent_secant_is_two_eliminations_and_one_series_point(monkeypatch):
-    # counts, not timings: one elimination per parity, one series evaluation
+def test_secant_determinants_run_through_twelve(holds):
+    # the paper's determinants, moved out of the build, are checked against
+    # the table through n = 12 even at the smallest --nmax
+    holds(checks.secant_determinants(12), [f"E_{n} by determinant" for n in range(1, 13)])
+    names = [e["name"] for e in checks.check_suites(2, "tangent-secant")["suites"][0]["entries"]]
+    assert [name for name in names if "by determinant" in name] == [f"E_{n} by determinant" for n in range(1, 13)]
+
+
+def test_tangent_secant_is_two_int_routes_and_no_elimination(monkeypatch, unpacked_widths):
+    # counts, not timings: no elimination, no polynomial product, and each
+    # of the 17 entries read back once at the layout of the norm bound
     calls = []
-    for name in ("leading_principal_minors", "_secant_series_at"):
-        real = getattr(charney_module, name)
-        monkeypatch.setattr(charney_module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for module, name in ((bipoly, "leading_principal_minors"), (checks, "leading_principal_minors"),
+                         (bipoly, "sum_of_products"), (charney_module, "sum_of_products")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    monkeypatch.setattr(BiPoly, "__mul__", lambda *args: calls.append("__mul__"))
     tangent_secant.cache_clear()
     tangent_secant(16)
-    assert sorted(calls) == ["_secant_series_at", "leading_principal_minors", "leading_principal_minors"]
+    assert calls == []
+    assert unpacked_widths == [max(charney_module._secant_norm_bounds(16)).bit_length() // 8 + 1] * 17
 
 
 def test_secant_norm_bound_covers_every_entry():
-    entries = charney_module._secant_by_recurrence(30)
+    # the triangle's coefficients are nonnegative, so ||E_n||_1 is |E_n(1)|,
+    # the zigzag number, and the recurrence's norm bound covers it
+    table = tangent_secant(30)
     bounds = charney_module._secant_norm_bounds(30)
-    assert len(bounds) == len(entries) == 31
-    for entry, bound in zip(entries, bounds):
-        assert sum(map(abs, entry.terms.values())) <= bound
+    assert len(bounds) == len(table.entries) == 31
+    for n, (entry, bound) in enumerate(zip(table.entries, bounds)):
+        assert sum(map(abs, entry.terms.values())) == abs(table.classical[n]) <= bound, n
 
 
 def test_secant_slots_hold_the_norm_bound_and_no_less(monkeypatch, unpacked_widths):
-    # the eliminations read E_n back from slots sized by the norm bound
-    # alone; a bound too small aliases a minor, and the recurrence catches it
-    charney_module._secant_determinants(16)
-    assert unpacked_widths == [max(charney_module._secant_norm_bounds(16)).bit_length() // 8 + 1] * 16
-    real = charney_module.leading_principal_minors
-    monkeypatch.setattr(charney_module, "leading_principal_minors", lambda matrix, bound: real(matrix, bound >> 24))
+    # the build reads E_0 .. E_16 back, and the suite's eliminations their
+    # 8 + 8 minors, from slots sized by the norm bound alone; a bound too
+    # small aliases a minor, and the comparison with the table fails it
+    nb = max(charney_module._secant_norm_bounds(16)).bit_length() // 8 + 1
     tangent_secant.cache_clear()
-    with pytest.raises(RouteDisagreementError, match="by recurrence vs determinant"):
-        tangent_secant(16)
-
-
-def _fraction_series_at(q0, n_max):
-    """Test-local oracle: E_0(q0) .. E_{n_max}(q0) as (q0;q0)_n [x^n](sech_q + tanh_q) over Fractions."""
-    poch = [1]
-    for k in range(1, n_max + 1):
-        poch.append(poch[-1] * (1 - q0**k))
-    inv = [Fraction(1, p) for p in poch]
-    sech = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        sech.append(-sum(inv[k] * sech[m - k] for k in range(2, m + 1, 2)))
-    values = []
-    for n in range(n_max + 1):
-        tanh = sum(inv[k] * sech[n - k] for k in range(1, n + 1, 2))
-        values.append((sech[n] + tanh) * poch[n])
-    return values
-
-
-def test_integer_series_against_fraction_oracle():
-    # over Fractions E_n(q0) does not depend on n_max; the integer route's
-    # common denominator does, so it runs for every n_max
-    for q0 in range(2, 41):
-        expected = _fraction_series_at(q0, 16)
-        for n_max in range(17):
-            assert charney_module._secant_series_at(q0, n_max) == expected[: n_max + 1]
+    assert all(e["ok"] for e in checks.secant_determinants(16))
+    assert unpacked_widths == [nb] * (17 + 16)
+    real = checks.leading_principal_minors
+    monkeypatch.setattr(checks, "leading_principal_minors", lambda matrix, bound: real(matrix, bound >> 24))
+    failed = [e["name"] for e in checks.secant_determinants(16) if not e["ok"]]
+    assert failed == [f"E_{n} by determinant" for n in range(12, 17)]
 
 
 def test_chain_sum_unpacks_once_per_width_group(unpacked_widths):

@@ -543,3 +543,19 @@ def test_stdout_matches_the_benchmark_reference(capsys, query):
     code, out, _ = run_cli(capsys, *query.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digests[query]
+
+
+# Stdout of the two largest secant queries, pinned at the table's previous
+# build (recurrence, two eliminations and a series point), so the two-route
+# build prints the same bytes.
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (30, "278fd10f550b516eb1c84a344274ae5a1d010c926b7e0a4c05b02993a650b293"),
+        (36, "b199249e3cdc0d11e233413d8fca5bfd66978a5930cfd9f75531ea1c88d2bd2c"),
+    ],
+)
+def test_large_secant_stdout_is_pinned(capsys, n, digest):
+    code, out, _ = run_cli(capsys, "secant", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

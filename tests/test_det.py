@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from chowlab import charney
+from chowlab import charney, checks
 from chowlab.exactalg import bipoly
 from chowlab.exactalg import BiPoly, ONE, Q, T, leading_principal_minors
 
@@ -113,8 +113,9 @@ def test_minors_read_back_at_the_slot_edge(unpacked_widths):
 
 
 def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
-    # a count, not a timing: the two secant matrices up to E_16 are each
-    # packed once, eliminated in int, and only their 8 + 8 pivots are read back
+    # a count, not a timing: the suite's two secant matrices up to E_16 are
+    # each packed once, eliminated in int, and only their 8 + 8 pivots are read back
+    charney.tangent_secant(16)  # the table they are compared with, built before counting
     calls = {"_pack": 0, "_unpack": 0, "sum_of_products": 0}
     for name in calls:
         real = getattr(bipoly, name)
@@ -130,8 +131,8 @@ def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
         matrices.append(matrix)
         return leading_principal_minors(matrix, *bound)
 
-    monkeypatch.setattr(charney, "leading_principal_minors", recording)
-    assert len(charney._secant_determinants(16)) == 17
+    monkeypatch.setattr(checks, "leading_principal_minors", recording)
+    assert [e["ok"] for e in checks.secant_determinants(16)] == [True] * 16
     assert len(matrices) == 2
     entries = [entry for matrix in matrices for row in matrix for entry in row]
     assert calls == {"_pack": sum(map(bool, entries)), "_unpack": 16, "sum_of_products": 0}
