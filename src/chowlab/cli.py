@@ -1,5 +1,13 @@
-"""Command-line front end: argument parsing, output encodings and the
-text/JSON check report.  The identities and suites live in `chowlab.checks`.
+"""Command-line front end: the option table, the two parses of argv that
+read it, output encodings and the text/JSON check report.  The identities
+and suites live in `chowlab.checks`.
+
+Every option of every subcommand is declared once, in `COMMANDS`.
+`parse_canonical` reads argv in canonical form straight from that table
+(defaults included), without argparse; any other argv (`--help`, an
+abbreviation, `--n=5`, a usage error) goes to `build_parser`, the
+argparse parser built from the same table, whose help text, messages and
+exit code 2 are argparse's own.
 
 Exit codes: 0 success; 1 a cross-route disagreement (a query aborts with a
 diff of the two polynomials, a check run reports a FAIL entry); 2 usage or
@@ -12,7 +20,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -23,17 +30,52 @@ from .exactalg import BiPoly
 from .flats import FamilySpec
 
 FORMATS = ("text", "json", "csv")
+FLAG = "flag"  # an option that takes no value: True when present
+
+# Each subcommand's help line and options, in the order `--help` lists
+# them.  An option is (option string, dest, kind, required, default, help),
+# where kind is `int`, a tuple of choices or FLAG.
+_FAMILY = ("--family", "family", ("uniform", "vector"), True, None, None)
+_N = ("--n", "n", int, True, None, None)
+_R = ("--r", "r", int, True, None, None)
+_FORMAT = ("--format", "fmt", FORMATS, False, "text", None)
+_REPORT_FORMAT = ("--format", "fmt", ("text", "json"), False, "text", None)  # a report, not one polynomial: no CSV
+_Q1 = ("--q1", "q1", FLAG, False, False, "classical specialization")
+COMMANDS = {
+    "hilbert": ("Hilbert series of a Chow ring", (
+        _FAMILY, _N, _R, _FORMAT,
+        ("--method", "method", ("chain", "recurrence", "closed", "oracle"), False, "recurrence", None),
+        ("--p", "prime", int, False, None, "prime for the oracle method"),
+    )),
+    "cd": ("Charney-Davis quantity", (
+        _FAMILY, _N, _R, _FORMAT,
+        ("--method", "method", ("direct", "chain", "det", "qsecant"), False, "direct", None),
+        ("--unsigned", "unsigned", FLAG, False, False, None),
+    )),
+    "qeulerian": ("q-Eulerian polynomial", (_N, _FORMAT, _Q1)),
+    "secant": ("q-tangent-secant number", (_N, _FORMAT, _Q1)),
+    "delta": ("difference series between consecutive ranks", (_N, _R, _FORMAT)),
+    "conjecture": ("order-complex identity report", (_N, _R, _REPORT_FORMAT)),
+    "check": ("run the cross-validation suites", (
+        ("--suite", "suite", ("all", *SUITES), False, "all", None),
+        ("--nmax", "n_max", int, False, 6, None),
+        _REPORT_FORMAT,
+        ("--bound", "bound", int, False, None, "enumeration bound override"),
+    )),
+}
 
 
-class RunConfig(argparse.Namespace):
-    """The parsed options.  A subcommand sets only the options it takes;
-    the class attributes stand in for the others."""
+class RunConfig:
+    """The parsed options: the command and every option of its subcommand,
+    set to their `COMMANDS` defaults by `parse_canonical` when absent, and
+    by the subparsers `build_parser` makes from that table under argparse.
+    The class attributes stand in for the options a subcommand does not
+    take, which `validate` reads."""
 
-    family = n = r = method = prime = bound = None
-    q1 = unsigned = False
-    fmt = "text"
-    suite = "all"
-    n_max = 6
+    prime = bound = None
+
+    def __init__(self, **options):
+        self.__dict__.update(options)
 
     def validate(self):
         vector_oracle = self.command == "hilbert" and self.method == "oracle" and self.family == "vector"
@@ -49,56 +91,73 @@ class RunConfig(argparse.Namespace):
             raise ValueError(f"--bound must be nonnegative, got {self.bound}")
 
 
+def parse_canonical(argv):
+    """The RunConfig of `argv` if it is in canonical form, else None.
+
+    Canonical: a subcommand, then its options spelled exactly as in
+    `COMMANDS`, each at most once, each value in a token of its own that
+    starts with `-` only as a negative integer, every value an `int` or
+    one of its choices as the option's kind asks, and every required
+    option present.  argparse reads such an argv to the same options.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {option[0]: option for option in COMMANDS[argv[0]][1]}
+    config = RunConfig(command=argv[0], **{dest: default for _, dest, _, _, default, _ in options.values()})
+    tokens = iter(argv[1:])
+    seen = set()
+    for token in tokens:
+        if token not in options or token in seen:
+            return None
+        seen.add(token)
+        _, dest, kind, _, _, _ = options[token]
+        if kind is FLAG:
+            value = True
+        else:
+            value = next(tokens, "")  # a missing value reads as "", which no kind accepts
+            value = _canonical_int(value) if kind is int else value if value in kind else None
+            if value is None:
+                return None
+        setattr(config, dest, value)
+    if any(required and option not in seen for option, _, _, required, _, _ in options.values()):
+        return None
+    return config
+
+
+def _canonical_int(token):
+    """int(token) if argparse reads `token` as a value and converts it, else None."""
+    if token.startswith("-") and not (token[1:].isascii() and token[1:].isdigit()):
+        return None  # argparse takes it for an option
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def build_parser():
+    """The argparse parser of `COMMANDS`: help, abbreviations, `=` forms
+    and every usage message."""
+    import argparse  # imported here so that a canonical argv never loads it
+
     parser = argparse.ArgumentParser(
         prog="chowlab",
         description="Exact Hilbert series and Charney-Davis quantities of Chow "
         "rings of uniform and finite-vector-space matroids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, family=True, rank=True, formats=FORMATS):
-        if family:
-            p.add_argument("--family", choices=("uniform", "vector"), required=True)
-        p.add_argument("--n", type=int, required=True)
-        if rank:
-            p.add_argument("--r", type=int, required=True)
-        p.add_argument("--format", dest="fmt", choices=formats, default="text")
-
-    p = sub.add_parser("hilbert", help="Hilbert series of a Chow ring")
-    add_common(p)
-    p.add_argument("--method", choices=("chain", "recurrence", "closed", "oracle"), default="recurrence")
-    p.add_argument("--p", dest="prime", type=int, default=None, help="prime for the oracle method")
-
-    p = sub.add_parser("cd", help="Charney-Davis quantity")
-    add_common(p)
-    p.add_argument("--method", choices=("direct", "chain", "det", "qsecant"), default="direct")
-    p.add_argument("--unsigned", action="store_true")
-
-    p = sub.add_parser("qeulerian", help="q-Eulerian polynomial")
-    add_common(p, family=False, rank=False)
-    p.add_argument("--q1", action="store_true", help="classical specialization")
-
-    p = sub.add_parser("secant", help="q-tangent-secant number")
-    add_common(p, family=False, rank=False)
-    p.add_argument("--q1", action="store_true", help="classical specialization")
-
-    p = sub.add_parser("delta", help="difference series between consecutive ranks")
-    add_common(p, family=False)
-
-    p = sub.add_parser("conjecture", help="order-complex identity report")
-    add_common(p, family=False, formats=("text", "json"))  # a report, not one polynomial: no CSV
-
-    p = sub.add_parser("check", help="run the cross-validation suites")
-    p.add_argument("--suite", default="all", choices=("all",) + tuple(SUITES))
-    p.add_argument("--nmax", dest="n_max", type=int, default=6)
-    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    p.add_argument("--bound", type=int, default=None, help="enumeration bound override")
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for option, dest, kind, required, default, help in options:
+            how = {"action": "store_true"} if kind is FLAG else {"type": int} if kind is int else {"choices": kind}
+            p.add_argument(option, dest=dest, required=required, default=default, help=help, **how)
     return parser
 
 
 def main(argv=None):
-    config = build_parser().parse_args(argv, RunConfig())
+    argv = sys.argv[1:] if argv is None else argv
+    config = parse_canonical(argv)
+    if config is None:
+        config = build_parser().parse_args(argv, RunConfig())
     try:
         config.validate()
         code = run(config)

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chowlab.charney as charney_module
 import chowlab.checks as checks_module
@@ -17,7 +20,7 @@ import chowlab.chow as chow_module
 import chowlab.ordercx as ordercx_module
 import chowlab.permstat as permstat_module
 import chowlab.qeuler as qeuler_module
-from chowlab.cli import check_suites, main
+from chowlab.cli import COMMANDS, FLAG, RunConfig, build_parser, check_suites, main, parse_canonical
 from chowlab.exactalg import BiPoly, ONE, Q, T
 from chowlab.flats import FamilySpec
 from chowlab.ordercx import FVector
@@ -494,17 +497,138 @@ print(repr((codes, text, "json" in sys.modules)))
 """
 
 
-def test_cold_start_loads_only_what_the_command_uses():
+def _child_env(**extra):
+    """The environment of a child `python` that imports this checkout's chowlab."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def test_cold_start_loads_only_what_the_command_uses():
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True, env=env, timeout=60, check=True
+        [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
     )
     codes, text_added, json_loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert "chowlab.cli" in text_added
     assert [m for m in COLD_START_UNUSED if m in text_added] == []
     assert json_loaded
+
+
+# A canonical argv is parsed from `cli.COMMANDS` alone: a fresh process that
+# runs two of them must never import argparse, and prints what they print
+# in this process.
+CANONICAL_QUERIES = (["secant", "--n", "5"], ["hilbert", "--family", "vector", "--n", "4", "--r", "3", "--format", "csv"])
+ARGPARSE_PROBE = """
+import sys
+from chowlab.cli import main
+codes = [main(argv) for argv in %r]
+print(repr((codes, "argparse" in sys.modules)))
+"""
+
+
+def test_canonical_argv_never_loads_argparse(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", ARGPARSE_PROBE % (CANONICAL_QUERIES,)],
+        capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
+    )
+    *out, last = proc.stdout.splitlines(keepends=True)
+    assert ast.literal_eval(last) == ([0, 0], False)
+    assert "".join(out) == "".join(run_cli(capsys, *argv)[1] for argv in CANONICAL_QUERIES)
+
+
+def _argparse_vars(parser, argv):
+    """vars() of argparse's namespace for `argv`, or None on a usage error."""
+    try:
+        return vars(parser.parse_args(argv, RunConfig()))
+    except SystemExit:
+        return None
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return build_parser()
+
+
+def _pool_argv(workload):
+    spec = importlib.util.spec_from_file_location("pool", Path(__file__).resolve().parents[1] / "perfbench" / "pool.py")
+    pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    return [list(argv) for argv in pool.pool(workload)]
+
+
+def _readme_argv():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line.split("#")[0].split()[1:] for line in readme.splitlines() if line.startswith("chowlab ")]
+
+
+# Every job the benchmark runs and every README example takes the canonical
+# parse, to the namespace argparse makes of it.
+@pytest.mark.parametrize("source", ["symbolic", "enumerative", "rational", "check-sweep", "README"])
+def test_benchmark_and_readme_argv_parse_canonically(parser, source):
+    argvs = _readme_argv() if source == "README" else _pool_argv(source)
+    assert argvs
+    for argv in argvs:
+        config = parse_canonical(argv)
+        assert config is not None, argv
+        assert vars(config) == _argparse_vars(parser, argv), argv
+
+
+JUNK_TOKENS = ("--fam", "--n=5", "-h", "--help", "-1", "-x", "", "frobnicate", "--", "-0", "+3", " 4", "1_0", "-1_0", "--bogus")
+
+
+@st.composite
+def token_sequences(draw):
+    """Half the time a canonical argv; else a subcommand (or junk) and its
+    options in any order, each zero to two times, with valid or junk
+    values, and junk tokens anywhere."""
+    messy = draw(st.booleans())
+    command = draw(st.sampled_from([*COMMANDS, "frobnicate", "-h"] if messy else list(COMMANDS)))
+    argv = [command]
+    for option, _, kind, required, _, _ in draw(st.permutations(COMMANDS.get(command, (None, ()))[1])):
+        for _ in range(draw(st.sampled_from((0, 1, 1, 2) if messy else (1,) if required else (0, 1)))):
+            argv.append(option)
+            if kind is not FLAG:
+                valid = st.integers(-3, 9).map(str) if kind is int else st.sampled_from(kind)
+                argv.append(draw(st.one_of(valid, st.sampled_from(JUNK_TOKENS)) if messy else valid))
+    for _ in range(draw(st.integers(0, 2)) if messy else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK_TOKENS)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_sequences())
+def test_canonical_parse_declines_or_agrees_with_argparse(parser, argv):
+    config = parse_canonical(argv)
+    if config is not None:
+        assert vars(config) == _argparse_vars(parser, argv)
+
+
+# Stdout of `chowlab --help` and of each `chowlab COMMAND --help` at 80
+# columns, captured from the hand-written parser that `COMMANDS` replaced
+# (the same on Python 3.10 to 3.13): building the parser from the table
+# changed no help text.  The benchmark's setup probe runs `--help`.
+HELP_TEXT = json.loads(Path(__file__).with_name("cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS])
+def test_help_text_is_pinned(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowlab", *command.split(), "--help"],
+        capture_output=True, text=True, env=_child_env(COLUMNS="80"), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, HELP_TEXT[command], "")
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    ("hilbert --fam vector --n 3 --r 3", "hilbert --family vector --n 3 --r 3"),
+    ("check --nm 3 --suite wachs", "check --nmax 3 --suite wachs"),
+    ("secant --n=5 --q", "secant --n 5 --q1"),
+])
+def test_abbreviated_and_equals_forms_run_like_the_canonical_argv(capsys, argv, canonical):
+    assert parse_canonical(argv.split()) is None
+    expected = run_cli(capsys, *canonical.split())
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv.split()) == expected
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
