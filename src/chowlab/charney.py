@@ -25,8 +25,7 @@ from math import comb
 from operator import mul
 
 from .errors import require_equal
-from .exactalg import MINUS_ONE, BiPoly, ONE, gauss_binomial, sum_of_products
-from .exactalg.bipoly import _raw, _unpack
+from .exactalg import MINUS_ONE, BiPoly, Layout, ONE, gauss_binomial, sum_of_products
 from .chow import hilbert_recurrence
 from .flats import UNIFORM
 from .qeuler import q_pascal_rows
@@ -130,38 +129,33 @@ def _secant_by_triangle(n_max, qs):
     return packed
 
 
-def _read(value, nb):
-    """The q-polynomial packed as `value` in nb-byte slots, read with enough
-    slots for any integer of its size."""
-    return _raw(_unpack(value, 1, value.bit_length() // (8 * nb) + 2, nb))
-
-
 @lru_cache(maxsize=None)
 def tangent_secant(n_max):
     """Build the table, once per n_max, by two packed-integer routes that
     must agree: the recurrence (`_secant_by_recurrence`) and the q-weighted
     Seidel-Entringer triangle (`_secant_by_triangle`).
 
-    Both run at one layout, q = 2^qs with qs = 8 nb, and each entry is read
-    back once.  Slots are nb = bits(max B_n) // 8 + 1 bytes wide, with B_n
-    from `_secant_norm_bounds`, which bounds every coefficient of whatever
-    the recurrence computes.  The triangle only adds and shifts, so up to
-    the sign (-1)^(n // 2) its coefficients are nonnegative, and they sum to
-    the zigzag number z_n = |E_n(1)| <= ||E_n||_1 <= B_n.  So each route's
-    integer is the packing of one polynomial whose coefficients are below
-    2^(8 nb - 1) in absolute value, which `_read` recovers exactly: the
-    integers are equal exactly when the polynomials are, and a disagreement
-    is a `RouteDisagreementError`.
+    Both run at one `Layout`, and each entry is read back once.  The layout
+    holds the largest B_n of `_secant_norm_bounds`, which bounds every
+    coefficient of whatever the recurrence computes, and q-degree
+    C(n_max, 2), the largest inversion count.  The triangle only adds and
+    shifts, so up to the sign (-1)^(n // 2) its coefficients are
+    nonnegative, and they sum to the zigzag number z_n = |E_n(1)| <=
+    ||E_n||_1 <= B_n.  So each route's integer is the packing of one
+    polynomial that fits the layout: the integers are equal exactly when
+    the polynomials are.  Each is read with as many rows as its size needs,
+    so a wrong route's value, even one past the layout, reads back as a
+    polynomial and the disagreement is a `RouteDisagreementError`.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    nb = max(_secant_norm_bounds(n_max)).bit_length() // 8 + 1
+    layout = Layout(max(_secant_norm_bounds(n_max)), comb(n_max, 2))
     entries = []
-    routes = zip(_secant_by_recurrence(n_max, 8 * nb), _secant_by_triangle(n_max, 8 * nb))
+    routes = zip(_secant_by_recurrence(n_max, layout.qs), _secant_by_triangle(n_max, layout.qs))
     for n, (by_recurrence, by_triangle) in enumerate(routes):
-        entries.append(_read(by_recurrence, nb))
+        entries.append(layout.read(by_recurrence))
         if by_triangle != by_recurrence:
-            require_equal(f"E_{n} by recurrence vs q-Seidel-Entringer triangle", entries[n], _read(by_triangle, nb))
+            require_equal(f"E_{n} by recurrence vs q-Seidel-Entringer triangle", entries[n], layout.read(by_triangle))
     return TangentSecantTable(n_max, tuple(entries), tuple(e.eval(1, 1) for e in entries))
 
 

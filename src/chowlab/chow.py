@@ -26,8 +26,7 @@ from itertools import chain, combinations, islice
 from math import comb
 from operator import mul
 
-from .exactalg import BiPoly, ONE, T, gauss_binomial, sum_of_products, t_quantum
-from .exactalg.bipoly import _raw, _unpack
+from .exactalg import BiPoly, Layout, ONE, T, gauss_binomial, sum_of_products, t_quantum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
 from .qeuler import (
     _derangement_horner,
@@ -69,11 +68,9 @@ def hilbert_recurrence(spec):
     where [m]_t = 1 + t [m-1]_t H_0 comes from the top level, one flat
     (i = m).
 
-    - Layout.  As in `qeuler._q_egf`: one Kronecker layout for
-      H_1, ..., H_r, fixed from `_diagonal_bounds` before any product, with
-      slots nb = bits(max B_m) // 8 + 1 bytes wide and w = max d_m + 1.
-      For the uniform family every d_m is 0, so w = 1, and q = 1: a shift
-      by qs = 0 bits.
+    - Layout.  As in `qeuler._q_egf`: one `Layout` for H_1, ..., H_r, fixed
+      from `_diagonal_bounds` before any product.  For the uniform family
+      every d_m is 0, so the layout's q is 1.
     - Recurrence.  Each binomial is read as [d+m over d+a]_q =
       [d+m over m-a]_q, with 2 <= m - a < r, from the rows d + 1, ..., d + r
       of `qeuler.q_pascal_rows(qs)` cut to their first r entries (Pascal's
@@ -81,25 +78,21 @@ def hilbert_recurrence(spec):
       a row.  Each [d+m over d+a]_q H_a is one integer product, and the
       sum over a is the prefix-sum Horner in t of
       `qeuler._derangement_horner`, with the a = 0 summand 1; adding 1 then
-      gives the [m]_t term.  H_(r-1) is not needed, and only H_r is read
-      back.
-    - Soundness.  Packing is a ring homomorphism Z[q, t] -> Z, so each
-      integer is the packing of its polynomial, and only H_r must fit the
-      layout: deg_q H_r <= d_r < w, deg_t H_r < r, and each coefficient is
-      at most B_r, below 2^(8 nb - 1).  The loop does not recurse.
+      gives the [m]_t term.  H_(r-1) is not needed.  The loop does not
+      recurse.
+    - Read-back.  Only H_r is read back, and it fits the layout:
+      deg_q H_r <= d_r, deg_t H_r < r, and each coefficient is at most B_r.
     """
     d, r = spec.n - spec.r, spec.r
-    norms, degrees = _diagonal_bounds(spec)
-    w, nb = max(degrees) + 1, max(norms).bit_length() // 8 + 1
-    qs, ts = (0 if spec.kind == UNIFORM else 8 * nb), 8 * nb * w
+    layout = Layout(*map(max, _diagonal_bounds(spec)))
     packed = [1]  # H_0; H_(r-1) is never read, so it is left at 0
-    for m, row in enumerate(islice(q_pascal_rows(qs, width=r), d + 1, d + r + 1), 1):
+    for m, row in enumerate(islice(q_pascal_rows(layout.qs, width=r), d + 1, d + r + 1), 1):
         if m == r - 1:
             packed.append(0)
             continue
         c = chain([1], map(mul, row[m - 1 : 1 : -1], packed[1 : m - 1]))
-        packed.append(1 + _derangement_horner(m, c, qs, ts))
-    return _raw(_unpack(packed[r], r, w, nb))
+        packed.append(1 + _derangement_horner(m, c, layout.qs, layout.ts))
+    return layout.read(packed[r], r)
 
 
 def _diagonal_bounds(spec):

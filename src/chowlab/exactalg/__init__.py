@@ -1,9 +1,10 @@
-"""Exact arithmetic foundation: sparse (q,t)-polynomials (`bipoly`), with
-their sums of products and the leading principal minors of a matrix of them
-computed on packed integers."""
+"""Exact arithmetic foundation: sparse (q,t)-polynomials (`bipoly`), their
+one packed-integer format (`Layout`), and their sums of products and the
+leading principal minors of a matrix of them computed in that format."""
 
 from .bipoly import (
     BiPoly,
+    Layout,
     MINUS_ONE,
     ONE,
     Q,
@@ -18,6 +19,7 @@ from .bipoly import (
 
 __all__ = [
     "BiPoly",
+    "Layout",
     "MINUS_ONE",
     "ONE",
     "Q",

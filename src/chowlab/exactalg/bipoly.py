@@ -13,12 +13,12 @@ Univariate values (pure q-polynomials, pure t-polynomials, integers) are
 just BiPolys whose exponents happen to vanish in one slot, so every
 quantity in the package lives in a single value type.
 
-Sums of products of large polynomials go through one Kronecker-substitution
-kernel, `sum_of_products` (D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 2009): every factor
-becomes one Python integer, packed once, the integer products are added,
-and the coefficients of the whole sum are read back once from fixed-width
-byte slots.  A single large product is a one-term call of the kernel.
+Large polynomials are multiplied as Python integers, through one packing
+format, `Layout` (Kronecker substitution: D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+2009).  Sums of products go through one kernel, `sum_of_products`: every
+factor is packed once, the integer products are added, and each sum is
+read back once.  A single large product is a one-term call of the kernel.
 Leading principal minors, by one Bareiss elimination, use the same packing:
 the matrix is packed once and eliminated in `int`, and only the minors are
 read back.
@@ -121,8 +121,8 @@ class BiPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    def __hash__(self):  # a constant equals its int, so it hashes as that int
+        return hash(self.constant() if self._terms.keys() <= {(0, 0)} else frozenset(self._terms.items()))
 
     def __bool__(self):
         return bool(self._terms)
@@ -285,19 +285,13 @@ def sum_of_products(products):
     - Grouping.  Products go into groups by the bit length of the bit
       length of their bound, so that a product of 1-bit coefficients is not
       packed at the width a product of 2^200-sized ones needs.  A group's
-      layout is w = max deg_q + 1 and rows = max deg_t + 1 over its
-      products, and its slots are nb = bits // 8 + 1 bytes wide, with bits
-      the bit length of the sum of its products' bounds.
-    - Packing.  Each distinct factor (by identity) is packed once per group
-      at that layout, the integer products are added, and each group's sum
-      is unpacked once.  The groups' terms are then added as dicts.
-    - Soundness.  Packing at slot width nb is evaluation at q = 2^(8 nb),
-      t = 2^(8 nb w), a ring homomorphism Z[q, t] -> Z, so a group's integer
-      sum is the packing of its polynomial sum.  Only that final sum must fit
-      the layout, and it does: its degrees are below w and rows, and each
-      coefficient is at most the sum of the bounds, below 2^(8 nb - 1).
-      Intermediate integers need fit nothing, since integer arithmetic is
-      exact.
+      `Layout` holds the sum of its products' bounds and their largest
+      q-degree, and its t-rows their largest t-degree.
+    - Packing.  Each distinct factor (by identity) is packed once per group,
+      the integer products are added, and each group's sum is read back
+      once; it fits the group's layout, as its degrees and coefficients are
+      within the bounds the layout was fixed from.  The groups' terms are
+      then added as dicts.
     """
     seen = {}  # id(terms) -> (terms, deg_q, deg_t, l1 norm, max |c|) of each distinct factor
     small = []  # products with few term tuples, multiplied by the term loop
@@ -324,13 +318,13 @@ def sum_of_products(products):
         group[3] += bound
     parts = []
     for members, dq, dt, bound in groups.values():
-        w, nb = dq + 1, bound.bit_length() // 8 + 1
+        layout = Layout(bound, dq)
         packed = {}
         for key in dict.fromkeys(key for ids in members for key in ids):
             terms, _, td, _, _ = seen[key]
-            packed[key] = _pack(terms, td + 1, w, nb)
+            packed[key] = layout.pack(terms, td + 1)
         total = sum(math.prod(map(packed.__getitem__, ids)) for ids in members)
-        parts.append(_unpack(total, dt + 1, w, nb))
+        parts.append(layout.read(total, dt + 1)._terms)
     out = parts[0] if parts else {}
     for part in parts[1:] + small:
         for k, c in part.items():
@@ -342,73 +336,95 @@ def sum_of_products(products):
     return _raw(out)
 
 
-def _bias(slots, nb):
-    """The integer whose every one of `slots` nb-byte slots holds 2^(8 nb - 1)."""
-    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * slots, "little")
+class Layout:
+    """The packing of polynomials in Z[q, t] as Python integers.
 
+    `Layout(norm, q_degree)` fixes slots nb = bits(norm) // 8 + 1 bytes
+    wide, w = q_degree + 1 slots to a t-row, and the shifts qs = 8 nb and
+    ts = 8 nb w: c q^i t^j is packed as c * 2^(i qs + j ts), in slot
+    j w + i, so packing is evaluation at q = 2^qs, t = 2^ts.  A layout with
+    one slot to a row (q_degree = 0) has qs = 0, evaluation at q = 1, which
+    is exact for a value with no q.
 
-def _pack(terms, rows, w, nb):
-    """The integer sum of c * 2^(8 nb (t w + q)) over the terms, every
-    |c| < 2^(8 nb - 1).  Each of the rows * w slots is written as the digit
-    c + 2^(8 nb - 1) in one bytes join, and the bias is subtracted once."""
-    half = 1 << (8 * nb - 1)
-    digits = [half] * (rows * w)
-    for (qd, td), c in terms.items():
-        digits[td * w + qd] = c + half
-    buf = b"".join(map(int.to_bytes, digits, repeat(nb), repeat("little")))
-    return int.from_bytes(buf, "little") - _bias(rows * w, nb)
-
-
-def _unpack(value, rows, w, nb):
-    """Terms of value = sum c * 2^(8 nb (t w + q)) with every |c| < 2^(8 nb - 1).
-
-    Adding the bias 2^(8 nb - 1) to every slot makes each slot a digit in
-    [0, 2^(8 nb)), so the slots are the nb-byte pieces of one to_bytes call,
-    split by a regular expression.  A slot equal to the bias is a zero
-    coefficient; those are dropped before any slot is read as an integer.
+    Soundness.  Packing is a ring homomorphism Z[q, t] -> Z, so sums,
+    products, shifts and exact quotients of packings are the packings of
+    the same operations on the polynomials, however large the integers in
+    between grow.  Only a value that is read back must fit the layout: its
+    q-degree at most q_degree, its t-degree below the rows read, and every
+    |coefficient| at most norm, below 2^(8 nb - 1).  Such a value reads back
+    exactly, and the zero polynomial is exactly the integer 0.
     """
-    half = 1 << (8 * nb - 1)
-    buf = (value + _bias(rows * w, nb)).to_bytes(rows * w * nb, "little")
-    slots = re.findall(b"(?s).{%d}" % nb, buf)
-    nonzero = list(map(ne, slots, repeat(half.to_bytes(nb, "little"))))
-    keys = zip(cycle(range(w)), chain.from_iterable(map(repeat, range(rows), repeat(w))))
-    digits = map(int.from_bytes, compress(slots, nonzero), repeat("little"))
-    return dict(zip(compress(keys, nonzero), map(int.__sub__, digits, repeat(half))))
+
+    __slots__ = ("w", "nb", "qs", "ts")
+
+    def __init__(self, norm, q_degree):
+        self.w, self.nb = q_degree + 1, norm.bit_length() // 8 + 1
+        self.qs, self.ts = 8 * self.nb if q_degree else 0, 8 * self.nb * self.w
+
+    def _bias(self, slots):
+        """The integer whose every one of `slots` slots holds 2^(8 nb - 1)."""
+        return int.from_bytes((1 << (8 * self.nb - 1)).to_bytes(self.nb, "little") * slots, "little")
+
+    def pack(self, terms, rows):
+        """The packing of the polynomial with these terms {(q_deg, t_deg): c},
+        of t-degree below `rows`.  Each of the rows * w slots is written as
+        the digit c + 2^(8 nb - 1) in one bytes join, and the bias is
+        subtracted once."""
+        w, nb = self.w, self.nb
+        half = 1 << (8 * nb - 1)
+        digits = [half] * (rows * w)
+        for (qd, td), c in terms.items():
+            digits[td * w + qd] = c + half
+        buf = b"".join(map(int.to_bytes, digits, repeat(nb), repeat("little")))
+        return int.from_bytes(buf, "little") - self._bias(rows * w)
+
+    def read(self, value, rows=None):
+        """The BiPoly packed as `value`, read from its first `rows` t-rows.
+
+        By default as many rows are read as any integer of its size needs,
+        so a value that does not fit the layout, with a term past q_degree
+        or too large a coefficient, still reads back as a polynomial with
+        the same packing, not as an error.  Adding the bias 2^(8 nb - 1) to
+        every slot makes each slot a digit in [0, 2^(8 nb)), so the slots
+        are the nb-byte pieces of one to_bytes call, split by a regular
+        expression.  A slot equal to the bias is a zero coefficient; those
+        are dropped before any slot is read as an integer.
+        """
+        w, nb = self.w, self.nb
+        if rows is None:
+            rows = (value.bit_length() + 1) // self.ts + 1
+        half = 1 << (8 * nb - 1)
+        buf = (value + self._bias(rows * w)).to_bytes(rows * w * nb, "little")
+        slots = re.findall(b"(?s).{%d}" % nb, buf)
+        nonzero = list(map(ne, slots, repeat(half.to_bytes(nb, "little"))))
+        keys = zip(cycle(range(w)), chain.from_iterable(map(repeat, range(rows), repeat(w))))
+        digits = map(int.from_bytes, compress(slots, nonzero), repeat("little"))
+        return _raw(dict(zip(compress(keys, nonzero), map(int.__sub__, digits, repeat(half)))))
 
 
-def leading_principal_minors(matrix, bound=None):
+def leading_principal_minors(matrix, bound):
     """The leading principal minors M_1, ..., M_n of a square matrix of
     BiPoly (or int) entries, by one Bareiss elimination without row swaps:
 
-    >>> [m.to_text() for m in leading_principal_minors([[Q, T], [ONE, Q]])]
+    >>> [m.to_text() for m in leading_principal_minors([[Q, T], [ONE, Q]], bound=4)]
     ['q', 'q^2 - t']
 
     Below a zero pivot the elimination would need a swap, so the list stops
     at the first zero minor and is then shorter than n.
 
-    - Layout.  Every entry is packed once, as in `sum_of_products`, at one
-      layout that holds every leading minor: w - 1 and rows - 1 are the sums
-      over the rows of the largest q-degree and t-degree in each row, and
-      the slots are nb = bits(B) // 8 + 1 bytes wide, with B the larger of
-      `bound` and every |coefficient| of every entry.  A caller that knows
-      its minors passes `bound`, at least every |coefficient| of every
-      leading minor; a bound that is too small aliases a minor, which then
-      reads back wrong (or not at all), so the caller must check the minors
-      by another route.  By default the bound is min(R, C), with R
-      the product over the rows of isqrt(sum_j ||m_ij||_1^2) + 1 and C the
-      same product over the columns.  Both are Hadamard bounds on every
-      coefficient of every leading minor, since a coefficient is at most the
-      minor's largest absolute value on the torus |q| = |t| = 1, and each
-      factor is at least 1, so dropping rows and columns never raises them.
+    - Bound.  The caller passes `bound`, at least every |coefficient| of
+      every leading minor.  A bound that is too small aliases a minor, which
+      then reads back wrong (or not at all), so the caller must check the
+      minors by another route.
+    - Layout.  Every entry is packed once, at one `Layout` that holds every
+      leading minor: its q-degree and t-rows come from the sums over the
+      rows of the largest q-degree and t-degree in each row, and its slots
+      hold the larger of `bound` and every |coefficient| of every entry.
     - Elimination.  Step k sets a_ij = (a_kk a_ij - a_ik a_kj) // prev in
       plain `int`, where prev is the previous pivot, and the pivot a_kk is
-      then the packing of M_(k+1).  Only the pivots are unpacked.
-    - Soundness.  Packing is the ring homomorphism q -> 2^(8 nb),
-      t -> 2^(8 nb w) from Z[q, t] to Z.  By Sylvester's identity every
-      Bareiss quotient is exact in Z[q, t], so every `//` is exact in Z, and
-      the intermediate integers need fit nothing.  Each minor fits the
-      layout, so it reads back exactly, and a zero minor is exactly the
-      integer 0.
+      then the packing of M_(k+1).  By Sylvester's identity every Bareiss
+      quotient is exact in Z[q, t], so every `//` is exact in Z.  Only the
+      pivots are read back.
     """
     n = len(matrix)
     if n == 0:
@@ -416,22 +432,16 @@ def leading_principal_minors(matrix, bound=None):
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     entries = [[_coerce(x)._terms for x in row] for row in matrix]
-    w = 1 + sum(max((qd for terms in row for qd, _ in terms), default=0) for row in entries)
+    q_degree = sum(max((qd for terms in row for qd, _ in terms), default=0) for row in entries)
     rows = 1 + sum(max((td for terms in row for _, td in terms), default=0) for row in entries)
-
-    def hadamard(lines):
-        return math.prod(math.isqrt(sum(sum(map(abs, t.values())) ** 2 for t in line)) + 1 for line in lines)
-
-    if bound is None:
-        bound = min(hadamard(entries), hadamard(zip(*entries)))
     largest_entry = max((abs(c) for row in entries for terms in row for c in terms.values()), default=0)
-    nb = max(bound, largest_entry).bit_length() // 8 + 1
-    a = [[_pack(t, max(map(itemgetter(1), t)) + 1, w, nb) if t else 0 for t in row] for row in entries]
+    layout = Layout(max(bound, largest_entry), q_degree)
+    a = [[layout.pack(t, max(map(itemgetter(1), t)) + 1) if t else 0 for t in row] for row in entries]
     minors = []
     prev = 1
     for k in range(n):
         pivot = a[k][k]
-        minors.append(_raw(_unpack(pivot, rows, w, nb)))
+        minors.append(layout.read(pivot, rows))
         if not pivot:
             break
         row_k = a[k]

@@ -2,14 +2,13 @@
 
 A_n(q,t) and D_n(q,t) come from their q-exponential generating functions
 with the denominators cleared, built bottom-up in n (polynomial time) on
-packed integers (Kronecker substitution, as in `exactalg.sum_of_products`):
-one layout, fixed from the top n by norm and degree bounds taken from the
-recurrence itself, holds every entry; the Gaussian binomials are the rows
-of the q-Pascal rule at the layout's q, each [m over a]_q x_a is one
-integer product, and the sum over a runs in Horner form, where a multiply
-by t - q^i or by t is a shift.  Only A_n is read back; the table
-D_0, ..., D_n is read back whole, each entry once.  The brute-force
-definition of A_n exists as its oracle.  The classical (q = 1) polynomials
+packed integers: one `exactalg.Layout`, fixed from the top n by norm and
+degree bounds taken from the recurrence itself, holds every entry; the
+Gaussian binomials are the rows of the q-Pascal rule at the layout's q,
+each [m over a]_q x_a is one integer product, and the sum over a runs in
+Horner form, where a multiply by t - q^i or by t is a shift.  Only A_n is
+read back; the table D_0, ..., D_n is read back whole, each entry once.
+The brute-force definition of A_n exists as its oracle.  The classical (q = 1) polynomials
 come from their own integer recurrence on Eulerian numbers, not from the
 q-recurrence.
 """
@@ -21,8 +20,7 @@ from itertools import accumulate, islice
 from math import comb
 from operator import mul
 
-from .exactalg import BiPoly
-from .exactalg.bipoly import _raw, _unpack
+from .exactalg import BiPoly, Layout
 from .permstat import statistic_sum
 
 
@@ -110,29 +108,21 @@ def q_pascal_rows(qs, width=None):
 
 def _q_egf(n, horner, g):
     """The packings x_0, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a)
-    from x_0 = 1, and their one layout (w, nb).
+    from x_0 = 1, and their one `Layout`.
 
-    - Layout.  Slots are nb = bits(max B_m) // 8 + 1 bytes wide and a t-row
-      holds w = max d_m + 1 slots, with (B_m, d_m) from `_q_egf_bounds(n, g)`;
-      q is a shift by qs = 8 nb bits and t a shift by ts = 8 nb w bits.
+    - Layout.  Fixed from (B_m, d_m) of `_q_egf_bounds(n, g)`: every x_m
+      fits it, as deg_q x_m <= d_m, its t-degree is at most m, and each
+      coefficient is at most B_m.
     - Recurrence.  Row m of `q_pascal_rows(qs)` holds every [m over a]_q
       packed, each c_a = [m over a]_q x_a is one integer product, and
       `horner` sums the c_a times g_(m - a) with shifts and adds.  Nothing
       is read back here.
-    - Soundness.  Packing is the ring homomorphism q -> 2^qs, t -> 2^ts from
-      Z[q, t] to Z, so each integer is the packing of its polynomial, and
-      the Horner partials may overflow w freely.  Only an x_m read back must
-      fit the layout, and every m <= n does: deg_q x_m <= d_m < w, its
-      t-degree is below m + 1 rows, and each coefficient is at most B_m,
-      below 2^(8 nb - 1).
     """
-    norms, degrees = _q_egf_bounds(n, g)
-    w, nb = max(degrees) + 1, max(norms).bit_length() // 8 + 1
-    qs, ts = 8 * nb, 8 * nb * w
+    layout = Layout(*map(max, _q_egf_bounds(n, g)))
     packed = [1]
-    for m, row in enumerate(islice(q_pascal_rows(qs), 1, n + 1), 1):
-        packed.append(horner(m, map(mul, row, packed), qs, ts))
-    return packed, w, nb
+    for m, row in enumerate(islice(q_pascal_rows(layout.qs), 1, n + 1), 1):
+        packed.append(horner(m, map(mul, row, packed), layout.qs, layout.ts))
+    return packed, layout
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +131,8 @@ def q_eulerian_by_recurrence(n):
     A_0, ..., A_n packed at the layout of n, and only A_n read back."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    packed, w, nb = _q_egf(n, _eulerian_horner, _f_size)
-    return _raw(_unpack(packed[n], n + 1, w, nb))
+    packed, layout = _q_egf(n, _eulerian_horner, _f_size)
+    return layout.read(packed[n], n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +145,8 @@ def derangement_polynomials(n):
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    packed, w, nb = _q_egf(n, _derangement_horner, _t_quantum_size)
-    return tuple(_raw(_unpack(x, m + 1, w, nb)) for m, x in enumerate(packed))
+    packed, layout = _q_egf(n, _derangement_horner, _t_quantum_size)
+    return tuple(layout.read(x, m + 1) for m, x in enumerate(packed))
 
 
 def derangement_polynomial(n):

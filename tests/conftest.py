@@ -1,7 +1,6 @@
 import pytest
 
-from chowlab import charney, chow, qeuler
-from chowlab.exactalg import bipoly
+from chowlab.exactalg import Layout
 
 
 @pytest.fixture
@@ -19,16 +18,14 @@ def holds():
 
 @pytest.fixture
 def unpacked_widths(monkeypatch):
-    """The list that collects the slot width of every `_unpack` call the
-    test makes, in `bipoly` and in each module that imports it, so a test
-    can count how often a sum is read back."""
+    """The list that collects the slot width of every `Layout.read` call the
+    test makes, so a test can count how often a sum is read back."""
     widths = []
-    real_unpack = bipoly._unpack
+    real_read = Layout.read
 
-    def unpack(value, rows, w, nb):
-        widths.append(nb)
-        return real_unpack(value, rows, w, nb)
+    def read(layout, value, rows=None):
+        widths.append(layout.nb)
+        return real_read(layout, value, rows)
 
-    for module in (bipoly, qeuler, chow, charney):
-        monkeypatch.setattr(module, "_unpack", unpack)
+    monkeypatch.setattr(Layout, "read", read)
     return widths

@@ -1,10 +1,12 @@
 """BiPoly ring arithmetic, q-analog constructors, rendering."""
 
+import ast
 import inspect
 import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from chowlab.exactalg import bipoly
 from chowlab.exactalg import (
     BiPoly,
+    Layout,
     MINUS_ONE,
     ONE,
     Q,
@@ -344,6 +347,64 @@ def test_kernel_groups_wide_and_narrow_products(unpacked_widths):
     products = [(big, big), (small, small), (small, T * small)]
     assert sum_of_products(products).terms == schoolbook_sum(products)
     assert sorted(unpacked_widths) == [1, 51]  # 60 (2^200)^2 < 2^406 needs 51 bytes with the sign bit
+
+
+@given(st.integers(0, 2**70), st.integers(0, 5), st.integers(1, 4), st.data())
+def test_layout_reads_back_what_it_packs(norm, q_degree, rows, data):
+    # every slot round-trips, up to the largest coefficient its width holds
+    # with the sign bit; a slot left empty or holding 0 reads as no term;
+    # and packing is evaluation at q = 2^qs, t = 2^ts
+    layout = Layout(norm, q_degree)
+    top = (1 << (8 * layout.nb - 1)) - 1
+    assert norm <= top
+    keys = st.tuples(st.integers(0, q_degree), st.integers(0, rows - 1))
+    terms = data.draw(st.dictionaries(keys, st.sampled_from([top, -top, 0]) | st.integers(-top, top)))
+    packed = layout.pack(terms, rows)
+    assert layout.read(packed, rows) == BiPoly(terms)
+    assert packed == BiPoly(terms).eval(2**layout.qs, 2**layout.ts)
+
+
+def test_layout_read_without_rows_takes_a_value_past_the_layout():
+    # q^6 is past a q-degree bound of 3: read as a q-polynomial, one row, it
+    # overflows, and read without rows it is recovered as q^2 t, the term of
+    # the same packing
+    layout = Layout(100, 3)
+    value = layout.pack({(1, 0): 5, (3, 0): -2}, 1) + (7 << layout.qs * 6)
+    with pytest.raises(OverflowError):
+        layout.read(value, 1)
+    assert layout.read(value) == BiPoly({(1, 0): 5, (3, 0): -2, (2, 1): 7})
+    assert layout.read(value).eval(2**layout.qs, 2**layout.ts) == value
+    for edge in ((1 << layout.ts - 1) - 1, -(1 << layout.ts - 1)):  # the first needs a second row
+        assert layout.read(edge).eval(2**layout.qs, 2**layout.ts) == edge
+
+
+def test_one_slot_layout_is_q_equal_one():
+    layout = Layout(10**30, 0)
+    assert (layout.w, layout.nb, layout.qs, layout.ts) == (1, 13, 0, 104)
+    assert layout.pack({(0, 0): 3, (0, 2): -1}, 3) == 3 - 2**208 == (3 - T**2).eval(1, 2**104)
+
+
+def test_no_module_outside_exactalg_knows_a_private_packing_name():
+    # the packing format is known to `exactalg` alone: no other module imports
+    # an underscore name from `bipoly` or reads one off the module
+    src = Path(__file__).resolve().parents[1] / "src" / "chowlab"
+    paths = [path for path in sorted(src.rglob("*.py")) if "exactalg" not in path.parts]
+    private = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("exactalg.bipoly"):
+                private += [f"{path.name}:{alias.name}" for alias in node.names if alias.name.startswith("_")]
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "bipoly":
+                private += [f"{path.name}:{node.attr}"] if node.attr.startswith("_") else []
+    assert len(paths) >= 10 and private == []
+
+
+@pytest.mark.parametrize("c", [0, 3, -1, 2**100])
+def test_constants_hash_as_the_ints_they_equal(c):
+    p = BiPoly.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == len({c, p}) == 1
+    assert {p: "poly"}[c] == "poly"
 
 
 def test_cached_values_are_immutable():

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -18,7 +18,7 @@ from chowlab.charney import (
     tangent_secant,
 )
 from chowlab.errors import RouteDisagreementError
-from chowlab.exactalg import BiPoly, ONE, Q, ZERO, bipoly, gauss_binomial, leading_principal_minors
+from chowlab.exactalg import BiPoly, Layout, ONE, Q, ZERO, bipoly, gauss_binomial, leading_principal_minors
 from chowlab.flats import FamilySpec
 
 CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, (3, 0): 2, (2, 0): 1})
@@ -98,22 +98,25 @@ def test_t_term():
         t_term(5, 3)
 
 
-def _papers_matrix(n):
-    """Test-local reference for the paper's determinant formula: the a x a matrix
-    with [n - 2j over 2(i - j + 1)]_q on and below the diagonal and ones on the
-    superdiagonal, whose j-th leading minor is (-1)^j T(n, 2j)."""
+def _papers_minors(n):
+    """Test-local reference for the paper's determinant formula: the leading
+    minors of the a x a matrix with [n - 2j over 2(i - j + 1)]_q on and below
+    the diagonal and ones on the superdiagonal, whose j-th leading minor is
+    (-1)^j T(n, 2j).  They are eliminated at the product over the rows of
+    each row's l1 norm, which bounds every coefficient of every minor."""
     a = n // 2
-    return [
+    matrix = [
         [gauss_binomial(n - 2 * j, 2 * (i - j + 1)) if j <= i else ONE if j == i + 1 else ZERO for j in range(a)]
         for i in range(a)
     ]
+    bound = prod(sum(abs(c) for entry in row for c in entry.terms.values()) for row in matrix)
+    return leading_principal_minors(matrix, bound) if matrix else []
 
 
 def test_t_term_is_the_papers_determinant():
     # t_term reads T(n, 2j) = [n over 2j]_q E_2j off the tangent-secant table
     for n in range(1, 13):
-        matrix = _papers_matrix(n)
-        minors = leading_principal_minors(matrix) if matrix else []
+        minors = _papers_minors(n)
         assert len(minors) == n // 2, n
         for j, minor in enumerate(minors, 1):
             assert (-1) ** j * minor == t_term(n, j), (n, j)
@@ -131,7 +134,7 @@ def test_t_term_is_gauss_binomial_times_even_secant():
 def test_cd_determinant_is_one_elimination():
     # every T(11, 2a) is a leading minor of one elimination of the paper's
     # matrix, and their sum is the unsigned full-rank cd of `cd --method det`
-    minors = leading_principal_minors(_papers_matrix(11))
+    minors = _papers_minors(11)
     t_terms = [ONE] + [(-1) ** j * minor for j, minor in enumerate(minors, 1)]
     assert cd(FamilySpec.vector(11, 11), "det").unsigned == sum(t_terms, BiPoly())
     assert cd_direct(FamilySpec.vector(11, 11)).unsigned == sum(t_terms, BiPoly())
@@ -260,12 +263,12 @@ def _up_down_permutations(n):
 
 def test_triangle_is_the_inversion_sum_over_up_down_permutations():
     # the build's second route, read back on its own, against brute force
-    nb = max(charney_module._secant_norm_bounds(9)).bit_length() // 8 + 1
-    by_triangle = charney_module._secant_by_triangle(9, 8 * nb)
+    layout = Layout(max(charney_module._secant_norm_bounds(9)), comb(9, 2))
+    by_triangle = charney_module._secant_by_triangle(9, layout.qs)
     for n in range(10):
         inversions = Counter(sum(a > b for a, b in combinations(w, 2)) for w in _up_down_permutations(n))
         walked = BiPoly({(i, 0): c for i, c in inversions.items()})
-        assert (-1) ** (n // 2) * walked == charney_module._read(by_triangle[n], nb), n
+        assert (-1) ** (n // 2) * walked == layout.read(by_triangle[n], 1), n
     assert sum(1 for _ in _up_down_permutations(9)) == 7936
 
 
@@ -283,8 +286,8 @@ def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
     # fit an nb-byte slot is a route disagreement
     degree = _secant_degree_bound(4)
     assert tangent_secant(8)[8].q_degree() == degree
-    nb = max(charney_module._secant_norm_bounds(8)).bit_length() // 8 + 1
-    qs, half = 8 * nb, 1 << (8 * nb - 1)
+    layout = Layout(max(charney_module._secant_norm_bounds(8)), comb(8, 2))
+    qs, half = layout.qs, 1 << (8 * layout.nb - 1)
     for name in ("_secant_by_recurrence", "_secant_by_triangle"):
         real = getattr(charney_module, name)
         for bump in (1 << qs * degree, 1 << qs * (degree + 1), half, -half):
@@ -338,7 +341,7 @@ def test_tangent_secant_is_two_int_routes_and_no_elimination(monkeypatch, unpack
     tangent_secant.cache_clear()
     tangent_secant(16)
     assert calls == []
-    assert unpacked_widths == [max(charney_module._secant_norm_bounds(16)).bit_length() // 8 + 1] * 17
+    assert unpacked_widths == [Layout(max(charney_module._secant_norm_bounds(16)), 0).nb] * 17
 
 
 def test_secant_norm_bound_covers_every_entry():
@@ -355,7 +358,7 @@ def test_secant_slots_hold_the_norm_bound_and_no_less(monkeypatch, unpacked_widt
     # the build reads E_0 .. E_16 back, and the suite's eliminations their
     # 8 + 8 minors, from slots sized by the norm bound alone; a bound too
     # small aliases a minor, and the comparison with the table fails it
-    nb = max(charney_module._secant_norm_bounds(16)).bit_length() // 8 + 1
+    nb = Layout(max(charney_module._secant_norm_bounds(16)), 0).nb
     tangent_secant.cache_clear()
     assert all(e["ok"] for e in checks.secant_determinants(16))
     assert unpacked_widths == [nb] * (17 + 16)

@@ -18,7 +18,7 @@ from chowlab.chow import (
     hilbert_recurrence,
 )
 from chowlab.errors import ResourceBoundError, RouteDisagreementError
-from chowlab.exactalg import BiPoly, ONE, T, bipoly, gauss_binomial
+from chowlab.exactalg import BiPoly, Layout, ONE, T, gauss_binomial
 from chowlab.flats import FamilySpec, build_explicit
 from chowlab.permstat import permutations_of
 from chowlab.qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
@@ -177,14 +177,14 @@ def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch):
     # rank asked for is read back
     expected = q_eulerian_by_recurrence(14)
     calls = []
-    real_unpack, real_mul = chow_module._unpack, BiPoly.__mul__
-    monkeypatch.setattr(chow_module, "_unpack", lambda *args: calls.append("_unpack") or real_unpack(*args))
+    real_read, real_mul = Layout.read, BiPoly.__mul__
+    monkeypatch.setattr(Layout, "read", lambda *args: calls.append("read") or real_read(*args))
     monkeypatch.setattr(chow_module, "sum_of_products", lambda *args: calls.append("sum_of_products"))
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
     hilbert_recurrence.cache_clear()
     assert hilbert_recurrence(FamilySpec.vector(14, 14)) == expected
-    assert calls == ["_unpack"]
+    assert calls == ["read"]
 
 
 @pytest.mark.parametrize("spec", [FamilySpec.uniform(300, 5), FamilySpec.vector(300, 5), FamilySpec.vector(16, 12)])
@@ -194,8 +194,8 @@ def test_recurrence_takes_binomials_from_q_pascal_rows(monkeypatch, spec):
     # a long diagonal does not build rows hundreds of entries wide
     expected = hilbert_chain_sum(spec)
     packs, widths = [], []
-    real_pack = bipoly._pack
-    monkeypatch.setattr(bipoly, "_pack", lambda *args: packs.append(args) or real_pack(*args))
+    real_pack = Layout.pack
+    monkeypatch.setattr(Layout, "pack", lambda *args: packs.append(args) or real_pack(*args))
     real_rows = chow_module.q_pascal_rows
     monkeypatch.setattr(
         chow_module, "q_pascal_rows", lambda *args, **kw: (widths.append(len(row)) or row for row in real_rows(*args, **kw))

@@ -1,13 +1,23 @@
 """Leading principal minors by Bareiss elimination against a naive
 cofactor-expansion oracle."""
 
+import math
 import random
 
 import pytest
 
 from chowlab import charney, checks
 from chowlab.exactalg import bipoly
-from chowlab.exactalg import BiPoly, ONE, Q, T, leading_principal_minors
+from chowlab.exactalg import BiPoly, Layout, ONE, Q, T, leading_principal_minors
+
+
+def _minors(m):
+    """The leading principal minors of m at a bound on them: a minor's
+    coefficients are at most its l1 norm, and the l1 norm of a k x k minor
+    is at most the product over its rows of each row's l1 norm (counted as
+    at least 1, so that the rows below k never lower it)."""
+    bound = math.prod(max(1, sum(abs(c) for x in row for c in (ONE * x).terms.values())) for row in m)
+    return leading_principal_minors(m, bound)
 
 
 def _cofactor_det(matrix):
@@ -25,7 +35,7 @@ def _cofactor_det(matrix):
 def _assert_minors_match_oracle(m):
     """Every minor the elimination returns is the cofactor expansion of its
     leading block, and a list shorter than the matrix ends at a zero minor."""
-    minors = leading_principal_minors(m)
+    minors = _minors(m)
     expected = [_cofactor_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
     assert minors == expected[: len(minors)]
     assert len(minors) == len(m) or not minors[-1]
@@ -33,19 +43,19 @@ def _assert_minors_match_oracle(m):
 
 def test_single_entry():
     x = BiPoly({(1, 1): 1})
-    assert leading_principal_minors([[x]]) == [x]
+    assert _minors([[x]]) == [x]
 
 
 def test_identity_matrix():
     m = [[ONE if i == j else BiPoly() for j in range(3)] for i in range(3)]
-    assert leading_principal_minors(m) == [ONE, ONE, ONE]
+    assert _minors(m) == [ONE, ONE, ONE]
 
 
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
-        leading_principal_minors([])
+        _minors([])
     with pytest.raises(ValueError):
-        leading_principal_minors([[ONE, ONE]])
+        _minors([[ONE, ONE]])
 
 
 def test_integer_matrices_against_cofactor_oracle():
@@ -68,7 +78,7 @@ def test_polynomial_matrices_against_cofactor_oracle():
 
 
 def test_singular_matrix():
-    assert leading_principal_minors([[ONE, ONE], [ONE, ONE]]) == [ONE, BiPoly()]
+    assert _minors([[ONE, ONE], [ONE, ONE]]) == [ONE, BiPoly()]
 
 
 def test_leading_principal_minors_against_cofactor_oracle():
@@ -85,10 +95,10 @@ def test_leading_principal_minors_against_cofactor_oracle():
 
 def test_leading_principal_minors_stop_at_zero_pivot():
     # M_1 = 0, so elimination without a row swap cannot reach M_2
-    assert leading_principal_minors([[0, 1], [1, 0]]) == [BiPoly()]
-    assert leading_principal_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == [ONE, BiPoly()]
+    assert _minors([[0, 1], [1, 0]]) == [BiPoly()]
+    assert _minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == [ONE, BiPoly()]
     with pytest.raises(ValueError):
-        leading_principal_minors([])
+        _minors([])
 
 
 def test_wide_mixed_sign_qt_matrices_against_cofactor_oracle():
@@ -103,12 +113,12 @@ def test_wide_mixed_sign_qt_matrices_against_cofactor_oracle():
 
 
 def test_minors_read_back_at_the_slot_edge(unpacked_widths):
-    # the Hadamard bound min(R, C) sets the slot width: 8^2 = 64 has 7 bits
-    # and fits 1-byte slots; 12^2 = 144 has 8 bits, and 128 needs a 2nd byte
-    assert leading_principal_minors([[-5, 5 * Q], [5 * T, 5 * Q * T]]) == [BiPoly.const(-5), -50 * Q * T]
+    # the bound alone sets the slot width: 127 has 7 bits and fits 1-byte
+    # slots with the sign bit, 128 has 8 bits and needs a 2nd byte
+    assert leading_principal_minors([[-5, 5 * Q], [5 * T, 5 * Q * T]], 127) == [BiPoly.const(-5), -50 * Q * T]
     assert unpacked_widths == [1, 1]
     unpacked_widths.clear()
-    assert leading_principal_minors([[8, -8 * Q], [8 * T, 8 * Q * T]]) == [BiPoly.const(8), 128 * Q * T]
+    assert leading_principal_minors([[8, -8 * Q], [8 * T, 8 * Q * T]], 128) == [BiPoly.const(8), 128 * Q * T]
     assert unpacked_widths == [2, 2]
 
 
@@ -116,15 +126,15 @@ def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
     # a count, not a timing: the suite's two secant matrices up to E_16 are
     # each packed once, eliminated in int, and only their 8 + 8 pivots are read back
     charney.tangent_secant(16)  # the table they are compared with, built before counting
-    calls = {"_pack": 0, "_unpack": 0, "sum_of_products": 0}
-    for name in calls:
-        real = getattr(bipoly, name)
+    calls = {"pack": 0, "read": 0, "sum_of_products": 0}
+    for owner, name in ((Layout, "pack"), (Layout, "read"), (bipoly, "sum_of_products")):
+        real = getattr(owner, name)
 
         def spy(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(bipoly, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     matrices = []
 
     def recording(matrix, *bound):
@@ -135,4 +145,4 @@ def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
     assert [e["ok"] for e in checks.secant_determinants(16)] == [True] * 16
     assert len(matrices) == 2
     entries = [entry for matrix in matrices for row in matrix for entry in row]
-    assert calls == {"_pack": sum(map(bool, entries)), "_unpack": 16, "sum_of_products": 0}
+    assert calls == {"pack": sum(map(bool, entries)), "read": 16, "sum_of_products": 0}

@@ -11,7 +11,7 @@ import pytest
 
 from chowlab import checks, qeuler
 from chowlab.chow import delta_series, hilbert_closed_form
-from chowlab.exactalg import BiPoly, ONE, T, bipoly, gauss_binomial, sum_of_products
+from chowlab.exactalg import BiPoly, Layout, ONE, T, bipoly, gauss_binomial, sum_of_products
 from chowlab.flats import FamilySpec
 from chowlab.permstat import statistic_sum
 from chowlab.qeuler import (
@@ -112,8 +112,8 @@ def _through_30(route):
     and 31 builds would take several times as long."""
     if route is derangement_polynomial:
         return list(derangement_polynomials(30))
-    packed, w, nb = qeuler._q_egf(30, qeuler._eulerian_horner, qeuler._f_size)
-    return [BiPoly(bipoly._unpack(x, n + 1, w, nb)) for n, x in enumerate(packed)]
+    packed, layout = qeuler._q_egf(30, qeuler._eulerian_horner, qeuler._f_size)
+    return [layout.read(x, n + 1) for n, x in enumerate(packed)]
 
 
 @pytest.mark.parametrize("route, size", [(q_eulerian_by_recurrence, qeuler._f_size),
@@ -158,16 +158,16 @@ def test_tables_are_built_without_polynomial_products(monkeypatch):
     monkeypatch.setattr(bipoly, "sum_of_products", lambda *args: calls.append("sum_of_products") or real_sum(*args))
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
-    for module, name in ((qeuler, "_unpack"), (bipoly, "_pack")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for name in ("read", "pack"):
+        real = getattr(Layout, name)
+        monkeypatch.setattr(Layout, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     q_eulerian_by_recurrence.cache_clear()
     derangement_polynomials.cache_clear()
     binomials = gauss_binomial.cache_info()
     assert q_eulerian_by_recurrence(14).eval(1, 1) == factorial(14)
-    assert calls == ["_unpack"]
+    assert calls == ["read"]
     assert derangement_polynomial(14).eval(1, 1) == 32071101049  # the derangements of [14]
-    assert calls == ["_unpack"] * 16
+    assert calls == ["read"] * 16
     after = gauss_binomial.cache_info()
     assert after.hits + after.misses == binomials.hits + binomials.misses
     for route in (q_eulerian_by_recurrence, derangement_polynomials, derangement_polynomial):
