@@ -166,29 +166,29 @@ def basis_monomial_oracle(lat, r):
     A monomial is a descending chain of non-bottom flats with exponents
     1 <= a_i <= rank(F_i) - rank(F_next) - 1, the bottom closing the chain;
     the degree-k dimension is the number of monomials of total degree k.
-    """
-    counts = [[0] * r for _ in range(len(lat))]
+    The monomials topped by flat i, as a t-polynomial, are
 
-    # counts[i][d]: monomial tails of degree d whose topmost flat is element i.
-    for i in sorted(range(len(lat)), key=lambda i: lat.ranks[i]):
-        if i == lat.bottom:
-            continue
+        c_i = sum_{j < i} c_j t [rank i - rank j - 1]_t,   c_bottom = 1,
+
+    the bottom's 1 being the empty monomial, and dims = sum_i c_i, read up
+    to degree r - 1.  Each c_j is a packed `int` at `Layout(bound, 0)`, and
+    the c_j below i are added by rank gap before the gap's factor
+    multiplies them.  bound = 2^N R^R, R the lattice's rank: a monomial is
+    a chain of the N elements with at most R exponents, each below R, and
+    every count is nonnegative, so every coefficient of dims is at most
+    the bound.
+    """
+    layout = Layout(2 ** len(lat) * lat.rank**lat.rank, 0)
+    factor = [sum(1 << a * layout.ts for a in range(1, gap)) for gap in range(lat.rank + 1)]  # t [gap - 1]_t
+    counts = [0] * len(lat)
+    counts[lat.bottom] = 1
+    for i in sorted(range(len(lat)), key=lat.ranks.__getitem__):
         rank_i = lat.ranks[i]
-        for alpha in range(1, rank_i):  # the tail ending at the bottom
-            counts[i][alpha] += 1
+        by_rank = [0] * rank_i
         for j in lat.below[i]:
-            if j == lat.bottom:
-                continue
-            for alpha in range(1, rank_i - lat.ranks[j]):
-                for d, c in enumerate(counts[j]):
-                    if c and d + alpha < r:
-                        counts[i][d + alpha] += c
-    dims = [0] * r
-    dims[0] = 1  # the empty monomial
-    for i in range(len(lat)):
-        for d, c in enumerate(counts[i]):
-            dims[d] += c
-    return BiPoly({(0, k): d for k, d in enumerate(dims)})
+            by_rank[lat.ranks[j]] += counts[j]
+        counts[i] += sum(c * factor[rank_i - k] for k, c in enumerate(by_rank) if c)
+    return layout.read(sum(counts) & ((1 << r * layout.ts) - 1), r)
 
 
 # -- route dispatch --------------------------------------------------------

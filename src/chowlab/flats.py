@@ -15,6 +15,7 @@ oracles, enumerating subspaces by reduced row echelon form.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, isqrt
 
@@ -82,22 +83,15 @@ class ExplicitLattice:
 
     Element 0 is the bottom; the top is the unique rank-`rank` element.
     `below[i]` is the frozenset of indices strictly below element i and
-    `upper_covers[i]` the sorted tuple of the elements covering it.
+    `upper_covers[i]` the sorted tuple of the elements covering it; both
+    come ready-made, as `build_explicit` reads them off its level table.
     """
 
     __slots__ = ("labels", "ranks", "rank", "bottom", "top", "below", "upper_covers")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, labels, ranks, rank):
-        labels, ranks = tuple(labels), tuple(ranks)
-        below = tuple(
-            frozenset(j for j in range(len(labels)) if j != i and labels[j] <= labels[i])
-            for i, _ in enumerate(labels)
-        )
-        upper_covers = tuple(
-            tuple(j for j in range(len(labels)) if ranks[j] == ranks[i] + 1 and i in below[j])
-            for i in range(len(labels))
-        )
+    def __init__(self, labels, ranks, rank, below, upper_covers):
+        labels, ranks, below, upper_covers = map(tuple, (labels, ranks, below, upper_covers))
         fields = (labels, ranks, rank, ranks.index(0), ranks.index(rank), below, upper_covers)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
@@ -117,7 +111,7 @@ class ExplicitLattice:
         above = [0] * len(self)
         above[self.top] = 1
         for i in sorted(range(len(self)), key=self.ranks.__getitem__, reverse=True):
-            above[i] += sum(above[j] for j in self.upper_covers[i])
+            above[i] += sum(map(above.__getitem__, self.upper_covers[i]))
         return above[self.bottom]
 
     def proper_elements(self):
@@ -135,7 +129,12 @@ class ExplicitLattice:
 
 
 def build_explicit(spec, p=None):
-    """Materialize the lattice of flats, rank by rank; vector families need a prime p."""
+    """Materialize the lattice of flats; vector families need a prime p.
+
+    The flats of rank below r are the cached level table of (kind, n, p)
+    cut at rank r - 1, and the top covers every flat of rank r - 1, so
+    each truncation r of one (kind, n, p) costs O(N) past the first.
+    """
     n, r = spec.n, spec.r
     if spec.kind == VECTOR:
         if p is None:
@@ -144,16 +143,67 @@ def build_explicit(spec, p=None):
         # larger p has p^n > EXPLICIT_MAX_SIZE points anyway.
         if p < 2 or any(p % d == 0 for d in range(2, min(isqrt(p), 10**6) + 1)):
             raise ValueError(f"p = {p} is not prime")
-    explicit_size(spec, p)
-    if spec.kind == UNIFORM:
-        levels = [[frozenset(subset) for subset in combinations(range(1, n + 1), k)] for k in range(r)]
-        top = frozenset(range(1, n + 1))
     else:
-        levels = [[_span(basis, n, p) for basis in _rref_bases(n, k, p)] for k in range(r)]
-        top = frozenset(product(range(p), repeat=n))
-    labels = [label for level in levels for label in level] + [top]
-    ranks = [k for k, level in enumerate(levels) for _ in level] + [r]
-    return ExplicitLattice(labels, ranks, r)
+        p = None
+    explicit_size(spec, p)
+    labels, ranks, below, upper_covers, _ = _flats(spec.kind, n, p, r - 1)
+    top = len(labels)
+    return ExplicitLattice(
+        labels + (frozenset(_ground(spec.kind, n, p)),),
+        ranks + (r,),
+        r,
+        below + (frozenset(range(top)),),
+        upper_covers + ((top,),) * (top - len(upper_covers)) + ((),),
+    )
+
+
+@lru_cache(maxsize=None)
+def _flats(kind, n, p, k):
+    """The level table of (kind, n, p) up to rank k: (labels, ranks, below,
+    upper_covers, masks) of its flats of ranks 0..k, in rank order, with
+    upper covers for the flats below rank k only.
+
+    It extends the table up to rank k - 1 by the rank-k flats of `_level`.
+    A flat's mask ORs its points' bits, so containment is one AND, and it
+    is tested between consecutive ranks only: the rank-(k-1) flats inside
+    a rank-k flat are its lower covers, and what lies below it is the union
+    of those covers and everything below them.
+    """
+    labels, ranks, below, upper_covers, masks = _flats(kind, n, p, k - 1) if k else ((),) * 5
+    bits = _ground(kind, n, p)
+    level = _level(kind, n, p, k)
+    start, end = len(upper_covers), len(labels)  # the rank-(k-1) flats
+    covers = [[] for _ in range(start, end)]
+    new_below, new_masks = [], []
+    for j, label in enumerate(level, end):
+        mask = sum(map(bits.__getitem__, label))
+        lower = [i for i in range(start, end) if masks[i] & mask == masks[i]]
+        for i in lower:
+            covers[i - start].append(j)
+        new_below.append(frozenset(lower).union(*map(below.__getitem__, lower)))
+        new_masks.append(mask)
+    return (
+        labels + level,
+        ranks + (k,) * len(level),
+        below + tuple(new_below),
+        upper_covers + tuple(map(tuple, covers)),
+        masks + tuple(new_masks),
+    )
+
+
+def _level(kind, n, p, k):
+    """The rank-k flats of (kind, n, p), in the order they are numbered:
+    the k-subsets of [n], or the spans of the k x n RREF matrices over F_p."""
+    if kind == UNIFORM:
+        return tuple(frozenset(subset) for subset in combinations(range(1, n + 1), k))
+    return tuple(_span(basis, n, p) for basis in _rref_bases(n, k, p))
+
+
+@lru_cache(maxsize=None)
+def _ground(kind, n, p):
+    """The points of (kind, n, p), [n] or F_p^n, each mapped to its own bit."""
+    points = range(1, n + 1) if kind == UNIFORM else product(range(p), repeat=n)
+    return {point: 1 << i for i, point in enumerate(points)}
 
 
 def explicit_size(spec, p=None):

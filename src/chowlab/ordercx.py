@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exactalg import BiPoly, ONE, T, ZERO
+from .exactalg import BiPoly, Layout, ONE, T, ZERO
 from .flats import UNIFORM, ExplicitLattice, FamilySpec, _read_only
 from .chow import hilbert_recurrence
 
@@ -43,6 +43,9 @@ class FVector:
 
     def __eq__(self, other):
         return isinstance(other, FVector) and self.f == other.f
+
+    def __hash__(self):
+        return hash(self.f)
 
     def __repr__(self):
         return f"FVector({list(self.f)})"
@@ -79,15 +82,20 @@ def _fvector_by_profiles(n, r, proper):
 
 
 def _fvector_by_chains(lat, proper):
-    """Chains by their top element: ends[j][k] chains of k + 1 vertices end at
-    j.  An f-vector has zeros only at its end, and they are dropped."""
+    """Chains by their top element: the chains ending at vertex j, as the
+    t-polynomial e_j = 1 + t sum_{vertices i below j} e_i, t^k counting those
+    of k + 1 vertices.  Each e_j is a packed `int` at `Layout(2^N, 0)`: the
+    f-vector's entries count chains of the N elements, at most 2^N in all,
+    and every count is nonnegative.  An f-vector has zeros only at its end,
+    and they are dropped."""
     vertices = lat.proper_elements() if proper else list(range(len(lat)))
-    vertices.sort(key=lambda i: lat.ranks[i])
-    ends = {}
+    vertices.sort(key=lat.ranks.__getitem__)
+    layout = Layout(2 ** len(lat), 0)
+    ends = [0] * len(lat)
     for j in vertices:
-        lower = [ends[i] for i in lat.below[j] if i in ends]
-        ends[j] = [1] + [sum(row[k] for row in lower) for k in range(lat.rank)]
-    return FVector(f for f in map(sum, zip(*ends.values())) if f)
+        ends[j] = 1 + (sum(map(ends.__getitem__, lat.below[j])) << layout.ts)
+    f = layout.read(sum(ends), lat.rank + 1).terms
+    return FVector(f[key] for key in sorted(f))
 
 
 def h_polynomial(fvec):

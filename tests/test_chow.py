@@ -64,6 +64,37 @@ def test_oracle_agrees_with_symbolic_series():
                 assert dims.is_palindromic_in_t(r - 1)
 
 
+def _monomial_walk(lat):
+    """Graded dimensions by walking every basis monomial: a descending chain
+    of non-bottom flats with exponents 1 <= a <= (rank gap to the next flat
+    down, or to the bottom) - 1, one at a time."""
+    dims = [0] * lat.rank
+
+    def walk(i, degree):  # the chain so far ends at flat i, of total degree `degree`
+        for j in lat.below[i]:  # the bottom among them closes the chain
+            for a in range(1, lat.ranks[i] - lat.ranks[j]):
+                if j == lat.bottom:
+                    dims[degree + a] += 1
+                else:
+                    walk(j, degree + a)
+
+    dims[0] = 1
+    for i in range(len(lat)):
+        if i != lat.bottom:
+            walk(i, 0)
+    return BiPoly({(0, k): d for k, d in enumerate(dims)})
+
+
+def test_oracle_is_the_monomial_walk():
+    # the packed sums by rank gap against one monomial at a time
+    cases = [(FamilySpec.uniform(n, r), None) for n in range(1, 8) for r in range(1, n + 1)]
+    cases += [(FamilySpec.vector(3, 3), 2), (FamilySpec.vector(3, 2), 3), (FamilySpec.vector(4, 4), 2)]
+    for spec, p in cases:
+        lat = build_explicit(spec, p)
+        assert basis_monomial_oracle(lat, spec.r) == _monomial_walk(lat), (spec, p)
+    assert max(_monomial_walk(build_explicit(FamilySpec.uniform(7, 7))).terms.values()) == 2416
+
+
 def test_oracle_size_cap():
     # 256 flats: refused before any label is built, so the oracle never sees it
     with pytest.raises(ResourceBoundError, match="uniform\\(8,8\\) has over 200 flats"):

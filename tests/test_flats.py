@@ -1,11 +1,15 @@
 """Family descriptors, level data, and explicit lattice construction."""
 
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 
+from chowlab import flats
 from chowlab.charney import cd_direct, tangent_secant
 from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import ONE, BiPoly, gauss_binomial
-from chowlab.flats import FamilySpec, build_explicit, chains_above, explicit_size, level_size
+from chowlab.flats import FamilySpec, _rref_bases, _span, build_explicit, chains_above, explicit_size, level_size
 from chowlab.ordercx import FVector
 from chowlab.permstat import stats
 
@@ -176,3 +180,59 @@ def test_large_prime_is_rejected_at_once():
     # trial division stops at the square root: about 46000 steps here, not 2^31
     with pytest.raises(ResourceBoundError, match="has over 200 points"):
         build_explicit(FamilySpec.vector(2, 2), p=2**31 - 1)
+
+
+def _all_pairs_lattice(spec, p):
+    """(labels, ranks, below, upper_covers) by the definition: the rank-k
+    flats of rank below r in enumeration order, then the top; `below` by
+    all-pairs label containment, and the upper covers of a flat the flats
+    one rank up that contain it."""
+    n, r = spec.n, spec.r
+    if spec.kind == "uniform":
+        levels = [[frozenset(s) for s in combinations(range(1, n + 1), k)] for k in range(r)]
+        top = frozenset(range(1, n + 1))
+    else:
+        levels = [[_span(basis, n, p) for basis in _rref_bases(n, k, p)] for k in range(r)]
+        top = frozenset(product(range(p), repeat=n))
+    labels = [label for level in levels for label in level] + [top]
+    ranks = [k for k, level in enumerate(levels) for _ in level] + [r]
+    below = [frozenset(j for j, b in enumerate(labels) if j != i and b <= a) for i, a in enumerate(labels)]
+    covers = [tuple(j for j, b in enumerate(below) if ranks[j] == ranks[i] + 1 and i in b) for i in range(len(labels))]
+    return labels, ranks, below, covers
+
+
+def test_level_table_matches_all_pairs_containment():
+    cases = [(FamilySpec.uniform(n, r), None) for n in range(1, 8) for r in range(1, n + 1)]
+    cases += [(FamilySpec.vector(n, r), p) for p, top in ((2, 4), (3, 3)) for n in range(1, top + 1)
+              for r in range(1, n + 1)]
+    cases += [(FamilySpec.uniform(9, 3), None), (FamilySpec.uniform(198, 2), None)]
+    cases += [(FamilySpec.vector(3, 2), 5), (FamilySpec.vector(4, 2), 3)]
+    for spec, p in cases:
+        lat = build_explicit(spec, p)
+        labels, ranks, below, covers = _all_pairs_lattice(spec, p)
+        assert (list(lat.labels), list(lat.ranks)) == (labels, ranks), (spec, p)
+        assert (list(lat.below), list(lat.upper_covers)) == (below, covers), (spec, p)
+        # every vector flat of rank k is a k-dimensional subspace: p^k points
+        assert spec.kind == "uniform" or all(len(a) == p**k for a, k in zip(labels[:-1], ranks)), (spec, p)
+
+
+def test_each_rank_is_enumerated_once(monkeypatch):
+    enumerated, sized = Counter(), []
+    real_level, real_size = flats._level, flats.explicit_size
+    monkeypatch.setattr(flats, "_level", lambda *key: enumerated.update([key]) or real_level(*key))
+    monkeypatch.setattr(flats, "explicit_size", lambda *args: sized.append(args) or real_size(*args))
+    flats._flats.cache_clear()
+    built = [build_explicit(FamilySpec(kind, n, r), p) for kind, n, p in (("uniform", 7, None), ("vector", 4, 2))
+             for _ in range(2) for r in range(1, n + 1)]
+    assert enumerated == Counter([("uniform", 7, None, k) for k in range(7)] + [("vector", 4, 2, k) for k in range(4)])
+    assert len(sized) == len(built) == 22  # every build still checks its size
+    with pytest.raises(ResourceBoundError):
+        build_explicit(FamilySpec.uniform(9, 9))
+    # the lattices that share one table cannot change it
+    for lat in built:
+        for field in ("labels", "below", "upper_covers"):
+            with pytest.raises(AttributeError):
+                setattr(lat, field, ())
+        assert all(type(v) is tuple for v in (lat.labels, lat.ranks, lat.below, lat.upper_covers))
+        assert all(type(b) is frozenset for b in lat.below + lat.labels)
+        assert all(type(u) is tuple for u in lat.upper_covers)

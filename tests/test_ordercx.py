@@ -25,6 +25,11 @@ def test_fvector_examples():
     assert order_complex_fvector(FamilySpec.uniform(4, 2)) == FVector((4,))
 
 
+def test_fvector_hash_agrees_with_equality():
+    assert len({FVector((6, 6)), FVector([6, 6])}) == 1
+    assert hash(FVector((6, 6))) == hash(FVector([6, 6])) and len({FVector((6,)), FVector((6, 6))}) == 2
+
+
 def test_fvector_route_agreement():
     for n in range(2, 7):
         for r in range(1, n + 1):
