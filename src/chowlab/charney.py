@@ -6,6 +6,12 @@ carries the prefactor (-1)^((r-1)/2); both are always reported because the
 uniform-specialization statement matches the unsigned value while the
 q-statement matches the signed one.  Even rank always gives zero.
 
+Every route computes in Z[q], or in Z for the uniform family, never in
+Z[q, t].  The direct route is the Hilbert recurrence with t = -1
+substituted before any product, which is exact because substitution is a
+ring homomorphism; the chain route visits every tuple of even ranks, each
+one `int` product from its parent's.
+
 The paper writes the odd-rank quantity as a sum of determinants T(n, 2a)
 of Gaussian-binomial matrices, or as a sum of q-secant numbers.  The two
 are one sum: both matrices rescale one Toeplitz matrix in 1/(q;q)_2k, so
@@ -20,13 +26,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, islice, repeat
 from math import comb
 from operator import mul
 
 from .errors import require_equal
-from .exactalg import MINUS_ONE, BiPoly, Layout, ONE, gauss_binomial, sum_of_products
-from .chow import hilbert_recurrence
+from .exactalg import BiPoly, Layout, gauss_binomial, sum_of_products
+from .chow import _diagonal
 from .flats import UNIFORM
 from .qeuler import q_pascal_rows
 
@@ -46,8 +52,21 @@ def _signed(unsigned, r):
 
 
 def cd_direct(spec):
-    """Substitute t = -1 into the Hilbert series."""
-    return _signed(hilbert_recurrence(spec).subs_t_int(-1), spec.r)
+    """H(A, -1) by the diagonal recurrence of `chow.hilbert_recurrence`
+    with t = -1 substituted before any product (`_at_t_minus_one`).
+    Substitution is a ring homomorphism Z[q, t] -> Z[q], so the one t-row
+    read back is H(q, -1) exactly.  The layout is the recurrence's own: B_r
+    is the sum of the nonnegative coefficients of H_r(q, t), so it bounds
+    every coefficient of H_r(q, -1), and for the uniform family it has
+    q-degree 0, so the route is plain integer arithmetic."""
+    packed, layout = _diagonal(spec, _at_t_minus_one)
+    return _signed(layout.read(packed, 1), spec.r)
+
+
+def _at_t_minus_one(m, c, qs, ts):
+    """The sum of c_a t [m-a-1]_t over a <= m - 2 at t = -1, where t [k]_t
+    is -1 for odd k and 0 for even k: minus the c_a with m - a even."""
+    return -sum(islice(c, m % 2, m - 1, 2))
 
 
 def _require_odd_rank(n, r):
@@ -57,16 +76,52 @@ def _require_odd_rank(n, r):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
 
 
-def cd_chain_alternating(n, r):
-    """Unsigned quantity as the even-gap alternating rank-tuple sum."""
+def _chain_bounds(n, r, q_one):
+    """Bounds (N, D) for the chain sum of `cd_chain_alternating`, fixed
+    before any product: N is the sum over the tuples of their products'
+    l1 norms, each a product of C(n - lower, upper - lower), and D the
+    largest q-degree of a product, each binomial adding
+    (upper - lower)(n - upper).  Both by one pass over `lower` from r - 1
+    down, where norms[lower] and degrees[lower] cover the tails of the
+    tuples from `lower` up:
+
+    >>> _chain_bounds(5, 5, False), _chain_bounds(5, 5, True)
+    ((46, 8), (46, 0))
+    """
+    norms, degrees = {}, {}
+    for lower in range(r - 1, -1, -2):
+        uppers = range(lower + 2, r, 2)
+        norms[lower] = 1 + sum(comb(n - lower, upper - lower) * norms[upper] for upper in uppers)
+        degrees[lower] = max(((upper - lower) * (n - upper) + degrees[upper] for upper in uppers), default=0)
+    return norms[0], 0 if q_one else degrees[0]
+
+
+def cd_chain_alternating(n, r, q_one=False):
+    """Unsigned quantity as the alternating sum over the tuples of even
+    ranks 0 < e_1 < ... < e_m < r of the products of
+    [n - e_(i-1) over e_i - e_(i-1)]_q, e_0 = 0, signed (-1)^m; with
+    `q_one`, its value at q = 1, over Z.
+
+    Every tuple is visited, 2^((r-1)/2) in all, and each costs one `int`
+    product: its parent's (the tuple without e_m) times one packed
+    binomial, read from row n - e_(m-1) of `qeuler.q_pascal_rows(qs)`, and
+    negated, so the signs alternate with depth.  The tuples are walked in
+    order of their last rank, so a parent always comes before its children
+    and those of one parent and one last rank are one `map`.  The layout is
+    `_chain_bounds`, so the sum is read back once.
+    """
     _require_odd_rank(n, r)
-    products = []
-    for m in range(1, r // 2 + 1):
-        for gaps in combinations(range(1, (r - 1) // 2 + 1), m):
-            ranks = [2 * g for g in gaps]  # tuples of even ranks below r
-            factors = [gauss_binomial(n - lower, upper - lower) for lower, upper in zip([0] + ranks, ranks)]
-            products.append(factors + [MINUS_ONE] if m % 2 else factors)
-    return ONE + sum_of_products(products)
+    layout = Layout(*_chain_bounds(n, r, q_one))
+    rows = list(islice(q_pascal_rows(layout.qs, width=r), n + 1))
+    ending = [[] for _ in range(r)]  # ending[e]: the signed products of the tuples with last rank e
+    ending[0].append(1)
+    total = 0
+    for lower in range(0, r, 2):
+        parents, row = ending[lower], rows[n - lower]
+        total += sum(parents)
+        for upper in range(lower + 2, r, 2):
+            ending[upper] += map(mul, parents, repeat(-row[upper - lower]))
+    return layout.read(total, 1)
 
 
 # -- tangent-secant numbers ------------------------------------------------
@@ -185,16 +240,13 @@ def cd(spec, method="direct"):
     where det and qsecant name the one secant sum of `cd_qsecant`.
 
     A uniform spec gets the value of vector(n, r) at q = 1, as the paper
-    states its formulas once, in q.
+    states its formulas once, in q; every route computes it over Z.
     """
+    q_one = spec.kind == UNIFORM
     if method == "direct":
-        result = cd_direct(spec)
-    elif method == "chain":
-        result = _signed(cd_chain_alternating(spec.n, spec.r), spec.r)
-    elif method in ("det", "qsecant"):
-        result = cd_qsecant(spec.n, spec.r, q_one=spec.kind == UNIFORM)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if spec.kind == UNIFORM:
-        result = CDResult(result.unsigned.subs_q_int(1), result.signed.subs_q_int(1), result.parity)
-    return result
+        return cd_direct(spec)
+    if method == "chain":
+        return _signed(cd_chain_alternating(spec.n, spec.r, q_one), spec.r)
+    if method in ("det", "qsecant"):
+        return cd_qsecant(spec.n, spec.r, q_one)
+    raise ValueError(f"unknown method {method!r}")

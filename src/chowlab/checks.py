@@ -251,17 +251,22 @@ def egf_identity(order, q_one=False):
 
 
 def cd_routes(ns):
-    """Charney-Davis quantity: direct = chain sum = q-secant sum, odd r <= n."""
+    """Charney-Davis quantity: direct = chain sum = q-secant sum = the
+    printed Hilbert series at t = -1, odd r <= n."""
     mismatches = []
     for n in ns:
         for r in range(1, n + 1, 2):
-            direct = charney.cd_direct(FamilySpec.vector(n, r))
+            spec = FamilySpec.vector(n, r)
+            direct = charney.cd_direct(spec)
             for route, result in (
-                ("chain", charney.cd(FamilySpec.vector(n, r), "chain")),
+                ("chain", charney.cd(spec, "chain")),
                 ("qsecant", charney.cd_qsecant(n, r)),
             ):
                 if result.unsigned != direct.unsigned or result.signed != direct.signed:
                     mismatches.append(_mismatch(f"cd({n},{r}) direct vs {route}", direct.unsigned, result.unsigned))
+            series = chow.hilbert_recurrence(spec).subs_t_int(-1)
+            if series != direct.unsigned:
+                mismatches.append(_mismatch(f"cd({n},{r}) direct vs Hilbert series at t = -1", direct.unsigned, series))
     yield from mismatches
     yield _entry(f"cd routes agree (odd r <= n <= {_top(ns)})", not mismatches)
 

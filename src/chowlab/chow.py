@@ -58,7 +58,16 @@ def hilbert_chain_sum(spec):
 @lru_cache(maxsize=None)
 def hilbert_recurrence(spec):
     """Hilbert series via the upper-interval recursion, as one packed Horner
-    sum per rank along the diagonal d = n - r.
+    sum per rank along the diagonal d = n - r (`_diagonal`), with only H_r
+    read back: deg_q H_r <= d_r, deg_t H_r < r, and each coefficient is at
+    most B_r, so it fits the layout."""
+    packed, layout = _diagonal(spec, _derangement_horner)
+    return layout.read(packed, spec.r)
+
+
+def _diagonal(spec, horner):
+    """The packing of H_r = H(n, r) by the recurrence along the diagonal
+    d = n - r, and its `Layout`; nothing is read back.
 
     Peeling the rank-i flats of (n, r) leaves the interval (n - i, r - i),
     on the same diagonal.  With H_m = H(d + m, m), H_0 = 1 and a = r - i:
@@ -75,13 +84,12 @@ def hilbert_recurrence(spec):
       [d+m over m-a]_q, with 2 <= m - a < r, from the rows d + 1, ..., d + r
       of `qeuler.q_pascal_rows(qs)` cut to their first r entries (Pascal's
       triangle for the uniform family), so a long diagonal costs r entries
-      a row.  Each [d+m over d+a]_q H_a is one integer product, and the
-      sum over a is the prefix-sum Horner in t of
-      `qeuler._derangement_horner`, with the a = 0 summand 1; adding 1 then
-      gives the [m]_t term.  H_(r-1) is not needed.  The loop does not
-      recurse.
-    - Read-back.  Only H_r is read back, and it fits the layout:
-      deg_q H_r <= d_r, deg_t H_r < r, and each coefficient is at most B_r.
+      a row.  Each c_a = [d+m over d+a]_q H_a is one integer product, with
+      c_0 = 1, and `horner(m, c, qs, ts)` is the packing of the sum of
+      c_a t [m-a-1]_t over a <= m - 2: `qeuler._derangement_horner` for the
+      series itself, or the same sum at any value of t, since substituting
+      one is a ring homomorphism.  Adding 1 then gives the [m]_t term.
+      H_(r-1) is not needed.  The loop does not recurse.
     """
     d, r = spec.n - spec.r, spec.r
     layout = Layout(*map(max, _diagonal_bounds(spec)))
@@ -91,14 +99,14 @@ def hilbert_recurrence(spec):
             packed.append(0)
             continue
         c = chain([1], map(mul, row[m - 1 : 1 : -1], packed[1 : m - 1]))
-        packed.append(1 + _derangement_horner(m, c, layout.qs, layout.ts))
-    return layout.read(packed[r], r)
+        packed.append(1 + horner(m, c, layout.qs, layout.ts))
+    return packed[r], layout
 
 
 def _diagonal_bounds(spec):
     """Bounds (B_m, d_m) for H_m = H(d + m, m), 0 <= m <= r, on the diagonal
     d = n - r of `spec`, fixed before any H_m is computed.  The recurrence of
-    `hilbert_recurrence` at q = t = 1 gives
+    `_diagonal` at q = t = 1 gives
 
         B_m = m + sum_{1 <= a <= m-2} C(d+m, d+a) B_a (m-a-1),
 

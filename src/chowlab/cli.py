@@ -231,9 +231,7 @@ def emit_poly(poly, config, meta):
     elif config.fmt == "json":
         _print_json({**meta, "result": poly})
     else:
-        print("t,q,c")
-        for td, qd, c in poly.to_csv_rows():
-            print(f"{td},{qd},{c}")
+        sys.stdout.write("".join(["t,q,c\n", *(f"{td},{qd},{c}\n" for td, qd, c in poly.to_csv_rows())]))
     return 0
 
 

@@ -27,9 +27,9 @@ read back.
 from __future__ import annotations
 
 import math
-import re
+import struct
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, compress, cycle, repeat
+from itertools import accumulate, chain, compress, cycle, groupby, repeat
 from operator import itemgetter, mul, ne
 from types import MappingProxyType
 
@@ -204,20 +204,14 @@ class BiPoly:
         """
         if not self._terms:
             return "0"
-        pieces = []
-        for td in range(self.t_degree() + 1):
-            coeff = self.coefficient_in_t(td)
-            if not coeff:
-                continue
-            pieces.append(_render_t_term(coeff, td))
-        return _join_signed(pieces)
+        terms = self._terms
+        rows = groupby(sorted(terms, key=itemgetter(1, 0)), key=itemgetter(1))
+        return _join_signed([_render_t_term([(qd, terms[qd, td]) for qd, _ in row], td) for td, row in rows])
 
     def to_json_terms(self):
         """Terms as JSON-ready dicts, sorted by (t, q); coefficients as strings."""
-        return [
-            {"q": qd, "t": td, "c": str(c)}
-            for (qd, td), c in sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ]
+        terms = self._terms
+        return [{"q": qd, "t": td, "c": str(terms[qd, td])} for qd, td in sorted(terms, key=itemgetter(1, 0))]
 
     @classmethod
     def from_json_terms(cls, terms):
@@ -225,10 +219,8 @@ class BiPoly:
 
     def to_csv_rows(self):
         """Rows (t_deg, q_deg, coefficient-string), sorted by (t, q)."""
-        return [
-            (td, qd, str(c))
-            for (qd, td), c in sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ]
+        terms = self._terms
+        return [(td, qd, str(terms[qd, td])) for qd, td in sorted(terms, key=itemgetter(1, 0))]
 
 
 def _raw(terms):
@@ -367,14 +359,20 @@ class Layout:
 
     def pack(self, terms, rows):
         """The packing of the polynomial with these terms {(q_deg, t_deg): c},
-        of t-degree below `rows`.  Each of the rows * w slots is written as
-        the digit c + 2^(8 nb - 1) in one bytes join, and the bias is
-        subtracted once."""
+        of q-degree at most q_degree and t-degree below `rows`; a term
+        outside those is a `ValueError`, not a term moved to another slot.
+        Each of the rows * w slots is written as the digit c + 2^(8 nb - 1)
+        in one bytes join, and the bias is subtracted once."""
         w, nb = self.w, self.nb
+        if max(map(itemgetter(0), terms), default=0) >= w:
+            raise ValueError(f"a term of q-degree past {w - 1} does not fit this layout")
         half = 1 << (8 * nb - 1)
         digits = [half] * (rows * w)
-        for (qd, td), c in terms.items():
-            digits[td * w + qd] = c + half
+        try:
+            for (qd, td), c in terms.items():
+                digits[td * w + qd] = c + half
+        except IndexError:
+            raise ValueError(f"a term of t-degree {rows} or more does not fit {rows} rows") from None
         buf = b"".join(map(int.to_bytes, digits, repeat(nb), repeat("little")))
         return int.from_bytes(buf, "little") - self._bias(rows * w)
 
@@ -386,16 +384,17 @@ class Layout:
         or too large a coefficient, still reads back as a polynomial with
         the same packing, not as an error.  Adding the bias 2^(8 nb - 1) to
         every slot makes each slot a digit in [0, 2^(8 nb)), so the slots
-        are the nb-byte pieces of one to_bytes call, split by a regular
-        expression.  A slot equal to the bias is a zero coefficient; those
-        are dropped before any slot is read as an integer.
+        are the nb-byte pieces of one to_bytes call, sliced apart by
+        `struct.iter_unpack` with no per-width pattern to compile.  A slot
+        equal to the bias is a zero coefficient; those are dropped before
+        any slot is read as an integer.
         """
         w, nb = self.w, self.nb
         if rows is None:
             rows = (value.bit_length() + 1) // self.ts + 1
         half = 1 << (8 * nb - 1)
         buf = (value + self._bias(rows * w)).to_bytes(rows * w * nb, "little")
-        slots = re.findall(b"(?s).{%d}" % nb, buf)
+        slots = list(map(itemgetter(0), struct.iter_unpack(f"{nb}s", buf)))
         nonzero = list(map(ne, slots, repeat(half.to_bytes(nb, "little"))))
         keys = zip(cycle(range(w)), chain.from_iterable(map(repeat, range(rows), repeat(w))))
         digits = map(int.from_bytes, compress(slots, nonzero), repeat("little"))
@@ -464,30 +463,26 @@ def _render_q_monomial(c, e):
     return f"{c}*{var}"
 
 
-def _render_q(poly):
-    pieces = [_render_q_monomial(poly._terms[(e, 0)], e) for e in sorted(qd for qd, _ in poly._terms)]
-    return _join_signed(pieces)
+def _render_q(row):
+    """The q-polynomial with these (q_deg, c) terms, in ascending q-degree."""
+    return _join_signed([_render_q_monomial(c, e) for e, c in row])
 
 
-def _render_t_term(coeff, td):
+def _render_t_term(row, td):
+    """c(q) t^td, with c(q) given as its (q_deg, c) terms in ascending q-degree."""
     if td == 0:
-        return _render_q(coeff)
+        return _render_q(row)
     tvar = "t" if td == 1 else f"t^{td}"
-    if coeff == ONE:
-        return tvar
-    if coeff == MINUS_ONE:
-        return f"-{tvar}"
-    if len(coeff._terms) == 1:
-        ((qd, _), c) = next(iter(coeff._terms.items()))
-        return f"{_render_q_monomial(c, qd)}*{tvar}"
-    return f"({_render_q(coeff)})*{tvar}"
+    if len(row) > 1:
+        return f"({_render_q(row)})*{tvar}"
+    ((qd, c),) = row
+    if qd == 0 and c in (1, -1):
+        return tvar if c == 1 else f"-{tvar}"
+    return f"{_render_q_monomial(c, qd)}*{tvar}"
 
 
 def _join_signed(pieces):
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return "".join([pieces[0], *(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in pieces[1:])])
 
 
 def diff_terms(a, b):

@@ -378,6 +378,33 @@ def test_layout_read_without_rows_takes_a_value_past_the_layout():
         assert layout.read(edge).eval(2**layout.qs, 2**layout.ts) == edge
 
 
+def test_layout_pack_refuses_a_term_outside_the_layout():
+    # a term past q_degree would land in the next row's slots, and one past
+    # the rows in no slot at all: both are refused, not moved
+    for layout, terms, rows in ((Layout(100, 0), {(1, 0): 5}, 2), (Layout(100, 2), {(3, 0): 7}, 2),
+                                (Layout(100, 2), {(0, 2): 7}, 2), (Layout(100, 2), {(2, 0): 1, (2, 5): 1}, 3)):
+        with pytest.raises(ValueError, match="does not fit"):
+            layout.pack(terms, rows)
+    assert Layout(100, 2).read(Layout(100, 2).pack({(2, 1): 7}, 2), 2) == BiPoly({(2, 1): 7})
+
+
+def test_layout_read_compiles_no_pattern(monkeypatch):
+    # the slots are sliced apart, so a width no read has used yet needs no
+    # regular expression
+    import re
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re used")
+
+    for name in ("compile", "findall", "finditer", "split", "match", "fullmatch", "search", "_compile"):
+        monkeypatch.setattr(re, name, refuse)
+    layout = Layout(2**290 + 7, 2)
+    assert layout.nb == 37
+    terms = {(0, 0): 2**290, (2, 0): -3, (1, 2): -(2**289)}
+    assert layout.read(layout.pack(terms, 3), 3) == BiPoly(terms)
+    assert not hasattr(bipoly, "re")
+
+
 def test_one_slot_layout_is_q_equal_one():
     layout = Layout(10**30, 0)
     assert (layout.w, layout.nb, layout.qs, layout.ts) == (1, 13, 0, 104)

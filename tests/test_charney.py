@@ -8,6 +8,7 @@ from math import comb, factorial, prod
 import pytest
 
 import chowlab.charney as charney_module
+import chowlab.chow as chow_module
 from chowlab import checks
 from chowlab.charney import (
     cd,
@@ -17,8 +18,10 @@ from chowlab.charney import (
     t_term,
     tangent_secant,
 )
+from chowlab.chow import hilbert_recurrence
+from chowlab.cli import main
 from chowlab.errors import RouteDisagreementError
-from chowlab.exactalg import BiPoly, Layout, ONE, Q, ZERO, bipoly, gauss_binomial, leading_principal_minors
+from chowlab.exactalg import BiPoly, Layout, ONE, Q, T, ZERO, bipoly, gauss_binomial, leading_principal_minors
 from chowlab.flats import FamilySpec
 
 CD55_REFERENCE = BiPoly({(8, 0): 1, (7, 0): 2, (6, 0): 3, (5, 0): 4, (4, 0): 3, (3, 0): 2, (2, 0): 1})
@@ -55,16 +58,84 @@ def test_chain_alternating_small():
 
 
 def test_uniform_secant_sum_is_over_z(monkeypatch):
-    # cd --family uniform --method det|qsecant sums C(n, 2k) E_2k(1) with
-    # math.comb: no Gaussian binomial and no polynomial product
-    calls = []
-    for name in ("gauss_binomial", "sum_of_products"):
-        real = getattr(charney_module, name)
-        monkeypatch.setattr(charney_module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    for method in ("det", "qsecant"):
+    # cd --family uniform sums over Z under every method: det and qsecant sum
+    # C(n, 2k) E_2k(1) with math.comb, and direct and chain run at layouts
+    # of q-degree 0, so no route builds a Gaussian binomial or multiplies
+    # polynomials
+    calls, q_degrees = [], []
+    for module in (charney_module, chow_module):
+        for name in ("gauss_binomial", "sum_of_products"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    real_init = Layout.__init__
+    monkeypatch.setattr(Layout, "__init__", lambda self, norm, q_degree: q_degrees.append(q_degree) or
+                        real_init(self, norm, q_degree))
+    expected = cd_direct(FamilySpec.uniform(23, 23))
+    for method in ("direct", "chain", "det", "qsecant"):
+        q_degrees.clear()
         result = cd(FamilySpec.uniform(23, 23), method)
         assert calls == []
-        assert result == cd_direct(FamilySpec.uniform(23, 23))
+        assert result == expected and result.unsigned.terms.keys() == {(0, 0)}
+        if method in ("direct", "chain"):
+            assert q_degrees == [0], method
+
+
+def test_direct_is_the_hilbert_series_at_minus_one():
+    # t = -1 substituted before any product gives the printed series' value
+    for kind in ("vector", "uniform"):
+        for n in range(1, 11):
+            for r in range(1, n + 1):
+                spec = FamilySpec(kind, n, r)
+                assert cd_direct(spec).unsigned == hilbert_recurrence(spec).subs_t_int(-1), spec
+
+
+def test_chain_equals_direct_through_fifteen():
+    for n in range(1, 16):
+        for r in range(1, n + 1, 2):
+            assert cd_chain_alternating(n, r) == cd_direct(FamilySpec.vector(n, r)).unsigned, (n, r)
+
+
+def test_direct_reads_one_row_at_the_diagonal_layout(monkeypatch):
+    # cd_direct never reads the bivariate series back: one t-row, at the
+    # layout of the Hilbert recurrence's own bounds
+    reads = []
+    real_read = Layout.read
+    monkeypatch.setattr(Layout, "read", lambda layout, value, rows=None: reads.append((layout.nb, layout.w, rows))
+                        or real_read(layout, value, rows))
+    spec = FamilySpec.vector(19, 17)
+    layout = Layout(*map(max, chow_module._diagonal_bounds(spec)))
+    cd_direct(spec)
+    assert reads == [(layout.nb, layout.w, 1)]
+
+
+def test_chain_layout_bounds_every_tuple():
+    # the chain layout's norm is the sum over the tuples of their l1 norms
+    # (exact: binomials have nonnegative coefficients), and its q-degree the
+    # largest degree of one product
+    for n, r in ((5, 5), (9, 7), (11, 11)):
+        tuples = [ranks for m in range(r // 2 + 1) for ranks in combinations(range(2, r, 2), m)]
+        products = [prod((gauss_binomial(n - lo, hi - lo) for lo, hi in zip((0,) + t, t)), start=ONE) for t in tuples]
+        norm = sum(sum(p.terms.values()) for p in products)
+        assert charney_module._chain_bounds(n, r, False) == (norm, max(p.q_degree() for p in products))
+        assert charney_module._chain_bounds(n, r, True) == (norm, 0)
+
+
+def test_tampered_minus_one_step_fails_route_agreement(capsys, monkeypatch):
+    real = charney_module._at_t_minus_one
+    monkeypatch.setattr(charney_module, "_at_t_minus_one", lambda m, c, qs, ts: real(m, c, qs, ts) + (m == 3))
+    assert main(["check", "--suite", "route-agreement", "--nmax", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  route-agreement" in out and "cd(5,3) direct vs Hilbert series at t = -1" in out
+
+
+def test_cd_routes_compare_the_printed_series(monkeypatch):
+    # a Hilbert series off by q t at vector(5, 3) is caught by the cd routes
+    # alone: its value at t = -1 is q less than every cd route's
+    real = chow_module.hilbert_recurrence
+    monkeypatch.setattr(chow_module, "hilbert_recurrence",
+                        lambda spec: real(spec) + Q * T if spec == FamilySpec.vector(5, 3) else real(spec))
+    failed = [e["name"] for e in checks.cd_routes(range(1, 6)) if not e["ok"]]
+    assert failed == ["cd(5,3) direct vs Hilbert series at t = -1", "cd routes agree (odd r <= n <= 5)"]
 
 
 def test_uniform_result_is_q_one_specialization():

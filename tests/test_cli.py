@@ -83,6 +83,21 @@ def test_csv_format(capsys):
     assert out.splitlines() == ["t,q,c", "0,0,1", "1,0,7", "2,0,1"]
 
 
+def test_csv_is_one_write(monkeypatch):
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["hilbert", "--family", "vector", "--n", "4", "--r", "3", "--format", "csv"]) == 0
+    assert len(writes) == 1 and writes[0].startswith("t,q,c\n0,0,1\n1,0,") and writes[0].endswith("2,0,1\n")
+
+
 def test_qeulerian_and_secant(capsys):
     _, out, _ = run_cli(capsys, "qeulerian", "--n", "3")
     assert out == "1 + (2 + q + q^2)*t + t^2\n"
