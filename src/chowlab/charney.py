@@ -31,7 +31,7 @@ from math import comb
 from operator import mul
 
 from .errors import require_equal
-from .exactalg import BiPoly, Layout, gauss_binomial, sum_of_products
+from .exactalg import ZERO, BiPoly, Layout, gauss_binomial
 from .chow import _diagonal
 from .flats import UNIFORM
 from .qeuler import q_pascal_rows
@@ -47,8 +47,7 @@ class CDResult(namedtuple("CDResult", "unsigned signed parity")):
 def _signed(unsigned, r):
     if r % 2 == 0:
         return CDResult(unsigned, unsigned, 0)
-    sign = -1 if ((r - 1) // 2) % 2 else 1
-    return CDResult(unsigned, sign * unsigned, 1)
+    return CDResult(unsigned, -unsigned if (r - 1) // 2 % 2 else unsigned, 1)
 
 
 def cd_direct(spec):
@@ -58,9 +57,12 @@ def cd_direct(spec):
     read back is H(q, -1) exactly.  The layout is the recurrence's own: B_r
     is the sum of the nonnegative coefficients of H_r(q, t), so it bounds
     every coefficient of H_r(q, -1), and for the uniform family it has
-    q-degree 0, so the route is plain integer arithmetic."""
-    packed, layout = _diagonal(spec, _at_t_minus_one)
-    return _signed(layout.read(packed, 1), spec.r)
+    q-degree 0, so the route is plain integer arithmetic.  H_r reads only
+    the H_m with m = r (mod 2), so a row m of the other parity returns 0 at
+    once, without taking any product: those rows hold placeholders."""
+    r = spec.r
+    packed, layout = _diagonal(spec, lambda m, c, qs, ts: 0 if (r - m) % 2 else _at_t_minus_one(m, c, qs, ts))
+    return _signed(layout.read(packed, 1), r)
 
 
 def _at_t_minus_one(m, c, qs, ts):
@@ -231,7 +233,7 @@ def cd_qsecant(n, r, q_one=False):
     if q_one:
         unsigned = BiPoly.const(sum(comb(n, 2 * k) * table.classical[2 * k] for k in ks))
     else:
-        unsigned = sum_of_products((gauss_binomial(n, 2 * k), table[2 * k]) for k in ks)
+        unsigned = sum((gauss_binomial(n, 2 * k) * table[2 * k] for k in ks), ZERO)
     return _signed(unsigned, r)
 
 

@@ -9,9 +9,8 @@ chain sum    : sum over strictly increasing rank tuples, each weighted by
 recurrence   : peel the lattice at each level and recurse into the upper
                interval, on the same diagonal n - r: one packed Horner sum
                per rank, bottom-up, and only rank r read back;
-closed form  : A_n(q,t) minus the difference series of the ranks above r,
-               added up as one sum of [n over m]_q times a t-reversed
-               D_m(q,t) times a [n - k]_t;
+closed form  : one packed sum over the fixed-point fibers m < r of
+               [n over m]_q D_m(q,t) [r - m]_t, from the bottom;
 monomial oracle : count flag-supported basis monomials with rank-gap
                exponent bounds directly on an explicit lattice.
 
@@ -22,37 +21,53 @@ evaluating q at the lattice's field size (q = 1 for uniform).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, islice, repeat
 from math import comb
 from operator import mul
 
-from .exactalg import BiPoly, Layout, ONE, T, gauss_binomial, sum_of_products, t_quantum
+from .exactalg import Layout
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
-from .qeuler import (
-    _derangement_horner,
-    classical_eulerian,
-    derangement_polynomials,
-    q_eulerian_by_recurrence,
-    q_pascal_rows,
-)
+from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, _t_quantum_size, q_pascal_rows
 
 
 def hilbert_chain_sum(spec):
-    """Hilbert series as the rank-tuple chain sum.  The kept tuples, those
-    whose gaps from 0 up are all at least 2, are rank_i = pick_i + i for the
-    increasing m-tuples of picks in 1 .. r - m, so m <= r // 2."""
+    """Hilbert series as the sum over the rank tuples 0 = e_0 < e_1 < ...
+    < e_m <= r, every gap at least 2, of the products of
+    chains_above(e_(i-1), e_i) t [e_i - e_(i-1) - 1]_t.  Every tuple is
+    visited, each one `int` product: its parent's (the tuple without e_m)
+    times the packed factor of its last step.  Walked in order of the last
+    rank, a parent comes before its children, and `ending[lower]` is freed
+    after its pass.  The layout is `_chain_sum_bounds`; one read back."""
     r = spec.r
-    gap_factor = {gap: T * t_quantum(gap - 1) for gap in range(2, r + 1)}
-    products = []
-    for m in range(1, r // 2 + 1):
-        for picks in combinations(range(1, r - m + 1), m):
-            ranks = [pick + i for i, pick in enumerate(picks, 1)]
-            steps = list(zip([0] + ranks, ranks))
-            products.append(
-                [chains_above(spec, lower, upper) for lower, upper in steps]
-                + [gap_factor[upper - lower] for lower, upper in steps]
-            )
-    return ONE + sum_of_products(products)
+    layout = Layout(*_chain_sum_bounds(spec))
+    ending = [[1]] + [[] for _ in range(r)]  # ending[e]: the products of the tuples with last rank e
+    total = 0
+    for lower in (0, *range(2, r + 1)):  # no tuple ends at rank 1
+        parents, ending[lower] = ending[lower], None
+        total += sum(parents)
+        for upper in range(lower + 2, r + 1):
+            binomial = layout.pack(chains_above(spec, lower, upper).terms, 1)
+            step = sum(binomial << a * layout.ts for a in range(1, upper - lower))  # times t [upper - lower - 1]_t
+            ending[upper] += map(mul, parents, repeat(step))
+    return layout.read(total, r)
+
+
+def _chain_sum_bounds(spec):
+    """Bounds (N, D) for `hilbert_chain_sum`, fixed before any product: N is
+    the sum of its products' l1 norms, each step a factor ||chains_above||_1
+    (gap - 1), and D their largest q-degree, each step adding that of
+    chains_above, by one pass from r down over the tails of the tuples from
+    `lower` up.  Every coefficient is nonnegative, so N = H(1, 1):
+
+    >>> _chain_sum_bounds(FamilySpec.vector(5, 5)), _chain_sum_bounds(FamilySpec.uniform(5, 5))
+    ((120, 8), (120, 0))
+    """
+    norms, degrees = {}, {}
+    for lower in range(spec.r, -1, -1):
+        steps = [(upper, chains_above(spec, lower, upper)) for upper in range(lower + 2, spec.r + 1)]
+        norms[lower] = 1 + sum(f.eval(1, 1) * (upper - lower - 1) * norms[upper] for upper, f in steps)
+        degrees[lower] = max((f.q_degree() + degrees[upper] for upper, f in steps), default=0)
+    return norms[0], degrees[0]
 
 
 @lru_cache(maxsize=None)
@@ -133,35 +148,45 @@ def _diagonal_bounds(spec):
 
 
 def hilbert_closed_form(spec):
-    """Full-rank polynomial minus the difference series of the ranks above r.
-
-    Over j = r .. n-1 the m-th terms of `delta_series(n, j)` add up to
-    [n over m]_q t^k D_m(q, 1/t) [n - k]_t, k = max(m, r): one sum of n
-    products.  For the vector family the full-rank polynomial is A_n(q,t);
-    the uniform family takes the classical A_n(t) and the sum at q = 1.
-    """
-    n, r = spec.n, spec.r
-    deltas = sum_of_products(
-        (gauss_binomial(n, m), _reversed(d, max(m, r)), t_quantum(n - max(m, r)))
-        for m, d in enumerate(derangement_polynomials(n - 1))
-    )
-    if spec.kind == UNIFORM:
-        return classical_eulerian(n) - deltas.subs_q_int(1)
-    return q_eulerian_by_recurrence(n) - deltas
+    """H(n, r) = sum_{m < r} [n over m]_q D_m(q, t) [r - m]_t by `_fiber_sum`,
+    from D_0, ..., D_(r-1) alone.  It is H(n, 1) = 1 plus delta_series(n, j)
+    for 1 <= j < r, whose m-th terms add up to [n over m]_q D_m [r - m]_t,
+    the 1 completing the m = 0 term as D_0 = 1.  Uniform is it at q = 1."""
+    return _fiber_sum(spec.n, spec.r - 1, q_one=spec.kind == UNIFORM, cumulative=True)
 
 
 def delta_series(n, r):
     """Difference of Hilbert series between ranks r+1 and r: the sum of
     q^(maj-exc) t^(r-exc) over permutations with at least n-r fixed points,
-    which is sum_{m <= r} [n over m]_q t^r D_m(q, 1/t)."""
+    which is sum_{m <= r} [n over m]_q t^r D_m(q, 1/t), and
+    sum_{m <= r} [n over m]_q D_m(q, t) t^(r-m), as t^m D_m(q, 1/t) = D_m(q, t)
+    (Shareshian and Wachs, Adv. Math. 225, 2010).  See `_fiber_sum`."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    return sum_of_products((gauss_binomial(n, m), _reversed(d, r)) for m, d in enumerate(derangement_polynomials(r)))
+    return _fiber_sum(n, r, q_one=False, cumulative=False)
 
 
-def _reversed(poly, k):
-    """t^k poly(q, 1/t), for k at least the t-degree of poly."""
-    return BiPoly({(qd, k - td): c for (qd, td), c in poly.terms.items()})
+def _fiber_sum(n, top, q_one, cumulative):
+    """sum_{m <= top} [n over m]_q D_m(q, t) w_m(t), w_m = t^(top - m), or
+    [top + 1 - m]_t when `cumulative`; with `q_one`, its value at q = 1.
+
+    The layout holds the sum: norm sum_m C(n, m) B_m ||w_m||_1 and q-degree
+    max_m m(n - m) + d_m (0 with `q_one`), (B_m, d_m) from `_q_egf_bounds`.
+    D_0, ..., D_top are built at it by `_q_egf` and never read back (see
+    `Layout`).  Each c_m = [n over m]_q D_m is one `int` product, with the
+    binomials from row n of `q_pascal_rows(qs)`, and the sum is in Horner
+    form in t, of the c_m or, when `cumulative`, of their prefix sums, as
+    sum_m c_m [top + 1 - m]_t = sum_j t^j (c_0 + ... + c_(top - j)).
+    """
+    norms, degrees = _q_egf_bounds(top, _t_quantum_size)
+    norm = sum(comb(n, m) * b * (top + 1 - m if cumulative else 1) for m, b in enumerate(norms))
+    layout = Layout(norm, 0 if q_one else max(m * (n - m) + d for m, d in enumerate(degrees)))
+    binomials = next(islice(q_pascal_rows(layout.qs, width=top + 1), n, None))
+    c = map(mul, binomials, _q_egf(top, _derangement_horner, layout))
+    x = 0
+    for c_m in accumulate(c) if cumulative else c:
+        x = (x << layout.ts) + c_m
+    return layout.read(x, top + 1)
 
 
 # -- brute-force oracle on explicit lattices ------------------------------

@@ -1,6 +1,7 @@
 """Exact arithmetic foundation: sparse (q,t)-polynomials (`bipoly`), their
-one packed-integer format (`Layout`), and their sums of products and the
-leading principal minors of a matrix of them computed in that format."""
+one packed-integer format (`Layout`), through which `*` multiplies large
+polynomials, and the leading principal minors of a matrix of them computed
+in that format."""
 
 from .bipoly import (
     BiPoly,
@@ -13,7 +14,6 @@ from .bipoly import (
     diff_terms,
     gauss_binomial,
     leading_principal_minors,
-    sum_of_products,
     t_quantum,
 )
 
@@ -28,6 +28,5 @@ __all__ = [
     "diff_terms",
     "gauss_binomial",
     "leading_principal_minors",
-    "sum_of_products",
     "t_quantum",
 ]

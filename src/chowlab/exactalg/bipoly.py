@@ -16,27 +16,25 @@ quantity in the package lives in a single value type.
 Large polynomials are multiplied as Python integers, through one packing
 format, `Layout` (Kronecker substitution: D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
-2009).  Sums of products go through one kernel, `sum_of_products`: every
-factor is packed once, the integer products are added, and each sum is
-read back once.  A single large product is a one-term call of the kernel.
-Leading principal minors, by one Bareiss elimination, use the same packing:
-the matrix is packed once and eliminated in `int`, and only the minors are
-read back.
+2009).  `*` packs a large product's two factors at one layout and reads
+the product back once; every other packed route fixes its own layout from
+its own bounds and multiplies `int`s.  Leading principal minors, by one
+Bareiss elimination, use the same packing: the matrix is packed once and
+eliminated in `int`, and only the minors are read back.
 """
 
 from __future__ import annotations
 
-import math
 import struct
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle, groupby, repeat
 from operator import itemgetter, mul, ne
 from types import MappingProxyType
 
-# A product, by `*` or inside `sum_of_products`, takes the Kronecker route
-# when it has at least this many term tuples (the product of its factors' term
-# counts; see `_packs`).  Below that the term loop is faster: packing and
-# unpacking cost a pass over the whole (q, t) rectangle of the product.
+# A product by `*` takes the Kronecker route when it has at least this many
+# term pairs (the product of its factors' term counts).  Below that the term
+# loop is faster: packing and unpacking cost a pass over the whole (q, t)
+# rectangle of the product.
 _KRONECKER_MIN_PAIRS = 256
 
 
@@ -94,10 +92,27 @@ class BiPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        """The product, by the term loop, or packed at one `Layout` when it
+        has at least _KRONECKER_MIN_PAIRS term pairs.  The packed product's
+        coefficients are at most min(||a||_1 max|b|, ||b||_1 max|a|), its
+        q-degree and t-degree the sums of the factors', so it reads back
+        exactly from the layout of that bound and q-degree."""
         a, b = self._terms, _coerce(other)._terms
-        if _packs((len(a), len(b))):
-            return sum_of_products([(self, other)])
-        return _raw(_mul_terms(a, b))
+        if len(a) * len(b) < _KRONECKER_MIN_PAIRS:
+            out = {}
+            for (qa, ta), ca in a.items():
+                for (qb, tb), cb in b.items():
+                    k = (qa + qb, ta + tb)
+                    s = out.get(k, 0) + ca * cb
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+            return _raw(out)
+        sa, sb = list(map(abs, a.values())), list(map(abs, b.values()))
+        (qa, ta), (qb, tb) = (map(max, zip(*terms)) for terms in (a, b))
+        layout = Layout(min(sum(sa) * max(sb), sum(sb) * max(sa)), qa + qb)
+        return layout.read(layout.pack(a, ta + 1) * layout.pack(b, tb + 1), ta + tb + 1)
 
     __rmul__ = __mul__
 
@@ -145,12 +160,8 @@ class BiPoly:
 
     def is_palindromic_in_t(self, degree):
         """True iff coeff of t^k equals coeff of t^(degree-k) as q-polynomials."""
-        if self.t_degree() > degree:
-            return False
-        return all(
-            self.coefficient_in_t(k) == self.coefficient_in_t(degree - k)
-            for k in range(degree // 2 + 1)
-        )
+        terms = self._terms
+        return self.t_degree() <= degree and all(terms.get((qd, degree - td)) == c for (qd, td), c in terms.items())
 
     # -- substitution and evaluation ----------------------------------
 
@@ -235,97 +246,6 @@ def _coerce(x):
     if isinstance(x, int):
         return BiPoly.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to BiPoly")
-
-
-def _packs(lengths):
-    """Whether a product of factors with these term counts is packed; the
-    one rule for `*` and for each product of `sum_of_products`."""
-    return math.prod(lengths) >= _KRONECKER_MIN_PAIRS
-
-
-def _mul_terms(a, b):
-    """The product of two term dicts by the term loop."""
-    out = {}
-    for (qa, ta), ca in a.items():
-        for (qb, tb), cb in b.items():
-            k = (qa + qb, ta + tb)
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def sum_of_products(products):
-    """The sum over `products` of the product of each one's factors.
-
-    Each product is a sequence of BiPoly (or int) factors; an empty one is
-    the empty product 1.  The result is one BiPoly:
-
-    >>> sum_of_products([(Q + T, Q - T), (T, T), (3,)]).to_text()
-    '3 + q^2'
-
-    - Small products.  A product with fewer than _KRONECKER_MIN_PAIRS term
-      tuples (the product of its factors' term counts) is multiplied by the
-      term loop and its terms are added as a dict.  `*` routes by the same
-      rule, `_packs`, so a one-product call packs exactly when `*` would.
-    - Bound.  A product's coefficients are at most ||f_1||_1 ... ||f_(k-1)||_1
-      max|f_k| in absolute value, for any factor taken last; the kernel
-      takes the smallest of these k bounds, which for two factors is never
-      looser than min(len f_1, len f_2) max|f_1| max|f_2|.
-    - Grouping.  Products go into groups by the bit length of the bit
-      length of their bound, so that a product of 1-bit coefficients is not
-      packed at the width a product of 2^200-sized ones needs.  A group's
-      `Layout` holds the sum of its products' bounds and their largest
-      q-degree, and its t-rows their largest t-degree.
-    - Packing.  Each distinct factor (by identity) is packed once per group,
-      the integer products are added, and each group's sum is read back
-      once; it fits the group's layout, as its degrees and coefficients are
-      within the bounds the layout was fixed from.  The groups' terms are
-      then added as dicts.
-    """
-    seen = {}  # id(terms) -> (terms, deg_q, deg_t, l1 norm, max |c|) of each distinct factor
-    small = []  # products with few term tuples, multiplied by the term loop
-    groups = {}  # bound class -> [factor id lists, deg_q, deg_t, sum of bounds]
-    for product in products:
-        factors = [_coerce(f)._terms for f in tuple(product) or (ONE,)]
-        if not all(factors):
-            continue  # a zero factor
-        if not _packs(map(len, factors)):
-            small.append(reduce(_mul_terms, factors))
-            continue
-        for terms in factors:
-            if id(terms) not in seen:
-                sizes = list(map(abs, terms.values()))
-                qd, td = max(map(itemgetter(0), terms)), max(map(itemgetter(1), terms))
-                seen[id(terms)] = (terms, qd, td, sum(sizes), max(sizes))
-        stats = [seen[id(terms)] for terms in factors]
-        norm = math.prod(s[3] for s in stats)
-        bound = min(norm // s[3] * s[4] for s in stats)
-        group = groups.setdefault(bound.bit_length().bit_length(), [[], 0, 0, 0])
-        group[0].append([id(terms) for terms in factors])
-        group[1] = max(group[1], sum(s[1] for s in stats))
-        group[2] = max(group[2], sum(s[2] for s in stats))
-        group[3] += bound
-    parts = []
-    for members, dq, dt, bound in groups.values():
-        layout = Layout(bound, dq)
-        packed = {}
-        for key in dict.fromkeys(key for ids in members for key in ids):
-            terms, _, td, _, _ = seen[key]
-            packed[key] = layout.pack(terms, td + 1)
-        total = sum(math.prod(map(packed.__getitem__, ids)) for ids in members)
-        parts.append(layout.read(total, dt + 1)._terms)
-    out = parts[0] if parts else {}
-    for part in parts[1:] + small:
-        for k, c in part.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return _raw(out)
 
 
 class Layout:

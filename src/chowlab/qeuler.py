@@ -7,10 +7,12 @@ degree bounds taken from the recurrence itself, holds every entry; the
 Gaussian binomials are the rows of the q-Pascal rule at the layout's q,
 each [m over a]_q x_a is one integer product, and the sum over a runs in
 Horner form, where a multiply by t - q^i or by t is a shift.  Only A_n is
-read back; the table D_0, ..., D_n is read back whole, each entry once.
-The brute-force definition of A_n exists as its oracle.  The classical (q = 1) polynomials
-come from their own integer recurrence on Eulerian numbers, not from the
-q-recurrence.
+read back; the table D_0, ..., D_n is read back whole, each entry once,
+or, for the closed form and the difference series of `chow`, built at the
+layout of their sum and never read back itself.  The brute-force
+definition of A_n exists as its oracle.  The classical (q = 1)
+polynomials come from their own integer recurrence on Eulerian numbers,
+not from the q-recurrence.
 """
 
 from __future__ import annotations
@@ -106,23 +108,23 @@ def q_pascal_rows(qs, width=None):
         row = [1, *(lo + (hi << qs * a) for a, (lo, hi) in enumerate(zip(row, row[1:]), 1)), 1][:width]
 
 
-def _q_egf(n, horner, g):
+def _q_egf(n, horner, layout):
     """The packings x_0, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a)
-    from x_0 = 1, and their one `Layout`.
+    from x_0 = 1, at the caller's `layout`.
 
-    - Layout.  Fixed from (B_m, d_m) of `_q_egf_bounds(n, g)`: every x_m
-      fits it, as deg_q x_m <= d_m, its t-degree is at most m, and each
-      coefficient is at most B_m.
+    - Layout.  The caller fixes it from (B_m, d_m) of `_q_egf_bounds(n, g)`
+      for what it reads back: an x_m itself, which fits, as deg_q x_m <= d_m,
+      its t-degree is at most m, and each coefficient is at most B_m, or a
+      sum of products of them.  Nothing else need fit (see `Layout`).
     - Recurrence.  Row m of `q_pascal_rows(qs)` holds every [m over a]_q
       packed, each c_a = [m over a]_q x_a is one integer product, and
       `horner` sums the c_a times g_(m - a) with shifts and adds.  Nothing
       is read back here.
     """
-    layout = Layout(*map(max, _q_egf_bounds(n, g)))
     packed = [1]
     for m, row in enumerate(islice(q_pascal_rows(layout.qs), 1, n + 1), 1):
         packed.append(horner(m, map(mul, row, packed), layout.qs, layout.ts))
-    return packed, layout
+    return packed
 
 
 @lru_cache(maxsize=None)
@@ -131,8 +133,8 @@ def q_eulerian_by_recurrence(n):
     A_0, ..., A_n packed at the layout of n, and only A_n read back."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    packed, layout = _q_egf(n, _eulerian_horner, _f_size)
-    return layout.read(packed[n], n + 1)
+    layout = Layout(*map(max, _q_egf_bounds(n, _f_size)))
+    return layout.read(_q_egf(n, _eulerian_horner, layout)[n], n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +147,8 @@ def derangement_polynomials(n):
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    packed, layout = _q_egf(n, _derangement_horner, _t_quantum_size)
-    return tuple(layout.read(x, m + 1) for m, x in enumerate(packed))
+    layout = Layout(*map(max, _q_egf_bounds(n, _t_quantum_size)))
+    return tuple(layout.read(x, m + 1) for m, x in enumerate(_q_egf(n, _derangement_horner, layout)))
 
 
 def derangement_polynomial(n):

@@ -6,6 +6,8 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,6 @@ from chowlab.exactalg import (
     ZERO,
     diff_terms,
     gauss_binomial,
-    sum_of_products,
     t_quantum,
 )
 
@@ -259,7 +260,7 @@ def _repeated_product(x, n):
 
 
 def schoolbook_sum(products):
-    """Test-local oracle for sum_of_products: each product factor by factor, summed in a dict."""
+    """Test-local oracle for a sum of products: each product factor by factor, summed in a dict."""
     total = {}
     for product in products:
         acc = ONE
@@ -268,6 +269,11 @@ def schoolbook_sum(products):
         for k, c in acc.terms.items():
             total[k] = total.get(k, 0) + c
     return {k: c for k, c in total.items() if c}
+
+
+def sum_of_products(products):
+    """The sum of the products, by `*` and `+` alone."""
+    return sum((reduce(mul, product, ONE) for product in products), ZERO)
 
 
 kernel_factors = st.one_of(
@@ -287,7 +293,7 @@ kernel_factors = st.one_of(
 def test_sum_of_products_against_schoolbook_oracle(pool, shapes, cancel, packed):
     # factors are drawn from a small pool, so one factor object recurs across
     # products; with `cancel` every product also appears negated; `packed`
-    # sends every product through the packed groups, else through the term loop
+    # sends every multiply through the packed route, else through the term loop
     products = [[pool[i % len(pool)] for i in shape] for shape in shapes]
     if cancel:
         products += [product + [MINUS_ONE] for product in products]
@@ -296,26 +302,23 @@ def test_sum_of_products_against_schoolbook_oracle(pool, shapes, cancel, packed)
     assert result.terms == schoolbook_sum(products)
     if cancel:
         assert result == ZERO
-    assert sum_of_products(iter(products)) == result
 
 
 def test_small_products_take_the_term_loop(unpacked_widths):
-    # fewer than _KRONECKER_MIN_PAIRS term tuples: no packing
+    # fewer than _KRONECKER_MIN_PAIRS term pairs in each product: no packing
     assert sum_of_products([(ONE + Q, ONE - Q, ONE + T), (Q**2,)]) == ONE + T - Q**2 * T
     assert unpacked_widths == []
 
 
-def test_one_product_routes_like_mul(unpacked_widths):
-    # `*` and a one-product kernel call pack by the same rule, whatever the
-    # shape: a monomial or a t - q^i factor, a short pair, a long pair
+def test_mul_packs_from_the_pair_threshold(unpacked_widths):
+    # `*` packs, and reads back once, exactly when a product has at least
+    # _KRONECKER_MIN_PAIRS term pairs, whatever the shape: a monomial or a
+    # t - q^i factor, a short pair, a long pair
     row = BiPoly({(d, 0): d + 1 for d in range(300)})
     for a, b in ((row, T), (row, T - Q**3), (t_quantum(15), t_quantum(15)), (t_quantum(16), t_quantum(16)), (Q, T)):
         unpacked_widths.clear()
-        product = a * b
-        by_mul = len(unpacked_widths)
-        unpacked_widths.clear()
-        assert sum_of_products([(a, b)]) == product
-        assert len(unpacked_widths) == by_mul == (len(a.terms) * len(b.terms) >= bipoly._KRONECKER_MIN_PAIRS)
+        assert (a * b).terms == schoolbook(a, b)
+        assert len(unpacked_widths) == (len(a.terms) * len(b.terms) >= bipoly._KRONECKER_MIN_PAIRS)
 
 
 def test_sum_of_products_of_nothing():
@@ -323,30 +326,22 @@ def test_sum_of_products_of_nothing():
     assert sum_of_products([()]) == ONE
     assert sum_of_products([(Q, ZERO), (ZERO,)]) == ZERO
     assert sum_of_products([(2, Q), (T,), ()]) == 2 * Q + T + ONE
+    with forced_route(True):
+        assert Q * ZERO == ZERO * T == ZERO and (Q * T) * 1 == Q * T
 
 
 def test_kernel_slots_where_the_bound_is_attained(unpacked_widths):
     # the middle coefficient of [n]_q^2 is n = ||[n]_q||_1 max|[n]_q|, the
-    # bound itself: 127 and -127 fit one byte with the sign bit, 128 needs two
+    # bound of the packed product itself: 127 and -127 fit one byte with the
+    # sign bit, 128 needs two
     for n, nb in ((127, 1), (128, 2)):
         p = BiPoly({(d, 0): 1 for d in range(n)})
         for sign in (1, -1):
             unpacked_widths.clear()
-            square = sum_of_products([(p, sign * p)])
+            square = p * (sign * p)
             assert square.terms == schoolbook(p, sign * p)
             assert square.terms[(n - 1, 0)] == sign * n
             assert unpacked_widths == [nb]
-
-
-def test_kernel_groups_wide_and_narrow_products(unpacked_widths):
-    # a product of 1-bit coefficients is not packed at the width of a 2^200
-    # one: two groups, each unpacked once at its own width, and the sum is
-    # still exact
-    big = BiPoly({(d, t): (-1) ** d * (2**200 - d) for d in range(20) for t in range(3)})
-    small = BiPoly({(d, t): 1 for d in range(20) for t in range(3)})
-    products = [(big, big), (small, small), (small, T * small)]
-    assert sum_of_products(products).terms == schoolbook_sum(products)
-    assert sorted(unpacked_widths) == [1, 51]  # 60 (2^200)^2 < 2^406 needs 51 bytes with the sign bit
 
 
 @given(st.integers(0, 2**70), st.integers(0, 5), st.integers(1, 4), st.data())

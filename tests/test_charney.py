@@ -59,25 +59,29 @@ def test_chain_alternating_small():
 
 def test_uniform_secant_sum_is_over_z(monkeypatch):
     # cd --family uniform sums over Z under every method: det and qsecant sum
-    # C(n, 2k) E_2k(1) with math.comb, and direct and chain run at layouts
-    # of q-degree 0, so no route builds a Gaussian binomial or multiplies
-    # polynomials
+    # C(n, 2k) E_2k(1) with math.comb and read nothing back, and direct and
+    # chain run at one layout of q-degree 0, read back once, so no route
+    # builds a Gaussian binomial or multiplies polynomials
+    expected = cd_direct(FamilySpec.uniform(23, 23))
+    tangent_secant(22)  # the table det and qsecant read, built before counting
     calls, q_degrees = [], []
-    for module in (charney_module, chow_module):
-        for name in ("gauss_binomial", "sum_of_products"):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    real_init = Layout.__init__
+    real_binomial, real_mul = charney_module.gauss_binomial, BiPoly.__mul__
+    real_read, real_init = Layout.read, Layout.__init__
+    monkeypatch.setattr(charney_module, "gauss_binomial", lambda *a: calls.append("binomial") or real_binomial(*a))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
+    monkeypatch.setattr(Layout, "read", lambda *args: calls.append("read") or real_read(*args))
     monkeypatch.setattr(Layout, "__init__", lambda self, norm, q_degree: q_degrees.append(q_degree) or
                         real_init(self, norm, q_degree))
-    expected = cd_direct(FamilySpec.uniform(23, 23))
     for method in ("direct", "chain", "det", "qsecant"):
+        calls.clear()
         q_degrees.clear()
         result = cd(FamilySpec.uniform(23, 23), method)
-        assert calls == []
         assert result == expected and result.unsigned.terms.keys() == {(0, 0)}
         if method in ("direct", "chain"):
-            assert q_degrees == [0], method
+            assert calls == ["read"] and q_degrees == [0], method
+        else:
+            assert calls == [] and q_degrees == [], method
 
 
 def test_direct_is_the_hilbert_series_at_minus_one():
@@ -404,8 +408,7 @@ def test_tangent_secant_is_two_int_routes_and_no_elimination(monkeypatch, unpack
     # counts, not timings: no elimination, no polynomial product, and each
     # of the 17 entries read back once at the layout of the norm bound
     calls = []
-    for module, name in ((bipoly, "leading_principal_minors"), (checks, "leading_principal_minors"),
-                         (bipoly, "sum_of_products"), (charney_module, "sum_of_products")):
+    for module, name in ((bipoly, "leading_principal_minors"), (checks, "leading_principal_minors")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     monkeypatch.setattr(BiPoly, "__mul__", lambda *args: calls.append("__mul__"))

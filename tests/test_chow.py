@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import chowlab.chow as chow_module
-from chowlab import checks
+from chowlab import checks, qeuler
 from chowlab.chow import (
     basis_monomial_oracle,
     delta_series,
@@ -202,6 +202,57 @@ def test_closed_form_needs_no_enumeration_bound():
         assert hilbert_closed_form(spec) == hilbert_recurrence(spec)
 
 
+def test_uniform_closed_form_is_one_sum_at_q_one(monkeypatch):
+    # a count: the uniform closed form runs at layouts of q-degree 0 only,
+    # builds neither A_n nor the classical A_n(t) nor a read-back D table,
+    # and reads its one packed sum back once
+    expected = hilbert_recurrence(FamilySpec.uniform(40, 20))
+    calls, q_degrees = [], []
+    for name in ("q_eulerian_by_recurrence", "classical_eulerian", "derangement_polynomials"):
+        for module in (qeuler, chow_module):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name), raising=False)
+    real_read, real_init = Layout.read, Layout.__init__
+    monkeypatch.setattr(Layout, "read", lambda *args: calls.append("read") or real_read(*args))
+    monkeypatch.setattr(Layout, "__init__", lambda self, norm, q_degree: q_degrees.append(q_degree) or
+                        real_init(self, norm, q_degree))
+    assert hilbert_closed_form(FamilySpec.uniform(40, 20)) == expected
+    assert calls == ["read"] and q_degrees == [0]
+
+
+@pytest.mark.parametrize("spec", [FamilySpec.vector(12, 12), FamilySpec.uniform(12, 9), FamilySpec.vector(9, 2)])
+def test_chain_sum_is_one_packed_walk(monkeypatch, spec):
+    # a count: each step (lower, upper) of a tuple is packed once, every
+    # tuple is one int product, with no polynomial product, and the sum is
+    # read back once
+    expected = hilbert_recurrence(spec)
+    calls = []
+    real_read, real_pack, real_mul = Layout.read, Layout.pack, BiPoly.__mul__
+    monkeypatch.setattr(Layout, "read", lambda *args: calls.append("read") or real_read(*args))
+    monkeypatch.setattr(Layout, "pack", lambda *args: calls.append("pack") or real_pack(*args))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
+    assert hilbert_chain_sum(spec) == expected
+    steps = math.comb(spec.r, 2) - (spec.r - 2)  # lower = 0 or 2 <= lower, and upper >= lower + 2
+    assert calls == ["pack"] * steps + ["read"]
+
+
+@pytest.mark.parametrize("route", [hilbert_closed_form, hilbert_chain_sum, lambda spec: delta_series(spec.n, spec.r)])
+def test_packed_sums_are_sized_by_their_value_at_one(monkeypatch, route):
+    # every coefficient is nonnegative, so each sum's norm bound is its value
+    # at q = t = 1 exactly: a bound that lost a factor would show here before
+    # a coefficient overflowed its slot
+    specs = [FamilySpec.vector(9, 6), FamilySpec.vector(7, 7), FamilySpec.uniform(12, 5), FamilySpec.vector(5, 1)]
+    expected = [route(spec).eval(1, 1) for spec in specs]
+    norms = []
+    real_init = Layout.__init__
+    monkeypatch.setattr(Layout, "__init__", lambda self, norm, q_degree: norms.append(norm) or
+                        real_init(self, norm, q_degree))
+    for spec, value in zip(specs, expected):
+        norms.clear()
+        route(spec)
+        assert norms == [value], spec
+
+
 def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch):
     # a count, not a timing: the whole diagonal of vector(14, 14) is one
     # layout group, summed packed with no polynomial product, and only the
@@ -210,7 +261,6 @@ def test_recurrence_unpacks_once_per_group_per_rank(monkeypatch):
     calls = []
     real_read, real_mul = Layout.read, BiPoly.__mul__
     monkeypatch.setattr(Layout, "read", lambda *args: calls.append("read") or real_read(*args))
-    monkeypatch.setattr(chow_module, "sum_of_products", lambda *args: calls.append("sum_of_products"))
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
     hilbert_recurrence.cache_clear()

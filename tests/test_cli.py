@@ -518,6 +518,16 @@ def _child_env(**extra):
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
 
 
+def test_closed_form_at_low_rank_needs_no_full_rank_table():
+    # the closed form sums D_0, ..., D_(r-1) only: at rank 2 it is 1 + t at
+    # once, whatever n, with no A_60 and no D_59 built first
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowlab", *"hilbert --family vector --n 60 --r 2 --method closed".split()],
+        capture_output=True, text=True, env=_child_env(), timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1 + t\n")
+
+
 def test_cold_start_loads_only_what_the_command_uses():
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True

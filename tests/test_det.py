@@ -126,8 +126,8 @@ def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
     # a count, not a timing: the suite's two secant matrices up to E_16 are
     # each packed once, eliminated in int, and only their 8 + 8 pivots are read back
     charney.tangent_secant(16)  # the table they are compared with, built before counting
-    calls = {"pack": 0, "read": 0, "sum_of_products": 0}
-    for owner, name in ((Layout, "pack"), (Layout, "read"), (bipoly, "sum_of_products")):
+    calls = {"pack": 0, "read": 0, "__mul__": 0}
+    for owner, name in ((Layout, "pack"), (Layout, "read"), (BiPoly, "__mul__")):
         real = getattr(owner, name)
 
         def spy(*args, name=name, real=real):
@@ -145,4 +145,4 @@ def test_elimination_packs_each_entry_and_unpacks_each_minor_once(monkeypatch):
     assert [e["ok"] for e in checks.secant_determinants(16)] == [True] * 16
     assert len(matrices) == 2
     entries = [entry for matrix in matrices for row in matrix for entry in row]
-    assert calls == {"pack": sum(map(bool, entries)), "read": 16, "sum_of_products": 0}
+    assert calls == {"pack": sum(map(bool, entries)), "read": 16, "__mul__": 0}

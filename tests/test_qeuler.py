@@ -9,9 +9,10 @@ from math import comb, factorial
 
 import pytest
 
+import chowlab.chow as chow_module
 from chowlab import checks, qeuler
 from chowlab.chow import delta_series, hilbert_closed_form
-from chowlab.exactalg import BiPoly, Layout, ONE, T, bipoly, gauss_binomial, sum_of_products
+from chowlab.exactalg import BiPoly, Layout, ONE, T, ZERO, gauss_binomial
 from chowlab.flats import FamilySpec
 from chowlab.permstat import statistic_sum
 from chowlab.qeuler import (
@@ -112,8 +113,8 @@ def _through_30(route):
     and 31 builds would take several times as long."""
     if route is derangement_polynomial:
         return list(derangement_polynomials(30))
-    packed, layout = qeuler._q_egf(30, qeuler._eulerian_horner, qeuler._f_size)
-    return [layout.read(x, n + 1) for n, x in enumerate(packed)]
+    layout = Layout(*map(max, qeuler._q_egf_bounds(30, qeuler._f_size)))
+    return [layout.read(x, n + 1) for n, x in enumerate(qeuler._q_egf(30, qeuler._eulerian_horner, layout))]
 
 
 @pytest.mark.parametrize("route, size", [(q_eulerian_by_recurrence, qeuler._f_size),
@@ -134,8 +135,15 @@ def test_tables_through_30_against_independent_routes():
     eulerian = _through_30(q_eulerian_by_recurrence)
     for n in range(31):
         assert eulerian[n].subs_q_int(1) == classical_eulerian(n), n
-    fibers = sum_of_products((gauss_binomial(30, k), d) for k, d in enumerate(_through_30(derangement_polynomial)))
+    fibers = sum((gauss_binomial(30, k) * d for k, d in enumerate(_through_30(derangement_polynomial))), ZERO)
     assert eulerian[30] == q_eulerian_by_recurrence(30) == fibers
+
+
+def test_derangement_polynomials_are_palindromic():
+    # t^m D_m(q, 1/t) = D_m(q, t) (Shareshian-Wachs), on which the closed
+    # form and the difference series of `chow` rest
+    for m, d in enumerate(_through_30(derangement_polynomial)):
+        assert d.is_palindromic_in_t(m), m
 
 
 @pytest.mark.parametrize("qs", [0, 8, 104])
@@ -154,8 +162,7 @@ def test_tables_are_built_without_polynomial_products(monkeypatch):
     # binomial is built and nothing packed in either loop; A_n is read back
     # once, and each of D_0, ..., D_n once
     calls = []
-    real_sum, real_mul = bipoly.sum_of_products, BiPoly.__mul__
-    monkeypatch.setattr(bipoly, "sum_of_products", lambda *args: calls.append("sum_of_products") or real_sum(*args))
+    real_mul = BiPoly.__mul__
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
     for name in ("read", "pack"):
@@ -177,10 +184,11 @@ def test_tables_are_built_without_polynomial_products(monkeypatch):
 
 @pytest.mark.parametrize("route, spec", [(delta_series, (12, 7)), (hilbert_closed_form, (FamilySpec.vector(12, 7),))])
 def test_sums_over_the_derangement_table_build_it_once(monkeypatch, route, spec):
-    # a count: the sum reads one whole table, not one build per D_m
+    # a count: the sum builds the D table once, not once per D_m
     builds = []
     real = qeuler._q_egf
-    monkeypatch.setattr(qeuler, "_q_egf", lambda n, horner, g: builds.append(horner) or real(n, horner, g))
+    for module in (qeuler, chow_module):
+        monkeypatch.setattr(module, "_q_egf", lambda *args: builds.append(args[1]) or real(*args))
     derangement_polynomials.cache_clear()
     route(*spec)
     assert builds.count(qeuler._derangement_horner) == 1
