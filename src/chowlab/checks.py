@@ -46,21 +46,17 @@ def _top(ns):
 
 
 def classical_tangent_secant(n_max):
-    """[E_0, ..., E_{n_max}] at q = 1: n! [x^n](tanh + sech) over Fractions, no q-route."""
-    from fractions import Fraction  # imported here, its only use, to keep it out of start-up
+    """[E_0, ..., E_{n_max}] at q = 1: n! [x^n](tanh + sech), no q-route.
 
-    order = n_max + 1
-    cosh = [Fraction(1 if k % 2 == 0 else 0, factorial(k)) for k in range(order)]
-    sinh = [Fraction(1 if k % 2 == 1 else 0, factorial(k)) for k in range(order)]
-    sech = [Fraction(1)]
-    for m in range(1, order):
-        sech.append(-sum(cosh[k] * sech[m - k] for k in range(1, m + 1)))
-    tanh = [sum(sinh[k] * sech[m - k] for k in range(m + 1)) for m in range(order)]
-    values = [(tanh[m] + sech[m]) * factorial(m) for m in range(order)]
-    for m, value in enumerate(values):
-        if value.denominator != 1:
-            raise RouteDisagreementError(f"E_{m} by the tanh + sech series", str(value), "an integer")
-    return [int(value) for value in values]
+    As exponential generating functions sech * cosh = 1 and tanh = sinh *
+    sech, so the coefficients are integer convolutions with binomials:
+    s_0 = 1, s_m = -sum over even k >= 2 of C(m, k) s_{m-k}, and E_m is s_m
+    plus the sum over odd k of C(m, k) s_{m-k}.
+    """
+    sech = [1]
+    for m in range(1, n_max + 1):
+        sech.append(-sum(comb(m, k) * sech[m - k] for k in range(2, m + 1, 2)))
+    return [sech[m] + sum(comb(m, k) * sech[m - k] for k in range(1, m + 1, 2)) for m in range(n_max + 1)]
 
 
 def hilbert_routes(kind, ns):

@@ -16,10 +16,16 @@ and no FAIL); 4 any other exception, an internal error reported in one
 line on stderr; 141 (128 + SIGPIPE) the reader closed stdout before the
 output was written, with nothing on stderr.  Identical invocations produce
 byte-identical output.
+
+`entry` is the process entry of `python -m chowlab` and of the `chowlab`
+console script: it freezes the start-up heap, then exits with `main`'s
+code.  `main` itself changes no process-wide state, so a library caller
+can run it in-process.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -332,5 +338,11 @@ def _run_check(config):
     return code
 
 
-if __name__ == "__main__":
+def entry():
+    # What start-up loaded lives to the end: frozen, the collection CPython runs at exit skips it.
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

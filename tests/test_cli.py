@@ -1,6 +1,7 @@
 """CLI behavior: outputs, formats, exit codes, determinism, fault isolation."""
 
 import ast
+import gc
 import hashlib
 import importlib.util
 import json
@@ -496,9 +497,9 @@ def test_closed_stdout_pipe_exits_141(unbuffered):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-# Modules a text query must not load: `dataclasses` drags in `inspect`, and
-# `json` and `fractions` (with `decimal`) serve only one output path or one
-# check.  `typing` is loaded by some interpreters' `site`, hence the
+# Modules a text query must not load: `dataclasses` drags in `inspect`,
+# `json` serves only one output path, and no path needs `fractions` (with
+# `decimal`).  `typing` is loaded by some interpreters' `site`, hence the
 # comparison with what was there before the import.
 COLD_START_UNUSED = ("dataclasses", "inspect", "json", "fractions", "decimal", "typing")
 COLD_START_PROBE = """
@@ -537,6 +538,65 @@ def test_cold_start_loads_only_what_the_command_uses():
     assert "chowlab.cli" in text_added
     assert [m for m in COLD_START_UNUSED if m in text_added] == []
     assert json_loaded
+
+
+# The tangent-secant suite's classical oracle is integer arithmetic, so a
+# check run that reaches it loads no rational or decimal type.
+CHECK_PROBE = """
+import sys
+before = set(sys.modules)
+from chowlab.cli import main
+code = main(["check", "--suite", "tangent-secant", "--nmax", "6"])
+print(repr((code, sorted({"fractions", "decimal"} & (set(sys.modules) - before)))))
+"""
+
+
+def test_tangent_secant_check_loads_no_fractions():
+    proc = subprocess.run(
+        [sys.executable, "-c", CHECK_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
+    )
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == (0, [])
+
+
+# Both process entries, `python -m chowlab` and the console script that
+# pyproject.toml declares, freeze the start-up heap before `main` runs.
+ENTRY_PROBE = """
+import gc, importlib, runpy, sys
+import chowlab.cli
+frozen = []
+chowlab.cli.main = lambda argv=None: frozen.append(gc.get_freeze_count()) or 5
+target = %r
+code = None
+try:
+    if ":" in target:
+        module, name = target.split(":")
+        sys.exit(getattr(importlib.import_module(module), name)())  # what the console script runs
+    runpy.run_module(target, run_name="__main__")
+except SystemExit as e:
+    code = e.code
+print(repr((code, frozen)))
+"""
+
+
+def _console_script_target():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    return next(line.split('"')[1] for line in pyproject.splitlines() if line.startswith("chowlab = "))
+
+
+@pytest.mark.parametrize("target", ["chowlab", _console_script_target()], ids=["python -m", "console script"])
+def test_process_entries_freeze_before_main(target):
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE % target], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
+    )
+    code, frozen = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert code == 5
+    assert len(frozen) == 1 and frozen[0] > 0
+
+
+def test_in_process_main_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "secant", "--n", "5")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 # A canonical argv is parsed from `cli.COMMANDS` alone: a fresh process that

@@ -8,11 +8,7 @@ import pytest
 
 import chowlab
 
-MODULES = sorted(
-    info.name
-    for info in pkgutil.walk_packages(chowlab.__path__, "chowlab.")
-    if info.name != "chowlab.__main__"  # importing it runs the CLI
-)
+MODULES = sorted(info.name for info in pkgutil.walk_packages(chowlab.__path__, "chowlab."))
 
 
 @pytest.mark.parametrize("name", ["chowlab"] + MODULES)
