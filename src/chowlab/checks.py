@@ -24,7 +24,7 @@ from math import comb, factorial
 from . import charney, chow, ordercx, permstat, qeuler
 from .errors import ResourceBoundError, RouteDisagreementError, require_equal
 from .exactalg import ONE, T, ZERO, BiPoly, diff_terms, gauss_binomial, leading_principal_minors
-from .flats import FamilySpec, build_explicit, chains_above, explicit_size, level_size
+from .flats import FamilySpec, build_explicit, count_above, explicit_size
 from .permstat import is_alternating, permutations_of, stats, statistic_sum
 
 
@@ -110,7 +110,7 @@ def monomial_oracle(kind, p, ns):
             spec = FamilySpec(kind, n, r)
             lat = build_explicit(spec, p)
             counts = lat.level_counts()
-            if not all(counts[i] == level_size(spec, i).eval(q_value, 1) for i in range(r + 1)):
+            if not all(counts[i] == count_above(spec, 0, i, q_value) for i in range(r + 1)):
                 yield _entry(f"level sizes {spec} at q={q_value}", False, str(counts))
             dims = chow.basis_monomial_oracle(lat, r)
             symbolic = chow.hilbert_recurrence(spec).subs_q_int(q_value)
@@ -118,7 +118,7 @@ def monomial_oracle(kind, p, ns):
             chains = lat.count_maximal_chains()
             product_rule = 1
             for i in range(1, r + 1):
-                product_rule *= chains_above(spec, i - 1, i).eval(q_value, 1)
+                product_rule *= count_above(spec, i - 1, i, q_value)
             if chains != product_rule:
                 yield _entry(f"maximal chains {spec}", False, f"enumerated {chains} != product {product_rule}")
 
@@ -134,11 +134,18 @@ def rank_telescoping(ns):
 
 def delta_assembly(ns, bound=None):
     """Difference series assembled from derangement polynomials = the sums over
-    permutations with at least n - r fixed points, every r <= n."""
+    permutations with at least n - r fixed points, every r <= n.
+
+    S_n is summed once, q^(maj-exc) t^(n-exc) grouped by fixed points, and
+    the groups are added from n fixed points down: with those of at least
+    n - r added, the sum is t^(n-r) times the one at r, whose terms carry
+    t^(r-exc), so it is held to t^(n-r) times the difference series."""
     for n in ns:
+        by_fix = permstat.statistic_sums(n, lambda s: s.fix, lambda s: (s.maj - s.exc, n - s.exc), bound)
+        direct = by_fix[n]  # the identity
         for r in range(1, n + 1):
-            direct = statistic_sum(n, lambda s: (s.maj - s.exc, r - s.exc) if s.fix >= n - r else None, bound)
-            require_equal(f"difference series (n={n}, r={r})", chow.delta_series(n, r), direct)
+            direct += by_fix.get(n - r, ZERO)
+            require_equal(f"difference series (n={n}, r={r})", T ** (n - r) * chow.delta_series(n, r), direct)
         yield _entry(f"difference-coefficient assembly (n={n})", True)
 
 
@@ -177,8 +184,12 @@ def wachs_fibers(ns, bound=None):
         fibers = permstat.group_by_derangement_part(n, bound)
         ok, detail = True, ""
         for k in range(min(n, 5) + 1):
-            for gamma in (v for v in permutations_of(k, bound) if stats(v).fix == 0):
-                expected = BiPoly.term(1, stats(gamma).maj, 0) * gauss_binomial(n, k)
+            binomial = gauss_binomial(n, k).terms.items()
+            for gamma in permutations_of(k, bound):
+                s = stats(gamma)
+                if s.fix:
+                    continue
+                expected = BiPoly({(qd + s.maj, 0): c for (qd, _), c in binomial})  # q^maj(gamma) [n over k]_q
                 got = fibers.get(gamma, BiPoly())
                 if got != expected:
                     ok = False
@@ -187,18 +198,25 @@ def wachs_fibers(ns, bound=None):
 
 
 def wachs_refinement(ns, bound=None):
-    """sum q^(maj-exc) over (exc = k, fix = i) is [n over i]_q times that over D_(n-i), exc = k."""
+    """sum q^(maj-exc) over (exc = k, fix = i) is [n over i]_q times that over D_(n-i), exc = k.
 
-    def by_exc_fix(m, k, i):
-        return statistic_sum(m, lambda s: (s.maj - s.exc, 0) if (s.exc, s.fix) == (k, i) else None, bound)
+    Each S_m is summed once, grouped by (exc, fix), the first time an n
+    needs it."""
+    tables = {}
+
+    def by_exc_fix(m):
+        if m not in tables:
+            tables[m] = permstat.statistic_sums(m, lambda s: (s.exc, s.fix), lambda s: (s.maj - s.exc, 0), bound)
+        return tables[m]
 
     for n in ns:
-        ok, total = True, 0
+        ok, total, table = True, 0, by_exc_fix(n)
         for i in range(n + 1):
+            derangements = by_exc_fix(n - i)
             for k in range(n + 1):
-                rhs = by_exc_fix(n, k, i)
-                ok = ok and by_exc_fix(n - i, k, 0) * gauss_binomial(n, n - i) == rhs
-                total += rhs.eval(1, 1)
+                rhs = table.get((k, i), ZERO)
+                ok = ok and derangements.get((k, 0), ZERO) * gauss_binomial(n, n - i) == rhs
+                total += sum(rhs.terms.values())
         yield _entry(f"derangement/fixed-point refinement (n={n})", ok)
         yield _entry(f"fixed-point partition of n! (n={n})", total == factorial(n))
 

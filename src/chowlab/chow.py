@@ -21,7 +21,7 @@ evaluating q at the lattice's field size (q = 1 for uniform).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice
 from math import comb
 from operator import mul
 
@@ -35,38 +35,46 @@ def hilbert_chain_sum(spec):
     < e_m <= r, every gap at least 2, of the products of
     chains_above(e_(i-1), e_i) t [e_i - e_(i-1) - 1]_t.  Every tuple is
     visited, each one `int` product: its parent's (the tuple without e_m)
-    times the packed factor of its last step.  Walked in order of the last
-    rank, a parent comes before its children, and `ending[lower]` is freed
-    after its pass.  The layout is `_chain_sum_bounds`; one read back."""
+    times the packed factor of its last step.  The walk is depth-first, so
+    only the children of the tuples on one path wait on the stack, at most
+    r^2 / 4 products.  The layout is `_chain_sum_bounds`; one read back."""
     r = spec.r
     layout = Layout(*_chain_sum_bounds(spec))
-    ending = [[1]] + [[] for _ in range(r)]  # ending[e]: the products of the tuples with last rank e
-    total = 0
-    for lower in (0, *range(2, r + 1)):  # no tuple ends at rank 1
-        parents, ending[lower] = ending[lower], None
-        total += sum(parents)
+    steps = [[] for _ in range(r + 1)]  # steps[lower]: (upper, chains_above(lower, upper) t [upper - lower - 1]_t)
+    for lower in (0, *range(2, r - 1)):  # no tuple ends at rank 1, none goes on from r - 1 or r
         for upper in range(lower + 2, r + 1):
             binomial = layout.pack(chains_above(spec, lower, upper).terms, 1)
-            step = sum(binomial << a * layout.ts for a in range(1, upper - lower))  # times t [upper - lower - 1]_t
-            ending[upper] += map(mul, parents, repeat(step))
+            steps[lower].append((upper, sum(binomial << a * layout.ts for a in range(1, upper - lower))))
+    total = 0
+    stack = [(0, 1)]
+    while stack:
+        lower, product = stack.pop()
+        total += product
+        stack += [(upper, product * step) for upper, step in steps[lower]]
     return layout.read(total, r)
 
 
 def _chain_sum_bounds(spec):
     """Bounds (N, D) for `hilbert_chain_sum`, fixed before any product: N is
     the sum of its products' l1 norms, each step a factor ||chains_above||_1
-    (gap - 1), and D their largest q-degree, each step adding that of
-    chains_above, by one pass from r down over the tails of the tuples from
-    `lower` up.  Every coefficient is nonnegative, so N = H(1, 1):
+    = C(n - lower, k) (gap - 1), k = upper - lower, and D their largest
+    q-degree, each step adding that of chains_above, k (n - lower - k) for
+    vector, by one pass from r down over the tails of the tuples from
+    `lower` up; chains_above is 1 at upper = r.  Every coefficient is
+    nonnegative, so N = H(1, 1):
 
     >>> _chain_sum_bounds(FamilySpec.vector(5, 5)), _chain_sum_bounds(FamilySpec.uniform(5, 5))
     ((120, 8), (120, 0))
     """
+    n, r, vector = spec.n, spec.r, spec.kind != UNIFORM
     norms, degrees = {}, {}
-    for lower in range(spec.r, -1, -1):
-        steps = [(upper, chains_above(spec, lower, upper)) for upper in range(lower + 2, spec.r + 1)]
-        norms[lower] = 1 + sum(f.eval(1, 1) * (upper - lower - 1) * norms[upper] for upper, f in steps)
-        degrees[lower] = max((f.q_degree() + degrees[upper] for upper, f in steps), default=0)
+    for lower in range(r, -1, -1):
+        norms[lower], degrees[lower] = 1, 0
+        for upper in range(lower + 2, r + 1):
+            k = upper - lower
+            inner = upper < r  # chains_above(lower, r) is 1
+            norms[lower] += (comb(n - lower, k) if inner else 1) * (k - 1) * norms[upper]
+            degrees[lower] = max(degrees[lower], vector * inner * k * (n - lower - k) + degrees[upper])
     return norms[0], degrees[0]
 
 

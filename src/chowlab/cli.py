@@ -215,10 +215,8 @@ def _print_json(payload):
     A term list is one join of `_JSON_TERM` over the polynomial's
     `to_csv_rows()`, the same terms in the same order: degrees and the
     decimal string of an integer, so nothing needs escaping.  Every other
-    value goes through `json.dumps` and is indented one level deeper.
+    value is written by `_json`, one level deep.
     """
-    import json  # imported here so that text and CSV output never load it
-
     items = []
     for key, value in payload.items():
         if isinstance(value, BiPoly):
@@ -226,9 +224,58 @@ def _print_json(payload):
             body = ",\n".join(_JSON_TERM % (qd, td, c) for td, qd, c in rows)
             value = '{\n    "terms": [\n%s\n    ]\n  }' % body if rows else '{\n    "terms": []\n  }'
         else:
-            value = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {value}")
-    print("{\n%s\n}" % ",\n".join(items))
+            value = _json(value, "  ")
+        items.append(f"  {_json_str(key)}: {value}")
+    print("{\n%s\n}" % ",\n".join(items) if items else "{}")
+
+
+def _json(value, indent):
+    """`value` (None, a bool, an int, a str, or a list, tuple or str-keyed
+    dict of those) as `json.dumps(value, indent=2)` writes it on a line
+    that starts with `indent`."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n%s\n%s}" % (",\n".join(items), indent) if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n%s\n%s]" % (",\n".join(items), indent) if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_str(s):
+    """The JSON string of `s` as `json.dumps` writes it (`ensure_ascii`):
+    `"` and `\\` backslashed, the five short control escapes, and every
+    other character outside ' '..'~' as \\uXXXX, in UTF-16 surrogates
+    past U+FFFF."""
+    if s.isascii() and s.isprintable():  # only ' '..'~'
+        return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+    return '"%s"' % "".join(map(_json_char, s))
+
+
+def _json_char(c):
+    if c in _JSON_ESCAPES:
+        return _JSON_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    n -= 0x10000
+    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
 
 
 def emit_poly(poly, config, meta):

@@ -9,7 +9,8 @@ level isomorphic (so level data determines every chain count):
 
 The rank-r flat is always the unique top.  Symbolic computations never fix
 q; only build_explicit instantiates a concrete prime for the brute-force
-oracles, enumerating subspaces by reduced row echelon form.
+oracles, enumerating subspaces by reduced row echelon form, and
+count_above gives the chain counts at that prime in `int`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,28 @@ def chains_above(spec, lower, upper):
     if spec.kind == UNIFORM:
         return BiPoly.const(comb(spec.n - lower, upper - lower))
     return gauss_binomial(spec.n - lower, upper - lower)
+
+
+@lru_cache(maxsize=None)
+def count_above(spec, lower, upper, q):
+    """`chains_above(spec, lower, upper)` at an integer q >= 1, in `int`:
+    C(n - lower, k), k = upper - lower, for uniform or at q = 1, else the
+    Gaussian binomial at q by the product of (q^(m-i) - 1) / (q^(i+1) - 1),
+    m = n - lower, over i < k, whose partial products [m over i+1]_q are
+    integers, so each division is exact.
+
+    >>> count_above(FamilySpec.vector(4, 4), 0, 2, 2), count_above(FamilySpec.uniform(4, 4), 1, 2, 2)
+    (35, 3)
+    """
+    if upper == spec.r:
+        return 1
+    m, k = spec.n - lower, upper - lower
+    if spec.kind == UNIFORM or q == 1:
+        return comb(m, k)
+    count = 1
+    for i in range(k):
+        count = count * (q ** (m - i) - 1) // (q ** (i + 1) - 1)
+    return count
 
 
 # -- explicit lattices ---------------------------------------------------
@@ -208,9 +231,10 @@ def _ground(kind, n, p):
 
 def explicit_size(spec, p=None):
     """(points, flats) of the explicit lattice in `int`: n points (p^n for
-    vector), and the top plus the level sizes below it at q = p (q = 1 for
-    uniform).  ResourceBoundError past EXPLICIT_MAX_SIZE; the points come
-    first, so a huge n or p costs a few steps and no Gaussian binomial.
+    vector), and the top plus the level sizes below it, `count_above` from
+    rank 0 at q = p (q = 1 for uniform).  ResourceBoundError past
+    EXPLICIT_MAX_SIZE; the points come first, so a huge n or p costs a few
+    steps and no Gaussian binomial.
 
     >>> explicit_size(FamilySpec.vector(3, 2), 5)
     (125, 33)
@@ -221,7 +245,7 @@ def explicit_size(spec, p=None):
         where, points, q = f"{spec} at p={p}", p ** min(spec.n, EXPLICIT_MAX_SIZE.bit_length()), p
     if points > EXPLICIT_MAX_SIZE:
         raise ResourceBoundError(f"{where} has over {EXPLICIT_MAX_SIZE} points")
-    flats = 1 + sum(level_size(spec, i).eval(q, 1) for i in range(spec.r))
+    flats = 1 + sum(count_above(spec, 0, i, q) for i in range(spec.r))
     if flats > EXPLICIT_MAX_SIZE:
         raise ResourceBoundError(f"{where} has over {EXPLICIT_MAX_SIZE} flats")
     return points, flats

@@ -12,12 +12,12 @@ PermStats(exc=1, maj=3, fix=1)
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from functools import lru_cache
 from itertools import permutations
 
 from .errors import ResourceBoundError
-from .exactalg import BiPoly
+from .exactalg import ZERO, BiPoly
 
 DEFAULT_ENUM_BOUND = 9
 
@@ -59,8 +59,16 @@ def derangement_part(v):
     >>> derangement_part((5, 2, 3, 4, 1))
     (2, 1)
     """
-    moved = [i for i, a in enumerate(v, 1) if a != i]
-    index = {a: j for j, a in enumerate(moved, 1)}
+    return _derangement_part(v, {})
+
+
+def _derangement_part(v, rank_maps):
+    """`derangement_part(v)`, with the rank map of v's moved points taken
+    from, or added to, `rank_maps`, keyed by the moved points."""
+    moved = tuple(i for i, a in enumerate(v, 1) if a != i)
+    index = rank_maps.get(moved)
+    if index is None:
+        index = rank_maps[moved] = {a: j for j, a in enumerate(moved, 1)}
     return tuple(index[v[a - 1]] for a in moved)
 
 
@@ -81,21 +89,31 @@ def _stat_counts(n):
     return tuple(Counter(map(stats, permutations(range(1, n + 1)))).items())
 
 
+def statistic_sums(n, key, weight, bound=None):
+    """The statistic sums of S_n grouped by key(stats(v)): {key: the sum of
+    q^a t^b, (a, b) = weight(stats(v)), over the permutations with that
+    key}, from one pass over the per-n table.  A weight that returns None
+    leaves the permutation out; a key no permutation kept has is absent."""
+    _check_bound(n, bound)
+    groups = defaultdict(Counter)
+    for s, count in _stat_counts(n):
+        exponents = weight(s)
+        if exponents is not None:
+            groups[key(s)][exponents] += count
+    return {k: BiPoly(terms) for k, terms in groups.items()}
+
+
 def statistic_sum(n, weight, bound=None):
     """Sum over S_n of q^a t^b with (a, b) = weight(stats(v)); a weight that
-    returns None leaves the permutation out."""
-    _check_bound(n, bound)
-    terms = Counter()
-    for s, count in _stat_counts(n):
-        key = weight(s)
-        if key is not None:
-            terms[key] += count
-    return BiPoly(terms)
+    returns None leaves the permutation out.  The one group of `statistic_sums`."""
+    return statistic_sums(n, lambda s: None, weight, bound).get(None, ZERO)
 
 
 def group_by_derangement_part(n, bound=None):
-    """Map each derangement part to the q^maj generating sum of its fiber."""
-    fibers = {}
+    """Map each derangement part to the q^maj generating sum of its fiber.
+    Every permutation is walked; the rank map of each moved set, at most
+    2^n of them, is built once."""
+    fibers, rank_maps = {}, {}
     for v in permutations_of(n, bound):
-        fibers.setdefault(derangement_part(v), Counter())[(stats(v).maj, 0)] += 1
+        fibers.setdefault(_derangement_part(v, rank_maps), Counter())[(stats(v).maj, 0)] += 1
     return {dp: BiPoly(terms) for dp, terms in fibers.items()}

@@ -4,6 +4,7 @@ series, and derangement polynomials."""
 import inspect
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,7 +20,7 @@ from chowlab.chow import (
 )
 from chowlab.errors import ResourceBoundError, RouteDisagreementError
 from chowlab.exactalg import BiPoly, Layout, ONE, T, gauss_binomial
-from chowlab.flats import FamilySpec, build_explicit
+from chowlab.flats import FamilySpec, build_explicit, chains_above
 from chowlab.permstat import permutations_of
 from chowlab.qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
 
@@ -234,6 +235,39 @@ def test_chain_sum_is_one_packed_walk(monkeypatch, spec):
     assert hilbert_chain_sum(spec) == expected
     steps = math.comb(spec.r, 2) - (spec.r - 2)  # lower = 0 or 2 <= lower, and upper >= lower + 2
     assert calls == ["pack"] * steps + ["read"]
+
+
+def test_chain_sum_bounds_are_the_chain_counts_summed():
+    # the bounds from `comb` and k (n - lower - k) against the same pass
+    # over the q-polynomials chains_above, evaluated and their degrees read
+    def by_polynomials(spec):
+        norms, degrees = {}, {}
+        for lower in range(spec.r, -1, -1):
+            steps = [(upper, chains_above(spec, lower, upper)) for upper in range(lower + 2, spec.r + 1)]
+            norms[lower] = 1 + sum(f.eval(1, 1) * (upper - lower - 1) * norms[upper] for upper, f in steps)
+            degrees[lower] = max((f.q_degree() + degrees[upper] for upper, f in steps), default=0)
+        return norms[0], degrees[0]
+
+    for kind in ("uniform", "vector"):
+        for n in range(1, 13):
+            for r in range(1, n + 1):
+                spec = FamilySpec(kind, n, r)
+                assert chow_module._chain_sum_bounds(spec) == by_polynomials(spec), spec
+
+
+def test_chain_sum_keeps_one_path_of_products():
+    # depth-first, the walk holds the children of one path of tuples; kept
+    # by last rank until that rank's pass, the products of vector(16, 16)
+    # peaked near 10 MB
+    spec = FamilySpec.vector(16, 16)
+    expected = hilbert_recurrence(spec)
+    tracemalloc.start()
+    try:
+        assert hilbert_chain_sum(spec) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("route", [hilbert_closed_form, hilbert_chain_sum, lambda spec: delta_series(spec.n, spec.r)])

@@ -1,9 +1,11 @@
 """CLI behavior: outputs, formats, exit codes, determinism, fault isolation."""
 
 import ast
+import contextlib
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -21,7 +23,7 @@ import chowlab.chow as chow_module
 import chowlab.ordercx as ordercx_module
 import chowlab.permstat as permstat_module
 import chowlab.qeuler as qeuler_module
-from chowlab.cli import COMMANDS, FLAG, RunConfig, build_parser, check_suites, main, parse_canonical
+from chowlab.cli import COMMANDS, FLAG, RunConfig, _print_json, build_parser, check_suites, main, parse_canonical
 from chowlab.exactalg import BiPoly, ONE, Q, T
 from chowlab.flats import FamilySpec
 from chowlab.ordercx import FVector
@@ -325,6 +327,29 @@ def test_json_output_is_the_stdlib_encoding(capsys, query):
     assert out == json.dumps(JSON_PAYLOADS[query](), indent=2) + "\n"
 
 
+# Strings from all of Unicode, with what the encoder escapes drawn often:
+# quotes, backslashes, control characters, U+007F, a lone surrogate and
+# characters past U+FFFF.
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ud800\U0001f600\U0010ffff'),
+    st.characters(),
+))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+def test_json_writer_is_the_stdlib_encoding_of_any_payload(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_json(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
 def test_injected_fault_fails_with_localized_diff(capsys, monkeypatch):
     real = chow_module.hilbert_closed_form
 
@@ -402,6 +427,35 @@ SECANT_TAMPERS.append(("tangent-secant", checks_module, "zigzag_numbers",
                        _tamper((), lambda z: z[:7] + [z[7] + 1] + z[8:]), "Seidel-Entringer"))
 IDS += [f"{suite}-{name}" for suite, _, name, *_ in SECANT_TAMPERS]
 TAMPERS += SECANT_TAMPERS
+
+
+def _bump_identity_group(real):
+    """`permstat.statistic_sums` with the group that holds the identity of
+    S_4 off by q, whatever the key."""
+
+    def tampered(n, key, weight, bound=None):
+        groups = real(n, key, weight, bound)
+        if n == 4:
+            identity = key(permstat_module.stats((1, 2, 3, 4)))
+            groups = {**groups, identity: groups.get(identity, BiPoly()) + Q}
+        return groups
+
+    return tampered
+
+
+# The two identities that group one walk of S_n by `statistic_sums`: each
+# fails with that sum off at n = 4 (a tampered `statistic_sum` reaches
+# neither).
+@pytest.mark.parametrize("suite, instance", [
+    ("wachs", "derangement/fixed-point refinement (n=4)"),
+    ("telescoping", "delta_assembly"),
+])
+def test_tampered_grouped_sum_fails_its_identity(capsys, monkeypatch, suite, instance):
+    monkeypatch.setattr(permstat_module, "statistic_sums", _bump_identity_group(permstat_module.statistic_sums))
+    code, out, _ = run_cli(capsys, "check", "--suite", suite, "--nmax", "5")
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith(f"FAIL  {suite}") and lines[-1] == "FAILED  (nmax=5)"
+    assert any(line.startswith(f"      FAIL {instance}") for line in lines), out
 
 
 @pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=IDS)
@@ -497,8 +551,8 @@ def test_closed_stdout_pipe_exits_141(unbuffered):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-# Modules a text query must not load: `dataclasses` drags in `inspect`,
-# `json` serves only one output path, and no path needs `fractions` (with
+# Modules a query must not load: `dataclasses` drags in `inspect`, the
+# JSON writer is the CLI's own, and no path needs `fractions` (with
 # `decimal`).  `typing` is loaded by some interpreters' `site`, hence the
 # comparison with what was there before the import.
 COLD_START_UNUSED = ("dataclasses", "inspect", "json", "fractions", "decimal", "typing")
@@ -509,7 +563,7 @@ from chowlab.cli import main
 codes = [main(["hilbert", "--family", "vector", "--n", "4", "--r", "3"])]
 text = sorted(set(sys.modules) - before)
 codes.append(main(["hilbert", "--family", "vector", "--n", "4", "--r", "3", "--format", "json"]))
-print(repr((codes, text, "json" in sys.modules)))
+print(repr((codes, text, sorted(set(sys.modules) - before - set(text)))))
 """
 
 
@@ -533,11 +587,10 @@ def test_cold_start_loads_only_what_the_command_uses():
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
     )
-    codes, text_added, json_loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    codes, text_added, json_added = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert "chowlab.cli" in text_added
-    assert [m for m in COLD_START_UNUSED if m in text_added] == []
-    assert json_loaded
+    assert [m for m in COLD_START_UNUSED if m in text_added + json_added] == []
 
 
 # The tangent-secant suite's classical oracle is integer arithmetic, so a

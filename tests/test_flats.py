@@ -9,7 +9,16 @@ from chowlab import flats
 from chowlab.charney import cd_direct, tangent_secant
 from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import ONE, BiPoly, gauss_binomial
-from chowlab.flats import FamilySpec, _rref_bases, _span, build_explicit, chains_above, explicit_size, level_size
+from chowlab.flats import (
+    FamilySpec,
+    _rref_bases,
+    _span,
+    build_explicit,
+    chains_above,
+    count_above,
+    explicit_size,
+    level_size,
+)
 from chowlab.ordercx import FVector
 from chowlab.permstat import stats
 
@@ -59,6 +68,19 @@ def test_level_sizes():
         assert level_size(spec, spec.r) == BiPoly.const(1)
     with pytest.raises(ValueError):
         level_size(FamilySpec.uniform(4, 3), 4)
+
+
+def test_integer_counts_are_the_chain_counts_at_q():
+    # the `int` count, by C(n - lower, k) or the Gaussian binomial's product
+    # at q, against the q-polynomial evaluated there
+    for kind in ("uniform", "vector"):
+        for n in range(1, 10):
+            for r in range(1, n + 1):
+                spec = FamilySpec(kind, n, r)
+                for lower in range(r + 1):
+                    for upper in range(lower, r + 1):
+                        for q in (1, 2, 3, 5):
+                            assert count_above(spec, lower, upper, q) == chains_above(spec, lower, upper).eval(q, 1)
 
 
 def test_boolean_lattice():

@@ -10,9 +10,11 @@ from chowlab.errors import ResourceBoundError
 from chowlab.exactalg import BiPoly, ONE, T
 from chowlab.permstat import (
     derangement_part,
+    group_by_derangement_part,
     is_alternating,
     permutations_of,
     statistic_sum,
+    statistic_sums,
     stats,
 )
 
@@ -110,3 +112,27 @@ def test_cached_stats_match_fresh_computation():
             fresh = Counter(weight(stats(v)) for v in permutations_of(n))
             fresh.pop(None, None)
             assert statistic_sum(n, weight) == BiPoly(fresh), n
+
+
+def test_grouped_sums_are_the_filtered_sums():
+    """statistic_sums groups one pass over the per-n table: each group is the
+    statistic_sum of the permutations with its key, and no key is empty."""
+    weight = lambda s: (s.maj - s.exc, s.exc) if s.maj % 3 else None  # noqa: E731
+    for n in range(7):
+        for key in (lambda s: (s.exc, s.fix), lambda s: s.fix):
+            groups = statistic_sums(n, key, weight)
+            keys = {key(stats(v)) for v in permutations_of(n) if weight(stats(v)) is not None}
+            assert set(groups) == keys, n
+            for k, poly in groups.items():
+                assert poly == statistic_sum(n, lambda s: weight(s) if key(s) == k else None), (n, k)
+    with pytest.raises(ResourceBoundError):
+        statistic_sums(4, lambda s: s.fix, lambda s: (0, 0), bound=3)
+
+
+def test_fibers_group_every_permutation_by_its_derangement_part():
+    for n in range(7):
+        fibers = Counter()
+        for v in permutations_of(n):
+            fibers[derangement_part(v), stats(v).maj] += 1
+        grouped = group_by_derangement_part(n)
+        assert {(dp, qd): c for dp, poly in grouped.items() for (qd, _), c in poly.terms.items()} == fibers
