@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from math import comb
 from operator import mul
 
@@ -107,22 +107,23 @@ def cd_chain_alternating(n, r, q_one=False):
     Every tuple is visited, 2^((r-1)/2) in all, and each costs one `int`
     product: its parent's (the tuple without e_m) times one packed
     binomial, read from row n - e_(m-1) of `qeuler.q_pascal_rows(qs)`, and
-    negated, so the signs alternate with depth.  The tuples are walked in
-    order of their last rank, so a parent always comes before its children
-    and those of one parent and one last rank are one `map`.  The layout is
-    `_chain_bounds`, so the sum is read back once.
+    negated, so the signs alternate with depth.  The walk is depth-first,
+    as in `chow.hilbert_chain_sum`, so only the children of the tuples on
+    one path wait on the stack, at most (r^2 - 1) / 8 products.  The
+    layout is `_chain_bounds`, so the sum is read back once.
     """
     _require_odd_rank(n, r)
     layout = Layout(*_chain_bounds(n, r, q_one))
     rows = list(islice(q_pascal_rows(layout.qs, width=r), n + 1))
-    ending = [[] for _ in range(r)]  # ending[e]: the signed products of the tuples with last rank e
-    ending[0].append(1)
-    total = 0
+    steps = {}  # steps[lower]: (upper, -[n - lower over upper - lower]_q), for even ranks lower < upper < r
     for lower in range(0, r, 2):
-        parents, row = ending[lower], rows[n - lower]
-        total += sum(parents)
-        for upper in range(lower + 2, r, 2):
-            ending[upper] += map(mul, parents, repeat(-row[upper - lower]))
+        steps[lower] = [(upper, -rows[n - lower][upper - lower]) for upper in range(lower + 2, r, 2)]
+    total = 0
+    stack = [(0, 1)]
+    while stack:
+        lower, product = stack.pop()
+        total += product
+        stack += [(upper, product * step) for upper, step in steps[lower]]
     return layout.read(total, 1)
 
 

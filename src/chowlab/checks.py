@@ -179,17 +179,20 @@ def q_eulerian_palindromicity(ns):
 
 
 def wachs_fibers(ns, bound=None):
-    """The derangement-part fiber over gamma in D_k sums to q^maj(gamma) [n over k]_q, k <= 5."""
+    """The derangement-part fiber over gamma in D_k sums to q^maj(gamma) [n over k]_q, k <= 5.
+
+    Each D_k is listed with its maj once, the first time an n needs it."""
+    derangements = []  # derangements[k]: (gamma, maj(gamma)) for gamma in D_k
     for n in ns:
         fibers = permstat.group_by_derangement_part(n, bound)
+        while len(derangements) <= min(n, 5):
+            walk = permutations_of(len(derangements), bound)
+            derangements.append([(gamma, s.maj) for gamma in walk for s in [stats(gamma)] if not s.fix])
         ok, detail = True, ""
         for k in range(min(n, 5) + 1):
             binomial = gauss_binomial(n, k).terms.items()
-            for gamma in permutations_of(k, bound):
-                s = stats(gamma)
-                if s.fix:
-                    continue
-                expected = BiPoly({(qd + s.maj, 0): c for (qd, _), c in binomial})  # q^maj(gamma) [n over k]_q
+            for gamma, maj in derangements[k]:
+                expected = BiPoly({(qd + maj, 0): c for (qd, _), c in binomial})  # q^maj(gamma) [n over k]_q
                 got = fibers.get(gamma, BiPoly())
                 if got != expected:
                     ok = False

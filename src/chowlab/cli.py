@@ -18,9 +18,10 @@ output was written, with nothing on stderr.  Identical invocations produce
 byte-identical output.
 
 `entry` is the process entry of `python -m chowlab` and of the `chowlab`
-console script: it freezes the start-up heap, then exits with `main`'s
-code.  `main` itself changes no process-wide state, so a library caller
-can run it in-process.
+console script: it freezes the start-up heap, runs `main`, flushes stdout
+and stderr and ends the process by `os._exit` with `main`'s code, without
+the interpreter's teardown.  `main` itself changes no process-wide state,
+so a library caller can run it in-process.
 """
 
 from __future__ import annotations
@@ -386,9 +387,25 @@ def _run_check(config):
 
 
 def entry():
-    # What start-up loaded lives to the end: frozen, the collection CPython runs at exit skips it.
+    """Run `main` and end the process at its last byte of output.
+
+    What start-up loaded lives to the end, so it is frozen: no collection
+    during the run traverses it.  `os._exit` then skips the interpreter's
+    teardown, which would clear every module and free every cache and big
+    `int` the run built.  The exit code is `main`'s, or argparse's for
+    `--help` and a usage error, or 141 when the reader closed stdout before
+    the final flush; what is left in the buffer dies with the process."""
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as e:  # argparse's, with its int code
+        code = e.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import accumulate, chain, compress, cycle, groupby, repeat
-from operator import itemgetter, mul, ne
+from itertools import accumulate, groupby, repeat
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 # A product by `*` takes the Kronecker route when it has at least this many
@@ -305,20 +305,21 @@ class Layout:
         the same packing, not as an error.  Adding the bias 2^(8 nb - 1) to
         every slot makes each slot a digit in [0, 2^(8 nb)), so the slots
         are the nb-byte pieces of one to_bytes call, sliced apart by
-        `struct.iter_unpack` with no per-width pattern to compile.  A slot
-        equal to the bias is a zero coefficient; those are dropped before
-        any slot is read as an integer.
+        `struct.iter_unpack` with no per-width pattern to compile, in one
+        loop.  A slot equal to the bias is a zero coefficient and is skipped
+        before it is read as an integer; slot i is the term (i mod w, i // w).
         """
         w, nb = self.w, self.nb
         if rows is None:
             rows = (value.bit_length() + 1) // self.ts + 1
         half = 1 << (8 * nb - 1)
+        zero = half.to_bytes(nb, "little")
         buf = (value + self._bias(rows * w)).to_bytes(rows * w * nb, "little")
-        slots = list(map(itemgetter(0), struct.iter_unpack(f"{nb}s", buf)))
-        nonzero = list(map(ne, slots, repeat(half.to_bytes(nb, "little"))))
-        keys = zip(cycle(range(w)), chain.from_iterable(map(repeat, range(rows), repeat(w))))
-        digits = map(int.from_bytes, compress(slots, nonzero), repeat("little"))
-        return _raw(dict(zip(compress(keys, nonzero), map(int.__sub__, digits, repeat(half)))))
+        terms = {}
+        for i, (slot,) in enumerate(struct.iter_unpack(f"{nb}s", buf)):
+            if slot != zero:
+                terms[i % w, i // w] = int.from_bytes(slot, "little") - half
+        return _raw(terms)
 
 
 def leading_principal_minors(matrix, bound):

@@ -111,9 +111,18 @@ def statistic_sum(n, weight, bound=None):
 
 def group_by_derangement_part(n, bound=None):
     """Map each derangement part to the q^maj generating sum of its fiber.
-    Every permutation is walked; the rank map of each moved set, at most
-    2^n of them, is built once."""
-    fibers, rank_maps = {}, {}
+    Every permutation is walked once and counted by its pair (derangement
+    part, maj) in one Counter, split into the fibers at the end; the rank
+    map of each moved set, at most 2^n of them, is built once."""
+    pairs, rank_maps = Counter(), {}
+    positions = range(1, n)
     for v in permutations_of(n, bound):
-        fibers.setdefault(_derangement_part(v, rank_maps), Counter())[(stats(v).maj, 0)] += 1
+        maj = 0
+        for i in positions:
+            if v[i - 1] > v[i]:
+                maj += i
+        pairs[_derangement_part(v, rank_maps), maj] += 1
+    fibers = defaultdict(dict)
+    for (dp, maj), count in pairs.items():
+        fibers[dp][maj, 0] = count
     return {dp: BiPoly(terms) for dp, terms in fibers.items()}

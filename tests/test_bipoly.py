@@ -355,7 +355,7 @@ def test_layout_reads_back_what_it_packs(norm, q_degree, rows, data):
     keys = st.tuples(st.integers(0, q_degree), st.integers(0, rows - 1))
     terms = data.draw(st.dictionaries(keys, st.sampled_from([top, -top, 0]) | st.integers(-top, top)))
     packed = layout.pack(terms, rows)
-    assert layout.read(packed, rows) == BiPoly(terms)
+    assert layout.read(packed, rows) == layout.read(packed) == BiPoly(terms)
     assert packed == BiPoly(terms).eval(2**layout.qs, 2**layout.ts)
 
 

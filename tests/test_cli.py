@@ -458,6 +458,18 @@ def test_tampered_grouped_sum_fails_its_identity(capsys, monkeypatch, suite, ins
     assert any(line.startswith(f"      FAIL {instance}") for line in lines), out
 
 
+def test_tampered_fiber_fails_the_fiber_identity(capsys, monkeypatch):
+    # one fiber of the derangement-part grouping at n = 4 off by q
+    tamper = _tamper((4,), lambda f: {**f, (2, 1): f[(2, 1)] + Q})
+    monkeypatch.setattr(permstat_module, "group_by_derangement_part", tamper(permstat_module.group_by_derangement_part))
+    code, out, _ = run_cli(capsys, "check", "--suite", "wachs", "--nmax", "6")
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith("FAIL  wachs") and lines[-1] == "FAILED  (nmax=6)"
+    assert [line.split(":")[0] for line in lines if line.startswith("      FAIL")] == [
+        "      FAIL derangement-part fiber identity (n=4)"
+    ]
+
+
 @pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=IDS)
 def test_tampered_route_fails_its_suite(capsys, monkeypatch, suite, module, name, tamper, instance):
     real = getattr(module, name)
@@ -529,8 +541,14 @@ def test_route_disagreement_is_contained(monkeypatch):
     assert entries[-1]["name"] == "cd telescoping (n=4, r=3)"  # the next identity still ran
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])  # buffered fails at the flush
-def test_closed_stdout_pipe_exits_141(unbuffered):
+# Buffered, a query fails at `main`'s flush and `--help` at the process
+# entry's.  Unbuffered, argparse's help writer swallows the error itself.
+@pytest.mark.parametrize("argv, unbuffered", [
+    ("check --suite egf --nmax 5 --format json", ""),
+    ("check --suite egf --nmax 5 --format json", "1"),
+    ("--help", ""),
+], ids=["buffered", "unbuffered", "help-buffered"])
+def test_closed_stdout_pipe_exits_141(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader leaves before the CLI writes
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -540,7 +558,7 @@ def test_closed_stdout_pipe_exits_141(unbuffered):
         env["PYTHONUNBUFFERED"] = unbuffered
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "chowlab", "check", "--suite", "egf", "--nmax", "5", "--format", "json"],
+            [sys.executable, "-m", "chowlab", *argv.split()],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
@@ -612,12 +630,19 @@ def test_tangent_secant_check_loads_no_fractions():
 
 
 # Both process entries, `python -m chowlab` and the console script that
-# pyproject.toml declares, freeze the start-up heap before `main` runs.
+# pyproject.toml declares, freeze the start-up heap before `main` runs and
+# end the process by `os._exit` with its code, here intercepted as a
+# SystemExit so that the probe can report it.
 ENTRY_PROBE = """
 import gc, importlib, runpy, sys
 import chowlab.cli
 frozen = []
 chowlab.cli.main = lambda argv=None: frozen.append(gc.get_freeze_count()) or 5
+exits = []
+def _exit(code):
+    exits.append(code)
+    raise SystemExit(code)
+chowlab.cli.os._exit = _exit
 target = %r
 code = None
 try:
@@ -627,7 +652,7 @@ try:
     runpy.run_module(target, run_name="__main__")
 except SystemExit as e:
     code = e.code
-print(repr((code, frozen)))
+print(repr((code, frozen, exits)))
 """
 
 
@@ -641,9 +666,57 @@ def test_process_entries_freeze_before_main(target):
     proc = subprocess.run(
         [sys.executable, "-c", ENTRY_PROBE % target], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
     )
-    code, frozen = ast.literal_eval(proc.stdout.splitlines()[-1])
-    assert code == 5
+    code, frozen, exits = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert code == 5 and exits == [5]
     assert len(frozen) == 1 and frozen[0] > 0
+
+
+# Through a pipe, a fresh process writes every byte that `main` prints in
+# this one before `os._exit`; a usage error still exits 2 with argparse's
+# message.
+PIPED_QUERIES = ("hilbert --family vector --n 16 --r 16 --format json", "check --suite all --nmax 4 --format json")
+
+
+@pytest.mark.parametrize("argv", PIPED_QUERIES)
+def test_piped_output_is_the_in_process_output(capsys, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowlab", *argv.split()], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv.split())
+
+
+def test_piped_usage_error_is_argparse_exit_2(capsys):
+    argv = ["hilbert", "--n", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowlab", *argv], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", captured.err)
+    assert e.value.code == 2 and "error: the following arguments are required" in captured.err
+
+
+# A depth-first walk keeps only the children of one path of tuples:
+# vector(29, 29) peaked at 83.9 MB when every product was kept.  The
+# command is spawned from a small probe process, because a child's peak
+# RSS counts that of the process it was forked from.
+RSS_PROBE = """
+import os, sys
+argv = [sys.executable, "-m", "chowlab", *"cd --family vector --n 29 --r 29 --method chain".split()]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(repr((os.waitstatus_to_exitcode(status), usage.ru_maxrss)))
+"""
+
+
+def test_cd_chain_keeps_one_path_of_products():
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
+    )
+    code, peak_kib = ast.literal_eval(proc.stdout)
+    assert code == 0
+    assert peak_kib < 40 * 1024
 
 
 def test_in_process_main_freezes_nothing(capsys):

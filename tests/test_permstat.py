@@ -130,7 +130,7 @@ def test_grouped_sums_are_the_filtered_sums():
 
 
 def test_fibers_group_every_permutation_by_its_derangement_part():
-    for n in range(7):
+    for n in range(8):
         fibers = Counter()
         for v in permutations_of(n):
             fibers[derangement_part(v), stats(v).maj] += 1
