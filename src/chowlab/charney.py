@@ -9,8 +9,8 @@ q-statement matches the signed one.  Even rank always gives zero.
 Every route computes in Z[q], or in Z for the uniform family, never in
 Z[q, t].  The direct route is the Hilbert recurrence with t = -1
 substituted before any product, which is exact because substitution is a
-ring homomorphism; the chain route visits every tuple of even ranks, each
-one `int` product from its parent's.
+ring homomorphism; the chain route is one `exactalg.tuple_sum` over the
+tuples of even ranks.
 
 The paper writes the odd-rank quantity as a sum of determinants T(n, 2a)
 of Gaussian-binomial matrices, or as a sum of q-secant numbers.  The two
@@ -31,7 +31,7 @@ from math import comb
 from operator import mul
 
 from .errors import require_equal
-from .exactalg import ZERO, BiPoly, Layout, gauss_binomial
+from .exactalg import ZERO, BiPoly, Layout, gauss_binomial, recurrence_bounds, tuple_sum
 from .chow import _diagonal
 from .flats import UNIFORM
 from .qeuler import q_pascal_rows
@@ -79,22 +79,15 @@ def _require_odd_rank(n, r):
 
 
 def _chain_bounds(n, r, q_one):
-    """Bounds (N, D) for the chain sum of `cd_chain_alternating`, fixed
-    before any product: N is the sum over the tuples of their products'
-    l1 norms, each a product of C(n - lower, upper - lower), and D the
-    largest q-degree of a product, each binomial adding
-    (upper - lower)(n - upper).  Both by one pass over `lower` from r - 1
-    down, where norms[lower] and degrees[lower] cover the tails of the
-    tuples from `lower` up:
+    """Bounds (N, D) for `cd_chain_alternating`: `recurrence_bounds` over the
+    tails of the tuples from `lower` up, from r - 1 down, each step of norm
+    C(n - lower, upper - lower) and q-degree (upper - lower)(n - upper):
 
     >>> _chain_bounds(5, 5, False), _chain_bounds(5, 5, True)
     ((46, 8), (46, 0))
     """
-    norms, degrees = {}, {}
-    for lower in range(r - 1, -1, -2):
-        uppers = range(lower + 2, r, 2)
-        norms[lower] = 1 + sum(comb(n - lower, upper - lower) * norms[upper] for upper in uppers)
-        degrees[lower] = max(((upper - lower) * (n - upper) + degrees[upper] for upper in uppers), default=0)
+    norms, degrees = recurrence_bounds(range(r - 1, -1, -2), lambda lower: 1, lambda lower: (
+        (upper, comb(n - lower, upper - lower), (upper - lower) * (n - upper)) for upper in range(lower + 2, r, 2)))
     return norms[0], 0 if q_one else degrees[0]
 
 
@@ -104,27 +97,16 @@ def cd_chain_alternating(n, r, q_one=False):
     [n - e_(i-1) over e_i - e_(i-1)]_q, e_0 = 0, signed (-1)^m; with
     `q_one`, its value at q = 1, over Z.
 
-    Every tuple is visited, 2^((r-1)/2) in all, and each costs one `int`
-    product: its parent's (the tuple without e_m) times one packed
-    binomial, read from row n - e_(m-1) of `qeuler.q_pascal_rows(qs)`, and
-    negated, so the signs alternate with depth.  The walk is depth-first,
-    as in `chow.hilbert_chain_sum`, so only the children of the tuples on
-    one path wait on the stack, at most (r^2 - 1) / 8 products.  The
-    layout is `_chain_bounds`, so the sum is read back once.
+    One `tuple_sum` over the 2^((r-1)/2) tuples, each step a packed binomial
+    from row n - lower of `qeuler.q_pascal_rows(qs)`, negated so the signs
+    alternate with depth, at the layout of `_chain_bounds`; one read back.
     """
     _require_odd_rank(n, r)
     layout = Layout(*_chain_bounds(n, r, q_one))
     rows = list(islice(q_pascal_rows(layout.qs, width=r), n + 1))
-    steps = {}  # steps[lower]: (upper, -[n - lower over upper - lower]_q), for even ranks lower < upper < r
-    for lower in range(0, r, 2):
-        steps[lower] = [(upper, -rows[n - lower][upper - lower]) for upper in range(lower + 2, r, 2)]
-    total = 0
-    stack = [(0, 1)]
-    while stack:
-        lower, product = stack.pop()
-        total += product
-        stack += [(upper, product * step) for upper, step in steps[lower]]
-    return layout.read(total, 1)
+    steps = {lower: [(upper, -rows[n - lower][upper - lower]) for upper in range(lower + 2, r, 2)]
+             for lower in range(0, r, 2)}
+    return layout.read(tuple_sum(steps), 1)
 
 
 # -- tangent-secant numbers ------------------------------------------------
@@ -144,20 +126,16 @@ class TangentSecantTable(namedtuple("TangentSecantTable", "n_max entries classic
 
 
 def _secant_norm_bounds(n_max):
-    """Bounds B_n >= ||E_n||_1 for 0 <= n <= n_max, fixed before any E_n is computed.
-
-    cosh_q sech_q = 1 and tanh_q = sinh_q sech_q give E_n as the sum of
-    [n over 2j]_q E_(2j) over 2j < n, negated at even n > 0; since
-    ||[n over k]_q||_1 = C(n, k) and ||fg||_1 <= ||f||_1 ||g||_1, the same
-    sums on the rows of Pascal's triangle, without signs, bound the norms:
+    """Bounds B_n >= ||E_n||_1, 0 <= n <= n_max: `recurrence_bounds` of
+    E_n = +-sum_{2j < n} [n over 2j]_q E_(2j) from E_0 = 1 (cosh_q sech_q = 1
+    and tanh_q = sinh_q sech_q), each [n over 2j]_q of norm C(n, 2j):
 
     >>> _secant_norm_bounds(6)
     [1, 1, 1, 4, 7, 46, 121]
     """
-    bounds = []
-    for n, row in enumerate(islice(q_pascal_rows(0), n_max + 1)):
-        bounds.append(sum(map(mul, row[:n:2], bounds[::2])) if n else 1)
-    return bounds
+    norms, _ = recurrence_bounds(range(n_max + 1), lambda n: 1 if n == 0 else 0,
+                                 lambda n: ((j, comb(n, j), 0) for j in range(0, n, 2)))
+    return list(norms.values())
 
 
 def _secant_by_recurrence(n_max, qs):

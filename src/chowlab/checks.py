@@ -404,7 +404,7 @@ def alternating_probes(ns, bound=None):
     entry, which the build computes by the q-Seidel-Entringer triangle."""
     table = charney.tangent_secant(_top(ns))
     for n in ns:
-        up_down = (v for v in permutations_of(n, bound) if is_alternating(v, "up-down"))
+        up_down = (v for v in permutations_of(n, bound) if is_alternating(v))
         walked = BiPoly(Counter((sum(a > b for a, b in combinations(v, 2)), 0) for v in up_down))
         yield _compare(f"alternating probe (n={n})", walked, (-1) ** (n // 2) * table[n])
 

@@ -25,7 +25,7 @@ from itertools import accumulate, chain, islice
 from math import comb
 from operator import mul
 
-from .exactalg import Layout
+from .exactalg import Layout, recurrence_bounds, tuple_sum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
 from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, _t_quantum_size, q_pascal_rows
 
@@ -33,11 +33,8 @@ from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, _t_quantum_size,
 def hilbert_chain_sum(spec):
     """Hilbert series as the sum over the rank tuples 0 = e_0 < e_1 < ...
     < e_m <= r, every gap at least 2, of the products of
-    chains_above(e_(i-1), e_i) t [e_i - e_(i-1) - 1]_t.  Every tuple is
-    visited, each one `int` product: its parent's (the tuple without e_m)
-    times the packed factor of its last step.  The walk is depth-first, so
-    only the children of the tuples on one path wait on the stack, at most
-    r^2 / 4 products.  The layout is `_chain_sum_bounds`; one read back."""
+    chains_above(e_(i-1), e_i) t [e_i - e_(i-1) - 1]_t, by `tuple_sum` on
+    the packed steps, at the layout of `_chain_sum_bounds`; one read back."""
     r = spec.r
     layout = Layout(*_chain_sum_bounds(spec))
     steps = [[] for _ in range(r + 1)]  # steps[lower]: (upper, chains_above(lower, upper) t [upper - lower - 1]_t)
@@ -45,36 +42,27 @@ def hilbert_chain_sum(spec):
         for upper in range(lower + 2, r + 1):
             binomial = layout.pack(chains_above(spec, lower, upper).terms, 1)
             steps[lower].append((upper, sum(binomial << a * layout.ts for a in range(1, upper - lower))))
-    total = 0
-    stack = [(0, 1)]
-    while stack:
-        lower, product = stack.pop()
-        total += product
-        stack += [(upper, product * step) for upper, step in steps[lower]]
-    return layout.read(total, r)
+    return layout.read(tuple_sum(steps), r)
 
 
 def _chain_sum_bounds(spec):
-    """Bounds (N, D) for `hilbert_chain_sum`, fixed before any product: N is
-    the sum of its products' l1 norms, each step a factor ||chains_above||_1
-    = C(n - lower, k) (gap - 1), k = upper - lower, and D their largest
-    q-degree, each step adding that of chains_above, k (n - lower - k) for
-    vector, by one pass from r down over the tails of the tuples from
-    `lower` up; chains_above is 1 at upper = r.  Every coefficient is
-    nonnegative, so N = H(1, 1):
+    """Bounds (N, D) for `hilbert_chain_sum`: `recurrence_bounds` over the
+    tails of the tuples from `lower` up, from r down, each step of norm
+    C(n - lower, k) (k - 1), k = upper - lower, and the q-degree k (n - upper)
+    of chains_above for vector; chains_above is 1 at upper = r.  Every
+    coefficient is nonnegative, so N = H(1, 1):
 
     >>> _chain_sum_bounds(FamilySpec.vector(5, 5)), _chain_sum_bounds(FamilySpec.uniform(5, 5))
     ((120, 8), (120, 0))
     """
     n, r, vector = spec.n, spec.r, spec.kind != UNIFORM
-    norms, degrees = {}, {}
-    for lower in range(r, -1, -1):
-        norms[lower], degrees[lower] = 1, 0
+
+    def edges(lower):
         for upper in range(lower + 2, r + 1):
-            k = upper - lower
-            inner = upper < r  # chains_above(lower, r) is 1
-            norms[lower] += (comb(n - lower, k) if inner else 1) * (k - 1) * norms[upper]
-            degrees[lower] = max(degrees[lower], vector * inner * k * (n - lower - k) + degrees[upper])
+            k, inner = upper - lower, upper < r
+            yield upper, (comb(n - lower, k) if inner else 1) * (k - 1), vector * inner * k * (n - upper)
+
+    norms, degrees = recurrence_bounds(range(r, -1, -1), lambda lower: 1, edges)
     return norms[0], degrees[0]
 
 
@@ -128,31 +116,19 @@ def _diagonal(spec, horner):
 
 def _diagonal_bounds(spec):
     """Bounds (B_m, d_m) for H_m = H(d + m, m), 0 <= m <= r, on the diagonal
-    d = n - r of `spec`, fixed before any H_m is computed.  The recurrence of
-    `_diagonal` at q = t = 1 gives
-
-        B_m = m + sum_{1 <= a <= m-2} C(d+m, d+a) B_a (m-a-1),
-
-    and every coefficient of H_m is nonnegative, so B_m = H_m(1, 1) exactly.
-    q-degrees add through each product: d_m = max_a (m-a)(d+a) + d_a, and
-    every d_m is 0 for the uniform family:
+    d = n - r of `spec`: `recurrence_bounds` of `_diagonal`'s recurrence,
+    each term of norm C(d+m, d+a) (m-a-1) and q-degree (m-a)(d+a), 0 for
+    uniform.  Every coefficient of H_m is nonnegative, so B_m = H_m(1, 1):
 
     >>> _diagonal_bounds(FamilySpec.vector(7, 5))
     ([1, 1, 2, 13, 74, 523], [0, 0, 0, 6, 9, 16])
     >>> _diagonal_bounds(FamilySpec.uniform(7, 5))
     ([1, 1, 2, 13, 74, 523], [0, 0, 0, 0, 0, 0])
     """
-    d = spec.n - spec.r
-    vector = spec.kind != UNIFORM
-    norms, degrees = [1], [0]
-    for m in range(1, spec.r + 1):
-        norm, degree = m, 0
-        for a in range(1, m - 1):
-            norm += comb(d + m, d + a) * norms[a] * (m - a - 1)
-            degree = max(degree, vector * (m - a) * (d + a) + degrees[a])
-        norms.append(norm)
-        degrees.append(degree)
-    return norms, degrees
+    d, vector = spec.n - spec.r, spec.kind != UNIFORM
+    norms, degrees = recurrence_bounds(range(spec.r + 1), lambda m: max(m, 1), lambda m: (
+        (a, comb(d + m, d + a) * (m - a - 1), vector * (m - a) * (d + a)) for a in range(1, m - 1)))
+    return list(norms.values()), list(degrees.values())
 
 
 def hilbert_closed_form(spec):

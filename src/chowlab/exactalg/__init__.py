@@ -1,7 +1,8 @@
 """Exact arithmetic foundation: sparse (q,t)-polynomials (`bipoly`), their
 one packed-integer format (`Layout`), through which `*` multiplies large
-polynomials, and the leading principal minors of a matrix of them computed
-in that format."""
+polynomials, the bounds of a recurrence that fix a route's layout
+(`recurrence_bounds`), the depth-first sum over rank tuples (`tuple_sum`),
+and the leading principal minors of a matrix of them in that format."""
 
 from .bipoly import (
     BiPoly,
@@ -14,7 +15,9 @@ from .bipoly import (
     diff_terms,
     gauss_binomial,
     leading_principal_minors,
+    recurrence_bounds,
     t_quantum,
+    tuple_sum,
 )
 
 __all__ = [
@@ -28,5 +31,7 @@ __all__ = [
     "diff_terms",
     "gauss_binomial",
     "leading_principal_minors",
+    "recurrence_bounds",
     "t_quantum",
+    "tuple_sum",
 ]

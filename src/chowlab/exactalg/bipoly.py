@@ -18,9 +18,10 @@ format, `Layout` (Kronecker substitution: D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 2009).  `*` packs a large product's two factors at one layout and reads
 the product back once; every other packed route fixes its own layout from
-its own bounds and multiplies `int`s.  Leading principal minors, by one
-Bareiss elimination, use the same packing: the matrix is packed once and
-eliminated in `int`, and only the minors are read back.
+its own bounds, most by `recurrence_bounds`, and multiplies `int`s, a sum
+over rank tuples by one walk, `tuple_sum`.  Leading principal minors, by
+one Bareiss elimination, use the same packing: the matrix is packed once
+and eliminated in `int`, and only the minors are read back.
 """
 
 from __future__ import annotations
@@ -320,6 +321,52 @@ class Layout:
             if slot != zero:
                 terms[i % w, i // w] = int.from_bytes(slot, "little") - half
         return _raw(terms)
+
+
+def recurrence_bounds(nodes, base, edges):
+    """Bounds (norms, degrees), dicts by node, on the values of a recurrence
+    x_v = b_v + sum f x_s, in the order of `nodes`: `base(v)` is ||b_v||_1,
+    of q-degree 0, and `edges(v)` yields (s, ||f||_1, deg_q f) per term, s
+    earlier in `nodes`.  norms[v] = base(v) + sum ||f||_1 norms[s] and
+    degrees[v] = max(deg_q f + degrees[s]), where a term with ||f||_1 or
+    norms[s] zero adds no degree:
+
+    >>> recurrence_bounds(range(3), lambda v: 1, lambda v: [(s, 2, v) for s in range(v)])
+    ({0: 1, 1: 3, 2: 9}, {0: 0, 1: 1, 2: 3})
+
+    As ||fg||_1 <= ||f||_1 ||g||_1, norms[v] >= ||x_v||_1 >= every
+    |coefficient| of x_v, whatever the signs, and q-degrees add through
+    products, so a `Layout` of the two holds x_v.  With b_v and every f
+    nonnegative, norms[v] = x_v(1, 1).
+    """
+    norms, degrees = {}, {}
+    for v in nodes:
+        norm, degree = base(v), 0
+        for s, f_norm, f_degree in edges(v):
+            if f_norm and norms[s]:
+                norm += f_norm * norms[s]
+                degree = max(degree, f_degree + degrees[s])
+        norms[v], degrees[v] = norm, degree
+    return norms, degrees
+
+
+def tuple_sum(steps):
+    """The sum over the tuples 0 = e_0 < e_1 < ... < e_m of the products of
+    their steps' packed `int` factors, steps[lower] listing the (upper,
+    factor) pairs, upper > lower.  Depth-first: each tuple is one `int`
+    product, its parent's times its last factor, and only the children of
+    one path of tuples wait on the stack:
+
+    >>> tuple_sum({0: [(1, 2), (2, 3)], 1: [(2, -5)], 2: []})  # 1 + 2 + 3 + 2 (-5)
+    -4
+    """
+    total = 0
+    stack = [(0, 1)]
+    while stack:
+        lower, product = stack.pop()
+        total += product
+        stack += [(upper, product * factor) for upper, factor in steps[lower]]
+    return total
 
 
 def leading_principal_minors(matrix, bound):

@@ -72,13 +72,10 @@ def _derangement_part(v, rank_maps):
     return tuple(index[v[a - 1]] for a in moved)
 
 
-def is_alternating(v, convention):
-    """Up-down: sigma(1) < sigma(2) > sigma(3) < ...; down-up: reversed signs."""
-    if convention not in ("up-down", "down-up"):
-        raise ValueError(f"unknown convention {convention!r}")
+def is_alternating(v):
+    """Up-down: sigma(1) < sigma(2) > sigma(3) < ..."""
     for i in range(len(v) - 1):
-        want_ascent = (i % 2 == 0) if convention == "up-down" else (i % 2 == 1)
-        if (v[i] < v[i + 1]) != want_ascent:
+        if (v[i] < v[i + 1]) != (i % 2 == 0):
             return False
     return True
 

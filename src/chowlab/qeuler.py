@@ -22,7 +22,7 @@ from itertools import accumulate, islice
 from math import comb
 from operator import mul
 
-from .exactalg import BiPoly, Layout
+from .exactalg import BiPoly, Layout, recurrence_bounds
 from .permstat import statistic_sum
 
 
@@ -32,29 +32,24 @@ def q_eulerian_by_definition(n, bound=None):
 
 
 def _q_egf_bounds(n_max, g):
-    """Bounds (B_m, d_m) with B_m >= ||x_m||_1 and d_m >= deg_q x_m for
-    0 <= m <= n_max, fixed before any x_m is computed, for the recurrence
-    x_m = sum_{a < m} [m over a]_q x_a g_(m - a) from x_0 = 1, where
-    g(k) gives (||g_k||_1, deg_q g_k).  Since ||[m over a]_q||_1 = C(m, a)
-    and ||fg||_1 <= ||f||_1 ||g||_1, the same sum of binomials without signs
-    bounds the norms, and q-degrees add through each product:
+    """Bounds (B_m, d_m) on ||x_m||_1 and deg_q x_m, 0 <= m <= n_max, for
+    x_m = sum_{a < m} [m over a]_q x_a g_(m - a) from x_0 = 1, g(k) giving
+    (||g_k||_1, deg_q g_k): `recurrence_bounds`, each term of norm
+    C(m, a) ||g_(m-a)||_1 and q-degree a(m - a) + deg_q g_(m-a):
 
     >>> _q_egf_bounds(4, _f_size)
     ([1, 1, 4, 22, 160], [0, 0, 1, 3, 6])
     >>> _q_egf_bounds(4, _t_quantum_size)
     ([1, 0, 1, 2, 9], [0, 0, 0, 0, 4])
     """
-    norms, degrees = [1], [0]
-    for m in range(1, n_max + 1):
-        norm = degree = 0
+
+    def edges(m):
         for a in range(m):
             g_norm, g_degree = g(m - a)
-            if norms[a] and g_norm:  # a zero term adds no degree
-                norm += comb(m, a) * norms[a] * g_norm
-                degree = max(degree, a * (m - a) + degrees[a] + g_degree)
-        norms.append(norm)
-        degrees.append(degree)
-    return norms, degrees
+            yield a, comb(m, a) * g_norm, a * (m - a) + g_degree
+
+    norms, degrees = recurrence_bounds(range(n_max + 1), lambda m: 1 if m == 0 else 0, edges)
+    return list(norms.values()), list(degrees.values())
 
 
 def _f_size(k):

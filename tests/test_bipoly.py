@@ -7,6 +7,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from operator import mul
 from pathlib import Path
 
@@ -25,7 +26,9 @@ from chowlab.exactalg import (
     ZERO,
     diff_terms,
     gauss_binomial,
+    recurrence_bounds,
     t_quantum,
+    tuple_sum,
 )
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -422,6 +425,45 @@ def test_no_module_outside_exactalg_knows_a_private_packing_name():
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "bipoly":
                 private += [f"{path.name}:{node.attr}"] if node.attr.startswith("_") else []
     assert len(paths) >= 10 and private == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_tuple_sum_against_every_rank_set(top, data):
+    # signed factors on a random set of steps between the ranks 0, ..., top,
+    # against the sum over every rank set e_1 < ... < e_m in 1, ..., top whose
+    # steps from e_0 = 0 up are all present
+    pairs = [(lower, upper) for upper in range(1, top + 1) for lower in range(upper)]
+    factor = data.draw(st.dictionaries(st.sampled_from(pairs), st.integers(-(2**70), 2**70))) if pairs else {}
+    steps = {lower: [(upper, f) for (below, upper), f in factor.items() if below == lower] for lower in range(top + 1)}
+    expected = 0
+    for m in range(top + 1):
+        for ranks in combinations(range(1, top + 1), m):
+            path = list(zip((0,) + ranks, ranks))
+            if all(step in factor for step in path):
+                expected += math.prod(factor[step] for step in path)
+    assert tuple_sum(steps) == expected
+
+
+nonnegative_bipolys = st.dictionaries(exponents, st.integers(0, 3), max_size=4).map(BiPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.permutations(range(6)), st.data())
+def test_recurrence_bounds_against_the_recurrence_itself(nodes, data):
+    # x_v = b_v + sum f x_s with nonnegative f, evaluated by BiPoly
+    # arithmetic along nodes in a random order: each norm is x_v(1, 1)
+    # exactly, and each degree covers deg_q x_v
+    base = {v: data.draw(st.integers(0, 3)) for v in nodes}
+    earlier = [data.draw(st.lists(st.sampled_from(nodes[:i]), max_size=3)) if i else [] for i in range(len(nodes))]
+    terms = {v: [(s, data.draw(nonnegative_bipolys)) for s in sources] for v, sources in zip(nodes, earlier)}
+    x = {}
+    for v in nodes:
+        x[v] = sum((f * x[s] for s, f in terms[v]), BiPoly.const(base[v]))
+    norms, degrees = recurrence_bounds(nodes, base.__getitem__,
+                                       lambda v: [(s, f.eval(1, 1), f.q_degree()) for s, f in terms[v]])
+    for v in nodes:
+        assert norms[v] == x[v].eval(1, 1) and degrees[v] >= x[v].q_degree(), v
 
 
 @pytest.mark.parametrize("c", [0, 3, -1, 2**100])

@@ -427,6 +427,14 @@ SECANT_TAMPERS.append(("tangent-secant", checks_module, "zigzag_numbers",
                        _tamper((), lambda z: z[:7] + [z[7] + 1] + z[8:]), "Seidel-Entringer"))
 IDS += [f"{suite}-{name}" for suite, _, name, *_ in SECANT_TAMPERS]
 TAMPERS += SECANT_TAMPERS
+# The chain routes of route-agreement, each tuple sum off by one packed unit:
+# the Hilbert chain sum's and the unsigned cd chain sum's constant terms.
+CHAIN_TAMPERS = [
+    ("route-agreement", chow_module, "tuple_sum", _tamper((), lambda total: total + 1), "chain vs recurrence"),
+    ("route-agreement", charney_module, "tuple_sum", _tamper((), lambda total: total + 1), "direct vs chain"),
+]
+IDS += [f"{suite}-{module.__name__.rpartition('.')[2]}.{name}" for suite, module, name, *_ in CHAIN_TAMPERS]
+TAMPERS += CHAIN_TAMPERS
 
 
 def _bump_identity_group(real):

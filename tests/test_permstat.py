@@ -84,13 +84,9 @@ def test_statistic_sum_examples():
 
 
 def test_alternating_classes():
-    ups = [v for v in permutations_of(4) if is_alternating(v, "up-down")]
+    ups = [v for v in permutations_of(4) if is_alternating(v)]
     assert ups == [(1, 3, 2, 4), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3), (3, 4, 1, 2)]
-    downs = [v for v in permutations_of(4) if is_alternating(v, "down-up")]
-    assert downs == sorted(tuple(5 - a for a in v) for v in ups)
-    assert [v for v in permutations_of(0) if is_alternating(v, "up-down")] == [()]
-    with pytest.raises(ValueError):
-        is_alternating((2, 1), "sideways")
+    assert [v for v in permutations_of(0) if is_alternating(v)] == [()]
 
 
 def test_zero_excedance_is_identity():
