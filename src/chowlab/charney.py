@@ -61,11 +61,11 @@ def cd_direct(spec):
     the H_m with m = r (mod 2), so a row m of the other parity returns 0 at
     once, without taking any product: those rows hold placeholders."""
     r = spec.r
-    packed, layout = _diagonal(spec, lambda m, c, qs, ts: 0 if (r - m) % 2 else _at_t_minus_one(m, c, qs, ts))
+    packed, layout = _diagonal(spec, lambda m, c, layout: 0 if (r - m) % 2 else _at_t_minus_one(m, c))
     return _signed(layout.read(packed, 1), r)
 
 
-def _at_t_minus_one(m, c, qs, ts):
+def _at_t_minus_one(m, c):
     """The sum of c_a t [m-a-1]_t over a <= m - 2 at t = -1, where t [k]_t
     is -1 for odd k and 0 for even k: minus the c_a with m - a even."""
     return -sum(islice(c, m % 2, m - 1, 2))

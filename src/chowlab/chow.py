@@ -25,7 +25,7 @@ from itertools import accumulate, chain, islice
 from math import comb
 from operator import mul
 
-from .exactalg import Layout, recurrence_bounds, tuple_sum
+from .exactalg import Layout, join_rows, recurrence_bounds, t_horner, tuple_sum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
 from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, _t_quantum_size, q_pascal_rows
 
@@ -89,18 +89,18 @@ def _diagonal(spec, horner):
     (i = m).
 
     - Layout.  As in `qeuler._q_egf`: one `Layout` for H_1, ..., H_r, fixed
-      from `_diagonal_bounds` before any product.  For the uniform family
-      every d_m is 0, so the layout's q is 1.
+      from `_diagonal_bounds` before any product, each H_m kept as its
+      t-rows where qs > 0; the uniform family's d_m are 0, so its q is 1.
     - Recurrence.  Each binomial is read as [d+m over d+a]_q =
       [d+m over m-a]_q, with 2 <= m - a < r, from the rows d + 1, ..., d + r
       of `qeuler.q_pascal_rows(qs)` cut to their first r entries (Pascal's
       triangle for the uniform family), so a long diagonal costs r entries
-      a row.  Each c_a = [d+m over d+a]_q H_a is one integer product, with
-      c_0 = 1, and `horner(m, c, qs, ts)` is the packing of the sum of
-      c_a t [m-a-1]_t over a <= m - 2: `qeuler._derangement_horner` for the
-      series itself, or the same sum at any value of t, since substituting
-      one is a ring homomorphism.  Adding 1 then gives the [m]_t term.
-      H_(r-1) is not needed.  The loop does not recurse.
+      a row.  Each c_a = [d+m over d+a]_q H_a is one product a t-row, with
+      c_0 = 1, and `horner(m, c, layout)` is the sum of c_a t [m-a-1]_t over
+      a <= m - 2: `qeuler._derangement_horner` for the series itself, or the
+      same sum at any value of t, since substituting one is a ring
+      homomorphism.  Adding 1 then gives the [m]_t term.  H_(r-1) is not
+      needed.  The loop does not recurse.
     """
     d, r = spec.n - spec.r, spec.r
     layout = Layout(*map(max, _diagonal_bounds(spec)))
@@ -110,25 +110,27 @@ def _diagonal(spec, horner):
             packed.append(0)
             continue
         c = chain([1], map(mul, row[m - 1 : 1 : -1], packed[1 : m - 1]))
-        packed.append(1 + horner(m, c, layout.qs, layout.ts))
-    return packed[r], layout
+        packed.append(1 + horner(m, c, layout))
+    return join_rows(packed[r], layout.ts), layout
 
 
+@lru_cache(maxsize=None)
 def _diagonal_bounds(spec):
     """Bounds (B_m, d_m) for H_m = H(d + m, m), 0 <= m <= r, on the diagonal
     d = n - r of `spec`: `recurrence_bounds` of `_diagonal`'s recurrence,
     each term of norm C(d+m, d+a) (m-a-1) and q-degree (m-a)(d+a), 0 for
-    uniform.  Every coefficient of H_m is nonnegative, so B_m = H_m(1, 1):
+    uniform, kept per spec.  Every coefficient of H_m is nonnegative, so
+    B_m = H_m(1, 1):
 
     >>> _diagonal_bounds(FamilySpec.vector(7, 5))
-    ([1, 1, 2, 13, 74, 523], [0, 0, 0, 6, 9, 16])
+    ((1, 1, 2, 13, 74, 523), (0, 0, 0, 6, 9, 16))
     >>> _diagonal_bounds(FamilySpec.uniform(7, 5))
-    ([1, 1, 2, 13, 74, 523], [0, 0, 0, 0, 0, 0])
+    ((1, 1, 2, 13, 74, 523), (0, 0, 0, 0, 0, 0))
     """
     d, vector = spec.n - spec.r, spec.kind != UNIFORM
     norms, degrees = recurrence_bounds(range(spec.r + 1), lambda m: max(m, 1), lambda m: (
         (a, comb(d + m, d + a) * (m - a - 1), vector * (m - a) * (d + a)) for a in range(1, m - 1)))
-    return list(norms.values()), list(degrees.values())
+    return tuple(norms.values()), tuple(degrees.values())
 
 
 def hilbert_closed_form(spec):
@@ -157,9 +159,9 @@ def _fiber_sum(n, top, q_one, cumulative):
     The layout holds the sum: norm sum_m C(n, m) B_m ||w_m||_1 and q-degree
     max_m m(n - m) + d_m (0 with `q_one`), (B_m, d_m) from `_q_egf_bounds`.
     D_0, ..., D_top are built at it by `_q_egf` and never read back (see
-    `Layout`).  Each c_m = [n over m]_q D_m is one `int` product, with the
-    binomials from row n of `q_pascal_rows(qs)`, and the sum is in Horner
-    form in t, of the c_m or, when `cumulative`, of their prefix sums, as
+    `Layout`).  Each c_m = [n over m]_q D_m is one product a t-row, with the
+    binomials from row n of `q_pascal_rows(qs)`, and the sum is `t_horner`
+    of the c_m or, when `cumulative`, of their prefix sums, as
     sum_m c_m [top + 1 - m]_t = sum_j t^j (c_0 + ... + c_(top - j)).
     """
     norms, degrees = _q_egf_bounds(top, _t_quantum_size)
@@ -167,10 +169,8 @@ def _fiber_sum(n, top, q_one, cumulative):
     layout = Layout(norm, 0 if q_one else max(m * (n - m) + d for m, d in enumerate(degrees)))
     binomials = next(islice(q_pascal_rows(layout.qs, width=top + 1), n, None))
     c = map(mul, binomials, _q_egf(top, _derangement_horner, layout))
-    x = 0
-    for c_m in accumulate(c) if cumulative else c:
-        x = (x << layout.ts) + c_m
-    return layout.read(x, top + 1)
+    x = t_horner(layout, accumulate(c) if cumulative else c)
+    return layout.read(join_rows(x, layout.ts), top + 1)
 
 
 # -- brute-force oracle on explicit lattices ------------------------------

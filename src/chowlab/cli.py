@@ -18,10 +18,11 @@ output was written, with nothing on stderr.  Identical invocations produce
 byte-identical output.
 
 `entry` is the process entry of `python -m chowlab` and of the `chowlab`
-console script: it freezes the start-up heap, runs `main`, flushes stdout
-and stderr and ends the process by `os._exit` with `main`'s code, without
-the interpreter's teardown.  `main` itself changes no process-wide state,
-so a library caller can run it in-process.
+console script: it freezes the start-up heap, lifts the limit on the
+digits of a printed `int`, runs `main`, flushes stdout and stderr and ends
+by `os._exit` with `main`'s code, without the interpreter's teardown.
+`main` itself changes no process-wide state, so a library caller can run
+it in-process.
 """
 
 from __future__ import annotations
@@ -390,12 +391,14 @@ def entry():
     """Run `main` and end the process at its last byte of output.
 
     What start-up loaded lives to the end, so it is frozen: no collection
-    during the run traverses it.  `os._exit` then skips the interpreter's
-    teardown, which would clear every module and free every cache and big
-    `int` the run built.  The exit code is `main`'s, or argparse's for
-    `--help` and a usage error, or 141 when the reader closed stdout before
-    the final flush; what is left in the buffer dies with the process."""
+    during the run traverses it.  A value of any size prints: CPython's
+    limit on the digits of an `int` turned into a string is lifted.
+    `os._exit` then skips the teardown, which would clear every module and
+    free every cache and big `int` the run built.  The exit code is `main`'s,
+    or argparse's for `--help` and a usage error, or 141 when the reader
+    closed stdout before the final flush; what is left in the buffer dies."""
     gc.freeze()
+    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)  # absent before 3.10.7: no limit
     try:
         code = main()
     except SystemExit as e:  # argparse's, with its int code

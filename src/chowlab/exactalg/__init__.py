@@ -14,9 +14,11 @@ from .bipoly import (
     ZERO,
     diff_terms,
     gauss_binomial,
+    join_rows,
     leading_principal_minors,
     recurrence_bounds,
     t_quantum,
+    t_horner,
     tuple_sum,
 )
 
@@ -30,8 +32,10 @@ __all__ = [
     "ZERO",
     "diff_terms",
     "gauss_binomial",
+    "join_rows",
     "leading_principal_minors",
     "recurrence_bounds",
     "t_quantum",
+    "t_horner",
     "tuple_sum",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import accumulate, groupby, repeat
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
 
 # A product by `*` takes the Kronecker route when it has at least this many
@@ -266,6 +266,12 @@ class Layout:
     q-degree at most q_degree, its t-degree below the rows read, and every
     |coefficient| at most norm, below 2^(8 nb - 1).  Such a value reads back
     exactly, and the zero polynomial is exactly the integer 0.
+
+    T-rows.  The same packing cut at stride ts is a value's `TRows`: row j
+    is its t^j coefficient packed at q = 2^qs alone, only as wide as its
+    own q-degree needs, and the packing is the sum of row_j << j ts
+    (`join_rows`).  Where qs > 0 a recurrence keeps its values so
+    (`t_horner`), and a product by an `int` in q is one product a row.
     """
 
     __slots__ = ("w", "nb", "qs", "ts")
@@ -321,6 +327,45 @@ class Layout:
             if slot != zero:
                 terms[i % w, i // w] = int.from_bytes(slot, "little") - half
         return _raw(terms)
+
+
+class TRows(tuple):
+    """A value as its t-rows (see `Layout`), added row by row, and c * x one
+    product a row for an `int` c in q; an `int` is the one-row value."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        other = other if type(other) is TRows else (other,)
+        return TRows((*map(add, self, other), *self[len(other) :], *other[len(self) :]))
+
+    __radd__ = __add__
+
+    def __rmul__(self, c):
+        return TRows(map(c.__mul__, self))
+
+
+def t_horner(layout, cs, ks=None):
+    """The Horner sum in t at `layout`: from x = 0 and c_0, c_1, ..., the x
+    of x = c_i + t x, or of x = c_i + (t - q^k_i) x given k_0, k_1, ...
+    Where qs = 0, q is 1 and x one packed `int`; otherwise x is `TRows`."""
+    qs, ts = layout.qs, layout.ts
+    if not qs:
+        x = 0
+        for c in cs:
+            x = (x << ts) + c if ks is None else (x << ts) - x + c
+        return x
+    x = ()
+    for c, k in zip(cs, repeat(None) if ks is None else ks):
+        c, lo = c if type(c) is TRows else (c,), (0, *x)
+        y = [*map(add, c, lo), *c[len(lo) :], *lo[len(c) :]]
+        x = y if k is None else [*map(sub, y, map((qs * k).__rlshift__, x)), *y[len(x) :]]
+    return TRows(x)
+
+
+def join_rows(x, ts):
+    """The packing of x, an `int` or `TRows`, at t-row stride ts."""
+    return sum(row << j * ts for j, row in enumerate(x)) if type(x) is TRows else x
 
 
 def recurrence_bounds(nodes, base, edges):

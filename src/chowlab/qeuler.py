@@ -2,27 +2,26 @@
 
 A_n(q,t) and D_n(q,t) come from their q-exponential generating functions
 with the denominators cleared, built bottom-up in n (polynomial time) on
-packed integers: one `exactalg.Layout`, fixed from the top n by norm and
-degree bounds taken from the recurrence itself, holds every entry; the
-Gaussian binomials are the rows of the q-Pascal rule at the layout's q,
-each [m over a]_q x_a is one integer product, and the sum over a runs in
-Horner form, where a multiply by t - q^i or by t is a shift.  Only A_n is
-read back; the table D_0, ..., D_n is read back whole, each entry once,
-or, for the closed form and the difference series of `chow`, built at the
-layout of their sum and never read back itself.  The brute-force
-definition of A_n exists as its oracle.  The classical (q = 1)
-polynomials come from their own integer recurrence on Eulerian numbers,
-not from the q-recurrence.
+packed integers: one `exactalg.Layout`, fixed from the top n, holds every
+entry, each kept as its t-rows; the Gaussian binomials are the rows of the
+q-Pascal rule at the layout's q, each [m over a]_q x_a is one product a
+t-row, and the sum over a runs in Horner form, where a multiply by t - q^i
+or by t is a shift.  Only A_n is read back; the table D_0, ..., D_n is read
+back whole, each entry once, or, for the closed form and the difference
+series of `chow`, built at the layout of their sum and never read back.
+The brute-force definition of A_n exists as its oracle.  The classical
+(q = 1) polynomials come from their own integer recurrence on Eulerian
+numbers, not from the q-recurrence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice
-from math import comb
-from operator import mul
+from itertools import accumulate, chain, count, islice
+from math import comb, factorial
+from operator import add, lshift, mul
 
-from .exactalg import BiPoly, Layout, recurrence_bounds
+from .exactalg import BiPoly, Layout, join_rows, recurrence_bounds, t_horner
 from .permstat import statistic_sum
 
 
@@ -31,16 +30,16 @@ def q_eulerian_by_definition(n, bound=None):
     return statistic_sum(n, lambda s: (s.maj - s.exc, s.exc), bound)
 
 
+@lru_cache(maxsize=None)
 def _q_egf_bounds(n_max, g):
     """Bounds (B_m, d_m) on ||x_m||_1 and deg_q x_m, 0 <= m <= n_max, for
     x_m = sum_{a < m} [m over a]_q x_a g_(m - a) from x_0 = 1, g(k) giving
     (||g_k||_1, deg_q g_k): `recurrence_bounds`, each term of norm
-    C(m, a) ||g_(m-a)||_1 and q-degree a(m - a) + deg_q g_(m-a):
+    C(m, a) ||g_(m-a)||_1 and q-degree a(m - a) + deg_q g_(m-a), kept per
+    argument:
 
-    >>> _q_egf_bounds(4, _f_size)
-    ([1, 1, 4, 22, 160], [0, 0, 1, 3, 6])
     >>> _q_egf_bounds(4, _t_quantum_size)
-    ([1, 0, 1, 2, 9], [0, 0, 0, 0, 4])
+    ((1, 0, 1, 2, 9), (0, 0, 0, 0, 4))
     """
 
     def edges(m):
@@ -49,12 +48,7 @@ def _q_egf_bounds(n_max, g):
             yield a, comb(m, a) * g_norm, a * (m - a) + g_degree
 
     norms, degrees = recurrence_bounds(range(n_max + 1), lambda m: 1 if m == 0 else 0, edges)
-    return list(norms.values()), list(degrees.values())
-
-
-def _f_size(k):
-    """(||f_k||_1, deg_q f_k) <= (2^(k-1), k(k-1)/2) for f_k = prod_{0<i<k} (t - q^i)."""
-    return 1 << (k - 1), k * (k - 1) // 2
+    return tuple(norms.values()), tuple(degrees.values())
 
 
 def _t_quantum_size(k):
@@ -62,23 +56,17 @@ def _t_quantum_size(k):
     return k - 1, 0
 
 
-def _eulerian_horner(m, c, qs, ts):
+def _eulerian_horner(m, c, layout):
     """A_m = c_(m-1) + (t - q)(c_(m-2) + (t - q^2)(... + (t - q^(m-1)) c_0)),
-    the sum of c_a f_(m-a) in Horner form: each multiply by t - q^i is two
-    shifts and a subtraction."""
-    x = 0
-    for a, c_a in enumerate(c):
-        x = c_a + (x << ts) - (x << qs * (m - a))
-    return x
+    the sum of c_a f_(m-a) by `t_horner` with k_a = m - a: each multiply by
+    t - q^i is two shifts and a subtraction."""
+    return t_horner(layout, c, range(m, 0, -1))
 
 
-def _derangement_horner(m, c, qs, ts):
+def _derangement_horner(m, c, layout):
     """D_m = sum_{a <= m-2} c_a t [m-a-1]_t = t sum_k P_k t^(m-2-k), in Horner
     form in t alone, with P_k = c_0 + ... + c_k the prefix sums."""
-    x = 0
-    for p in accumulate(islice(c, m - 1)):
-        x = (x << ts) + p
-    return x << ts
+    return t_horner(layout, chain(accumulate(islice(c, m - 1)), [0]))
 
 
 def q_pascal_rows(qs, width=None):
@@ -100,41 +88,42 @@ def q_pascal_rows(qs, width=None):
     row = [1]
     while True:
         yield row
-        row = [1, *(lo + (hi << qs * a) for a, (lo, hi) in enumerate(zip(row, row[1:]), 1)), 1][:width]
+        row = [1, *map(add, row, map(lshift, row[1:], count(qs, qs))), 1][:width]
 
 
 def _q_egf(n, horner, layout):
-    """The packings x_0, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a)
-    from x_0 = 1, at the caller's `layout`.
+    """x_0, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a) from
+    x_0 = 1, at the caller's `layout`, each as its t-rows where qs > 0
+    (`exactalg.t_horner`); `join_rows` makes each its packing.
 
-    - Layout.  The caller fixes it from (B_m, d_m) of `_q_egf_bounds(n, g)`
-      for what it reads back: an x_m itself, which fits, as deg_q x_m <= d_m,
-      its t-degree is at most m, and each coefficient is at most B_m, or a
-      sum of products of them.  Nothing else need fit (see `Layout`).
+    - Layout.  The caller fixes it for what it reads back: an x_m itself,
+      or a sum of products of them.  Nothing else need fit (see `Layout`).
     - Recurrence.  Row m of `q_pascal_rows(qs)` holds every [m over a]_q
-      packed, each c_a = [m over a]_q x_a is one integer product, and
+      packed, each c_a = [m over a]_q x_a is one product a t-row, and
       `horner` sums the c_a times g_(m - a) with shifts and adds.  Nothing
       is read back here.
     """
     packed = [1]
     for m, row in enumerate(islice(q_pascal_rows(layout.qs), 1, n + 1), 1):
-        packed.append(horner(m, map(mul, row, packed), layout.qs, layout.ts))
+        packed.append(horner(m, map(mul, row, packed), layout))
     return packed
 
 
 @lru_cache(maxsize=None)
 def q_eulerian_by_recurrence(n):
     """A_n(q,t) from h_n = sum_k [n over k]_q h_k prod_{i=1}^{n-1-k} (t - q^i):
-    A_0, ..., A_n packed at the layout of n, and only A_n read back."""
+    A_0, ..., A_n at the layout of A_n alone, whose nonnegative coefficients
+    sum to n! and whose q-degree is at most C(n, 2), and only A_n read back."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    layout = Layout(*map(max, _q_egf_bounds(n, _f_size)))
-    return layout.read(_q_egf(n, _eulerian_horner, layout)[n], n + 1)
+    layout = Layout(factorial(n), comb(n, 2))
+    return layout.read(join_rows(_q_egf(n, _eulerian_horner, layout)[n], layout.ts), n + 1)
 
 
 @lru_cache(maxsize=None)
 def derangement_polynomials(n):
-    """(D_0, ..., D_n), packed at the layout of n and each read back once.
+    """(D_0, ..., D_n), built at the layout of n, each read back once at the
+    layout of its own q-degree bound d_m, with the same slots.
 
     Shareshian-Wachs give sum_n D_n z^n/[n]_q! = (1-t)/(e_q(tz) - t e_q(z));
     with the denominators cleared, D_m = sum_{a < m} [m over a]_q D_a t [m-a-1]_t
@@ -142,8 +131,10 @@ def derangement_polynomials(n):
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    layout = Layout(*map(max, _q_egf_bounds(n, _t_quantum_size)))
-    return tuple(layout.read(x, m + 1) for m, x in enumerate(_q_egf(n, _derangement_horner, layout)))
+    norms, degrees = _q_egf_bounds(n, _t_quantum_size)
+    table = _q_egf(n, _derangement_horner, Layout(max(norms), max(degrees)))
+    entries = [Layout(max(norms), d) for d in degrees]
+    return tuple(entry.read(join_rows(x, entry.ts), m + 1) for m, (entry, x) in enumerate(zip(entries, table)))
 
 
 def derangement_polynomial(n):

@@ -126,7 +126,7 @@ def test_chain_layout_bounds_every_tuple():
 
 def test_tampered_minus_one_step_fails_route_agreement(capsys, monkeypatch):
     real = charney_module._at_t_minus_one
-    monkeypatch.setattr(charney_module, "_at_t_minus_one", lambda m, c, qs, ts: real(m, c, qs, ts) + (m == 3))
+    monkeypatch.setattr(charney_module, "_at_t_minus_one", lambda m, c: real(m, c) + (m == 3))
     assert main(["check", "--suite", "route-agreement", "--nmax", "5"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  route-agreement" in out and "cd(5,3) direct vs Hilbert series at t = -1" in out

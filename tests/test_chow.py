@@ -41,6 +41,45 @@ def test_full_rank_is_q_eulerian():
         assert hilbert_recurrence(FamilySpec.uniform(n, n)) == classical_eulerian(n)
 
 
+def test_full_rank_recurrence_is_q_eulerian_through_20():
+    # the paper's full-rank theorem through both t-row loops, at every slot
+    # width of A_n's layout from 1 to 8 bytes (7 -> 8 at n = 19)
+    for n in range(1, 21):
+        assert hilbert_recurrence(FamilySpec.vector(n, n)) == q_eulerian_by_recurrence(n), n
+
+
+def _slot_crossings(n_max):
+    """{nb: the pairs (vector(n, r - 1), vector(n, r)), n <= n_max, between
+    which the slots of the recurrence's layout grow from nb - 1 to nb bytes}."""
+    def nb(spec):
+        return Layout(*map(max, chow_module._diagonal_bounds(spec))).nb
+
+    crossings = {}
+    for n in range(2, n_max + 1):
+        for r in range(2, n + 1):
+            lower, upper = FamilySpec.vector(n, r - 1), FamilySpec.vector(n, r)
+            if nb(lower) < nb(upper):
+                crossings.setdefault(nb(upper), []).append((lower, upper))
+    return crossings
+
+
+def test_recurrence_against_the_chain_sum_where_slots_grow_a_byte():
+    crossings = _slot_crossings(14)
+    assert sorted(crossings) == [2, 3, 4, 5]
+    for pairs in crossings.values():
+        for spec in (spec for pair in pairs for spec in pair):
+            assert hilbert_recurrence(spec) == hilbert_chain_sum(spec), spec
+
+
+def test_closed_form_against_the_recurrence_where_slots_grow_a_byte():
+    # each crossing at its smallest and its largest n up to 24
+    crossings = _slot_crossings(24)
+    assert sorted(crossings) == list(range(2, 12))
+    for pairs in crossings.values():
+        for spec in pairs[0] + pairs[-1]:
+            assert hilbert_closed_form(spec) == hilbert_recurrence(spec), spec
+
+
 def test_uniform_is_q_one_specialization():
     for n in range(1, 7):
         for r in range(1, n + 1):

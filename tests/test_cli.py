@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -607,6 +608,25 @@ def test_closed_form_at_low_rank_needs_no_full_rank_table():
         capture_output=True, text=True, env=_child_env(), timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (0, "1 + t\n")
+
+
+def test_values_past_the_int_to_str_digit_limit_print():
+    # the coefficients of A_1560(t) pass CPython's default 4300-digit limit
+    # on int-to-str; the process lifts it, so the valid input exits 0, and
+    # the coefficients, parsed here with the limit lifted in turn, sum to 1560!
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowlab", *"qeulerian --n 1560 --q1 --format csv".split()],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    lift(0)
+    try:
+        total = sum(int(line.rsplit(",", 1)[1]) for line in proc.stdout.splitlines()[1:])
+    finally:
+        lift(limit)
+    assert total == math.factorial(1560)
 
 
 def test_cold_start_loads_only_what_the_command_uses():

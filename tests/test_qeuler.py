@@ -12,7 +12,7 @@ import pytest
 import chowlab.chow as chow_module
 from chowlab import checks, qeuler
 from chowlab.chow import delta_series, hilbert_closed_form
-from chowlab.exactalg import BiPoly, Layout, ONE, T, ZERO, gauss_binomial
+from chowlab.exactalg import BiPoly, Layout, ONE, T, ZERO, gauss_binomial, join_rows
 from chowlab.flats import FamilySpec
 from chowlab.permstat import statistic_sum
 from chowlab.qeuler import (
@@ -109,15 +109,22 @@ def test_threads_building_one_entry_agree(route):
 def _through_30(route):
     """route(0), ..., route(30), each table from one packed build at n = 30:
     D_0, ..., D_30 are one entry of `derangement_polynomials`, and A_0, ...,
-    A_30 are read back from `_q_egf` at its layout, as A_n is memoised per n
-    and 31 builds would take several times as long."""
+    A_30 are read back from `_q_egf` at the layout of A_30, which holds every
+    A_m, as A_n is memoised per n and 31 builds would take several times as
+    long."""
     if route is derangement_polynomial:
         return list(derangement_polynomials(30))
-    layout = Layout(*map(max, qeuler._q_egf_bounds(30, qeuler._f_size)))
-    return [layout.read(x, n + 1) for n, x in enumerate(qeuler._q_egf(30, qeuler._eulerian_horner, layout))]
+    layout = Layout(factorial(30), comb(30, 2))
+    table = qeuler._q_egf(30, qeuler._eulerian_horner, layout)
+    return [layout.read(join_rows(x, layout.ts), n + 1) for n, x in enumerate(table)]
 
 
-@pytest.mark.parametrize("route, size", [(q_eulerian_by_recurrence, qeuler._f_size),
+def _f_size(k):
+    """(||f_k||_1, deg_q f_k) <= (2^(k-1), k(k-1)/2) for f_k = prod_{0<i<k} (t - q^i)."""
+    return 1 << (k - 1), k * (k - 1) // 2
+
+
+@pytest.mark.parametrize("route, size", [(q_eulerian_by_recurrence, _f_size),
                                          (derangement_polynomial, qeuler._t_quantum_size)])
 def test_q_egf_bounds_cover_every_entry(route, size):
     norms, degrees = qeuler._q_egf_bounds(30, size)
