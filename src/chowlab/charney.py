@@ -22,8 +22,6 @@ table of E_n is built by two routes independent in substance (see
 checks the paper's determinants against it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, islice

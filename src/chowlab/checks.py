@@ -15,8 +15,6 @@ either named after the identity's function; the entries it yielded
 before stay, and the suite's other identities still run.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import accumulate, combinations
 from math import comb, factorial

@@ -18,8 +18,6 @@ All four must agree; the first three symbolically in q, the oracle after
 evaluating q at the lattice's field size (q = 1 for uniform).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate, chain, islice
 from math import comb

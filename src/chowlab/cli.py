@@ -1,6 +1,6 @@
 """Command-line front end: the option table, the two parses of argv that
-read it, output encodings and the text/JSON check report.  The identities
-and suites live in `chowlab.checks`.
+read it, output encodings and the text/JSON check report.  Each handler
+imports the modules its command runs; the suites live in `chowlab.checks`.
 
 Every option of every subcommand is declared once, in `COMMANDS`.
 `parse_canonical` reads argv in canonical form straight from that table
@@ -25,17 +25,37 @@ by `os._exit` with `main`'s code, without the interpreter's teardown.
 it in-process.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
+from collections.abc import Sequence
 
-from . import charney, chow, ordercx, qeuler
-from .checks import SUITES, check_suites, suite_status  # the registry's dict itself: wrap a suite there to wrap `check`
 from .errors import ResourceBoundError, RouteDisagreementError
 from .exactalg import BiPoly
-from .flats import FamilySpec
+
+
+def __getattr__(name):
+    """`SUITES`, `check_suites` and `suite_status`: `checks`' own, loaded on first use."""
+    if name not in ("SUITES", "check_suites", "suite_status"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checks
+
+    return getattr(checks, name)
+
+
+class _SuiteNames(Sequence):
+    """The choices of `--suite`: "all", then the names in the registry
+    `checks.SUITES` (the dict itself: wrap a suite there to wrap `check`),
+    read when a `check` argv or the argparse parser first asks for them."""
+
+    def __getitem__(self, index):
+        from .checks import SUITES
+
+        return ("all", *SUITES)[index]
+
+    def __len__(self):
+        return len(self[:])
+
 
 FORMATS = ("text", "json", "csv")
 FLAG = "flag"  # an option that takes no value: True when present
@@ -65,7 +85,7 @@ COMMANDS = {
     "delta": ("difference series between consecutive ranks", (_N, _R, _FORMAT)),
     "conjecture": ("order-complex identity report", (_N, _R, _REPORT_FORMAT)),
     "check": ("run the cross-validation suites", (
-        ("--suite", "suite", ("all", *SUITES), False, "all", None),
+        ("--suite", "suite", _SuiteNames(), False, "all", None),
         ("--nmax", "n_max", int, False, 6, None),
         _REPORT_FORMAT,
         ("--bound", "bound", int, False, None, "enumeration bound override"),
@@ -291,7 +311,9 @@ def emit_poly(poly, config, meta):
 
 
 def _run_hilbert(config):
-    spec = FamilySpec(config.family, config.n, config.r)
+    from . import chow, flats
+
+    spec = flats.FamilySpec(config.family, config.n, config.r)
     poly = chow.hilbert(spec, config.method, p=config.prime)
     meta = {
         "command": "hilbert",
@@ -306,7 +328,9 @@ def _run_hilbert(config):
 
 
 def _run_cd(config):
-    spec = FamilySpec(config.family, config.n, config.r)
+    from . import charney, flats
+
+    spec = flats.FamilySpec(config.family, config.n, config.r)
     result = charney.cd(spec, config.method)
     if config.fmt == "json":
         payload = {
@@ -326,22 +350,30 @@ def _run_cd(config):
 
 
 def _run_qeulerian(config):
+    from . import qeuler
+
     poly = qeuler.classical_eulerian(config.n) if config.q1 else qeuler.q_eulerian_by_recurrence(config.n)
     return emit_poly(poly, config, {"command": "qeulerian", "n": config.n, "q1": config.q1})
 
 
 def _run_secant(config):
+    from . import charney
+
     table = charney.tangent_secant(config.n)
     poly = BiPoly.const(table.classical[config.n]) if config.q1 else table[config.n]
     return emit_poly(poly, config, {"command": "secant", "n": config.n, "q1": config.q1})
 
 
 def _run_delta(config):
+    from . import chow
+
     poly = chow.delta_series(config.n, config.r)
     return emit_poly(poly, config, {"command": "delta", "n": config.n, "r": config.r})
 
 
 def _run_conjecture(config):
+    from . import ordercx
+
     report = ordercx.conjecture_check(config.n, config.r)
     bivariate = ordercx.bivariate_check(config.n)
     if config.fmt == "json":
@@ -371,6 +403,8 @@ def _run_conjecture(config):
 
 
 def _run_check(config):
+    from .checks import check_suites, suite_status
+
     report = check_suites(config.n_max, config.suite, config.bound)
     statuses = [suite_status(suite["entries"]) for suite in report["suites"]]
     code = 1 if "FAIL" in statuses else 3 if "SKIPPED" in statuses else 0
@@ -391,12 +425,15 @@ def entry():
     """Run `main` and end the process at its last byte of output.
 
     What start-up loaded lives to the end, so it is frozen: no collection
-    during the run traverses it.  A value of any size prints: CPython's
-    limit on the digits of an `int` turned into a string is lifted.
-    `os._exit` then skips the teardown, which would clear every module and
-    free every cache and big `int` the run built.  The exit code is `main`'s,
-    or argparse's for `--help` and a usage error, or 141 when the reader
-    closed stdout before the final flush; what is left in the buffer dies."""
+    during the run traverses it.  `check` collects often, so its start-up
+    loads every module.  A value of any size prints: CPython's limit on the
+    digits of an `int` turned into a string is lifted.  `os._exit` then
+    skips the teardown, which would clear every module and free every cache
+    and big `int` the run built.  The exit code is `main`'s, or argparse's
+    for `--help` and a usage error, or 141 when the reader closed stdout
+    before the final flush; what is left in the buffer dies."""
+    if sys.argv[1:2] == ["check"]:
+        from . import checks  # frozen with the rest of start-up
     gc.freeze()
     getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)  # absent before 3.10.7: no limit
     try:

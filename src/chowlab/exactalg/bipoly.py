@@ -24,8 +24,6 @@ one Bareiss elimination, use the same packing: the matrix is packed once
 and eliminated in `int`, and only the minors are read back.
 """
 
-from __future__ import annotations
-
 import struct
 from functools import lru_cache
 from itertools import accumulate, groupby, repeat

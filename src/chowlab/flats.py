@@ -13,8 +13,6 @@ oracles, enumerating subspaces by reduced row echelon form, and
 count_above gives the chain counts at that prime in `int`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product

@@ -16,8 +16,6 @@ carries a t^2 factor, the left side is evaluated under both readings of
 the order complex (proper part, and full lattice = double cone).
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .exactalg import BiPoly, Layout, ONE, T, ZERO

@@ -10,8 +10,6 @@ major index).  The helpers below take a tuple that is a permutation of
 PermStats(exc=1, maj=3, fix=1)
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict, namedtuple
 from functools import lru_cache
 from itertools import permutations

@@ -14,19 +14,18 @@ The brute-force definition of A_n exists as its oracle.  The classical
 numbers, not from the q-recurrence.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate, chain, count, islice
 from math import comb, factorial
 from operator import add, lshift, mul
 
 from .exactalg import BiPoly, Layout, join_rows, recurrence_bounds, t_horner
-from .permstat import statistic_sum
 
 
 def q_eulerian_by_definition(n, bound=None):
     """Sum of q^(maj-exc) t^exc over all permutations of [n]."""
+    from .permstat import statistic_sum  # the oracle's enumeration, loaded only when it runs
+
     return statistic_sum(n, lambda s: (s.maj - s.exc, s.exc), bound)
 
 

@@ -587,11 +587,22 @@ COLD_START_PROBE = """
 import sys
 before = set(sys.modules)
 from chowlab.cli import main
-codes = [main(["hilbert", "--family", "vector", "--n", "4", "--r", "3"])]
-text = sorted(set(sys.modules) - before)
-codes.append(main(["hilbert", "--family", "vector", "--n", "4", "--r", "3", "--format", "json"]))
-print(repr((codes, text, sorted(set(sys.modules) - before - set(text)))))
+imported = set(sys.modules)
+codes = [main(argv.split()) for argv in %r]
+print(repr((codes, sorted(imported - before), sorted(set(sys.modules) - imported))))
 """
+# What `from chowlab.cli import main` loads of the package, and what each
+# command adds to it: its own route modules and theirs, nothing more.
+CLI_MODULES = {"chowlab", "chowlab.cli", "chowlab.errors", "chowlab.exactalg", "chowlab.exactalg.bipoly"}
+HILBERT_MODULES = ("chow", "flats", "qeuler")
+COLD_START_RUNS = [
+    (["hilbert --family vector --n 4 --r 3", "hilbert --family vector --n 4 --r 3 --format json"], HILBERT_MODULES),
+    (["delta --n 5 --r 3"], HILBERT_MODULES),
+    (["hilbert --family vector --n 5 --r 4 --method closed --format csv"], HILBERT_MODULES),
+    (["qeulerian --n 6"], ("qeuler",)),
+    (["secant --n 6 --format json"], ("charney", *HILBERT_MODULES)),
+    (["check --suite all --nmax 3"], ("charney", "checks", "ordercx", "permstat", *HILBERT_MODULES)),
+]
 
 
 def _child_env(**extra):
@@ -630,13 +641,81 @@ def test_values_past_the_int_to_str_digit_limit_print():
 
 
 def test_cold_start_loads_only_what_the_command_uses():
+    # one fresh interpreter per run, so each sees only its own imports
+    for argvs, modules in COLD_START_RUNS:
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_PROBE % (argvs,)],
+            capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
+        )
+        codes, imported, added = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(argvs), argvs
+        assert {m for m in imported if m.startswith("chowlab")} == CLI_MODULES, argvs
+        assert {m for m in added if m.startswith("chowlab")} == {f"chowlab.{m}" for m in modules}, argvs
+        assert [m for m in COLD_START_UNUSED if m in imported + added] == [], argvs
+
+
+# `cli` reads the suite registry from `checks` when first asked: the dict
+# itself, so a suite wrapped there is the suite that `check` runs (the
+# benchmark's tracer times each suite so).
+REGISTRY_PROBE = """
+import sys
+import chowlab.cli as cli
+loaded = "chowlab.checks" in sys.modules
+suites = cli.SUITES
+import chowlab.checks as checks
+print(repr((loaded, suites is checks.SUITES, cli.check_suites is checks.check_suites)))
+"""
+
+
+def test_cli_suites_is_the_checks_registry():
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
+        [sys.executable, "-c", REGISTRY_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
     )
-    codes, text_added, json_added = ast.literal_eval(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
-    assert "chowlab.cli" in text_added
-    assert [m for m in COLD_START_UNUSED if m in text_added + json_added] == []
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == (False, True, True)
+
+
+def test_a_suite_wrapped_in_the_cli_registry_is_what_check_runs(capsys, monkeypatch):
+    import chowlab.cli as cli
+
+    real, calls = cli.SUITES["egf"], []
+    monkeypatch.setitem(cli.SUITES, "egf", lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run_cli(capsys, "check", "--suite", "egf", "--nmax", "3")
+    assert (code, calls) == (0, [(3, None)])
+    assert out.startswith("PASS  egf  (")
+
+
+# Every name the package exported when its `__init__` imported each module
+# still imports from `chowlab`, as the module's own object, and
+# `import chowlab` alone loads none of them.
+PUBLIC_API = {
+    "charney": "CDResult TangentSecantTable cd cd_chain_alternating cd_direct cd_qsecant t_term tangent_secant",
+    "chow": "basis_monomial_oracle delta_series hilbert hilbert_chain_sum hilbert_closed_form hilbert_recurrence",
+    "errors": "ResourceBoundError RouteDisagreementError",
+    "exactalg": "BiPoly gauss_binomial t_quantum",
+    "flats": "ExplicitLattice FamilySpec build_explicit level_size",
+    "ordercx": "FVector bivariate_check conjecture_check h_polynomial order_complex_fvector",
+    "permstat": "PermStats permutations_of statistic_sum stats",
+    "qeuler": "classical_eulerian derangement_polynomial q_eulerian_by_definition q_eulerian_by_recurrence",
+}
+PUBLIC_API_PROBE = """
+import importlib, sys
+import chowlab
+loaded = sorted(m for m in sys.modules if m.startswith("chowlab."))
+from chowlab import %s
+names = %r
+own = all(globals()[n] is getattr(importlib.import_module("chowlab." + m), n) for m, ns in names.items() for n in ns)
+print(repr((loaded, own, sorted(set(dir(chowlab)) & set(chowlab.__all__)), hasattr(chowlab, "nope"))))
+"""
+
+
+def test_every_public_name_imports_from_the_package():
+    names = {module: names.split() for module, names in PUBLIC_API.items()}
+    flat = sorted(n for ns in names.values() for n in ns)
+    proc = subprocess.run(
+        [sys.executable, "-c", PUBLIC_API_PROBE % (", ".join(flat), names)],
+        capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
+    )
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == ([], True, flat, False)
 
 
 # The tangent-secant suite's classical oracle is integer arithmetic, so a
@@ -697,6 +776,28 @@ def test_process_entries_freeze_before_main(target):
     code, frozen, exits = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert code == 5 and exits == [5]
     assert len(frozen) == 1 and frozen[0] > 0
+
+
+# `entry` loads the suites of `check` before the freeze, since a check run
+# collects often enough to pay for traversing their modules; a query loads
+# its modules when its handler runs.
+ENTRY_CHECK_PROBE = """
+import sys
+import chowlab.cli
+loaded = []
+chowlab.cli.main = lambda argv=None: loaded.append("chowlab.checks" in sys.modules) or 0
+chowlab.cli.os._exit = lambda code: None
+for sys.argv in (["chowlab", "delta"], ["chowlab", "check"]):
+    chowlab.cli.entry()
+print(repr(loaded))
+"""
+
+
+def test_entry_freezes_the_suites_only_for_check():
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_CHECK_PROBE], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
+    )
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [False, True]
 
 
 # Through a pipe, a fresh process writes every byte that `main` prints in
