@@ -10,7 +10,7 @@ _EXPORTS = {
     "chow": "basis_monomial_oracle delta_series hilbert hilbert_chain_sum hilbert_closed_form hilbert_recurrence",
     "errors": "ResourceBoundError RouteDisagreementError",
     "exactalg": "BiPoly gauss_binomial t_quantum",
-    "flats": "ExplicitLattice FamilySpec build_explicit level_size",
+    "flats": "ExplicitLattice FamilySpec build_explicit",
     "ordercx": "FVector bivariate_check conjecture_check h_polynomial order_complex_fvector",
     "permstat": "PermStats permutations_of statistic_sum stats",
     "qeuler": "classical_eulerian derangement_polynomial q_eulerian_by_definition q_eulerian_by_recurrence",

@@ -28,7 +28,7 @@ from itertools import accumulate, islice
 from math import comb
 from operator import mul
 
-from .errors import require_equal
+from .errors import RouteTable, require_equal
 from .exactalg import ZERO, BiPoly, Layout, gauss_binomial, recurrence_bounds, tuple_sum
 from .chow import _diagonal
 from .flats import UNIFORM
@@ -214,18 +214,16 @@ def cd_qsecant(n, r, q_one=False):
     return _signed(unsigned, r)
 
 
-def cd(spec, method="direct"):
-    """Charney-Davis result by the named route: direct | chain | det | qsecant,
-    where det and qsecant name the one secant sum of `cd_qsecant`.
+# The routes by `--method` name, in `--help` order, each looking its function
+# up when called; `det` and `qsecant` are one callable, the secant sum.  For
+# a uniform spec each computes the value of vector(n, r) at q = 1, over Z.
+ROUTES = RouteTable({
+    "direct": lambda spec: cd_direct(spec),
+    "chain": lambda spec: _signed(cd_chain_alternating(spec.n, spec.r, spec.kind == UNIFORM), spec.r),
+})
+ROUTES["det"] = ROUTES["qsecant"] = lambda spec: cd_qsecant(spec.n, spec.r, spec.kind == UNIFORM)
 
-    A uniform spec gets the value of vector(n, r) at q = 1, as the paper
-    states its formulas once, in q; every route computes it over Z.
-    """
-    q_one = spec.kind == UNIFORM
-    if method == "direct":
-        return cd_direct(spec)
-    if method == "chain":
-        return _signed(cd_chain_alternating(spec.n, spec.r, q_one), spec.r)
-    if method in ("det", "qsecant"):
-        return cd_qsecant(spec.n, spec.r, q_one)
-    raise ValueError(f"unknown method {method!r}")
+
+def cd(spec, method="direct"):
+    """Charney-Davis result by the route `ROUTES[method]`."""
+    return ROUTES[method](spec)

@@ -57,19 +57,27 @@ def classical_tangent_secant(n_max):
     return [sech[m] + sum(comb(m, k) * sech[m - k] for k in range(1, m + 1, 2)) for m in range(n_max + 1)]
 
 
+def _values(routes, spec, skip=None):
+    """(names, value at `spec`) of each distinct route of a route table, in
+    its order, under the names that share it joined by "/", `skip` left out."""
+    names = {}
+    for name, route in routes.items():
+        if name != skip:
+            names.setdefault(route, []).append(name)
+    return [("/".join(shared), route(spec)) for route, shared in names.items()]
+
+
 def hilbert_routes(kind, ns):
-    """Chain sum = recurrence = closed form for every 1 <= r <= n in ns."""
+    """Every route of `chow.ROUTES` but the oracle = the first (the chain
+    sum), for every 1 <= r <= n in ns."""
     mismatches = []
     for n in ns:
         for r in range(1, n + 1):
             spec = FamilySpec(kind, n, r)
-            by_chain = chow.hilbert_chain_sum(spec)
-            for route, poly in (
-                ("recurrence", chow.hilbert_recurrence(spec)),
-                ("closed", chow.hilbert_closed_form(spec)),
-            ):
-                if poly != by_chain:
-                    mismatches.append(_mismatch(f"hilbert {spec} chain vs {route}", by_chain, poly))
+            (first, base), *others = _values(chow.ROUTES, spec, skip=chow.ORACLE)
+            for name, poly in others:
+                if poly != base:
+                    mismatches.append(_mismatch(f"hilbert {spec} {first} vs {name}", base, poly))
     yield from mismatches
     yield _entry(f"hilbert routes agree ({kind}, n <= {_top(ns)})", not mismatches)
 
@@ -266,22 +274,19 @@ def egf_identity(order, q_one=False):
 
 
 def cd_routes(ns):
-    """Charney-Davis quantity: direct = chain sum = q-secant sum = the
-    printed Hilbert series at t = -1, odd r <= n."""
+    """Charney-Davis quantity: each distinct route of `charney.ROUTES` = the
+    first (direct) = the printed Hilbert series at t = -1, odd r <= n."""
     mismatches = []
     for n in ns:
         for r in range(1, n + 1, 2):
             spec = FamilySpec.vector(n, r)
-            direct = charney.cd_direct(spec)
-            for route, result in (
-                ("chain", charney.cd(spec, "chain")),
-                ("qsecant", charney.cd_qsecant(n, r)),
-            ):
-                if result.unsigned != direct.unsigned or result.signed != direct.signed:
-                    mismatches.append(_mismatch(f"cd({n},{r}) direct vs {route}", direct.unsigned, result.unsigned))
+            (first, base), *others = _values(charney.ROUTES, spec)
+            for name, result in others:
+                if result != base:
+                    mismatches.append(_mismatch(f"cd({n},{r}) {first} vs {name}", base.unsigned, result.unsigned))
             series = chow.hilbert_recurrence(spec).subs_t_int(-1)
-            if series != direct.unsigned:
-                mismatches.append(_mismatch(f"cd({n},{r}) direct vs Hilbert series at t = -1", direct.unsigned, series))
+            if series != base.unsigned:
+                mismatches.append(_mismatch(f"cd({n},{r}) {first} vs Hilbert series at t = -1", base.unsigned, series))
     yield from mismatches
     yield _entry(f"cd routes agree (odd r <= n <= {_top(ns)})", not mismatches)
 

@@ -23,6 +23,7 @@ from itertools import accumulate, chain, islice
 from math import comb
 from operator import mul
 
+from .errors import RouteTable
 from .exactalg import Layout, join_rows, recurrence_bounds, t_horner, tuple_sum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
 from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, _t_quantum_size, q_pascal_rows
@@ -206,18 +207,21 @@ def basis_monomial_oracle(lat, r):
     return layout.read(sum(counts) & ((1 << r * layout.ts) - 1), r)
 
 
-# -- route dispatch --------------------------------------------------------
+# -- routes ----------------------------------------------------------------
+
+
+# The routes by `--method` name, in `--help` order, each taking (spec, p) and
+# looking its function up when called, so a function rebound here is the one
+# that runs.  The ORACLE builds an explicit lattice, at the prime p for vector.
+ORACLE = "oracle"
+ROUTES = RouteTable({
+    "chain": lambda spec, p=None: hilbert_chain_sum(spec),
+    "recurrence": lambda spec, p=None: hilbert_recurrence(spec),
+    "closed": lambda spec, p=None: hilbert_closed_form(spec),
+    ORACLE: lambda spec, p=None: basis_monomial_oracle(build_explicit(spec, p), spec.r),
+})
 
 
 def hilbert(spec, method="recurrence", p=None):
-    """Hilbert series by the named route: chain | recurrence | closed | oracle."""
-    if method == "chain":
-        return hilbert_chain_sum(spec)
-    if method == "recurrence":
-        return hilbert_recurrence(spec)
-    if method == "closed":
-        return hilbert_closed_form(spec)
-    if method == "oracle":
-        return basis_monomial_oracle(build_explicit(spec, p), spec.r)
-    raise ValueError(f"unknown method {method!r}")
-
+    """Hilbert series by the route `ROUTES[method]`; `p` is the oracle's prime."""
+    return ROUTES[method](spec, p)

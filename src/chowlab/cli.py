@@ -43,15 +43,17 @@ def __getattr__(name):
     return getattr(checks, name)
 
 
-class _SuiteNames(Sequence):
-    """The choices of `--suite`: "all", then the names in the registry
-    `checks.SUITES` (the dict itself: wrap a suite there to wrap `check`),
-    read when a `check` argv or the argparse parser first asks for them."""
+class _Choices(Sequence):
+    """An option's choices: `first`, then the names in the dict `<table>` of
+    `chowlab.<module>`, read when an argv naming the option or the argparse
+    parser asks for them, so no other command loads the module."""
+
+    def __init__(self, module, table, *first):
+        self.module, self.table, self.first = module, table, first
 
     def __getitem__(self, index):
-        from .checks import SUITES
-
-        return ("all", *SUITES)[index]
+        names = getattr(__import__(f"{__package__}.{self.module}", fromlist=[self.table]), self.table)
+        return (*self.first, *names)[index]
 
     def __len__(self):
         return len(self[:])
@@ -72,12 +74,12 @@ _Q1 = ("--q1", "q1", FLAG, False, False, "classical specialization")
 COMMANDS = {
     "hilbert": ("Hilbert series of a Chow ring", (
         _FAMILY, _N, _R, _FORMAT,
-        ("--method", "method", ("chain", "recurrence", "closed", "oracle"), False, "recurrence", None),
+        ("--method", "method", _Choices("chow", "ROUTES"), False, "recurrence", None),
         ("--p", "prime", int, False, None, "prime for the oracle method"),
     )),
     "cd": ("Charney-Davis quantity", (
         _FAMILY, _N, _R, _FORMAT,
-        ("--method", "method", ("direct", "chain", "det", "qsecant"), False, "direct", None),
+        ("--method", "method", _Choices("charney", "ROUTES"), False, "direct", None),
         ("--unsigned", "unsigned", FLAG, False, False, None),
     )),
     "qeulerian": ("q-Eulerian polynomial", (_N, _FORMAT, _Q1)),
@@ -85,7 +87,7 @@ COMMANDS = {
     "delta": ("difference series between consecutive ranks", (_N, _R, _FORMAT)),
     "conjecture": ("order-complex identity report", (_N, _R, _REPORT_FORMAT)),
     "check": ("run the cross-validation suites", (
-        ("--suite", "suite", _SuiteNames(), False, "all", None),
+        ("--suite", "suite", _Choices("checks", "SUITES", "all"), False, "all", None),
         ("--nmax", "n_max", int, False, 6, None),
         _REPORT_FORMAT,
         ("--bound", "bound", int, False, None, "enumeration bound override"),
@@ -310,18 +312,16 @@ def emit_poly(poly, config, meta):
     return 0
 
 
+def _query_meta(config):
+    """The leading JSON keys of `hilbert` and `cd`, in their output order."""
+    return {"command": config.command, "family": config.family, "n": config.n, "r": config.r, "method": config.method}
+
+
 def _run_hilbert(config):
     from . import chow, flats
 
-    spec = flats.FamilySpec(config.family, config.n, config.r)
-    poly = chow.hilbert(spec, config.method, p=config.prime)
-    meta = {
-        "command": "hilbert",
-        "family": config.family,
-        "n": config.n,
-        "r": config.r,
-        "method": config.method,
-    }
+    poly = chow.hilbert(flats.FamilySpec(config.family, config.n, config.r), config.method, p=config.prime)
+    meta = _query_meta(config)
     if config.prime is not None:
         meta["p"] = config.prime
     return emit_poly(poly, config, meta)
@@ -330,20 +330,10 @@ def _run_hilbert(config):
 def _run_cd(config):
     from . import charney, flats
 
-    spec = flats.FamilySpec(config.family, config.n, config.r)
-    result = charney.cd(spec, config.method)
+    result = charney.cd(flats.FamilySpec(config.family, config.n, config.r), config.method)
     if config.fmt == "json":
-        payload = {
-            "command": "cd",
-            "family": config.family,
-            "n": config.n,
-            "r": config.r,
-            "method": config.method,
-            "parity": result.parity,
-            "unsigned": result.unsigned,
-            "signed": result.signed,
-        }
-        _print_json(payload)
+        _print_json({**_query_meta(config), "parity": result.parity, "unsigned": result.unsigned,
+                     "signed": result.signed})
         return 0
     poly = result.unsigned if config.unsigned else result.signed
     return emit_poly(poly, config, {})

@@ -14,6 +14,13 @@ class ResourceBoundError(Exception):
     """An enumeration or lattice size bound would be exceeded."""
 
 
+class RouteTable(dict):
+    """A quantity's routes by method name; an unknown name is a `ValueError`."""
+
+    def __missing__(self, method):
+        raise ValueError(f"unknown method {method!r}")
+
+
 class RouteDisagreementError(Exception):
     """Two routes that must produce the same exact value disagree.
 

@@ -56,13 +56,6 @@ class FamilySpec(namedtuple("FamilySpec", "kind n r")):
         return f"{self.kind}({self.n},{self.r})"
 
 
-def level_size(spec, i):
-    """Number of rank-i flats as a q-polynomial (a constant for uniform)."""
-    if not 0 <= i <= spec.r:
-        raise ValueError(f"level {i} out of range 0..{spec.r}")
-    return chains_above(spec, 0, i)
-
-
 def chains_above(spec, lower, upper):
     """Number of rank-`upper` flats above a fixed rank-`lower` flat (q-poly)."""
     if upper == spec.r:

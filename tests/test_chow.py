@@ -230,10 +230,13 @@ def test_recurrence_does_not_recurse():
 
 
 def test_hilbert_dispatch():
+    # `hilbert` is one lookup in the route table, whose names are the
+    # `--method` choices in `--help` order; an unknown name is a ValueError
     spec = FamilySpec.vector(3, 3)
+    assert list(chow_module.ROUTES) == ["chain", "recurrence", "closed", "oracle"]
     assert hilbert(spec, "chain") == hilbert(spec, "recurrence") == hilbert(spec, "closed")
     assert hilbert(spec, "oracle", p=2) == hilbert(spec, "recurrence").subs_q_int(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
         hilbert(spec, "magic")
 
 

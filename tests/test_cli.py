@@ -436,6 +436,15 @@ CHAIN_TAMPERS = [
 ]
 IDS += [f"{suite}-{module.__name__.rpartition('.')[2]}.{name}" for suite, module, name, *_ in CHAIN_TAMPERS]
 TAMPERS += CHAIN_TAMPERS
+# A route-table entry of each quantity off by one at one instance: the
+# `check` suite reads the table, not the route functions.
+TABLE_TAMPERS = [
+    ("route-agreement", chow_module.ROUTES, "closed", _tamper((V32,), lambda h: h + ONE), "chain vs closed"),
+    ("route-agreement", charney_module.ROUTES, "qsecant",
+     _tamper((V55,), lambda c: c._replace(unsigned=c.unsigned + ONE)), "direct vs"),
+]
+IDS += [f"{suite}-ROUTES[{name}]" for suite, _, name, *_ in TABLE_TAMPERS]
+TAMPERS += TABLE_TAMPERS
 
 
 def _bump_identity_group(real):
@@ -481,8 +490,12 @@ def test_tampered_fiber_fails_the_fiber_identity(capsys, monkeypatch):
 
 @pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=IDS)
 def test_tampered_route_fails_its_suite(capsys, monkeypatch, suite, module, name, tamper, instance):
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, tamper(real))
+    if isinstance(module, dict):  # a route table
+        real = module[name]
+        monkeypatch.setitem(module, name, tamper(real))
+    else:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, tamper(real))
     try:
         code, out, _ = run_cli(capsys, "check", "--suite", suite, "--nmax", "5")
     finally:
@@ -684,6 +697,25 @@ def test_a_suite_wrapped_in_the_cli_registry_is_what_check_runs(capsys, monkeypa
     assert out.startswith("PASS  egf  (")
 
 
+# The route tables look their functions up when called, so a route function
+# wrapped on its module (as the benchmark's tracer wraps each one) is what
+# a query and `route-agreement` run.
+def test_a_route_wrapped_on_its_module_is_what_the_tables_run(capsys, monkeypatch):
+    calls = []
+    for module, name in ((chow_module, "hilbert_closed_form"), (charney_module, "cd_chain_alternating")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert run_cli(capsys, "hilbert", "--family", "vector", "--n", "5", "--r", "3", "--method", "closed")[0] == 0
+    assert calls == ["hilbert_closed_form"]
+    assert run_cli(capsys, "cd", "--family", "vector", "--n", "5", "--r", "3", "--method", "chain")[0] == 0
+    assert calls == ["hilbert_closed_form", "cd_chain_alternating"]
+    calls.clear()
+    code, out, _ = run_cli(capsys, "check", "--suite", "route-agreement", "--nmax", "3")
+    assert code == 0 and out.startswith("PASS  route-agreement  (")
+    # 6 + 6 specs of the Hilbert series, 4 of the Charney-Davis quantity
+    assert (calls.count("hilbert_closed_form"), calls.count("cd_chain_alternating")) == (12, 4)
+
+
 # Every name the package exported when its `__init__` imported each module
 # still imports from `chowlab`, as the module's own object, and
 # `import chowlab` alone loads none of them.
@@ -692,7 +724,7 @@ PUBLIC_API = {
     "chow": "basis_monomial_oracle delta_series hilbert hilbert_chain_sum hilbert_closed_form hilbert_recurrence",
     "errors": "ResourceBoundError RouteDisagreementError",
     "exactalg": "BiPoly gauss_binomial t_quantum",
-    "flats": "ExplicitLattice FamilySpec build_explicit level_size",
+    "flats": "ExplicitLattice FamilySpec build_explicit",
     "ordercx": "FVector bivariate_check conjecture_check h_polynomial order_complex_fvector",
     "permstat": "PermStats permutations_of statistic_sum stats",
     "qeuler": "classical_eulerian derangement_polynomial q_eulerian_by_definition q_eulerian_by_recurrence",

@@ -17,7 +17,6 @@ from chowlab.flats import (
     chains_above,
     count_above,
     explicit_size,
-    level_size,
 )
 from chowlab.ordercx import FVector
 from chowlab.permstat import stats
@@ -61,13 +60,12 @@ def test_values_are_immutable():
 
 
 def test_level_sizes():
-    assert level_size(FamilySpec.uniform(4, 3), 2) == BiPoly.const(6)
-    assert level_size(FamilySpec.vector(4, 4), 2) == gauss_binomial(4, 2)
+    # the number of rank-i flats is the chain count from the bottom
+    assert chains_above(FamilySpec.uniform(4, 3), 0, 2) == BiPoly.const(6)
+    assert chains_above(FamilySpec.vector(4, 4), 0, 2) == gauss_binomial(4, 2)
     for spec in (FamilySpec.uniform(5, 3), FamilySpec.vector(5, 3)):
-        assert level_size(spec, 0) == BiPoly.const(1)
-        assert level_size(spec, spec.r) == BiPoly.const(1)
-    with pytest.raises(ValueError):
-        level_size(FamilySpec.uniform(4, 3), 4)
+        assert chains_above(spec, 0, 0) == BiPoly.const(1)
+        assert chains_above(spec, 0, spec.r) == BiPoly.const(1)
 
 
 def test_integer_counts_are_the_chain_counts_at_q():
