@@ -6,7 +6,7 @@ oracles.  A public name loads its module when first read (PEP 562)."""
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "charney": "CDResult TangentSecantTable cd cd_chain_alternating cd_direct cd_qsecant t_term tangent_secant",
+    "charney": "CDResult cd cd_chain_alternating cd_direct cd_qsecant t_term tangent_secant",
     "chow": "basis_monomial_oracle delta_series hilbert hilbert_chain_sum hilbert_closed_form hilbert_recurrence",
     "errors": "ResourceBoundError RouteDisagreementError",
     "exactalg": "BiPoly gauss_binomial t_quantum",

@@ -16,10 +16,10 @@ The paper writes the odd-rank quantity as a sum of determinants T(n, 2a)
 of Gaussian-binomial matrices, or as a sum of q-secant numbers.  The two
 are one sum: both matrices rescale one Toeplitz matrix in 1/(q;q)_2k, so
 T(n, 2a) = [n over 2a]_q E_2a, and the `det` and `qsecant` methods both
-sum [n over 2a]_q E_2a over 2a < r (over Z for the uniform family).  The
-table of E_n is built by two routes independent in substance (see
-`tangent_secant`), and the `tangent-secant` suite of `chowlab.checks`
-checks the paper's determinants against it.
+sum [n over 2a]_q E_2a over 2a < r (over Z for the uniform family, from
+the table built at q = 1).  The table of E_n is built by two routes
+independent in substance (see `tangent_secant`), and the `tangent-secant`
+suite of `chowlab.checks` checks the paper's determinants against it.
 """
 
 from collections import namedtuple
@@ -110,19 +110,6 @@ def cd_chain_alternating(n, r, q_one=False):
 # -- tangent-secant numbers ------------------------------------------------
 
 
-class TangentSecantTable(namedtuple("TangentSecantTable", "n_max entries classical")):
-    """E_{n,q} for 0 <= n <= n_max, both routes verified at build time.
-
-    `entries` holds the BiPoly q-polynomials and `classical` their integer
-    values at q = 1; `table[n]` is `entries[n]`.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, n):
-        return self.entries[n]
-
-
 def _secant_norm_bounds(n_max):
     """Bounds B_n >= ||E_n||_1, 0 <= n <= n_max: `recurrence_bounds` of
     E_n = +-sum_{2j < n} [n over 2j]_q E_(2j) from E_0 = 1 (cosh_q sech_q = 1
@@ -164,51 +151,56 @@ def _secant_by_triangle(n_max, qs):
 
 
 @lru_cache(maxsize=None)
-def tangent_secant(n_max):
-    """Build the table, once per n_max, by two packed-integer routes that
-    must agree: the recurrence (`_secant_by_recurrence`) and the q-weighted
-    Seidel-Entringer triangle (`_secant_by_triangle`).
+def tangent_secant(n_max, q_one):
+    """(E_0, ..., E_(n_max)), or with `q_one` their values at q = 1, built
+    once per argument by two packed-integer routes that must agree: the
+    recurrence (`_secant_by_recurrence`) and the q-weighted Seidel-Entringer
+    triangle (`_secant_by_triangle`).  Every caller passes `q_one`, so one
+    argument is one cache key.
 
     Both run at one `Layout`, and each entry is read back once.  The layout
     holds the largest B_n of `_secant_norm_bounds`, which bounds every
     coefficient of whatever the recurrence computes, and q-degree
-    C(n_max, 2), the largest inversion count.  The triangle only adds and
+    C(n_max, 2), the largest inversion count, or 0 with `q_one`, so that
+    both routes run at q = 1 in plain `int`.  The triangle only adds and
     shifts, so up to the sign (-1)^(n // 2) its coefficients are
     nonnegative, and they sum to the zigzag number z_n = |E_n(1)| <=
     ||E_n||_1 <= B_n.  So each route's integer is the packing of one
     polynomial that fits the layout: the integers are equal exactly when
-    the polynomials are.  Each is read with as many rows as its size needs,
-    so a wrong route's value, even one past the layout, reads back as a
-    polynomial and the disagreement is a `RouteDisagreementError`.
+    the polynomials (or their values at q = 1) are.  Each is read with as
+    many rows as its size needs, so a wrong route's value, even one past
+    the layout, reads back as a polynomial and the disagreement is a
+    `RouteDisagreementError`.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    layout = Layout(max(_secant_norm_bounds(n_max)), comb(n_max, 2))
+    layout = Layout(max(_secant_norm_bounds(n_max)), 0 if q_one else comb(n_max, 2))
     entries = []
     routes = zip(_secant_by_recurrence(n_max, layout.qs), _secant_by_triangle(n_max, layout.qs))
     for n, (by_recurrence, by_triangle) in enumerate(routes):
         entries.append(layout.read(by_recurrence))
         if by_triangle != by_recurrence:
             require_equal(f"E_{n} by recurrence vs q-Seidel-Entringer triangle", entries[n], layout.read(by_triangle))
-    return TangentSecantTable(n_max, tuple(entries), tuple(e.eval(1, 1) for e in entries))
+    return tuple(entries)
 
 
 def t_term(n, a):
     """T(n, 2a) = [n over 2a]_q E_2a, with E_2a from the verified tangent-secant table."""
     if not 0 <= 2 * a <= n:
         raise ValueError(f"need 0 <= 2a <= n, got a={a}, n={n}")
-    return gauss_binomial(n, 2 * a) * tangent_secant(2 * a)[2 * a]
+    return gauss_binomial(n, 2 * a) * tangent_secant(2 * a, False)[2 * a]
 
 
 def cd_qsecant(n, r, q_one=False):
     """Signed and unsigned quantities as sum_(2a < r) T(n, 2a), the
     paper's determinant sum and q-secant sum at once; with `q_one`, its
-    value at q = 1, the sum of C(n, 2a) E_2a(1) over Z."""
+    value at q = 1, the sum of C(n, 2a) E_2a(1) over Z, read off the
+    table built at q = 1."""
     _require_odd_rank(n, r)
-    table = tangent_secant(r - 1)
+    table = tangent_secant(r - 1, q_one)
     ks = range((r - 1) // 2 + 1)
     if q_one:
-        unsigned = BiPoly.const(sum(comb(n, 2 * k) * table.classical[2 * k] for k in ks))
+        unsigned = BiPoly.const(sum(comb(n, 2 * k) * table[2 * k].constant() for k in ks))
     else:
         unsigned = sum((gauss_binomial(n, 2 * k) * table[2 * k] for k in ks), ZERO)
     return _signed(unsigned, r)

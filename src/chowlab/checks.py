@@ -301,14 +301,17 @@ def cd_telescoping(ns):
 
 
 def tangent_secant_table(top):
-    """E_0 .. E_top by the build's two routes, and its q = 1 row against the tanh + sech oracle."""
-    table = charney.tangent_secant(top)
+    """E_0 .. E_top by the build's two routes, at q and at q = 1, and both
+    q = 1 rows, the q-table's values there and the table built there,
+    against the tanh + sech oracle."""
+    classical = [e.eval(1, 1) for e in charney.tangent_secant(top, False)]
+    at_q_one = [e.eval(1, 1) for e in charney.tangent_secant(top, True)]
     yield _entry(f"tangent-secant recurrence = q-Seidel-Entringer triangle (n <= {top})", True)
     oracle = classical_tangent_secant(top)
     yield _entry(
         f"classical values match series oracle (n <= {top})",
-        list(table.classical) == oracle,
-        f"table {list(table.classical)} vs oracle {oracle}",
+        classical == at_q_one == oracle,
+        f"table {classical} vs oracle {oracle}" + ("" if at_q_one == classical else f"; built at q = 1 {at_q_one}"),
     )
 
 
@@ -327,7 +330,7 @@ def secant_determinants(top):
     bound.  A minor aliased by a bound too small, or missing past a zero
     pivot, is a FAIL entry.
     """
-    table = charney.tangent_secant(top)
+    table = charney.tangent_secant(top, False)
     bound = max(charney._secant_norm_bounds(top))
     by_det = {}
     for odd in (0, 1):
@@ -348,7 +351,7 @@ def secant_determinants(top):
 
 def odd_secant_entries(ns):
     """E_{n,q} at odd n is the unsigned full-rank quantity of vector(n, n)."""
-    table = charney.tangent_secant(_top(ns))
+    table = charney.tangent_secant(_top(ns), False)
     for n in ns:
         full_rank = charney.cd_direct(FamilySpec.vector(n, n)).unsigned
         yield _compare(f"odd entry = unsigned full-rank cd (n={n})", table[n], full_rank)
@@ -370,7 +373,7 @@ def classical_zigzag_triangle(top):
     The table's own triangle route is this triangle with q-weights, so at
     q = 1 this is a check of the same substance; `classical_tangent_secant`
     stays the independent q = 1 oracle."""
-    classical = list(charney.tangent_secant(top).classical)
+    classical = [e.eval(1, 1) for e in charney.tangent_secant(top, False)]
     signed = [(-1) ** (n // 2) * z for n, z in enumerate(zigzag_numbers(top))]
     yield _entry(f"classical values match Seidel-Entringer triangle (n <= {top})", classical == signed,
                  f"table {classical} vs triangle {signed}")
@@ -405,7 +408,7 @@ def alternating_probes(ns, bound=None):
     """Stanley's q-analogue of sec + tan: the sum of q^inv over the up-down
     permutations of [n], walked, is (-1)^(n // 2) E_{n,q}, the table's
     entry, which the build computes by the q-Seidel-Entringer triangle."""
-    table = charney.tangent_secant(_top(ns))
+    table = charney.tangent_secant(_top(ns), False)
     for n in ns:
         up_down = (v for v in permutations_of(n, bound) if is_alternating(v))
         walked = BiPoly(Counter((sum(a > b for a, b in combinations(v, 2)), 0) for v in up_down))

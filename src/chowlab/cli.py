@@ -233,13 +233,14 @@ _JSON_TERM = '      {\n        "q": %d,\n        "t": %d,\n        "c": "%s"\n  
 
 
 def _print_json(payload):
-    """Print the dict `payload`, with each BiPoly value as {"terms": its
-    `to_json_terms()` list}, byte for byte as `json.dumps(..., indent=2)`.
+    """Print the dict `payload`, with each BiPoly value as {"terms": a list
+    of {"q", "t", "c"} dicts, sorted by (t, q), each coefficient a string},
+    byte for byte as `json.dumps(..., indent=2)`.
 
     A term list is one join of `_JSON_TERM` over the polynomial's
-    `to_csv_rows()`, the same terms in the same order: degrees and the
-    decimal string of an integer, so nothing needs escaping.  Every other
-    value is written by `_json`, one level deep.
+    `to_csv_rows()`: degrees and the decimal string of an integer, so
+    nothing needs escaping.  Every other value is written by `_json`, one
+    level deep.
     """
     items = []
     for key, value in payload.items():
@@ -349,8 +350,7 @@ def _run_qeulerian(config):
 def _run_secant(config):
     from . import charney
 
-    table = charney.tangent_secant(config.n)
-    poly = BiPoly.const(table.classical[config.n]) if config.q1 else table[config.n]
+    poly = charney.tangent_secant(config.n, config.q1)[config.n]
     return emit_poly(poly, config, {"command": "secant", "n": config.n, "q1": config.q1})
 
 

@@ -175,22 +175,19 @@ class BiPoly:
 
     def subs_t_int(self, value):
         """Substitute an integer for t, keeping q symbolic."""
-        out = {}
-        for (qd, td), c in self._terms.items():
-            k = (qd, 0)
-            s = out.get(k, 0) + c * value**td
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _raw(out)
+        return self._subs_int(value, 1)
 
     def subs_q_int(self, value):
         """Substitute an integer for q, keeping t symbolic."""
+        return self._subs_int(value, 0)
+
+    def _subs_int(self, value, slot):
+        """Substitute an integer for the variable of exponent slot `slot`
+        (0 for q, 1 for t), keeping the other symbolic."""
         out = {}
-        for (qd, td), c in self._terms.items():
-            k = (0, td)
-            s = out.get(k, 0) + c * value**qd
+        for degrees, c in self._terms.items():
+            k = (degrees[0], 0) if slot else (0, degrees[1])
+            s = out.get(k, 0) + c * value ** degrees[slot]
             if s:
                 out[k] = s
             else:
@@ -217,11 +214,6 @@ class BiPoly:
         terms = self._terms
         rows = groupby(sorted(terms, key=itemgetter(1, 0)), key=itemgetter(1))
         return _join_signed([_render_t_term([(qd, terms[qd, td]) for qd, _ in row], td) for td, row in rows])
-
-    def to_json_terms(self):
-        """Terms as JSON-ready dicts, sorted by (t, q); coefficients as strings."""
-        terms = self._terms
-        return [{"q": qd, "t": td, "c": str(terms[qd, td])} for qd, td in sorted(terms, key=itemgetter(1, 0))]
 
     @classmethod
     def from_json_terms(cls, terms):

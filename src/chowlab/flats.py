@@ -131,16 +131,6 @@ class ExplicitLattice:
     def proper_elements(self):
         return [i for i in range(len(self)) if i not in (self.bottom, self.top)]
 
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "elements": [sorted(label) for label in self.labels],
-            "ranks": list(self.ranks),
-            "covers": sorted(
-                [i, j] for i in range(len(self)) for j in self.upper_covers[i]
-            ),
-        }
-
 
 def build_explicit(spec, p=None):
     """Materialize the lattice of flats; vector families need a prime p.

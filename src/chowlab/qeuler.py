@@ -2,13 +2,14 @@
 
 A_n(q,t) and D_n(q,t) come from their q-exponential generating functions
 with the denominators cleared, built bottom-up in n (polynomial time) on
-packed integers: one `exactalg.Layout`, fixed from the top n, holds every
-entry, each kept as its t-rows; the Gaussian binomials are the rows of the
+packed integers at one `exactalg.Layout`, fixed by what is read back, each
+entry kept as its t-rows; the Gaussian binomials are the rows of the
 q-Pascal rule at the layout's q, each [m over a]_q x_a is one product a
 t-row, and the sum over a runs in Horner form, where a multiply by t - q^i
-or by t is a shift.  Only A_n is read back; the table D_0, ..., D_n is read
-back whole, each entry once, or, for the closed form and the difference
-series of `chow`, built at the layout of their sum and never read back.
+or by t is a shift.  A_n and D_n are each built at the layout of the top
+entry alone and only it is read back; for the closed form and the
+difference series of `chow`, the D table is built at the layout of their
+sum and never read back.
 The brute-force definition of A_n exists as its oracle.  The classical
 (q = 1) polynomials come from their own integer recurrence on Eulerian
 numbers, not from the q-recurrence.
@@ -120,30 +121,22 @@ def q_eulerian_by_recurrence(n):
 
 
 @lru_cache(maxsize=None)
-def derangement_polynomials(n):
-    """(D_0, ..., D_n), built at the layout of n, each read back once at the
-    layout of its own q-degree bound d_m, with the same slots.
+def derangement_polynomial(n):
+    """D_n(q,t): the sum of q^(maj-exc) t^exc over the derangements of [n].
 
     Shareshian-Wachs give sum_n D_n z^n/[n]_q! = (1-t)/(e_q(tz) - t e_q(z));
     with the denominators cleared, D_m = sum_{a < m} [m over a]_q D_a t [m-a-1]_t
-    (the a = m-1 term is 0, as [0]_t = 0).
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    norms, degrees = _q_egf_bounds(n, _t_quantum_size)
-    table = _q_egf(n, _derangement_horner, Layout(max(norms), max(degrees)))
-    entries = [Layout(max(norms), d) for d in degrees]
-    return tuple(entry.read(join_rows(x, entry.ts), m + 1) for m, (entry, x) in enumerate(zip(entries, table)))
-
-
-def derangement_polynomial(n):
-    """D_n(q,t): the sum of q^(maj-exc) t^exc over the derangements of [n],
-    the last entry of `derangement_polynomials(n)`.
+    (the a = m-1 term is 0, as [0]_t = 0).  D_0, ..., D_n at the layout of
+    D_n alone, (B_n, d_n) of `_q_egf_bounds`, and only D_n read back:
 
     >>> derangement_polynomial(4).to_text()
     't + (2 + q + 2*q^2 + q^3 + q^4)*t^2 + t^3'
     """
-    return derangement_polynomials(n)[-1]
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    norms, degrees = _q_egf_bounds(n, _t_quantum_size)
+    layout = Layout(norms[n], degrees[n])
+    return layout.read(join_rows(_q_egf(n, _derangement_horner, layout)[n], layout.ts), n + 1)
 
 
 @lru_cache(maxsize=None)

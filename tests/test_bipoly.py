@@ -175,7 +175,7 @@ def test_text_rendering():
 
 def test_json_roundtrip_and_ordering():
     p = BiPoly({(2, 1): 10**30, (0, 0): -1, (1, 2): 3})
-    terms = p.to_json_terms()
+    terms = [{"q": qd, "t": td, "c": c} for td, qd, c in p.to_csv_rows()]  # the CLI's JSON term list
     assert [(e["t"], e["q"]) for e in terms] == sorted((e["t"], e["q"]) for e in terms)
     assert BiPoly.from_json_terms(terms) == p
 

@@ -63,7 +63,7 @@ def test_uniform_secant_sum_is_over_z(monkeypatch):
     # chain run at one layout of q-degree 0, read back once, so no route
     # builds a Gaussian binomial or multiplies polynomials
     expected = cd_direct(FamilySpec.uniform(23, 23))
-    tangent_secant(22)  # the table det and qsecant read, built before counting
+    tangent_secant(22, True)  # the table det and qsecant read, built before counting
     calls, q_degrees = [], []
     real_binomial, real_mul = charney_module.gauss_binomial, BiPoly.__mul__
     real_read, real_init = Layout.read, Layout.__init__
@@ -82,6 +82,22 @@ def test_uniform_secant_sum_is_over_z(monkeypatch):
             assert calls == ["read"] and q_degrees == [0], method
         else:
             assert calls == [] and q_degrees == [], method
+
+
+def test_secant_q1_runs_at_q_one(capsys, monkeypatch):
+    # `secant --q1` prints the oracle's E_N(1) from the table built at q = 1:
+    # every layout it builds has q-degree 0, even at N = 400, whose q-table
+    # would have q-degree C(400, 2)
+    oracle = checks.classical_tangent_secant(400)
+    q_degrees = []
+    real_init = Layout.__init__
+    monkeypatch.setattr(Layout, "__init__", lambda self, norm, q_degree: q_degrees.append(q_degree) or
+                        real_init(self, norm, q_degree))
+    tangent_secant.cache_clear()
+    for n in [*range(61), 400]:
+        assert main(["secant", "--n", str(n), "--q1"]) == 0
+        assert capsys.readouterr().out == f"{oracle[n]}\n", n
+    assert len(q_degrees) == 62 and set(q_degrees) == {0}
 
 
 def test_direct_is_the_hilbert_series_at_minus_one():
@@ -200,7 +216,7 @@ def test_t_term_is_the_papers_determinant():
 def test_t_term_is_gauss_binomial_times_even_secant():
     # T(n, 2a) = [n over 2a]_q E_2a: both matrices rescale one Toeplitz matrix
     # in 1/(q;q)_2(i-j+1), so `cd --method det` and `qsecant` sum the same terms
-    table = tangent_secant(16)
+    table = tangent_secant(16, False)
     for n in range(17):
         for a in range(n // 2 + 1):
             assert t_term(n, a) == gauss_binomial(n, 2 * a) * table[2 * a], (n, a)
@@ -234,14 +250,15 @@ def test_cd_routes_agree(holds):
 
 
 def test_tangent_secant_table():
-    table = tangent_secant(10)
+    table = tangent_secant(10, False)
     assert table[0] == ONE
     assert table[2] == BiPoly.const(-1)
     assert table[3] == -Q - Q**2
     assert table[3] == ONE - gauss_binomial(3, 1)
     assert table[4] == gauss_binomial(4, 2) - ONE
     assert table[4] == BiPoly({(1, 0): 1, (2, 0): 2, (3, 0): 1, (4, 0): 1})
-    assert list(table.classical) == checks.classical_tangent_secant(10)
+    assert [e.eval(1, 1) for e in table] == checks.classical_tangent_secant(10)
+    assert tangent_secant(10, True) == tuple(map(BiPoly.const, checks.classical_tangent_secant(10)))
 
 
 def test_odd_entries_are_full_rank_cd(holds):
@@ -314,9 +331,9 @@ def test_alternating_probe(holds, monkeypatch):
     # permutations of [n] is (-1)^(n // 2) E_{n,q}, and a wrong entry fails
     ns = range(7)
     holds(checks.alternating_probes(ns), [f"alternating probe (n={n})" for n in ns])
-    table = tangent_secant(6)
-    wrong = table._replace(entries=table.entries[:4] + (table[4] + Q,) + table.entries[5:])
-    monkeypatch.setattr(charney_module, "tangent_secant", lambda n_max: wrong)
+    table = tangent_secant(6, False)
+    wrong = table[:4] + (table[4] + Q,) + table[5:]
+    monkeypatch.setattr(charney_module, "tangent_secant", lambda n_max, q_one: wrong)
     failed = [e for e in checks.alternating_probes(ns) if not e["ok"]]
     assert [e["name"] for e in failed] == ["alternating probe (n=4)"]
     assert failed[0]["detail"].startswith("left q + 2*q^2 + q^3 + q^4 != right 2*q + 2*q^2 + q^3 + q^4")
@@ -360,7 +377,7 @@ def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
     # coefficient, past its degree bound, or by a coefficient that does not
     # fit an nb-byte slot is a route disagreement
     degree = _secant_degree_bound(4)
-    assert tangent_secant(8)[8].q_degree() == degree
+    assert tangent_secant(8, False)[8].q_degree() == degree
     layout = Layout(max(charney_module._secant_norm_bounds(8)), comb(8, 2))
     qs, half = layout.qs, 1 << (8 * layout.nb - 1)
     for name in ("_secant_by_recurrence", "_secant_by_triangle"):
@@ -375,10 +392,10 @@ def test_secant_routes_catch_wrong_top_coefficient(monkeypatch):
             monkeypatch.setattr(charney_module, name, bumped)
             tangent_secant.cache_clear()
             with pytest.raises(RouteDisagreementError, match="E_8 by recurrence vs q-Seidel-Entringer triangle"):
-                tangent_secant(8)
+                tangent_secant(8, False)
         monkeypatch.setattr(charney_module, name, real)
     tangent_secant.cache_clear()
-    assert tangent_secant(8)[8].q_degree() == degree
+    assert tangent_secant(8, False)[8].q_degree() == degree
 
 
 def test_secant_zero_pivot_is_a_route_disagreement(monkeypatch):
@@ -413,7 +430,7 @@ def test_tangent_secant_is_two_int_routes_and_no_elimination(monkeypatch, unpack
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     monkeypatch.setattr(BiPoly, "__mul__", lambda *args: calls.append("__mul__"))
     tangent_secant.cache_clear()
-    tangent_secant(16)
+    tangent_secant(16, False)
     assert calls == []
     assert unpacked_widths == [Layout(max(charney_module._secant_norm_bounds(16)), 0).nb] * 17
 
@@ -421,11 +438,11 @@ def test_tangent_secant_is_two_int_routes_and_no_elimination(monkeypatch, unpack
 def test_secant_norm_bound_covers_every_entry():
     # the triangle's coefficients are nonnegative, so ||E_n||_1 is |E_n(1)|,
     # the zigzag number, and the recurrence's norm bound covers it
-    table = tangent_secant(30)
+    table, at_q_one = tangent_secant(30, False), tangent_secant(30, True)
     bounds = charney_module._secant_norm_bounds(30)
-    assert len(bounds) == len(table.entries) == 31
-    for n, (entry, bound) in enumerate(zip(table.entries, bounds)):
-        assert sum(map(abs, entry.terms.values())) == abs(table.classical[n]) <= bound, n
+    assert len(bounds) == len(table) == 31
+    for n, (entry, bound) in enumerate(zip(table, bounds)):
+        assert sum(map(abs, entry.terms.values())) == abs(at_q_one[n].constant()) <= bound, n
 
 
 def test_secant_slots_hold_the_norm_bound_and_no_less(monkeypatch, unpacked_widths):

@@ -251,7 +251,7 @@ def test_uniform_closed_form_is_one_sum_at_q_one(monkeypatch):
     # and reads its one packed sum back once
     expected = hilbert_recurrence(FamilySpec.uniform(40, 20))
     calls, q_degrees = [], []
-    for name in ("q_eulerian_by_recurrence", "classical_eulerian", "derangement_polynomials"):
+    for name in ("q_eulerian_by_recurrence", "classical_eulerian", "derangement_polynomial"):
         for module in (qeuler, chow_module):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name), raising=False)
     real_read, real_init = Layout.read, Layout.__init__

@@ -284,7 +284,7 @@ def test_check_json(capsys):
 
 
 def _terms(poly):
-    return {"terms": poly.to_json_terms()}
+    return {"terms": [{"q": qd, "t": td, "c": c} for td, qd, c in poly.to_csv_rows()]}
 
 
 def _cd_payload(family, n, r):
@@ -301,7 +301,8 @@ def _conjecture_payload(n, r):
 
 
 # Each JSON query with the payload the stdlib encoder was once given for it:
-# the same values, with every polynomial as {"terms": to_json_terms()}.
+# the same values, with every polynomial as {"terms": [{"q", "t", "c"}, ...]},
+# built from its `to_csv_rows()`.
 JSON_PAYLOADS = {
     "hilbert --family vector --n 7 --r 5": lambda: {
         "command": "hilbert", "family": "vector", "n": 7, "r": 5, "method": "recurrence",
@@ -419,13 +420,29 @@ TAMPERS += [("wachs", module, name, _tamper((4,), lambda d: d + Q), "n=4") for m
 V55 = FamilySpec.vector(5, 5)
 SECANT_TAMPERS = [
     ("telescoping", charney_module, "tangent_secant",
-     _tamper((4,), lambda e: e._replace(entries=e.entries[:4] + (e.entries[4] + Q,))), "n=5, r=5"),
+     _tamper((4,), lambda e: e[:4] + (e[4] + Q,)), "n=5, r=5"),
     ("tangent-secant", charney_module, "cd_direct",
      _tamper((V55,), lambda c: c._replace(unsigned=c.unsigned + ONE)), "n=5"),
 ]
 # The table's q = 1 row against the Seidel-Entringer triangle, with z_7 off by one.
 SECANT_TAMPERS.append(("tangent-secant", checks_module, "zigzag_numbers",
                        _tamper((), lambda z: z[:7] + [z[7] + 1] + z[8:]), "Seidel-Entringer"))
+
+
+def _bump_at_q_one(real):
+    """`charney._secant_by_triangle` with its top entry off by one at qs = 0;
+    the tables built so far are dropped, so that the suite builds them again."""
+    charney_module.tangent_secant.cache_clear()
+
+    def tampered(n_max, qs):
+        packed = real(n_max, qs)
+        return packed[:-1] + [packed[-1] + 1] if qs == 0 else packed
+
+    return tampered
+
+
+# The table built at q = 1, its triangle route off by one: the build fails.
+SECANT_TAMPERS.append(("tangent-secant", charney_module, "_secant_by_triangle", _bump_at_q_one, "tangent_secant_table"))
 IDS += [f"{suite}-{name}" for suite, _, name, *_ in SECANT_TAMPERS]
 TAMPERS += SECANT_TAMPERS
 # The chain routes of route-agreement, each tuple sum off by one packed unit:
@@ -720,7 +737,7 @@ def test_a_route_wrapped_on_its_module_is_what_the_tables_run(capsys, monkeypatc
 # still imports from `chowlab`, as the module's own object, and
 # `import chowlab` alone loads none of them.
 PUBLIC_API = {
-    "charney": "CDResult TangentSecantTable cd cd_chain_alternating cd_direct cd_qsecant t_term tangent_secant",
+    "charney": "CDResult cd cd_chain_alternating cd_direct cd_qsecant t_term tangent_secant",
     "chow": "basis_monomial_oracle delta_series hilbert hilbert_chain_sum hilbert_closed_form hilbert_recurrence",
     "errors": "ResourceBoundError RouteDisagreementError",
     "exactalg": "BiPoly gauss_binomial t_quantum",

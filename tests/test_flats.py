@@ -38,7 +38,6 @@ def test_values_are_immutable():
     values = [
         (FamilySpec.vector(3, 2), "r"),
         (cd_direct(FamilySpec.vector(5, 5)), "signed"),
-        (tangent_secant(4), "entries"),
         (FVector((6, 6)), "f"),
         (stats((3, 2, 1)), "maj"),
         (lat, "upper_covers"),
@@ -52,6 +51,13 @@ def test_values_are_immutable():
         with pytest.raises(AttributeError):
             value.note = "a new attribute"
         assert repr(getattr(value, field)) == before
+    # the tangent-secant table is a plain tuple
+    table = tangent_secant(4, False)
+    with pytest.raises(TypeError):
+        table[4] = ONE
+    with pytest.raises(AttributeError):
+        table.note = "a new attribute"
+    assert type(table) is tuple and table[4] == gauss_binomial(4, 2) - ONE
     # the lattice's own containers cannot change either
     assert all(type(v) is tuple for v in (lat.labels, lat.ranks, lat.below, lat.upper_covers))
     assert all(type(b) is frozenset for b in lat.below) and all(type(u) is tuple for u in lat.upper_covers)
@@ -187,13 +193,14 @@ def test_size_is_the_built_lattice_size():
 
 
 def test_json_export():
+    # the lattice's own fields: its rank, its labels, their ranks, and the covers
     lat = build_explicit(FamilySpec.uniform(3, 2))
-    data = lat.to_json()
-    assert data["rank"] == 2
-    assert sorted(map(tuple, data["elements"])) == [(), (1,), (1, 2, 3), (2,), (3,)]
-    assert len(data["ranks"]) == len(data["elements"])
-    for i, j in data["covers"]:
-        assert data["ranks"][j] == data["ranks"][i] + 1
+    assert lat.rank == 2
+    assert sorted(tuple(sorted(label)) for label in lat.labels) == [(), (1,), (1, 2, 3), (2,), (3,)]
+    assert len(lat.ranks) == len(lat.labels)
+    for i, covers in enumerate(lat.upper_covers):
+        for j in covers:
+            assert lat.ranks[j] == lat.ranks[i] + 1
 
 
 def test_large_prime_is_rejected_at_once():

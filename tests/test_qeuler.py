@@ -18,7 +18,6 @@ from chowlab.permstat import statistic_sum
 from chowlab.qeuler import (
     classical_eulerian,
     derangement_polynomial,
-    derangement_polynomials,
     q_eulerian_by_definition,
     q_eulerian_by_recurrence,
 )
@@ -88,7 +87,7 @@ def test_classical_eulerian_has_no_cap():
         classical_eulerian(-1)
 
 
-@pytest.mark.parametrize("route", [q_eulerian_by_recurrence, derangement_polynomials])
+@pytest.mark.parametrize("route", [q_eulerian_by_recurrence, derangement_polynomial])
 def test_threads_building_one_entry_agree(route):
     # four threads build the entry at 13 at once from an empty memo, with a
     # thread switch every microsecond
@@ -107,15 +106,16 @@ def test_threads_building_one_entry_agree(route):
 
 @lru_cache(maxsize=None)
 def _through_30(route):
-    """route(0), ..., route(30), each table from one packed build at n = 30:
-    D_0, ..., D_30 are one entry of `derangement_polynomials`, and A_0, ...,
-    A_30 are read back from `_q_egf` at the layout of A_30, which holds every
-    A_m, as A_n is memoised per n and 31 builds would take several times as
-    long."""
+    """route(0), ..., route(30), each table read back from one `_q_egf` build
+    at n = 30, at a layout that holds every entry: that of A_30 for A_0, ...,
+    A_30, and the largest (B_m, d_m) of `_q_egf_bounds` for D_0, ..., D_30.
+    Both routes are memoised per n, each built at the layout of its top entry
+    alone, and 31 builds would take several times as long."""
     if route is derangement_polynomial:
-        return list(derangement_polynomials(30))
-    layout = Layout(factorial(30), comb(30, 2))
-    table = qeuler._q_egf(30, qeuler._eulerian_horner, layout)
+        horner, layout = qeuler._derangement_horner, Layout(*map(max, qeuler._q_egf_bounds(30, qeuler._t_quantum_size)))
+    else:
+        horner, layout = qeuler._eulerian_horner, Layout(factorial(30), comb(30, 2))
+    table = qeuler._q_egf(30, horner, layout)
     return [layout.read(join_rows(x, layout.ts), n + 1) for n, x in enumerate(table)]
 
 
@@ -144,6 +144,7 @@ def test_tables_through_30_against_independent_routes():
         assert eulerian[n].subs_q_int(1) == classical_eulerian(n), n
     fibers = sum((gauss_binomial(30, k) * d for k, d in enumerate(_through_30(derangement_polynomial))), ZERO)
     assert eulerian[30] == q_eulerian_by_recurrence(30) == fibers
+    assert _through_30(derangement_polynomial)[30] == derangement_polynomial(30)
 
 
 def test_derangement_polynomials_are_palindromic():
@@ -167,7 +168,7 @@ def test_tables_are_built_without_polynomial_products(monkeypatch):
     # a count, not a timing: every product is one int product at the packed
     # layout, every multiply by (t - q^i) or t a shift, and no Gaussian
     # binomial is built and nothing packed in either loop; A_n is read back
-    # once, and each of D_0, ..., D_n once
+    # once, and D_n once
     calls = []
     real_mul = BiPoly.__mul__
     for name in ("__mul__", "__rmul__"):
@@ -176,17 +177,28 @@ def test_tables_are_built_without_polynomial_products(monkeypatch):
         real = getattr(Layout, name)
         monkeypatch.setattr(Layout, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     q_eulerian_by_recurrence.cache_clear()
-    derangement_polynomials.cache_clear()
+    derangement_polynomial.cache_clear()
     binomials = gauss_binomial.cache_info()
     assert q_eulerian_by_recurrence(14).eval(1, 1) == factorial(14)
     assert calls == ["read"]
     assert derangement_polynomial(14).eval(1, 1) == 32071101049  # the derangements of [14]
-    assert calls == ["read"] * 16
+    assert calls == ["read"] * 2
     after = gauss_binomial.cache_info()
     assert after.hits + after.misses == binomials.hits + binomials.misses
-    for route in (q_eulerian_by_recurrence, derangement_polynomials, derangement_polynomial):
+    for route in (q_eulerian_by_recurrence, derangement_polynomial):
         with pytest.raises(ValueError):
             route(-1)
+
+
+def test_derangement_polynomial_reads_back_once(monkeypatch):
+    # a count: D_16 is read back alone, at its own layout, and is the table's entry
+    expected = _through_30(derangement_polynomial)[16]
+    reads = []
+    real_read = Layout.read
+    monkeypatch.setattr(Layout, "read", lambda *args: reads.append(args) or real_read(*args))
+    derangement_polynomial.cache_clear()
+    assert derangement_polynomial(16) == expected
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("route, spec", [(delta_series, (12, 7)), (hilbert_closed_form, (FamilySpec.vector(12, 7),))])
@@ -196,6 +208,6 @@ def test_sums_over_the_derangement_table_build_it_once(monkeypatch, route, spec)
     real = qeuler._q_egf
     for module in (qeuler, chow_module):
         monkeypatch.setattr(module, "_q_egf", lambda *args: builds.append(args[1]) or real(*args))
-    derangement_polynomials.cache_clear()
+    derangement_polynomial.cache_clear()
     route(*spec)
     assert builds.count(qeuler._derangement_horner) == 1
