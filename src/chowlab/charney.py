@@ -29,7 +29,7 @@ from math import comb
 from operator import mul
 
 from .errors import RouteTable, require_equal
-from .exactalg import ZERO, BiPoly, Layout, gauss_binomial, recurrence_bounds, tuple_sum
+from .exactalg import ZERO, Layout, gauss_binomial, recurrence_bounds, tuple_sum
 from .chow import _diagonal
 from .flats import UNIFORM
 from .qeuler import q_pascal_rows
@@ -197,13 +197,10 @@ def cd_qsecant(n, r, q_one=False):
     value at q = 1, the sum of C(n, 2a) E_2a(1) over Z, read off the
     table built at q = 1."""
     _require_odd_rank(n, r)
-    table = tangent_secant(r - 1, q_one)
-    ks = range((r - 1) // 2 + 1)
-    if q_one:
-        unsigned = BiPoly.const(sum(comb(n, 2 * k) * table[2 * k].constant() for k in ks))
-    else:
-        unsigned = sum((gauss_binomial(n, 2 * k) * table[2 * k] for k in ks), ZERO)
-    return _signed(unsigned, r)
+    table, binomial = tangent_secant(r - 1, q_one), gauss_binomial
+    if q_one:  # over Z, in `int`: no polynomial products
+        table, binomial = [e.constant() for e in table], comb
+    return _signed(sum((binomial(n, 2 * k) * table[2 * k] for k in range((r - 1) // 2 + 1)), ZERO), r)
 
 
 # The routes by `--method` name, in `--help` order, each looking its function

@@ -26,7 +26,7 @@ from operator import mul
 from .errors import RouteTable
 from .exactalg import Layout, join_rows, recurrence_bounds, t_horner, tuple_sum
 from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
-from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, _t_quantum_size, q_pascal_rows
+from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, q_pascal_rows
 
 
 def hilbert_chain_sum(spec):
@@ -163,7 +163,7 @@ def _fiber_sum(n, top, q_one, cumulative):
     of the c_m or, when `cumulative`, of their prefix sums, as
     sum_m c_m [top + 1 - m]_t = sum_j t^j (c_0 + ... + c_(top - j)).
     """
-    norms, degrees = _q_egf_bounds(top, _t_quantum_size)
+    norms, degrees = _q_egf_bounds(top)
     norm = sum(comb(n, m) * b * (top + 1 - m if cumulative else 1) for m, b in enumerate(norms))
     layout = Layout(norm, 0 if q_one else max(m * (n - m) + d for m, d in enumerate(degrees)))
     binomials = next(islice(q_pascal_rows(layout.qs, width=top + 1), n, None))

@@ -1,13 +1,17 @@
-"""Command-line front end: the option table, the two parses of argv that
-read it, output encodings and the text/JSON check report.  Each handler
+"""Command-line front end: the command table, the two parses of argv that
+read it, output encodings and the text/JSON check report.  Each runner
 imports the modules its command runs; the suites live in `chowlab.checks`.
 
-Every option of every subcommand is declared once, in `COMMANDS`.
+Every subcommand is one row of `COMMANDS`: (help line, options, runner).
 `parse_canonical` reads argv in canonical form straight from that table
 (defaults included), without argparse; any other argv (`--help`, an
-abbreviation, `--n=5`, a usage error) goes to `build_parser`, the
-argparse parser built from the same table, whose help text, messages and
-exit code 2 are argparse's own.
+abbreviation, `--n=5`, a usage error) goes to `build_parser`, the argparse
+parser built from the same table, whose help text, messages and exit code
+2 are argparse's own.  `main` calls the row's runner, which checks the
+options it reads (a domain error exits 2), computes and prints.  JSON is
+written byte for byte as `json.dumps(..., indent=2)` without the `json`
+module, which only a string outside printable ASCII loads; a query's JSON
+echoes its inputs first (`_echo`).
 
 Exit codes: 0 success; 1 a cross-route disagreement (a query aborts with a
 diff of the two polynomials, a check run reports a FAIL entry); 2 usage or
@@ -29,6 +33,7 @@ import gc
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .errors import ResourceBoundError, RouteDisagreementError
 from .exactalg import BiPoly
@@ -59,172 +64,7 @@ class _Choices(Sequence):
         return len(self[:])
 
 
-FORMATS = ("text", "json", "csv")
-FLAG = "flag"  # an option that takes no value: True when present
-
-# Each subcommand's help line and options, in the order `--help` lists
-# them.  An option is (option string, dest, kind, required, default, help),
-# where kind is `int`, a tuple of choices or FLAG.
-_FAMILY = ("--family", "family", ("uniform", "vector"), True, None, None)
-_N = ("--n", "n", int, True, None, None)
-_R = ("--r", "r", int, True, None, None)
-_FORMAT = ("--format", "fmt", FORMATS, False, "text", None)
-_REPORT_FORMAT = ("--format", "fmt", ("text", "json"), False, "text", None)  # a report, not one polynomial: no CSV
-_Q1 = ("--q1", "q1", FLAG, False, False, "classical specialization")
-COMMANDS = {
-    "hilbert": ("Hilbert series of a Chow ring", (
-        _FAMILY, _N, _R, _FORMAT,
-        ("--method", "method", _Choices("chow", "ROUTES"), False, "recurrence", None),
-        ("--p", "prime", int, False, None, "prime for the oracle method"),
-    )),
-    "cd": ("Charney-Davis quantity", (
-        _FAMILY, _N, _R, _FORMAT,
-        ("--method", "method", _Choices("charney", "ROUTES"), False, "direct", None),
-        ("--unsigned", "unsigned", FLAG, False, False, None),
-    )),
-    "qeulerian": ("q-Eulerian polynomial", (_N, _FORMAT, _Q1)),
-    "secant": ("q-tangent-secant number", (_N, _FORMAT, _Q1)),
-    "delta": ("difference series between consecutive ranks", (_N, _R, _FORMAT)),
-    "conjecture": ("order-complex identity report", (_N, _R, _REPORT_FORMAT)),
-    "check": ("run the cross-validation suites", (
-        ("--suite", "suite", _Choices("checks", "SUITES", "all"), False, "all", None),
-        ("--nmax", "n_max", int, False, 6, None),
-        _REPORT_FORMAT,
-        ("--bound", "bound", int, False, None, "enumeration bound override"),
-    )),
-}
-
-
-class RunConfig:
-    """The parsed options: the command and every option of its subcommand,
-    set to their `COMMANDS` defaults by `parse_canonical` when absent, and
-    by the subparsers `build_parser` makes from that table under argparse.
-    The class attributes stand in for the options a subcommand does not
-    take, which `validate` reads."""
-
-    prime = bound = None
-
-    def __init__(self, **options):
-        self.__dict__.update(options)
-
-    def validate(self):
-        vector_oracle = self.command == "hilbert" and self.method == "oracle" and self.family == "vector"
-        if self.prime is not None and not vector_oracle:
-            raise ValueError("--p is only meaningful with `hilbert --method oracle --family vector`")
-        if vector_oracle and self.prime is None:
-            raise ValueError("oracle method on the vector family requires --p")
-        if self.command == "secant" and self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        if self.command == "check" and self.n_max < 2:
-            raise ValueError(f"--nmax must be at least 2, got {self.n_max}")
-        if self.bound is not None and self.bound < 0:
-            raise ValueError(f"--bound must be nonnegative, got {self.bound}")
-
-
-def parse_canonical(argv):
-    """The RunConfig of `argv` if it is in canonical form, else None.
-
-    Canonical: a subcommand, then its options spelled exactly as in
-    `COMMANDS`, each at most once, each value in a token of its own that
-    starts with `-` only as a negative integer, every value an `int` or
-    one of its choices as the option's kind asks, and every required
-    option present.  argparse reads such an argv to the same options.
-    """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    options = {option[0]: option for option in COMMANDS[argv[0]][1]}
-    config = RunConfig(command=argv[0], **{dest: default for _, dest, _, _, default, _ in options.values()})
-    tokens = iter(argv[1:])
-    seen = set()
-    for token in tokens:
-        if token not in options or token in seen:
-            return None
-        seen.add(token)
-        _, dest, kind, _, _, _ = options[token]
-        if kind is FLAG:
-            value = True
-        else:
-            value = next(tokens, "")  # a missing value reads as "", which no kind accepts
-            value = _canonical_int(value) if kind is int else value if value in kind else None
-            if value is None:
-                return None
-        setattr(config, dest, value)
-    if any(required and option not in seen for option, _, _, required, _, _ in options.values()):
-        return None
-    return config
-
-
-def _canonical_int(token):
-    """int(token) if argparse reads `token` as a value and converts it, else None."""
-    if token.startswith("-") and not (token[1:].isascii() and token[1:].isdigit()):
-        return None  # argparse takes it for an option
-    try:
-        return int(token)
-    except ValueError:
-        return None
-
-
-def build_parser():
-    """The argparse parser of `COMMANDS`: help, abbreviations, `=` forms
-    and every usage message."""
-    import argparse  # imported here so that a canonical argv never loads it
-
-    parser = argparse.ArgumentParser(
-        prog="chowlab",
-        description="Exact Hilbert series and Charney-Davis quantities of Chow "
-        "rings of uniform and finite-vector-space matroids.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        for option, dest, kind, required, default, help in options:
-            how = {"action": "store_true"} if kind is FLAG else {"type": int} if kind is int else {"choices": kind}
-            p.add_argument(option, dest=dest, required=required, default=default, help=help, **how)
-    return parser
-
-
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    config = parse_canonical(argv)
-    if config is None:
-        config = build_parser().parse_args(argv, RunConfig())
-    try:
-        config.validate()
-        code = run(config)
-        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # What is left in the buffer goes to devnull, so the final flush stays silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except RouteDisagreementError as e:
-        print(f"internal invariant violation: {e}", file=sys.stderr)
-        return 1
-    except ResourceBoundError as e:
-        print(f"resource bound exceeded: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 4
-
-
-def run(config):
-    handler = {
-        "hilbert": _run_hilbert,
-        "cd": _run_cd,
-        "qeulerian": _run_qeulerian,
-        "secant": _run_secant,
-        "delta": _run_delta,
-        "conjecture": _run_conjecture,
-        "check": _run_check,
-    }[config.command]
-    return handler(config)
-
-
-# -- polynomial output -----------------------------------------------------
+# -- output ----------------------------------------------------------------
 
 
 # One term of a polynomial's JSON term list, as `json.dumps(..., indent=2)`
@@ -278,54 +118,53 @@ def _json(value, indent):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
 def _json_str(s):
-    """The JSON string of `s` as `json.dumps` writes it (`ensure_ascii`):
-    `"` and `\\` backslashed, the five short control escapes, and every
-    other character outside ' '..'~' as \\uXXXX, in UTF-16 surrogates
-    past U+FFFF."""
+    """The JSON string of `s` as `json.dumps` writes it: printable ASCII
+    with `"` and `\\` backslashed here, any other string by `json.dumps`
+    itself, which only such a string loads."""
     if s.isascii() and s.isprintable():  # only ' '..'~'
         return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
-    return '"%s"' % "".join(map(_json_char, s))
+    import json
+
+    return json.dumps(s)
 
 
-def _json_char(c):
-    if c in _JSON_ESCAPES:
-        return _JSON_ESCAPES[c]
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n < 0x10000:
-        return "\\u%04x" % n
-    n -= 0x10000
-    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+def _echo(config):
+    """The leading JSON keys of a query: the command, then each option of
+    its `COMMANDS` row that is set, in row order, under its name without
+    `--`, but for `--format` and `--unsigned`: they choose how a value is
+    written, not which value."""
+    echo = {"command": config.command}
+    for option, dest, *_ in COMMANDS[config.command][1]:
+        value = getattr(config, dest)
+        if value is not None and option not in ("--format", "--unsigned"):
+            echo[option[2:]] = value
+    return echo
 
 
-def emit_poly(poly, config, meta):
+def emit_poly(poly, config):
     if config.fmt == "text":
         print(poly.to_text())
     elif config.fmt == "json":
-        _print_json({**meta, "result": poly})
+        _print_json({**_echo(config), "result": poly})
     else:
         sys.stdout.write("".join(["t,q,c\n", *(f"{td},{qd},{c}\n" for td, qd, c in poly.to_csv_rows())]))
     return 0
 
 
-def _query_meta(config):
-    """The leading JSON keys of `hilbert` and `cd`, in their output order."""
-    return {"command": config.command, "family": config.family, "n": config.n, "r": config.r, "method": config.method}
+# -- runners: each checks its own options, then computes and prints ----------
 
 
 def _run_hilbert(config):
+    vector_oracle = config.method == "oracle" and config.family == "vector"
+    if config.prime is not None and not vector_oracle:
+        raise ValueError("--p is only meaningful with `hilbert --method oracle --family vector`")
+    if vector_oracle and config.prime is None:
+        raise ValueError("oracle method on the vector family requires --p")
     from . import chow, flats
 
-    poly = chow.hilbert(flats.FamilySpec(config.family, config.n, config.r), config.method, p=config.prime)
-    meta = _query_meta(config)
-    if config.prime is not None:
-        meta["p"] = config.prime
-    return emit_poly(poly, config, meta)
+    spec = flats.FamilySpec(config.family, config.n, config.r)
+    return emit_poly(chow.hilbert(spec, config.method, p=config.prime), config)
 
 
 def _run_cd(config):
@@ -333,32 +172,30 @@ def _run_cd(config):
 
     result = charney.cd(flats.FamilySpec(config.family, config.n, config.r), config.method)
     if config.fmt == "json":
-        _print_json({**_query_meta(config), "parity": result.parity, "unsigned": result.unsigned,
-                     "signed": result.signed})
+        _print_json({**_echo(config), "parity": result.parity, "unsigned": result.unsigned, "signed": result.signed})
         return 0
-    poly = result.unsigned if config.unsigned else result.signed
-    return emit_poly(poly, config, {})
+    return emit_poly(result.unsigned if config.unsigned else result.signed, config)
 
 
 def _run_qeulerian(config):
     from . import qeuler
 
     poly = qeuler.classical_eulerian(config.n) if config.q1 else qeuler.q_eulerian_by_recurrence(config.n)
-    return emit_poly(poly, config, {"command": "qeulerian", "n": config.n, "q1": config.q1})
+    return emit_poly(poly, config)
 
 
 def _run_secant(config):
+    if config.n < 0:
+        raise ValueError(f"n must be nonnegative, got {config.n}")
     from . import charney
 
-    poly = charney.tangent_secant(config.n, config.q1)[config.n]
-    return emit_poly(poly, config, {"command": "secant", "n": config.n, "q1": config.q1})
+    return emit_poly(charney.tangent_secant(config.n, config.q1)[config.n], config)
 
 
 def _run_delta(config):
     from . import chow
 
-    poly = chow.delta_series(config.n, config.r)
-    return emit_poly(poly, config, {"command": "delta", "n": config.n, "r": config.r})
+    return emit_poly(chow.delta_series(config.n, config.r), config)
 
 
 def _run_conjecture(config):
@@ -367,18 +204,7 @@ def _run_conjecture(config):
     report = ordercx.conjecture_check(config.n, config.r)
     bivariate = ordercx.bivariate_check(config.n)
     if config.fmt == "json":
-        payload = {
-            "command": "conjecture",
-            "n": config.n,
-            "r": config.r,
-            "lhs": report["lhs"],
-            "lhs_proper": report["lhs_proper"],
-            "rhs": report["rhs"],
-            "equal": report["equal"],
-            "equal_proper": report["equal_proper"],
-            "bivariate_equal": bivariate["equal"],
-        }
-        _print_json(payload)
+        _print_json({"command": config.command, **report, "bivariate_equal": bivariate["equal"]})
         return 0
     print(f"conjecture n={config.n} r={config.r}")
     print(f"  lhs (full lattice):  {report['lhs'].to_text()}")
@@ -389,10 +215,11 @@ def _run_conjecture(config):
     return 0
 
 
-# -- check report ------------------------------------------------------------
-
-
 def _run_check(config):
+    if config.n_max < 2:
+        raise ValueError(f"--nmax must be at least 2, got {config.n_max}")
+    if config.bound is not None and config.bound < 0:
+        raise ValueError(f"--bound must be nonnegative, got {config.bound}")
     from .checks import check_suites, suite_status
 
     report = check_suites(config.n_max, config.suite, config.bound)
@@ -409,6 +236,134 @@ def _run_check(config):
                     print(f"      {'SKIPPED' if e.get('skipped') else 'FAIL'} {e['name']}: {e['detail']}")
         print(f"{overall}  (nmax={report['n_max']})")
     return code
+
+
+# -- the command table and the two parses of argv ----------------------------
+
+
+FORMATS = ("text", "json", "csv")
+FLAG = "flag"  # an option that takes no value: True when present
+
+# Each subcommand's row: its help line, its options in the order `--help`
+# lists them, and its runner.  An option is (option string, dest, kind,
+# required, default, help), where kind is `int`, a tuple of choices or FLAG.
+_FAMILY = ("--family", "family", ("uniform", "vector"), True, None, None)
+_N = ("--n", "n", int, True, None, None)
+_R = ("--r", "r", int, True, None, None)
+_FORMAT = ("--format", "fmt", FORMATS, False, "text", None)
+_REPORT_FORMAT = ("--format", "fmt", ("text", "json"), False, "text", None)  # a report, not one polynomial: no CSV
+_Q1 = ("--q1", "q1", FLAG, False, False, "classical specialization")
+COMMANDS = {
+    "hilbert": ("Hilbert series of a Chow ring", (
+        _FAMILY, _N, _R, _FORMAT,
+        ("--method", "method", _Choices("chow", "ROUTES"), False, "recurrence", None),
+        ("--p", "prime", int, False, None, "prime for the oracle method"),
+    ), _run_hilbert),
+    "cd": ("Charney-Davis quantity", (
+        _FAMILY, _N, _R, _FORMAT,
+        ("--method", "method", _Choices("charney", "ROUTES"), False, "direct", None),
+        ("--unsigned", "unsigned", FLAG, False, False, None),
+    ), _run_cd),
+    "qeulerian": ("q-Eulerian polynomial", (_N, _FORMAT, _Q1), _run_qeulerian),
+    "secant": ("q-tangent-secant number", (_N, _FORMAT, _Q1), _run_secant),
+    "delta": ("difference series between consecutive ranks", (_N, _R, _FORMAT), _run_delta),
+    "conjecture": ("order-complex identity report", (_N, _R, _REPORT_FORMAT), _run_conjecture),
+    "check": ("run the cross-validation suites", (
+        ("--suite", "suite", _Choices("checks", "SUITES", "all"), False, "all", None),
+        ("--nmax", "n_max", int, False, 6, None),
+        _REPORT_FORMAT,
+        ("--bound", "bound", int, False, None, "enumeration bound override"),
+    ), _run_check),
+}
+
+
+def parse_canonical(argv):
+    """The options of `argv`, as a namespace with `command` and every
+    option of its subcommand (absent ones at their `COMMANDS` default), if
+    `argv` is in canonical form, else None.
+
+    Canonical: a subcommand, then its options spelled exactly as in
+    `COMMANDS`, each at most once, each value in a token of its own that
+    starts with `-` only as a negative integer, every value an `int` or
+    one of its choices as the option's kind asks, and every required
+    option present.  argparse reads such an argv to the same options.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {option[0]: option for option in COMMANDS[argv[0]][1]}
+    config = SimpleNamespace(command=argv[0], **{dest: default for _, dest, _, _, default, _ in options.values()})
+    tokens = iter(argv[1:])
+    seen = set()
+    for token in tokens:
+        if token not in options or token in seen:
+            return None
+        seen.add(token)
+        _, dest, kind, _, _, _ = options[token]
+        if kind is FLAG:
+            value = True
+        else:
+            value = next(tokens, "")  # a missing value reads as "", which no kind accepts
+            value = _canonical_int(value) if kind is int else value if value in kind else None
+            if value is None:
+                return None
+        setattr(config, dest, value)
+    if any(required and option not in seen for option, _, _, required, _, _ in options.values()):
+        return None
+    return config
+
+
+def _canonical_int(token):
+    """int(token) if argparse reads `token` as a value and converts it, else None."""
+    if token.startswith("-") and not (token[1:].isascii() and token[1:].isdigit()):
+        return None  # argparse takes it for an option
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`: help, abbreviations, `=` forms
+    and every usage message."""
+    import argparse  # imported here so that a canonical argv never loads it
+
+    parser = argparse.ArgumentParser(
+        prog="chowlab",
+        description="Exact Hilbert series and Charney-Davis quantities of Chow "
+        "rings of uniform and finite-vector-space matroids.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, options, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for option, dest, kind, required, default, help in options:
+            how = {"action": "store_true"} if kind is FLAG else {"type": int} if kind is int else {"choices": kind}
+            p.add_argument(option, dest=dest, required=required, default=default, help=help, **how)
+    return parser
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    config = parse_canonical(argv) or build_parser().parse_args(argv)
+    try:
+        code = COMMANDS[config.command][2](config)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # What is left in the buffer goes to devnull, so the final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except RouteDisagreementError as e:
+        print(f"internal invariant violation: {e}", file=sys.stderr)
+        return 1
+    except ResourceBoundError as e:
+        print(f"resource bound exceeded: {e}", file=sys.stderr)
+        return 3
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 def entry():

@@ -31,29 +31,22 @@ def q_eulerian_by_definition(n, bound=None):
 
 
 @lru_cache(maxsize=None)
-def _q_egf_bounds(n_max, g):
+def _q_egf_bounds(n_max):
     """Bounds (B_m, d_m) on ||x_m||_1 and deg_q x_m, 0 <= m <= n_max, for
-    x_m = sum_{a < m} [m over a]_q x_a g_(m - a) from x_0 = 1, g(k) giving
-    (||g_k||_1, deg_q g_k): `recurrence_bounds`, each term of norm
-    C(m, a) ||g_(m-a)||_1 and q-degree a(m - a) + deg_q g_(m-a), kept per
-    argument:
+    x_m = sum_{a < m} [m over a]_q x_a t [m-a-1]_t from x_0 = 1, the
+    derangement recurrence: `recurrence_bounds`, each term of norm
+    C(m, a) (m - a - 1) and q-degree a(m - a), kept per argument:
 
-    >>> _q_egf_bounds(4, _t_quantum_size)
+    >>> _q_egf_bounds(4)
     ((1, 0, 1, 2, 9), (0, 0, 0, 0, 4))
     """
 
     def edges(m):
         for a in range(m):
-            g_norm, g_degree = g(m - a)
-            yield a, comb(m, a) * g_norm, a * (m - a) + g_degree
+            yield a, comb(m, a) * (m - a - 1), a * (m - a)
 
     norms, degrees = recurrence_bounds(range(n_max + 1), lambda m: 1 if m == 0 else 0, edges)
     return tuple(norms.values()), tuple(degrees.values())
-
-
-def _t_quantum_size(k):
-    """(||t [k-1]_t||_1, deg_q) = (k - 1, 0)."""
-    return k - 1, 0
 
 
 def _eulerian_horner(m, c, layout):
@@ -134,7 +127,7 @@ def derangement_polynomial(n):
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    norms, degrees = _q_egf_bounds(n, _t_quantum_size)
+    norms, degrees = _q_egf_bounds(n)
     layout = Layout(norms[n], degrees[n])
     return layout.read(join_rows(_q_egf(n, _derangement_horner, layout)[n], layout.ts), n + 1)
 

@@ -24,7 +24,7 @@ import chowlab.chow as chow_module
 import chowlab.ordercx as ordercx_module
 import chowlab.permstat as permstat_module
 import chowlab.qeuler as qeuler_module
-from chowlab.cli import COMMANDS, FLAG, RunConfig, _print_json, build_parser, check_suites, main, parse_canonical
+from chowlab.cli import COMMANDS, FLAG, _print_json, build_parser, check_suites, main, parse_canonical
 from chowlab.exactalg import BiPoly, ONE, Q, T
 from chowlab.flats import FamilySpec
 from chowlab.ordercx import FVector
@@ -287,6 +287,12 @@ def _terms(poly):
     return {"terms": [{"q": qd, "t": td, "c": c} for td, qd, c in poly.to_csv_rows()]}
 
 
+def _t_rows(*rows):
+    """The term list of the polynomial whose k-th row lists the coefficients
+    of q^0, q^1, ... in t^k, zeros left out."""
+    return {"terms": [{"q": qd, "t": td, "c": str(c)} for td, row in enumerate(rows) for qd, c in enumerate(row) if c]}
+
+
 def _cd_payload(family, n, r):
     result = charney_module.cd(FamilySpec(family, n, r))
     return {"command": "cd", "family": family, "n": n, "r": r, "method": "direct", "parity": result.parity,
@@ -316,6 +322,15 @@ JSON_PAYLOADS = {
     "conjecture --n 6 --r 3": lambda: _conjecture_payload(6, 3),
     "qeulerian --n 6": lambda: {
         "command": "qeulerian", "n": 6, "q1": False, "result": _terms(qeuler_module.q_eulerian_by_recurrence(6))},
+    "qeulerian --n 6 --q1": lambda: {
+        "command": "qeulerian", "n": 6, "q1": True, "result": _t_rows([1], [57], [302], [302], [57], [1])},
+    "secant --n 6": lambda: {
+        "command": "secant", "n": 6, "q1": False,
+        "result": _t_rows([0, 0, -1, -3, -5, -8, -10, -10, -9, -7, -5, -2, -1])},
+    "secant --n 6 --q1": lambda: {"command": "secant", "n": 6, "q1": True, "result": _t_rows([-61])},
+    "delta --n 6 --r 3": lambda: {
+        "command": "delta", "n": 6, "r": 3,
+        "result": _t_rows([], [1, 1, 2, 3, 3, 3, 3, 2, 1, 1], [2, 2, 4, 5, 6, 5, 5, 3, 2, 1], [1])},
     "check --nmax 6": lambda: check_suites(6),
 }
 
@@ -430,9 +445,7 @@ SECANT_TAMPERS.append(("tangent-secant", checks_module, "zigzag_numbers",
 
 
 def _bump_at_q_one(real):
-    """`charney._secant_by_triangle` with its top entry off by one at qs = 0;
-    the tables built so far are dropped, so that the suite builds them again."""
-    charney_module.tangent_secant.cache_clear()
+    """`charney._secant_by_triangle` with its top entry off by one at qs = 0."""
 
     def tampered(n_max, qs):
         packed = real(n_max, qs)
@@ -505,19 +518,30 @@ def test_tampered_fiber_fails_the_fiber_identity(capsys, monkeypatch):
     ]
 
 
+def _clear_package_caches():
+    """Empty every `lru_cache` of every loaded chowlab module."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "chowlab" or module_name.startswith("chowlab."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 @pytest.mark.parametrize("suite, module, name, tamper, instance", TAMPERS, ids=IDS)
 def test_tampered_route_fails_its_suite(capsys, monkeypatch, suite, module, name, tamper, instance):
+    # every memo is emptied first, so that no value an earlier test cached
+    # hides the tamper, and again once the real route is back, so that no
+    # value computed from the tamper outlives it
+    _clear_package_caches()
     if isinstance(module, dict):  # a route table
-        real = module[name]
-        monkeypatch.setitem(module, name, tamper(real))
+        monkeypatch.setitem(module, name, tamper(module[name]))
     else:
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, tamper(real))
+        monkeypatch.setattr(module, name, tamper(getattr(module, name)))
     try:
         code, out, _ = run_cli(capsys, "check", "--suite", suite, "--nmax", "5")
     finally:
-        if hasattr(real, "cache_clear"):
-            real.cache_clear()  # drop values the real route computed from the tampered one
+        monkeypatch.undo()
+        _clear_package_caches()
     lines = out.splitlines()
     assert code == 1 and lines[0].startswith(f"FAIL  {suite}") and lines[-1] == "FAILED  (nmax=5)"
     assert any(line.startswith("      FAIL") and instance in line for line in lines), out
@@ -631,7 +655,9 @@ COLD_START_RUNS = [
     (["hilbert --family vector --n 5 --r 4 --method closed --format csv"], HILBERT_MODULES),
     (["qeulerian --n 6"], ("qeuler",)),
     (["secant --n 6 --format json"], ("charney", *HILBERT_MODULES)),
-    (["check --suite all --nmax 3"], ("charney", "checks", "ordercx", "permstat", *HILBERT_MODULES)),
+    (["conjecture --n 4 --r 2 --format json"], ("ordercx", *HILBERT_MODULES)),
+    (["check --suite all --nmax 3", "check --suite all --nmax 3 --format json"],
+     ("charney", "checks", "ordercx", "permstat", *HILBERT_MODULES)),
 ]
 
 
@@ -829,7 +855,7 @@ def test_process_entries_freeze_before_main(target):
 
 # `entry` loads the suites of `check` before the freeze, since a check run
 # collects often enough to pay for traversing their modules; a query loads
-# its modules when its handler runs.
+# its modules when its runner runs.
 ENTRY_CHECK_PROBE = """
 import sys
 import chowlab.cli
@@ -928,7 +954,7 @@ def test_canonical_argv_never_loads_argparse(capsys):
 def _argparse_vars(parser, argv):
     """vars() of argparse's namespace for `argv`, or None on a usage error."""
     try:
-        return vars(parser.parse_args(argv, RunConfig()))
+        return vars(parser.parse_args(argv))
     except SystemExit:
         return None
 

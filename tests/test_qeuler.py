@@ -112,22 +112,23 @@ def _through_30(route):
     Both routes are memoised per n, each built at the layout of its top entry
     alone, and 31 builds would take several times as long."""
     if route is derangement_polynomial:
-        horner, layout = qeuler._derangement_horner, Layout(*map(max, qeuler._q_egf_bounds(30, qeuler._t_quantum_size)))
+        horner, layout = qeuler._derangement_horner, Layout(*map(max, qeuler._q_egf_bounds(30)))
     else:
         horner, layout = qeuler._eulerian_horner, Layout(factorial(30), comb(30, 2))
     table = qeuler._q_egf(30, horner, layout)
     return [layout.read(join_rows(x, layout.ts), n + 1) for n, x in enumerate(table)]
 
 
-def _f_size(k):
-    """(||f_k||_1, deg_q f_k) <= (2^(k-1), k(k-1)/2) for f_k = prod_{0<i<k} (t - q^i)."""
-    return 1 << (k - 1), k * (k - 1) // 2
+def _eulerian_layouts(n_max):
+    """(n!, C(n, 2)) for n <= n_max: the layout `q_eulerian_by_recurrence`
+    builds A_n at."""
+    return tuple(map(factorial, range(n_max + 1))), tuple(comb(n, 2) for n in range(n_max + 1))
 
 
-@pytest.mark.parametrize("route, size", [(q_eulerian_by_recurrence, _f_size),
-                                         (derangement_polynomial, qeuler._t_quantum_size)])
-def test_q_egf_bounds_cover_every_entry(route, size):
-    norms, degrees = qeuler._q_egf_bounds(30, size)
+@pytest.mark.parametrize("route, bounds", [(q_eulerian_by_recurrence, _eulerian_layouts),
+                                           (derangement_polynomial, qeuler._q_egf_bounds)])
+def test_q_egf_bounds_cover_every_entry(route, bounds):
+    norms, degrees = bounds(30)
     assert len(norms) == len(degrees) == 31
     for n, (norm, degree, entry) in enumerate(zip(norms, degrees, _through_30(route), strict=True)):
         assert sum(map(abs, entry.terms.values())) <= norm, n
