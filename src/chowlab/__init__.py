@@ -9,7 +9,7 @@ _EXPORTS = {
     "charney": "CDResult cd cd_chain_alternating cd_direct cd_qsecant t_term tangent_secant",
     "chow": "basis_monomial_oracle delta_series hilbert hilbert_chain_sum hilbert_closed_form hilbert_recurrence",
     "errors": "ResourceBoundError RouteDisagreementError",
-    "exactalg": "BiPoly gauss_binomial t_quantum",
+    "exactalg": "BiPoly gauss_binomial",
     "flats": "ExplicitLattice FamilySpec build_explicit",
     "ordercx": "FVector bivariate_check conjecture_check h_polynomial order_complex_fvector",
     "permstat": "PermStats permutations_of statistic_sum stats",

@@ -9,8 +9,9 @@ q-statement matches the signed one.  Even rank always gives zero.
 Every route computes in Z[q], or in Z for the uniform family, never in
 Z[q, t].  The direct route is the Hilbert recurrence with t = -1
 substituted before any product, which is exact because substitution is a
-ring homomorphism; the chain route is one `exactalg.tuple_sum` over the
-tuples of even ranks.
+ring homomorphism; the chain route is the Hilbert chain sum at t = -1, the
+one chain walk of `chow`, whose steps of odd gap are 0 there and dropped,
+so it walks the tuples of even ranks.
 
 The paper writes the odd-rank quantity as a sum of determinants T(n, 2a)
 of Gaussian-binomial matrices, or as a sum of q-secant numbers.  The two
@@ -29,9 +30,9 @@ from math import comb
 from operator import mul
 
 from .errors import RouteTable, require_equal
-from .exactalg import ZERO, Layout, gauss_binomial, recurrence_bounds, tuple_sum
-from .chow import _diagonal
-from .flats import UNIFORM
+from .exactalg import ZERO, Layout, gauss_binomial, recurrence_bounds
+from .chow import _chain_walk, _diagonal
+from .flats import UNIFORM, VECTOR, FamilySpec
 from .qeuler import q_pascal_rows
 
 
@@ -76,35 +77,17 @@ def _require_odd_rank(n, r):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
 
 
-def _chain_bounds(n, r, q_one):
-    """Bounds (N, D) for `cd_chain_alternating`: `recurrence_bounds` over the
-    tails of the tuples from `lower` up, from r - 1 down, each step of norm
-    C(n - lower, upper - lower) and q-degree (upper - lower)(n - upper):
-
-    >>> _chain_bounds(5, 5, False), _chain_bounds(5, 5, True)
-    ((46, 8), (46, 0))
-    """
-    norms, degrees = recurrence_bounds(range(r - 1, -1, -2), lambda lower: 1, lambda lower: (
-        (upper, comb(n - lower, upper - lower), (upper - lower) * (n - upper)) for upper in range(lower + 2, r, 2)))
-    return norms[0], 0 if q_one else degrees[0]
-
-
 def cd_chain_alternating(n, r, q_one=False):
-    """Unsigned quantity as the alternating sum over the tuples of even
-    ranks 0 < e_1 < ... < e_m < r of the products of
-    [n - e_(i-1) over e_i - e_(i-1)]_q, e_0 = 0, signed (-1)^m; with
+    """Unsigned quantity as the Hilbert chain sum at t = -1, by the one chain
+    walk of `chow` at `FamilySpec(UNIFORM if q_one else VECTOR, n, r)`.  As
+    t [k - 1]_t is -1 for even k and 0 for odd k, it is the sum over the
+    tuples of even ranks 0 < e_1 < ... < e_m < r of the products of
+    [n - e_(i-1) over e_i - e_(i-1)]_q, e_0 = 0, signed (-1)^m: one
+    `tuple_sum` over those 2^((r-1)/2) tuples and one t-row read back.  With
     `q_one`, its value at q = 1, over Z.
-
-    One `tuple_sum` over the 2^((r-1)/2) tuples, each step a packed binomial
-    from row n - lower of `qeuler.q_pascal_rows(qs)`, negated so the signs
-    alternate with depth, at the layout of `_chain_bounds`; one read back.
     """
     _require_odd_rank(n, r)
-    layout = Layout(*_chain_bounds(n, r, q_one))
-    rows = list(islice(q_pascal_rows(layout.qs, width=r), n + 1))
-    steps = {lower: [(upper, -rows[n - lower][upper - lower]) for upper in range(lower + 2, r, 2)]
-             for lower in range(0, r, 2)}
-    return layout.read(tuple_sum(steps), 1)
+    return _chain_walk(FamilySpec(UNIFORM if q_one else VECTOR, n, r), -1)
 
 
 # -- tangent-secant numbers ------------------------------------------------

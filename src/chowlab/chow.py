@@ -5,7 +5,8 @@ Routes
 ------
 chain sum    : sum over strictly increasing rank tuples, each weighted by
                its chain count and the product of t*[gap-1]_t factors
-               (level homogeneity collapses chains to rank profiles);
+               (level homogeneity collapses chains to rank profiles); the
+               same walk at t = -1 is the cd chain route of `charney`;
 recurrence   : peel the lattice at each level and recurse into the upper
                interval, on the same diagonal n - r: one packed Horner sum
                per rank, bottom-up, and only rank r read back;
@@ -25,43 +26,59 @@ from operator import mul
 
 from .errors import RouteTable
 from .exactalg import Layout, join_rows, recurrence_bounds, t_horner, tuple_sum
-from .flats import UNIFORM, FamilySpec, build_explicit, chains_above
+from .flats import UNIFORM, FamilySpec, build_explicit
 from .qeuler import _derangement_horner, _q_egf, _q_egf_bounds, q_pascal_rows
 
 
 def hilbert_chain_sum(spec):
-    """Hilbert series as the sum over the rank tuples 0 = e_0 < e_1 < ...
-    < e_m <= r, every gap at least 2, of the products of
-    chains_above(e_(i-1), e_i) t [e_i - e_(i-1) - 1]_t, by `tuple_sum` on
-    the packed steps, at the layout of `_chain_sum_bounds`; one read back."""
-    r = spec.r
-    layout = Layout(*_chain_sum_bounds(spec))
-    steps = [[] for _ in range(r + 1)]  # steps[lower]: (upper, chains_above(lower, upper) t [upper - lower - 1]_t)
-    for lower in (0, *range(2, r - 1)):  # no tuple ends at rank 1, none goes on from r - 1 or r
-        for upper in range(lower + 2, r + 1):
-            binomial = layout.pack(chains_above(spec, lower, upper).terms, 1)
-            steps[lower].append((upper, sum(binomial << a * layout.ts for a in range(1, upper - lower))))
-    return layout.read(tuple_sum(steps), r)
+    """Hilbert series by the chain walk, `_chain_walk(spec)`."""
+    return _chain_walk(spec)
 
 
-def _chain_sum_bounds(spec):
-    """Bounds (N, D) for `hilbert_chain_sum`: `recurrence_bounds` over the
-    tails of the tuples from `lower` up, from r down, each step of norm
-    C(n - lower, k) (k - 1), k = upper - lower, and the q-degree k (n - upper)
-    of chains_above for vector; chains_above is 1 at upper = r.  Every
-    coefficient is nonnegative, so N = H(1, 1):
+def _chain_walk(spec, t=None):
+    """H(q, t), or with an `int` t its value there, as the sum over the rank
+    tuples 0 = e_0 < e_1 < ... < e_m <= r of the products of their steps
+    (`_chain_steps`): one `tuple_sum` of the packed steps at the layout of
+    `_chain_bounds`, each binomial read from the rows of
+    `qeuler.q_pascal_rows(qs, width=r)`, and one read back, r rows, or 1 at
+    an `int` t.  At t = -1 it is `charney`'s unsigned cd chain sum."""
+    steps = _chain_steps(spec, t)
+    layout = Layout(*_chain_bounds(spec, steps))
+    rows = list(islice(q_pascal_rows(layout.qs, width=spec.r), spec.n + 1))
+    packed = [[(upper, sum(c * rows[m][k] << j * layout.ts for j, c in enumerate(factor) if c))
+               for upper, (m, k), factor in pairs] for pairs in steps]
+    return layout.read(tuple_sum(packed), spec.r if t is None else 1)
 
-    >>> _chain_sum_bounds(FamilySpec.vector(5, 5)), _chain_sum_bounds(FamilySpec.uniform(5, 5))
-    ((120, 8), (120, 0))
+
+def _chain_steps(spec, t=None):
+    """Each step of the chain walk, declared once: steps[lower] lists
+    (upper, (m, k), factor) for lower + 2 <= upper <= r, where [m over k]_q
+    is the number of rank-upper flats above a rank-lower one, (0, 0) at
+    upper = r, and factor the t-coefficients of t [g - 1]_t, g = upper -
+    lower, or with an `int` t its value there.  A step whose factor is 0 is
+    dropped: at t = -1, those of odd g.
+
+    >>> _chain_steps(FamilySpec.vector(4, 4))[0], _chain_steps(FamilySpec.vector(4, 4), -1)[0]
+    ([(2, (4, 2), [0, 1]), (3, (4, 3), [0, 1, 1]), (4, (0, 0), [0, 1, 1, 1])], [(2, (4, 2), [-1]), (4, (0, 0), [-1])])
     """
-    n, r, vector = spec.n, spec.r, spec.kind != UNIFORM
+    n, r = spec.n, spec.r
+    factors = [[0] + [1] * (g - 1) if t is None else [sum(t**a for a in range(1, g))] for g in range(r + 1)]
+    return [[(upper, (n - lower, upper - lower) if upper < r else (0, 0), factors[upper - lower])
+             for upper in range(lower + 2, r + 1) if any(factors[upper - lower])] for lower in range(r + 1)]
 
-    def edges(lower):
-        for upper in range(lower + 2, r + 1):
-            k, inner = upper - lower, upper < r
-            yield upper, (comb(n - lower, k) if inner else 1) * (k - 1), vector * inner * k * (n - upper)
 
-    norms, degrees = recurrence_bounds(range(r, -1, -1), lambda lower: 1, edges)
+def _chain_bounds(spec, steps):
+    """Bounds (N, D) for the walk over `steps`: `recurrence_bounds` over the
+    tails of the tuples, from r down, each step of norm C(m, k) ||factor||_1
+    and q-degree k (m - k), 0 for uniform.  With t symbolic, N = H(1, 1):
+
+    >>> v, u = FamilySpec.vector(5, 5), FamilySpec.uniform(5, 5)
+    >>> [_chain_bounds(spec, _chain_steps(spec, t)) for t in (None, -1) for spec in (v, u)]
+    [(120, 8), (120, 0), (46, 8), (46, 0)]
+    """
+    vector = spec.kind != UNIFORM
+    norms, degrees = recurrence_bounds(range(spec.r, -1, -1), lambda lower: 1, lambda lower: (
+        (upper, comb(m, k) * sum(map(abs, factor)), vector * k * (m - k)) for upper, (m, k), factor in steps[lower]))
     return norms[0], degrees[0]
 
 

@@ -17,7 +17,6 @@ from .bipoly import (
     join_rows,
     leading_principal_minors,
     recurrence_bounds,
-    t_quantum,
     t_horner,
     tuple_sum,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "join_rows",
     "leading_principal_minors",
     "recurrence_bounds",
-    "t_quantum",
     "t_horner",
     "tuple_sum",
 ]

@@ -277,19 +277,20 @@ class Layout:
     def pack(self, terms, rows):
         """The packing of the polynomial with these terms {(q_deg, t_deg): c},
         of q-degree at most q_degree and t-degree below `rows`; a term
-        outside those is a `ValueError`, not a term moved to another slot.
+        outside those is an `OverflowError`, as a value too large for
+        `read`'s rows is, not a term moved to another slot.
         Each of the rows * w slots is written as the digit c + 2^(8 nb - 1)
         in one bytes join, and the bias is subtracted once."""
         w, nb = self.w, self.nb
         if max(map(itemgetter(0), terms), default=0) >= w:
-            raise ValueError(f"a term of q-degree past {w - 1} does not fit this layout")
+            raise OverflowError(f"a term of q-degree past {w - 1} does not fit this layout")
         half = 1 << (8 * nb - 1)
         digits = [half] * (rows * w)
         try:
             for (qd, td), c in terms.items():
                 digits[td * w + qd] = c + half
         except IndexError:
-            raise ValueError(f"a term of t-degree {rows} or more does not fit {rows} rows") from None
+            raise OverflowError(f"a term of t-degree {rows} or more does not fit {rows} rows") from None
         buf = b"".join(map(int.to_bytes, digits, repeat(nb), repeat("little")))
         return int.from_bytes(buf, "little") - self._bias(rows * w)
 
@@ -505,12 +506,7 @@ Q = BiPoly.term(1, 1, 0)
 T = BiPoly.term(1, 0, 1)
 
 
-# -- q- and t-analog constructors --------------------------------------
-
-
-def t_quantum(n):
-    """[n]_t = 1 + t + ... + t^(n-1); the empty sum 0 for n = 0."""
-    return _raw({(0, d): 1 for d in range(n)})
+# -- Gaussian binomials ------------------------------------------------
 
 
 # Gaussian binomials are built in a loop on a dense coefficient list (index =

@@ -19,7 +19,6 @@ from itertools import combinations, product
 from math import comb, isqrt
 
 from .errors import ResourceBoundError
-from .exactalg import BiPoly, gauss_binomial
 
 UNIFORM = "uniform"
 VECTOR = "vector"
@@ -56,22 +55,14 @@ class FamilySpec(namedtuple("FamilySpec", "kind n r")):
         return f"{self.kind}({self.n},{self.r})"
 
 
-def chains_above(spec, lower, upper):
-    """Number of rank-`upper` flats above a fixed rank-`lower` flat (q-poly)."""
-    if upper == spec.r:
-        return BiPoly.const(1)
-    if spec.kind == UNIFORM:
-        return BiPoly.const(comb(spec.n - lower, upper - lower))
-    return gauss_binomial(spec.n - lower, upper - lower)
-
-
 @lru_cache(maxsize=None)
 def count_above(spec, lower, upper, q):
-    """`chains_above(spec, lower, upper)` at an integer q >= 1, in `int`:
-    C(n - lower, k), k = upper - lower, for uniform or at q = 1, else the
-    Gaussian binomial at q by the product of (q^(m-i) - 1) / (q^(i+1) - 1),
-    m = n - lower, over i < k, whose partial products [m over i+1]_q are
-    integers, so each division is exact.
+    """The number of rank-`upper` flats above a fixed rank-`lower` flat, at
+    an integer q >= 1, in `int`: 1 at upper = r, else C(n - lower, k),
+    k = upper - lower, for uniform or at q = 1, else the Gaussian binomial
+    at q by the product of (q^(m-i) - 1) / (q^(i+1) - 1), m = n - lower,
+    over i < k, whose partial products [m over i+1]_q are integers, so each
+    division is exact.
 
     >>> count_above(FamilySpec.vector(4, 4), 0, 2, 2), count_above(FamilySpec.uniform(4, 4), 1, 2, 2)
     (35, 3)

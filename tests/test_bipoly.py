@@ -27,7 +27,6 @@ from chowlab.exactalg import (
     diff_terms,
     gauss_binomial,
     recurrence_bounds,
-    t_quantum,
     tuple_sum,
 )
 
@@ -104,12 +103,6 @@ def test_zero_coefficients_never_stored():
     assert p.terms == {}
     assert p == ZERO
     assert BiPoly({(0, 0): 0, (2, 1): 3}).terms == {(2, 1): 3}
-
-
-def test_t_quantum():
-    assert t_quantum(0) == ZERO
-    assert t_quantum(1) == ONE
-    assert t_quantum(3) == ONE + T + T**2
 
 
 def _fraction_poly_div(num, den):
@@ -318,7 +311,8 @@ def test_mul_packs_from_the_pair_threshold(unpacked_widths):
     # _KRONECKER_MIN_PAIRS term pairs, whatever the shape: a monomial or a
     # t - q^i factor, a short pair, a long pair
     row = BiPoly({(d, 0): d + 1 for d in range(300)})
-    for a, b in ((row, T), (row, T - Q**3), (t_quantum(15), t_quantum(15)), (t_quantum(16), t_quantum(16)), (Q, T)):
+    t15, t16 = BiPoly({(0, d): 1 for d in range(15)}), BiPoly({(0, d): 1 for d in range(16)})  # [15]_t, [16]_t
+    for a, b in ((row, T), (row, T - Q**3), (t15, t15), (t16, t16), (Q, T)):
         unpacked_widths.clear()
         assert (a * b).terms == schoolbook(a, b)
         assert len(unpacked_widths) == (len(a.terms) * len(b.terms) >= bipoly._KRONECKER_MIN_PAIRS)
@@ -378,10 +372,12 @@ def test_layout_read_without_rows_takes_a_value_past_the_layout():
 
 def test_layout_pack_refuses_a_term_outside_the_layout():
     # a term past q_degree would land in the next row's slots, and one past
-    # the rows in no slot at all: both are refused, not moved
+    # the rows in no slot at all: both are refused, not moved, as an
+    # OverflowError (an internal misfit, like a value too large to read),
+    # never a ValueError, which the CLI reports as a domain error
     for layout, terms, rows in ((Layout(100, 0), {(1, 0): 5}, 2), (Layout(100, 2), {(3, 0): 7}, 2),
                                 (Layout(100, 2), {(0, 2): 7}, 2), (Layout(100, 2), {(2, 0): 1, (2, 5): 1}, 3)):
-        with pytest.raises(ValueError, match="does not fit"):
+        with pytest.raises(OverflowError, match="does not fit"):
             layout.pack(terms, rows)
     assert Layout(100, 2).read(Layout(100, 2).pack({(2, 1): 7}, 2), 2) == BiPoly({(2, 1): 7})
 

@@ -129,15 +129,18 @@ def test_direct_reads_one_row_at_the_diagonal_layout(monkeypatch):
 
 
 def test_chain_layout_bounds_every_tuple():
-    # the chain layout's norm is the sum over the tuples of their l1 norms
-    # (exact: binomials have nonnegative coefficients), and its q-degree the
-    # largest degree of one product
+    # the chain layout at t = -1 (the cd chain's) has as norm the sum over
+    # the tuples of their l1 norms (exact: binomials have nonnegative
+    # coefficients), and as q-degree the largest degree of one product
+    def bounds(spec):
+        return chow_module._chain_bounds(spec, chow_module._chain_steps(spec, -1))
+
     for n, r in ((5, 5), (9, 7), (11, 11)):
         tuples = [ranks for m in range(r // 2 + 1) for ranks in combinations(range(2, r, 2), m)]
         products = [prod((gauss_binomial(n - lo, hi - lo) for lo, hi in zip((0,) + t, t)), start=ONE) for t in tuples]
         norm = sum(sum(p.terms.values()) for p in products)
-        assert charney_module._chain_bounds(n, r, False) == (norm, max(p.q_degree() for p in products))
-        assert charney_module._chain_bounds(n, r, True) == (norm, 0)
+        assert bounds(FamilySpec.vector(n, r)) == (norm, max(p.q_degree() for p in products))
+        assert bounds(FamilySpec.uniform(n, r)) == (norm, 0)
 
 
 def test_tampered_minus_one_step_fails_route_agreement(capsys, monkeypatch):

@@ -19,8 +19,8 @@ from chowlab.chow import (
     hilbert_recurrence,
 )
 from chowlab.errors import ResourceBoundError, RouteDisagreementError
-from chowlab.exactalg import BiPoly, Layout, ONE, T, gauss_binomial
-from chowlab.flats import FamilySpec, build_explicit, chains_above
+from chowlab.exactalg import BiPoly, Layout, ONE, T, gauss_binomial, tuple_sum
+from chowlab.flats import FamilySpec, build_explicit
 from chowlab.permstat import permutations_of
 from chowlab.qeuler import classical_eulerian, derangement_polynomial, q_eulerian_by_recurrence
 
@@ -264,37 +264,59 @@ def test_uniform_closed_form_is_one_sum_at_q_one(monkeypatch):
 
 @pytest.mark.parametrize("spec", [FamilySpec.vector(12, 12), FamilySpec.uniform(12, 9), FamilySpec.vector(9, 2)])
 def test_chain_sum_is_one_packed_walk(monkeypatch, spec):
-    # a count: each step (lower, upper) of a tuple is packed once, every
-    # tuple is one int product, with no polynomial product, and the sum is
-    # read back once
+    # a count: the steps' binomials are read off the packed q-Pascal rows,
+    # so nothing is packed from a polynomial; every tuple is one int
+    # product of one walk, with no polynomial product, and the sum is read
+    # back once
     expected = hilbert_recurrence(spec)
     calls = []
-    real_read, real_pack, real_mul = Layout.read, Layout.pack, BiPoly.__mul__
+    real_read, real_pack, real_mul, real_walk = Layout.read, Layout.pack, BiPoly.__mul__, chow_module.tuple_sum
     monkeypatch.setattr(Layout, "read", lambda *args: calls.append("read") or real_read(*args))
     monkeypatch.setattr(Layout, "pack", lambda *args: calls.append("pack") or real_pack(*args))
+    monkeypatch.setattr(chow_module, "tuple_sum", lambda steps: calls.append("tuple_sum") or real_walk(steps))
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(BiPoly, name, lambda *args: calls.append("__mul__") or real_mul(*args))
     assert hilbert_chain_sum(spec) == expected
-    steps = math.comb(spec.r, 2) - (spec.r - 2)  # lower = 0 or 2 <= lower, and upper >= lower + 2
-    assert calls == ["pack"] * steps + ["read"]
+    assert calls == ["tuple_sum", "read"]
+
+
+@pytest.mark.parametrize("t, counts", [(None, {6: 13, 10: 89, 14: 610}), (-1, {7: 8, 11: 32, 15: 128})])
+def test_chain_walk_visits_only_the_nonzero_steps(t, counts):
+    # the tuples the walk visits, counted by `tuple_sum` on its own step
+    # table with every factor 1: F(r + 1) with t symbolic, every gap at
+    # least 2, and 2^((r - 1)/2) at t = -1, where the odd gaps are 0 and
+    # dropped, leaving the tuples of even ranks below r
+    for r, count in counts.items():
+        for spec in (FamilySpec.vector(r, r), FamilySpec.uniform(r + 3, r)):
+            steps = chow_module._chain_steps(spec, t)
+            assert tuple_sum([[(upper, 1) for upper, *_ in pairs] for pairs in steps]) == count, (spec, t)
+
+
+def test_chain_walk_at_an_integer_t_is_the_series_there():
+    for spec in (FamilySpec.vector(7, 7), FamilySpec.vector(8, 5), FamilySpec.uniform(9, 6)):
+        for t in (-1, 0, 1, 2):
+            assert chow_module._chain_walk(spec, t) == hilbert_recurrence(spec).subs_t_int(t), (spec, t)
 
 
 def test_chain_sum_bounds_are_the_chain_counts_summed():
     # the bounds from `comb` and k (n - lower - k) against the same pass
-    # over the q-polynomials chains_above, evaluated and their degrees read
+    # over the chain counts as q-polynomials, the Gaussian binomials
+    # [n - lower over upper - lower]_q and 1 at upper = r, evaluated and
+    # their degrees read (q-degree 0 for uniform)
     def by_polynomials(spec):
         norms, degrees = {}, {}
         for lower in range(spec.r, -1, -1):
-            steps = [(upper, chains_above(spec, lower, upper)) for upper in range(lower + 2, spec.r + 1)]
+            steps = [(upper, ONE if upper == spec.r else gauss_binomial(spec.n - lower, upper - lower))
+                     for upper in range(lower + 2, spec.r + 1)]
             norms[lower] = 1 + sum(f.eval(1, 1) * (upper - lower - 1) * norms[upper] for upper, f in steps)
             degrees[lower] = max((f.q_degree() + degrees[upper] for upper, f in steps), default=0)
-        return norms[0], degrees[0]
+        return norms[0], degrees[0] if spec.kind == "vector" else 0
 
     for kind in ("uniform", "vector"):
         for n in range(1, 13):
             for r in range(1, n + 1):
                 spec = FamilySpec(kind, n, r)
-                assert chow_module._chain_sum_bounds(spec) == by_polynomials(spec), spec
+                assert chow_module._chain_bounds(spec, chow_module._chain_steps(spec)) == by_polynomials(spec), spec
 
 
 def test_chain_sum_keeps_one_path_of_products():

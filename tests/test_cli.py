@@ -25,7 +25,7 @@ import chowlab.ordercx as ordercx_module
 import chowlab.permstat as permstat_module
 import chowlab.qeuler as qeuler_module
 from chowlab.cli import COMMANDS, FLAG, _print_json, build_parser, check_suites, main, parse_canonical
-from chowlab.exactalg import BiPoly, ONE, Q, T
+from chowlab.exactalg import BiPoly, Layout, ONE, Q, T
 from chowlab.flats import FamilySpec
 from chowlab.ordercx import FVector
 
@@ -147,6 +147,16 @@ def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_a_layout_misfit_is_an_internal_error(capsys, monkeypatch):
+    # a route that packs a term past the layout it fixed is at fault, not
+    # the query: exit 4, not the domain error's 2
+    monkeypatch.setitem(chow_module.ROUTES, "recurrence", lambda spec, p=None:
+                        Layout(1 << 20, 0).pack(chow_module.hilbert_recurrence(spec).terms, spec.r))
+    code, out, err = run_cli(capsys, "hilbert", "--family", "vector", "--n", "4", "--r", "3")
+    assert (code, out) == (4, "")
+    assert err == "internal error: OverflowError: a term of q-degree past 0 does not fit this layout\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -458,13 +468,14 @@ def _bump_at_q_one(real):
 SECANT_TAMPERS.append(("tangent-secant", charney_module, "_secant_by_triangle", _bump_at_q_one, "tangent_secant_table"))
 IDS += [f"{suite}-{name}" for suite, _, name, *_ in SECANT_TAMPERS]
 TAMPERS += SECANT_TAMPERS
-# The chain routes of route-agreement, each tuple sum off by one packed unit:
-# the Hilbert chain sum's and the unsigned cd chain sum's constant terms.
+# The one chain walk's tuple sum off by one packed unit: the constant terms
+# of the Hilbert chain sum and of the unsigned cd chain sum, its value at
+# t = -1, each caught by its own route-agreement instance.
 CHAIN_TAMPERS = [
     ("route-agreement", chow_module, "tuple_sum", _tamper((), lambda total: total + 1), "chain vs recurrence"),
-    ("route-agreement", charney_module, "tuple_sum", _tamper((), lambda total: total + 1), "direct vs chain"),
+    ("route-agreement", chow_module, "tuple_sum", _tamper((), lambda total: total + 1), "direct vs chain"),
 ]
-IDS += [f"{suite}-{module.__name__.rpartition('.')[2]}.{name}" for suite, module, name, *_ in CHAIN_TAMPERS]
+IDS += ["route-agreement-chow.tuple_sum", "route-agreement-chow.tuple_sum-cd"]
 TAMPERS += CHAIN_TAMPERS
 # A route-table entry of each quantity off by one at one instance: the
 # `check` suite reads the table, not the route functions.
@@ -504,6 +515,23 @@ def test_tampered_grouped_sum_fails_its_identity(capsys, monkeypatch, suite, ins
     lines = out.splitlines()
     assert code == 1 and lines[0].startswith(f"FAIL  {suite}") and lines[-1] == "FAILED  (nmax=5)"
     assert any(line.startswith(f"      FAIL {instance}") for line in lines), out
+
+
+# The conjecture suite checks the full-lattice reading at each (n, r) and
+# the bivariate restatement at each n: either side off at one instance is
+# a FAIL of that entry alone.
+@pytest.mark.parametrize("name, first_args, instance", [
+    ("conjecture_check", (4, 2), "conjecture report (n=4, r=2)"),
+    ("bivariate_check", (4,), "bivariate restatement report (n=4)"),
+], ids=["conjecture_check", "bivariate_check"])
+def test_a_conjecture_counterexample_fails_its_entry(capsys, monkeypatch, name, first_args, instance):
+    bump = _tamper(first_args, lambda report: {**report, "lhs": report["lhs"] + T,
+                                               "equal": report["lhs"] + T == report["rhs"]})
+    monkeypatch.setattr(ordercx_module, name, bump(getattr(ordercx_module, name)))
+    code, out, _ = run_cli(capsys, "check", "--suite", "conjecture", "--nmax", "5")
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith("FAIL  conjecture") and lines[-1] == "FAILED  (nmax=5)"
+    assert [line.split(":")[0] for line in lines if line.startswith("      FAIL")] == [f"      FAIL {instance}"]
 
 
 def test_tampered_fiber_fails_the_fiber_identity(capsys, monkeypatch):
@@ -766,7 +794,7 @@ PUBLIC_API = {
     "charney": "CDResult cd cd_chain_alternating cd_direct cd_qsecant t_term tangent_secant",
     "chow": "basis_monomial_oracle delta_series hilbert hilbert_chain_sum hilbert_closed_form hilbert_recurrence",
     "errors": "ResourceBoundError RouteDisagreementError",
-    "exactalg": "BiPoly gauss_binomial t_quantum",
+    "exactalg": "BiPoly gauss_binomial",
     "flats": "ExplicitLattice FamilySpec build_explicit",
     "ordercx": "FVector bivariate_check conjecture_check h_polynomial order_complex_fvector",
     "permstat": "PermStats permutations_of statistic_sum stats",

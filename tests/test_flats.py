@@ -8,13 +8,12 @@ import pytest
 from chowlab import flats
 from chowlab.charney import cd_direct, tangent_secant
 from chowlab.errors import ResourceBoundError
-from chowlab.exactalg import ONE, BiPoly, gauss_binomial
+from chowlab.exactalg import ONE, gauss_binomial
 from chowlab.flats import (
     FamilySpec,
     _rref_bases,
     _span,
     build_explicit,
-    chains_above,
     count_above,
     explicit_size,
 )
@@ -67,16 +66,18 @@ def test_values_are_immutable():
 
 def test_level_sizes():
     # the number of rank-i flats is the chain count from the bottom
-    assert chains_above(FamilySpec.uniform(4, 3), 0, 2) == BiPoly.const(6)
-    assert chains_above(FamilySpec.vector(4, 4), 0, 2) == gauss_binomial(4, 2)
+    assert count_above(FamilySpec.uniform(4, 3), 0, 2, 2) == 6
+    for q in (2, 3):
+        assert count_above(FamilySpec.vector(4, 4), 0, 2, q) == gauss_binomial(4, 2).eval(q, 1)
     for spec in (FamilySpec.uniform(5, 3), FamilySpec.vector(5, 3)):
-        assert chains_above(spec, 0, 0) == BiPoly.const(1)
-        assert chains_above(spec, 0, spec.r) == BiPoly.const(1)
+        assert count_above(spec, 0, 0, 2) == 1
+        assert count_above(spec, 0, spec.r, 2) == 1
 
 
 def test_integer_counts_are_the_chain_counts_at_q():
     # the `int` count, by C(n - lower, k) or the Gaussian binomial's product
-    # at q, against the q-polynomial evaluated there
+    # at q, against the q-polynomial [n - lower over k]_q evaluated there
+    # (at q = 1 for uniform), and 1 at the top
     for kind in ("uniform", "vector"):
         for n in range(1, 10):
             for r in range(1, n + 1):
@@ -84,7 +85,8 @@ def test_integer_counts_are_the_chain_counts_at_q():
                 for lower in range(r + 1):
                     for upper in range(lower, r + 1):
                         for q in (1, 2, 3, 5):
-                            assert count_above(spec, lower, upper, q) == chains_above(spec, lower, upper).eval(q, 1)
+                            count = ONE if upper == r else gauss_binomial(n - lower, upper - lower)
+                            assert count_above(spec, lower, upper, q) == count.eval(q if kind == "vector" else 1, 1)
 
 
 def test_boolean_lattice():
@@ -137,7 +139,7 @@ def test_gradedness_and_chain_product():
         # chain count equals the product of per-level up-degrees
         product = 1
         for i in range(1, spec.r + 1):
-            product *= chains_above(spec, i - 1, i).eval(q_value, 1)
+            product *= count_above(spec, i - 1, i, q_value)
         assert lat.count_maximal_chains() == product
 
 
