@@ -379,16 +379,12 @@ def classical_zigzag_triangle(top):
                  f"table {classical} vs triangle {signed}")
 
 
-def _secant_sum(n, r, oracle):
-    return sum(comb(n, 2 * k) * oracle[2 * k] for k in range((r - 1) // 2 + 1))
-
-
 def secant_sums(ns):
     """The unsigned quantity of uniform(n, r), odd r, is sum_k C(n, 2k) E_{2k}."""
     oracle = classical_tangent_secant(_top(ns))
     for n in ns:
         for r in range(1, n + 1, 2):
-            classical = _secant_sum(n, r, oracle)
+            classical = sum(comb(n, 2 * k) * oracle[2 * k] for k in range((r - 1) // 2 + 1))
             unsigned = charney.cd_direct(FamilySpec.uniform(n, r)).unsigned
             yield _entry(
                 f"secant-sum formula vs unsigned cd (uniform {n},{r})",
@@ -398,10 +394,13 @@ def secant_sums(ns):
 
 
 def odd_secant_collapse(ns):
-    """At odd n the full secant sum collapses to E_n."""
+    """At odd n the full secant sum collapses to E_n: the package's sum
+    `charney.cd_qsecant(n, n, q_one=True)`, from the table built at q = 1,
+    against the tanh + sech oracle's E_n."""
     oracle = classical_tangent_secant(_top(ns))
     for n in ns:
-        yield _entry(f"odd-row secant sum collapses to E_{n}", _secant_sum(n, n, oracle) == oracle[n])
+        yield _entry(f"odd-row secant sum collapses to E_{n}",
+                     charney.cd_qsecant(n, n, q_one=True).unsigned == BiPoly.const(oracle[n]))
 
 
 def alternating_probes(ns, bound=None):

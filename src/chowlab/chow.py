@@ -8,8 +8,8 @@ chain sum    : sum over strictly increasing rank tuples, each weighted by
                (level homogeneity collapses chains to rank profiles); the
                same walk at t = -1 is the cd chain route of `charney`;
 recurrence   : peel the lattice at each level and recurse into the upper
-               interval, on the same diagonal n - r: one packed Horner sum
-               per rank, bottom-up, and only rank r read back;
+               interval, on the same diagonal n - r: `qeuler._q_egf`, the
+               loop of A_n and D_n, with only rank r read back;
 closed form  : one packed sum over the fixed-point fibers m < r of
                [n over m]_q D_m(q,t) [r - m]_t, from the bottom;
 monomial oracle : count flag-supported basis monomials with rank-gap
@@ -20,7 +20,7 @@ evaluating q at the lattice's field size (q = 1 for uniform).
 """
 
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from math import comb
 from operator import mul
 
@@ -45,8 +45,8 @@ def _chain_walk(spec, t=None):
     steps = _chain_steps(spec, t)
     layout = Layout(*_chain_bounds(spec, steps))
     rows = list(islice(q_pascal_rows(layout.qs, width=spec.r), spec.n + 1))
-    packed = [[(upper, sum(c * rows[m][k] << j * layout.ts for j, c in enumerate(factor) if c))
-               for upper, (m, k), factor in pairs] for pairs in steps]
+    packed = {lower: [(upper, sum(c * rows[m][k] << j * layout.ts for j, c in enumerate(factor) if c))
+                      for upper, (m, k), factor in pairs] for lower, pairs in steps.items()}
     return layout.read(tuple_sum(packed), spec.r if t is None else 1)
 
 
@@ -56,20 +56,27 @@ def _chain_steps(spec, t=None):
     is the number of rank-upper flats above a rank-lower one, (0, 0) at
     upper = r, and factor the t-coefficients of t [g - 1]_t, g = upper -
     lower, or with an `int` t its value there.  A step whose factor is 0 is
-    dropped: at t = -1, those of odd g.
+    dropped: at t = -1, those of odd g.  Only the lowers a tuple reaches
+    are keys, ascending: never rank 1, nor at t = -1 an odd rank.
 
     >>> _chain_steps(FamilySpec.vector(4, 4))[0], _chain_steps(FamilySpec.vector(4, 4), -1)[0]
     ([(2, (4, 2), [0, 1]), (3, (4, 3), [0, 1, 1]), (4, (0, 0), [0, 1, 1, 1])], [(2, (4, 2), [-1]), (4, (0, 0), [-1])])
+    >>> list(_chain_steps(FamilySpec.vector(4, 4))), list(_chain_steps(FamilySpec.vector(9, 9), -1))
+    ([0, 2, 3, 4], [0, 2, 4, 6, 8])
     """
     n, r = spec.n, spec.r
     factors = [[0] + [1] * (g - 1) if t is None else [sum(t**a for a in range(1, g))] for g in range(r + 1)]
-    return [[(upper, (n - lower, upper - lower) if upper < r else (0, 0), factors[upper - lower])
-             for upper in range(lower + 2, r + 1) if any(factors[upper - lower])] for lower in range(r + 1)]
+    steps, reached = {}, {0}
+    for lower in filter(reached.__contains__, range(r + 1)):
+        steps[lower] = [(upper, (n - lower, upper - lower) if upper < r else (0, 0), factors[upper - lower])
+                        for upper in range(lower + 2, r + 1) if any(factors[upper - lower])]
+        reached.update(upper for upper, *_ in steps[lower])
+    return steps
 
 
 def _chain_bounds(spec, steps):
     """Bounds (N, D) for the walk over `steps`: `recurrence_bounds` over the
-    tails of the tuples, from r down, each step of norm C(m, k) ||factor||_1
+    reached ranks from the top down, each step of norm C(m, k) ||factor||_1
     and q-degree k (m - k), 0 for uniform.  With t symbolic, N = H(1, 1):
 
     >>> v, u = FamilySpec.vector(5, 5), FamilySpec.uniform(5, 5)
@@ -77,7 +84,7 @@ def _chain_bounds(spec, steps):
     [(120, 8), (120, 0), (46, 8), (46, 0)]
     """
     vector = spec.kind != UNIFORM
-    norms, degrees = recurrence_bounds(range(spec.r, -1, -1), lambda lower: 1, lambda lower: (
+    norms, degrees = recurrence_bounds(sorted(steps, reverse=True), lambda lower: 1, lambda lower: (
         (upper, comb(m, k) * sum(map(abs, factor)), vector * k * (m - k)) for upper, (m, k), factor in steps[lower]))
     return norms[0], degrees[0]
 
@@ -102,40 +109,24 @@ def _diagonal(spec, horner):
         H_m = [m]_t + sum_{1 <= a <= m-2} [d+m over d+a]_q H_a t [m-a-1]_t,
 
     where [m]_t = 1 + t [m-1]_t H_0 comes from the top level, one flat
-    (i = m).
-
-    - Layout.  As in `qeuler._q_egf`: one `Layout` for H_1, ..., H_r, fixed
-      from `_diagonal_bounds` before any product, each H_m kept as its
-      t-rows where qs > 0; the uniform family's d_m are 0, so its q is 1.
-    - Recurrence.  Each binomial is read as [d+m over d+a]_q =
-      [d+m over m-a]_q, with 2 <= m - a < r, from the rows d + 1, ..., d + r
-      of `qeuler.q_pascal_rows(qs)` cut to their first r entries (Pascal's
-      triangle for the uniform family), so a long diagonal costs r entries
-      a row.  Each c_a = [d+m over d+a]_q H_a is one product a t-row, with
-      c_0 = 1, and `horner(m, c, layout)` is the sum of c_a t [m-a-1]_t over
-      a <= m - 2: `qeuler._derangement_horner` for the series itself, or the
-      same sum at any value of t, since substituting one is a ring
-      homomorphism.  Adding 1 then gives the [m]_t term.  H_(r-1) is not
-      needed.  The loop does not recurse.
+    (i = m).  That is `qeuler._q_egf` at d and base 1, its c_0 = 1 the top
+    flat, at one `Layout` for H_1, ..., H_r fixed from `_diagonal_bounds`
+    before any product; the uniform family's d_m are 0, so its q is 1.
+    `horner(m, c, layout)` is the sum of c_a t [m-a-1]_t over a <= m - 2:
+    `qeuler._derangement_horner` for the series itself, or the same sum at
+    any value of t, since substituting one is a ring homomorphism.  H_(r-1)
+    is not needed, so it is left at its base, with no product taken.
     """
-    d, r = spec.n - spec.r, spec.r
+    r = spec.r
     layout = Layout(*map(max, _diagonal_bounds(spec)))
-    packed = [1]  # H_0; H_(r-1) is never read, so it is left at 0
-    for m, row in enumerate(islice(q_pascal_rows(layout.qs, width=r), d + 1, d + r + 1), 1):
-        if m == r - 1:
-            packed.append(0)
-            continue
-        c = chain([1], map(mul, row[m - 1 : 1 : -1], packed[1 : m - 1]))
-        packed.append(1 + horner(m, c, layout))
+    packed = _q_egf(r, lambda m, c, layout: 0 if m == r - 1 else horner(m, c, layout), layout, spec.n - r, base=1)
     return join_rows(packed[r], layout.ts), layout
 
 
-@lru_cache(maxsize=None)
 def _diagonal_bounds(spec):
     """Bounds (B_m, d_m) for H_m = H(d + m, m), 0 <= m <= r, on the diagonal
-    d = n - r of `spec`: `recurrence_bounds` of `_diagonal`'s recurrence,
-    each term of norm C(d+m, d+a) (m-a-1) and q-degree (m-a)(d+a), 0 for
-    uniform, kept per spec.  Every coefficient of H_m is nonnegative, so
+    d = n - r of `spec`: `qeuler._q_egf_bounds` at d and base 1, with the
+    q-degrees 0 for uniform.  Every coefficient of H_m is nonnegative, so
     B_m = H_m(1, 1):
 
     >>> _diagonal_bounds(FamilySpec.vector(7, 5))
@@ -143,10 +134,8 @@ def _diagonal_bounds(spec):
     >>> _diagonal_bounds(FamilySpec.uniform(7, 5))
     ((1, 1, 2, 13, 74, 523), (0, 0, 0, 0, 0, 0))
     """
-    d, vector = spec.n - spec.r, spec.kind != UNIFORM
-    norms, degrees = recurrence_bounds(range(spec.r + 1), lambda m: max(m, 1), lambda m: (
-        (a, comb(d + m, d + a) * (m - a - 1), vector * (m - a) * (d + a)) for a in range(1, m - 1)))
-    return tuple(norms.values()), tuple(degrees.values())
+    norms, degrees = _q_egf_bounds(spec.r, spec.n - spec.r, 1)
+    return norms, degrees if spec.kind != UNIFORM else (0,) * len(degrees)
 
 
 def hilbert_closed_form(spec):

@@ -9,7 +9,8 @@ t-row, and the sum over a runs in Horner form, where a multiply by t - q^i
 or by t is a shift.  A_n and D_n are each built at the layout of the top
 entry alone and only it is read back; for the closed form and the
 difference series of `chow`, the D table is built at the layout of their
-sum and never read back.
+sum and never read back.  `chow`'s Hilbert diagonal runs on the same
+loop, `_q_egf`, and bound declaration, `_q_egf_bounds`.
 The brute-force definition of A_n exists as its oracle.  The classical
 (q = 1) polynomials come from their own integer recurrence on Eulerian
 numbers, not from the q-recurrence.
@@ -31,21 +32,22 @@ def q_eulerian_by_definition(n, bound=None):
 
 
 @lru_cache(maxsize=None)
-def _q_egf_bounds(n_max):
+def _q_egf_bounds(n_max, d=0, base=0):
     """Bounds (B_m, d_m) on ||x_m||_1 and deg_q x_m, 0 <= m <= n_max, for
-    x_m = sum_{a < m} [m over a]_q x_a t [m-a-1]_t from x_0 = 1, the
-    derangement recurrence: `recurrence_bounds`, each term of norm
-    C(m, a) (m - a - 1) and q-degree a(m - a), kept per argument:
+    the x_m of `_q_egf(n_max, _derangement_horner, layout, d, base)`:
+    `recurrence_bounds`, each term c_a t [m-a-1]_t of norm m - 1 at a = 0,
+    else C(d+m, d+a) (m-a-1), and q-degree 0, else (m-a)(d+a), kept per
+    argument.  D_m's at d = 0, base = 0; `chow._diagonal`'s at base 1:
 
     >>> _q_egf_bounds(4)
     ((1, 0, 1, 2, 9), (0, 0, 0, 0, 4))
     """
 
     def edges(m):
-        for a in range(m):
-            yield a, comb(m, a) * (m - a - 1), a * (m - a)
+        for a in range(m - 1):
+            yield (a, comb(d + m, d + a) * (m - a - 1), (m - a) * (d + a)) if a else (0, m - 1, 0)
 
-    norms, degrees = recurrence_bounds(range(n_max + 1), lambda m: 1 if m == 0 else 0, edges)
+    norms, degrees = recurrence_bounds(range(n_max + 1), lambda m: base if m else 1, edges)
     return tuple(norms.values()), tuple(degrees.values())
 
 
@@ -84,21 +86,20 @@ def q_pascal_rows(qs, width=None):
         row = [1, *map(add, row, map(lshift, row[1:], count(qs, qs))), 1][:width]
 
 
-def _q_egf(n, horner, layout):
-    """x_0, ..., x_n of x_m = sum_{a < m} [m over a]_q x_a g_(m - a) from
-    x_0 = 1, at the caller's `layout`, each as its t-rows where qs > 0
-    (`exactalg.t_horner`); `join_rows` makes each its packing.
-
-    - Layout.  The caller fixes it for what it reads back: an x_m itself,
-      or a sum of products of them.  Nothing else need fit (see `Layout`).
-    - Recurrence.  Row m of `q_pascal_rows(qs)` holds every [m over a]_q
-      packed, each c_a = [m over a]_q x_a is one product a t-row, and
-      `horner` sums the c_a times g_(m - a) with shifts and adds.  Nothing
-      is read back here.
+def _q_egf(n, horner, layout, d=0, base=0):
+    """x_0, ..., x_n of x_m = base + sum_{a < m} c_a g_(m - a) from x_0 = 1,
+    c_0 = 1 and c_a = [d+m over d+a]_q x_a: at d = 0, base = 0 the cleared
+    q-EGF recurrence of A_n and D_n, at base = 1 `chow._diagonal`.  Each x_m
+    is kept as its t-rows where qs > 0 (`exactalg.t_horner`) at the
+    caller's `layout`, fixed for what it reads back (see `Layout`); nothing
+    is read back here.  Each binomial is read as [d+m over m-a]_q from rows
+    d + 1, ..., d + n of `q_pascal_rows(qs, width=n)`, and each c_a is one
+    product a t-row, taken lazily: `horner(m, c, layout)`, which sums the
+    c_a g_(m - a) by shifts and adds, takes only the products it reads.
     """
     packed = [1]
-    for m, row in enumerate(islice(q_pascal_rows(layout.qs), 1, n + 1), 1):
-        packed.append(horner(m, map(mul, row, packed), layout))
+    for m, row in enumerate(islice(q_pascal_rows(layout.qs, width=n), d + 1, d + n + 1), 1):
+        packed.append(base + horner(m, chain([1], map(mul, row[m - 1 : 0 : -1], packed[1:])), layout))
     return packed
 
 

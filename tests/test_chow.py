@@ -289,7 +289,7 @@ def test_chain_walk_visits_only_the_nonzero_steps(t, counts):
     for r, count in counts.items():
         for spec in (FamilySpec.vector(r, r), FamilySpec.uniform(r + 3, r)):
             steps = chow_module._chain_steps(spec, t)
-            assert tuple_sum([[(upper, 1) for upper, *_ in pairs] for pairs in steps]) == count, (spec, t)
+            assert tuple_sum({lower: [(upper, 1) for upper, *_ in pairs] for lower, pairs in steps.items()}) == count, (spec, t)
 
 
 def test_chain_walk_at_an_integer_t_is_the_series_there():
@@ -375,9 +375,9 @@ def test_recurrence_takes_binomials_from_q_pascal_rows(monkeypatch, spec):
     packs, widths = [], []
     real_pack = Layout.pack
     monkeypatch.setattr(Layout, "pack", lambda *args: packs.append(args) or real_pack(*args))
-    real_rows = chow_module.q_pascal_rows
+    real_rows = qeuler.q_pascal_rows
     monkeypatch.setattr(
-        chow_module, "q_pascal_rows", lambda *args, **kw: (widths.append(len(row)) or row for row in real_rows(*args, **kw))
+        qeuler, "q_pascal_rows", lambda *args, **kw: (widths.append(len(row)) or row for row in real_rows(*args, **kw))
     )
     hilbert_recurrence.cache_clear()
     binomials = gauss_binomial.cache_info()
@@ -385,6 +385,19 @@ def test_recurrence_takes_binomials_from_q_pascal_rows(monkeypatch, spec):
     after = gauss_binomial.cache_info()
     assert packs == [] and after.hits + after.misses == binomials.hits + binomials.misses
     assert len(widths) == spec.n + 1 and max(widths) == spec.r
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16])
+def test_recurrence_never_builds_rank_r_minus_one(monkeypatch, n):
+    # H_(r-1) is never read, so no Horner sum runs for it: the diagonal's
+    # loop sums the ranks 1, ..., r - 2 and r alone
+    expected = q_eulerian_by_recurrence(n)
+    ranks = []
+    real = chow_module._derangement_horner
+    monkeypatch.setattr(chow_module, "_derangement_horner", lambda m, c, layout: ranks.append(m) or real(m, c, layout))
+    hilbert_recurrence.cache_clear()
+    assert hilbert_recurrence(FamilySpec.vector(n, n)) == expected
+    assert ranks == [*range(1, n - 1), n]
 
 
 @pytest.mark.parametrize("kind, ranks", [("uniform", range(1, 31)), ("vector", (*range(1, 21), 30))])

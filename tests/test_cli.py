@@ -575,6 +575,19 @@ def test_tampered_route_fails_its_suite(capsys, monkeypatch, suite, module, name
     assert any(line.startswith("      FAIL") and instance in line for line in lines), out
 
 
+def test_tampered_qsecant_fails_the_odd_row_collapse(capsys, monkeypatch):
+    # the odd-row collapse holds the package's q = 1 secant sum to the
+    # tanh + sech oracle: that sum off by one at n = 9 fails that entry
+    bump = _tamper((9, 9), lambda c: c._replace(unsigned=c.unsigned + ONE))
+    monkeypatch.setattr(charney_module, "cd_qsecant", bump(charney_module.cd_qsecant))
+    code, out, _ = run_cli(capsys, "check", "--suite", "tangent-secant", "--nmax", "9")
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith("FAIL  tangent-secant") and lines[-1] == "FAILED  (nmax=9)"
+    assert [line.split(":")[0] for line in lines if line.startswith("      FAIL")] == [
+        "      FAIL odd-row secant sum collapses to E_9"
+    ]
+
+
 def test_tangent_secant_suite_covers_odd_entries_to_nmax():
     # E_n = unsigned cd(vector(n, n)) at odd n is checked as far as --nmax reaches
     report = check_suites(9, "tangent-secant")

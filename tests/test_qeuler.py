@@ -11,7 +11,8 @@ import pytest
 
 import chowlab.chow as chow_module
 from chowlab import checks, qeuler
-from chowlab.chow import delta_series, hilbert_closed_form
+from chowlab.charney import cd_direct
+from chowlab.chow import delta_series, hilbert_closed_form, hilbert_recurrence
 from chowlab.exactalg import BiPoly, Layout, ONE, T, ZERO, gauss_binomial, join_rows
 from chowlab.flats import FamilySpec
 from chowlab.permstat import statistic_sum
@@ -212,3 +213,21 @@ def test_sums_over_the_derangement_table_build_it_once(monkeypatch, route, spec)
     derangement_polynomial.cache_clear()
     route(*spec)
     assert builds.count(qeuler._derangement_horner) == 1
+
+
+V97 = FamilySpec.vector(9, 7)
+
+
+@pytest.mark.parametrize("route, arg", [(hilbert_recurrence, V97), (cd_direct, V97), (derangement_polynomial, 9),
+                                        (q_eulerian_by_recurrence, 9), (hilbert_closed_form, V97)])
+def test_each_packed_recurrence_is_one_run_of_the_one_loop(monkeypatch, route, arg):
+    # a count: the Hilbert diagonal, its value at t = -1, D_n, A_n and the
+    # sum over the D table each run `qeuler._q_egf` once, and no other loop
+    builds = []
+    real = qeuler._q_egf
+    for module in (qeuler, chow_module):
+        monkeypatch.setattr(module, "_q_egf", lambda *args, **kw: builds.append(args[0]) or real(*args, **kw))
+    for cached in (hilbert_recurrence, derangement_polynomial, q_eulerian_by_recurrence):
+        cached.cache_clear()
+    route(arg)
+    assert len(builds) == 1
